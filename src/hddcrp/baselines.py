@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .links import ClusterAssignment, canonical_order
 
 
@@ -85,29 +87,40 @@ def agglomerative(corpus, model, resources, config=None):
     """
     if config is None:
         config = AgglomerativeConfig()
+    # Every pair is scored once, in blocks.  Only pairs at or above a
+    # threshold become edges: _single_link never merges along the others.
     docs = sorted(corpus.documents, key=lambda d: d.doc_id)
+    order = [m for d in docs for m in d.mentions]  # the canonical order
+    sizes = [len(d.mentions) for d in docs]
+    first = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    doc_of = np.repeat(np.arange(len(docs)), sizes)
+    within = [[] for _ in docs]  # per document: (sim, i, j), local indices
+    across = []  # (truncated sim, i, j) between documents
+    for i, j, sim in model.upper_pairs(order, resources):
+        same = doc_of[i] == doc_of[j]
+        keep = same & (sim >= config.wd_threshold)
+        for s, d, a, b in zip(*(x[keep].tolist() for x in (sim, doc_of[i], i, j))):
+            within[d].append((s, a - first[d], b - first[d]))
+        trunc = model.truncate(sim)
+        keep = ~same & (trunc >= config.cd_threshold)
+        across += zip(trunc[keep].tolist(), i[keep].tolist(), j[keep].tolist())
+
     wd_clusters = []
-    for d in docs:
-        edges = [
-            (model.pair_similarity(d.mentions[i], d.mentions[j], resources), j, i)
-            for i in range(len(d.mentions))
-            for j in range(i)
-        ]
-        parts, _ = _single_link(len(d.mentions), edges, config.wd_threshold)
+    cluster_of = [0] * len(order)
+    for d, doc in enumerate(docs):
+        parts, _ = _single_link(sizes[d], within[d], config.wd_threshold)
         for part in parts:
-            wd_clusters.append([d.mentions[i] for i in part])
+            for k in part:
+                cluster_of[first[d] + k] = len(wd_clusters)
+            wd_clusters.append([doc.mentions[k] for k in part])
 
-    def cluster_pair_sim(ca, cb):
-        return max(
-            model.truncated_similarity(a, b, resources) for a in ca for b in cb
-        )
-
-    edges = [
-        (cluster_pair_sim(wd_clusters[i], wd_clusters[j]), j, i)
-        for i in range(len(wd_clusters))
-        for j in range(i)
-        if wd_clusters[i][0].doc_id != wd_clusters[j][0].doc_id
-    ]
+    # the best truncated pair similarity of each pair of clusters; clusters
+    # are numbered in the canonical order, so a < b gives ca < cb
+    best = {}
+    for s, a, b in across:
+        key = (cluster_of[a], cluster_of[b])
+        best[key] = max(best.get(key, s), s)
+    edges = [(s, ca, cb) for (ca, cb), s in best.items()]
     parts, _ = _single_link(len(wd_clusters), edges, config.cd_threshold)
     partition = [
         [m.mention_id for k in part for m in wd_clusters[k]] for part in parts

@@ -14,15 +14,19 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .baselines import AgglomerativeConfig, agglomerative, lemma_baseline
 from .corpus import LexicalResources, gold_partition, load_corpus
 from .errors import InputError, UniverseMismatchError
+from .features import FeatureExtractor
 from .links import ClusterAssignment
 from .metrics import format_table, mean_reports, score
 from .pairwise import (
     build_training_pairs,
     load_model,
     pair_accuracy,
+    pair_features,
     save_model,
     train,
 )
@@ -183,18 +187,23 @@ def cmd_train_distance(args):
         sigma=config["sigma"],
         truncation_threshold=config["truncation_threshold"],
         gamma=config["gamma"],
+        extractor=FeatureExtractor.from_corpus(corpus),
     )
-    model = train(corpus, resources, pairs=pairs, **kwargs)
-    held = [p for k, p in enumerate(pairs) if k % 5 == 4]
-    rest = [p for k, p in enumerate(pairs) if k % 5 != 4]
+    # every pair's features are built once; the probe fit and the held-out
+    # accuracy use row slices of the same matrix
+    features = pair_features(corpus, resources, kwargs["extractor"], pairs)
+    model = train(corpus, resources, pairs=pairs, features=features, **kwargs)
+    held_out = np.arange(len(pairs)) % 5 == 4
+    held = [p for p, h in zip(pairs, held_out) if h]
+    rest = [p for p, h in zip(pairs, held_out) if not h]
     try:
         if not held:
             raise InputError("too few pairs to hold out")
-        probe = train(corpus, resources, pairs=rest, **kwargs)
-        acc = pair_accuracy(probe, corpus, resources, held)
+        probe = train(corpus, resources, pairs=rest, features=features[~held_out], **kwargs)
+        acc = pair_accuracy(probe, corpus, resources, held, features=features[held_out])
         print(f"held-out pair accuracy: {acc:.4f} ({len(held)} pairs)")
     except InputError:
-        acc = pair_accuracy(model, corpus, resources, pairs)
+        acc = pair_accuracy(model, corpus, resources, pairs, features=features)
         print(f"training pair accuracy (corpus too small to hold out): {acc:.4f}")
 
     out = _require(config, "output")

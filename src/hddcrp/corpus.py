@@ -372,9 +372,17 @@ class LexicalResources:
 
 def doc_similarity(d: Document, d2: Document) -> float:
     """Cosine similarity of the document term-frequency vectors, in [0, 1]."""
-    if not d.tf_vector or not d2.tf_vector:
+    return count_cosine(d.tf_vector, d2.tf_vector)
+
+
+def count_cosine(a, b):
+    """Cosine of two token -> count maps, in [0, 1]; 0 when either is empty.
+
+    Dot product and squared norms are integer sums, so the result is the
+    same whichever way the products are accumulated.
+    """
+    if not a or not b:
         return 0.0
-    a, b = d.tf_vector, d2.tf_vector
     if len(b) < len(a):
         a, b = b, a
     dot = sum(c * b[tok] for tok, c in a.items() if tok in b)

@@ -6,32 +6,32 @@ one-hot over unordered tag pairs observed when the extractor was built, with
 an extra bucket for pairs never seen there.  Role features come with a
 companion both-present indicator because a 0 cosine is ambiguous between
 "dissimilar arguments" and "no arguments at all".
+
+`FeatureExtractor.extract` scores one pair and is the reference.
+`PairFeatures` computes the same values for a block of pairs at once: lemma
+and tag ids are compared as arrays, the embedding cosine and synonym Jaccard
+are computed once per distinct head lemma pair, and the tf-cosines come from
+integer count-matrix products.  Each value equals `extract`'s bit for bit, so
+a model trained on block features is the model trained on `extract`'s.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 import numpy as np
 
-from .corpus import ARGUMENT_ROLES
+from .corpus import ARGUMENT_ROLES, count_cosine
 
 _SIM_FEATURES = ("head_embedding_cosine", "span_tf_cosine", "synonym_jaccard", "context_tf_cosine")
 
+# Mention rows scored at a time against all n mentions: the block computations
+# then need O(BLOCK_ROWS * n) extra memory, never O(n * n).
+BLOCK_ROWS = 64
+
 
 def _tf_cosine(a_tokens, b_tokens):
-    if not a_tokens or not b_tokens:
-        return 0.0
-    a, b = Counter(a_tokens), Counter(b_tokens)
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(c * b[tok] for tok, c in a.items() if tok in b)
-    if dot == 0:
-        return 0.0
-    na = math.sqrt(sum(c * c for c in a.values()))
-    nb = math.sqrt(sum(c * c for c in b.values()))
-    return min(1.0, dot / (na * nb))
+    return count_cosine(Counter(a_tokens), Counter(b_tokens))
 
 
 def _embedding_cosine(resources, a_lemma, b_lemma):
@@ -114,4 +114,138 @@ class FeatureExtractor:
                 out[idx[f"{role}_both_present"]] = 1.0
                 out[idx[f"{role}_tf_cosine"]] = _tf_cosine(la, lb)
         out[idx["bias"]] = 1.0
+        return out
+
+
+def _count_matrix(count_maps):
+    """Sparse integer (maps x tokens) count matrix and the Euclidean norm of
+    each row, computed as count_cosine computes it."""
+    from scipy import sparse
+
+    vocab = {}
+    data, indices, indptr, squares = [], [], [0], []
+    for counts in count_maps:
+        for tok, c in counts.items():
+            indices.append(vocab.setdefault(tok, len(vocab)))
+            data.append(c)
+        indptr.append(len(indices))
+        squares.append(sum(c * c for c in counts.values()))
+    matrix = sparse.csr_matrix(
+        (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int64), indptr),
+        shape=(len(count_maps), len(vocab)),
+    )
+    return matrix, np.sqrt(np.array(squares, dtype=np.float64))
+
+
+def _cosines(matrix, norms, rows, cols):
+    """count_cosine of every (row, col) pair of count-matrix rows.
+
+    The dot products are exact integers, so dot / (na * nb) rounds exactly
+    as the scalar routine does.
+    """
+    dots = (matrix[rows] @ matrix[cols].T).toarray()
+    out = np.zeros(dots.shape)
+    np.divide(dots, np.multiply.outer(norms[rows], norms[cols]), out=out, where=dots > 0)
+    return np.minimum(out, 1.0, out=out)
+
+
+def cosine_matrix(count_maps):
+    """count_cosine of every pair of token -> count maps, as a dense matrix."""
+    matrix, norms = _count_matrix(count_maps)
+    everything = slice(None)
+    return _cosines(matrix, norms, everything, everything)
+
+
+class PairFeatures:
+    """The features of every pair of a fixed list of mentions, by blocks.
+
+    Per-mention tables are built once; `values` and `pos_columns` then give
+    the features of all pairs rows x cols (index slices or arrays into the
+    mention list) as arrays equal to `FeatureExtractor.extract`, pair by pair.
+    """
+
+    def __init__(self, extractor, mentions, resources):
+        idx = extractor.feature_index
+        self.n_features = len(extractor)
+        self.n = len(mentions)
+        self.head_match = idx["head_match"]
+        self.bias = idx["bias"]
+
+        lemmas = sorted({m.head_lemma for m in mentions})
+        lemma_id = {lemma: k for k, lemma in enumerate(lemmas)}
+        self.lemma = np.array([lemma_id[m.head_lemma] for m in mentions], dtype=np.intp)
+        self.vectors = np.array([resources.vector(lemma) for lemma in lemmas], dtype=np.float64)
+        self.vector_norms = np.array([np.linalg.norm(v) for v in self.vectors])
+        synonyms = [resources.synonym_set(lemma) for lemma in lemmas]
+        self.synonyms, _ = _count_matrix([dict.fromkeys(s, 1) for s in synonyms])
+        self.synonym_sizes = np.array([len(s) for s in synonyms], dtype=np.int64)
+        self.embedding_k = idx["head_embedding_cosine"]
+        self.jaccard_k = idx["synonym_jaccard"]
+
+        tags = sorted({m.head_pos for m in mentions})
+        tag_id = {tag: k for k, tag in enumerate(tags)}
+        self.tag = np.array([tag_id[m.head_pos] for m in mentions], dtype=np.intp)
+        other = idx["pos_pair=other"]
+        self.pos_table = np.array(
+            [[idx.get(f"pos_pair={pos_pair_key(a, b)}", other) for b in tags] for a in tags],
+            dtype=np.intp,
+        ).reshape(len(tags), len(tags))
+
+        bags = [
+            (idx["span_tf_cosine"], [m.span_lemmas for m in mentions]),
+            (idx["context_tf_cosine"], [m.context_lemmas for m in mentions]),
+        ]
+        self.present = []
+        for role in ARGUMENT_ROLES:
+            tokens = [m.argument_lemmas(role) for m in mentions]
+            bags.append((idx[f"{role}_tf_cosine"], tokens))
+            self.present.append(
+                (idx[f"{role}_both_present"], np.array([bool(t) for t in tokens], dtype=bool))
+            )
+        self.bags = [(k, *_count_matrix([Counter(t) for t in tokens])) for k, tokens in bags]
+
+    def pos_columns(self, rows, cols):
+        """Index of the POS-pair one-hot feature set for each pair."""
+        return self.pos_table[np.ix_(self.tag[rows], self.tag[cols])]
+
+    def values(self, rows, cols):
+        """Yield (feature index, values over rows x cols) for every feature
+        except the POS-pair one-hot and the bias, one feature at a time."""
+        la, lb = self.lemma[rows], self.lemma[cols]
+        yield self.head_match, np.equal.outer(la, lb).astype(np.float64)
+        # computed once per distinct head lemma pair, then gathered to mentions
+        ra, ia = np.unique(la, return_inverse=True)
+        rb, ib = np.unique(lb, return_inverse=True)
+        pick = np.ix_(ia, ib)
+        # a stack of vector-vector products runs np.dot's routine on each pair,
+        # so the dot products equal extract's bit for bit (a matrix product
+        # would round differently)
+        dots = np.matmul(self.vectors[ra][:, None, None, :], self.vectors[rb][None, :, :, None])
+        scale = np.multiply.outer(self.vector_norms[ra], self.vector_norms[rb])
+        cosine = np.zeros(scale.shape)
+        np.divide(dots[:, :, 0, 0], scale, out=cosine, where=scale > 0)
+        yield self.embedding_k, np.clip(cosine, 0.0, 1.0, out=cosine)[pick]
+        shared = (self.synonyms[ra] @ self.synonyms[rb].T).toarray()
+        union = np.add.outer(self.synonym_sizes[ra], self.synonym_sizes[rb]) - shared
+        yield self.jaccard_k, (shared / union)[pick]
+        for k, matrix, norms in self.bags:
+            yield k, _cosines(matrix, norms, rows, cols)
+        for k, present in self.present:
+            yield k, np.logical_and.outer(present[rows], present[cols]).astype(np.float64)
+
+    def gather(self, a, b):
+        """Feature matrix of the pairs (a[p], b[p]), one row per pair, each
+        row equal to `extract` of that pair."""
+        out = np.zeros((len(a), self.n_features))
+        out[:, self.bias] = 1.0
+        everything = slice(None)
+        for start in range(0, self.n, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            sel = np.flatnonzero((a >= start) & (a < start + BLOCK_ROWS))
+            if not len(sel):
+                continue
+            ra, cb = a[sel] - start, b[sel]
+            out[sel, self.pos_columns(rows, everything)[ra, cb]] = 1.0
+            for k, values in self.values(rows, everything):
+                out[sel, k] = values[ra, cb]
         return out

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .corpus import build_meta_documents
 from .errors import UniverseMismatchError
@@ -99,6 +98,8 @@ def _ceaf_e_counts(gold, pred):
     """Optimal one-to-one cluster alignment under phi4 = 2|G&S|/(|G|+|S|).
     Numerators are the total phi4 mass of the best alignment; denominators
     are the cluster counts."""
+    from scipy.optimize import linear_sum_assignment
+
     gold, pred = list(gold), list(pred)
     if not gold or not pred:
         return 0.0, len(gold), 0.0, len(pred)

@@ -9,6 +9,12 @@ scaled by exp(gamma * document cosine similarity).
 Training maximizes sum_i log sigmoid(y_i * theta . x_i) - l2 * ||theta||^2
 over labeled pairs with y in {+1, -1}; the objective is strictly concave, so
 the optimum is unique and the fit deterministic from a zero start.
+
+The per-pair methods (`pair_similarity`, `within_doc_distance`, ...) are the
+reference.  Priors, training and the baselines score many pairs at once with
+`similarity_block` and `upper_pairs`, which use the block features of
+`features.PairFeatures`; their values agree with the per-pair ones up to the
+order in which the weighted feature sum is accumulated.
 """
 
 from __future__ import annotations
@@ -17,12 +23,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .corpus import doc_similarity
 from .errors import InputError
-from .features import FeatureExtractor
+from .features import BLOCK_ROWS, FeatureExtractor, PairFeatures, cosine_matrix
 
 
 @dataclass(frozen=True)
@@ -71,12 +75,15 @@ def penalized_loglik(theta, features, labels, l2):
 
 
 def penalized_grad(theta, features, labels, l2):
+    from scipy.special import expit
+
     margins = labels * (features @ theta)
     return features.T @ (labels * expit(-margins)) - 2.0 * l2 * theta
 
 
 def fit_theta(features, labels, l2, gtol=1e-6, max_iter=10000):
     """Maximize the penalized log likelihood from a zero start."""
+    from scipy.optimize import minimize
 
     def objective(theta):
         return -penalized_loglik(theta, features, labels, l2), -penalized_grad(
@@ -114,6 +121,8 @@ class PairwiseModel:
 
     def pair_similarity(self, a, b, resources):
         """Logistic similarity in (0, 1); symmetric in a and b."""
+        from scipy.special import expit
+
         return float(expit(self.theta @ self.extractor.extract(a, b, resources)))
 
     def truncated_similarity(self, a, b, resources):
@@ -137,6 +146,45 @@ class PairwiseModel:
             return 0.0
         return float(np.exp(self.gamma * doc_similarity(doc_a, doc_b))) * sim
 
+    def similarity_block(self, features, rows, cols):
+        """pair_similarity of every pair rows x cols of a PairFeatures list,
+        as an array; the logit adds theta_k * feature_k one feature at a time."""
+        from scipy.special import expit
+
+        logit = self.theta[features.pos_columns(rows, cols)]
+        logit += self.theta[features.bias]
+        for k, values in features.values(rows, cols):
+            logit += self.theta[k] * values
+        return expit(logit, out=logit)
+
+    def truncate(self, sims):
+        """truncated_similarity applied to an array of similarities."""
+        return np.where(sims >= self.truncation_threshold, sims, 0.0)
+
+    def upper_pairs(self, mentions, resources):
+        """Yield (i, j, similarity) arrays that together hold every pair i < j
+        of the mention list once, BLOCK_ROWS values of i at a time."""
+        features = PairFeatures(self.extractor, mentions, resources)
+        n = len(mentions)
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n)
+            sims = self.similarity_block(features, slice(start, stop), slice(start, n))
+            r, c = np.triu_indices(stop - start, 1, n - start)
+            yield r + start, c + start, sims[r, c]
+
+    def cross_doc_factors(self, documents):
+        """exp(gamma * doc_similarity) of every pair of documents, as a matrix."""
+        return np.exp(self.gamma * cosine_matrix([d.tf_vector for d in documents]))
+
+
+def pair_features(corpus, resources, extractor, pairs):
+    """Feature matrix of labelled pairs: row p is extract(p.a, p.b)."""
+    order = corpus.mentions_in_order()
+    index = {m.mention_id: k for k, m in enumerate(order)}
+    a = np.array([index[p.a] for p in pairs], dtype=np.intp)
+    b = np.array([index[p.b] for p in pairs], dtype=np.intp)
+    return PairFeatures(extractor, order, resources).gather(a, b)
+
 
 def train(
     corpus,
@@ -149,20 +197,21 @@ def train(
     pairs=None,
     gtol=1e-6,
     max_iter=10000,
+    features=None,
 ):
-    """Fit a PairwiseModel on a gold-annotated corpus."""
+    """Fit a PairwiseModel on a gold-annotated corpus.
+
+    features: the pairs' feature matrix from pair_features, when the caller
+    already has it; built here otherwise.
+    """
     if extractor is None:
         extractor = FeatureExtractor.from_corpus(corpus)
     if pairs is None:
         pairs = build_training_pairs(corpus, sigma)
     if not pairs:
         raise InputError("no training pairs (corpus too small or sigma too high)")
-    features = np.array(
-        [
-            extractor.extract(corpus.mention(p.a), corpus.mention(p.b), resources)
-            for p in pairs
-        ]
-    )
+    if features is None:
+        features = pair_features(corpus, resources, extractor, pairs)
     labels = np.array([1.0 if p.coreferent else -1.0 for p in pairs])
     if not np.isfinite(features).all():
         raise InputError("non-finite feature values in training data")
@@ -172,13 +221,18 @@ def train(
     return PairwiseModel(theta, extractor, l2, truncation_threshold, gamma)
 
 
-def pair_accuracy(model, corpus, resources, pairs):
-    """Fraction of pairs whose 0.5-thresholded similarity matches the label."""
-    good = 0
-    for p in pairs:
-        sim = model.pair_similarity(corpus.mention(p.a), corpus.mention(p.b), resources)
-        good += (sim >= 0.5) == p.coreferent
-    return good / len(pairs)
+def pair_accuracy(model, corpus, resources, pairs, features=None):
+    """Fraction of pairs whose 0.5-thresholded similarity matches the label.
+
+    features: the pairs' feature matrix, when the caller already has it.
+    """
+    from scipy.special import expit
+
+    if features is None:
+        features = pair_features(corpus, resources, model.extractor, pairs)
+    predicted = expit(features @ model.theta) >= 0.5
+    labels = np.array([p.coreferent for p in pairs], dtype=bool)
+    return int(np.count_nonzero(predicted == labels)) / len(pairs)
 
 
 def save_model(model, path, config=None):

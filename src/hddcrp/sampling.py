@@ -73,6 +73,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InputError(f"unknown model {self.model!r}, expected one of {MODELS}")
+        for name in ("alpha_d", "alpha_0", "concentration"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if self.alpha_d <= 0 or self.resolved_alpha_0 <= 0:
             raise InputError("concentrations must be positive")
         if self.iterations < 1 or self.chains < 1:
@@ -101,6 +105,50 @@ class Priors:
     table: tuple | None = None
 
 
+def _support(n, self_weight, rows, targets, weights):
+    """Candidate tuples per mention from (row, target, weight) arrays: the
+    self candidate first, then every positive-weight target in ascending
+    order, weights as Python floats."""
+    keep = weights > 0
+    rows, targets, weights = rows[keep], targets[keep], weights[keep]
+    by_row = np.lexsort((targets, rows))
+    bounds = np.searchsorted(rows[by_row], np.arange(n + 1)).tolist()
+    targets, weights = targets[by_row].tolist(), weights[by_row].tolist()
+    return tuple(
+        ((i, self_weight), *zip(targets[lo:hi], weights[lo:hi]))
+        for i, lo, hi in zip(range(n), bounds, bounds[1:])
+    )
+
+
+def _fn_links(pairs, fn):
+    """(row, target, weight) arrays of fn over (row, target, *args) tuples."""
+    rows, targets, weights = [], [], []
+    for i, j, *args in pairs:
+        rows.append(i)
+        targets.append(j)
+        weights.append(fn(*args))
+    return (
+        np.array(rows, dtype=np.intp),
+        np.array(targets, dtype=np.intp),
+        np.array(weights, dtype=np.float64),
+    )
+
+
+def _both_ways(i, j, w):
+    return np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((w, w))
+
+
+def _trained_pairs(pairwise, mentions, resources):
+    """(i, j, truncated similarity) arrays of the pairs i < j whose truncated
+    similarity is positive; each unordered pair is scored once."""
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for i, j, sim in pairwise.upper_pairs(mentions, resources):
+        w = pairwise.truncate(sim)
+        keep = w > 0
+        parts.append((i[keep], j[keep], w[keep]))
+    return [np.concatenate(x) for x in zip(*parts)]
+
+
 def build_priors(corpus, config, pairwise=None, resources=None, within_fn=None, cross_fn=None):
     """Assemble link supports for a model from trained distances.
 
@@ -108,63 +156,65 @@ def build_priors(corpus, config, pairwise=None, resources=None, within_fn=None, 
     distances; hdp_lex always uses constant within-document weights.
     """
     order = corpus.mentions_in_order()
-    docs = {d.doc_id: d for d in corpus.documents}
+    n = len(order)
+    documents = sorted(corpus.documents, key=lambda d: d.doc_id)
+    doc_index = {d.doc_id: k for k, d in enumerate(documents)}
+    docs = [doc_index[m.doc_id] for m in order]
+    doc_of = np.array(docs, dtype=np.intp)
     kind = config.model
     alpha_d, alpha_0 = config.alpha_d, config.resolved_alpha_0
 
-    def need_model():
+    if kind == "hdp_lex":
+        within_fn = lambda a, b: 1.0
+    trained_cross = kind == "hddcrp" and cross_fn is None and len(documents) > 1
+    if within_fn is None or trained_cross:
         if pairwise is None or resources is None:
             raise InputError(f"model {kind!r} needs a trained distance model")
+        i, j, w = _trained_pairs(pairwise, order, resources)
 
     if kind == "ddcrp_flat":
         if within_fn is None:
-            need_model()
-            within_fn = lambda a, b: pairwise.truncated_similarity(a, b, resources)
-        customer = []
-        for i, a in enumerate(order):
-            cands = [(i, alpha_0)]
-            for j, b in enumerate(order):
-                if j != i:
-                    w = within_fn(a, b)
-                    if w > 0:
-                        cands.append((j, w))
-            customer.append(tuple(cands))
-        return Priors(tuple(customer))
+            links = _both_ways(i, j, w)
+        else:
+            links = _fn_links(
+                ((k, h, a, b) for k, a in enumerate(order) for h, b in enumerate(order) if h != k),
+                within_fn,
+            )
+        return Priors(_support(n, alpha_0, *links))
 
-    if kind == "hdp_lex":
-        within_fn = lambda a, b: 1.0
-    elif within_fn is None:
-        need_model()
-        within_fn = lambda a, b: pairwise.within_doc_distance(a, b, resources)
-    customer = []
-    for i, a in enumerate(order):
-        cands = [(i, alpha_d)]
-        for j in range(i - 1, -1, -1):
-            b = order[j]
-            if b.doc_id != a.doc_id:
-                break
-            w = within_fn(a, b)
-            if w > 0:
-                cands.append((j, w))
-        cands[1:] = sorted(cands[1:])
-        customer.append(tuple(cands))
+    if within_fn is None:
+        # the later mention of a same-document pair links back to the earlier
+        same = doc_of[i] == doc_of[j]
+        links = (j[same], i[same], w[same])
+    else:
+        first = {}  # doc -> index of its first mention in the canonical order
+        for k, d in enumerate(docs):
+            first.setdefault(d, k)
+        links = _fn_links(
+            ((k, h, a, order[h]) for k, a in enumerate(order) for h in range(first[docs[k]], k)),
+            within_fn,
+        )
+    customer = _support(n, alpha_d, *links)
 
     table = None
     if kind == "hddcrp":
-        if cross_fn is None and len(corpus.documents) > 1:
-            need_model()
-            cross_fn = lambda a, b, da, db: pairwise.cross_doc_distance(a, b, da, db, resources)
-        table = []
-        for i, a in enumerate(order):
-            cands = [(i, alpha_0)]
-            for j, b in enumerate(order):
-                if b.doc_id != a.doc_id:
-                    w = cross_fn(a, b, docs[a.doc_id], docs[b.doc_id])
-                    if w > 0:
-                        cands.append((j, w))
-            table.append(tuple(cands))
-        table = tuple(table)
-    return Priors(tuple(customer), table)
+        if trained_cross:
+            cross = doc_of[i] != doc_of[j]
+            i, j = i[cross], j[cross]
+            w = pairwise.cross_doc_factors(documents)[doc_of[i], doc_of[j]] * w[cross]
+            links = _both_ways(i, j, w)
+        else:
+            links = _fn_links(
+                (
+                    (k, h, a, b, documents[docs[k]], documents[docs[h]])
+                    for k, a in enumerate(order)
+                    for h, b in enumerate(order)
+                    if docs[k] != docs[h]
+                ),
+                cross_fn,
+            )
+        table = _support(n, alpha_0, *links)
+    return Priors(customer, table)
 
 
 def _component_labels(n, edges):
@@ -802,6 +852,8 @@ def _run_chain(corpus, config, priors, params, index, seed_seq):
 
 def run_chains(corpus, config, pairwise=None, resources=None, priors=None, jobs=1):
     """Run config.chains independent chains with seeds derived from config.seed."""
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     if priors is None:
         priors = build_priors(corpus, config, pairwise, resources)
     params = LikelihoodParams.for_corpus(corpus, config.concentration)

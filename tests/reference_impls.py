@@ -230,3 +230,77 @@ def enumerate_flat_posterior(n, weight, cluster_loglik):
 def total_variation(p, q):
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+# ---------------------------------------------------------------------------
+# Pair-by-pair link priors and agglomerative clustering
+# ---------------------------------------------------------------------------
+
+
+def priors_reference(corpus, config, pairwise, resources):
+    """(customer, table) candidate lists scored one pair at a time with the
+    per-pair distance methods: self candidate first, then every earlier
+    same-document (or, for ddcrp_flat, any other) mention with a positive
+    weight, targets ascending; table candidates for hddcrp only."""
+    order = corpus.mentions_in_order()
+    docs = {d.doc_id: d for d in corpus.documents}
+    kind = config.model
+
+    def within(a, b):
+        if kind == "hdp_lex":
+            return 1.0
+        if kind == "ddcrp_flat":
+            return pairwise.truncated_similarity(a, b, resources)
+        return pairwise.within_doc_distance(a, b, resources)
+
+    customer, table = [], []
+    for i, a in enumerate(order):
+        if kind == "ddcrp_flat":
+            allowed = [j for j in range(len(order)) if j != i]
+            self_weight = config.resolved_alpha_0
+        else:
+            allowed = [j for j in range(i) if order[j].doc_id == a.doc_id]
+            self_weight = config.alpha_d
+        row = [(j, within(a, order[j])) for j in allowed]
+        customer.append([(i, self_weight)] + [(j, w) for j, w in row if w > 0])
+        if kind == "hddcrp":
+            row = [
+                (j, pairwise.cross_doc_distance(a, b, docs[a.doc_id], docs[b.doc_id], resources))
+                for j, b in enumerate(order)
+                if b.doc_id != a.doc_id
+            ]
+            table.append([(i, config.resolved_alpha_0)] + [(j, w) for j, w in row if w > 0])
+    return customer, (table if kind == "hddcrp" else None)
+
+
+def agglomerative_reference(corpus, model, resources, wd_threshold, cd_threshold):
+    """Partition (sets of mention ids) of the two-phase single-link baseline:
+    closure of within-document pairs at or above wd_threshold, then closure
+    of within-document clusters whose best truncated cross-document pair
+    similarity is at or above cd_threshold."""
+    order = corpus.mentions_in_order()
+    n = len(order)
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i)
+        if order[i].doc_id == order[j].doc_id
+        and model.pair_similarity(order[i], order[j], resources) >= wd_threshold
+    ]
+    clusters = components_reference(n, edges)
+    merges = []
+    for x in range(len(clusters)):
+        for y in range(x):
+            if order[clusters[x][0]].doc_id == order[clusters[y][0]].doc_id:
+                continue
+            best = max(
+                model.truncated_similarity(order[a], order[b], resources)
+                for a in clusters[x]
+                for b in clusters[y]
+            )
+            if best >= cd_threshold:
+                merges.append((x, y))
+    return {
+        frozenset(order[m].mention_id for k in group for m in clusters[k])
+        for group in components_reference(len(clusters), merges)
+    }

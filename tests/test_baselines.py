@@ -1,5 +1,9 @@
-import pytest
+import dataclasses
 
+import pytest
+from reference_impls import agglomerative_reference
+
+from hddcrp import features, pairwise
 from hddcrp.baselines import (
     AgglomerativeConfig,
     _single_link,
@@ -78,3 +82,19 @@ class TestAgglomerative:
         one = agglomerative(synthetic_corpus, trained_model, resources)
         two = agglomerative(synthetic_corpus, trained_model, resources)
         assert one == two
+
+    @pytest.mark.parametrize(
+        "wd, cd", [(0.5, 0.5), (0.3, 0.7), (0.9, 0.0), (0.0, 1.0), (0.7, 0.55), (0.5, 0.3)]
+    )
+    @pytest.mark.parametrize("truncation", [0.5, 0.99])
+    @pytest.mark.parametrize("block_rows", [5, features.BLOCK_ROWS])
+    def test_matches_the_per_pair_reference(
+        self, synthetic_corpus, resources, trained_model, wd, cd, truncation, block_rows,
+        monkeypatch,
+    ):
+        monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(pairwise, "BLOCK_ROWS", block_rows)
+        model = dataclasses.replace(trained_model, truncation_threshold=truncation)
+        got = agglomerative(synthetic_corpus, model, resources, AgglomerativeConfig(wd, cd))
+        want = agglomerative_reference(synthetic_corpus, model, resources, wd, cd)
+        assert set(got.partition()) == want

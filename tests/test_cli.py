@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from hddcrp import pairwise
 from hddcrp.cli import main
 from hddcrp.corpus import Corpus, Document, GoldChains, Mention, save_corpus
 from hddcrp.data import (
@@ -72,6 +75,31 @@ class TestTrainDistance:
         code = run(["train-distance", "--corpus", path, "-o", tmp_path / "m.json"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_builds_the_pair_features_once(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(pairwise.PairFeatures):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        def no_extract(*args):
+            raise AssertionError("per-pair extract called")
+
+        monkeypatch.setattr(pairwise, "PairFeatures", Counted)
+        monkeypatch.setattr(pairwise.FeatureExtractor, "extract", no_extract)
+        code = run(
+            [
+                "train-distance",
+                "--corpus", synthetic_corpus_path(),
+                "--embeddings", synthetic_embeddings_path(),
+                "--synonyms", synthetic_synonyms_path(),
+                "-o", tmp_path / "m.json",
+            ]
+        )
+        assert code == 0
+        assert len(built) == 1
 
     def test_reruns_are_byte_identical(self, tmp_path):
         argv = [
@@ -174,6 +202,34 @@ class TestSample:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alpha-d", "nan"],
+            ["--alpha0=-inf"],
+            ["--concentration", "inf"],
+            ["--jobs", "0"],
+            ["--jobs", "-2"],
+        ],
+    )
+    def test_non_finite_settings_and_bad_jobs_exit_two(self, flags, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(
+            [
+                "sample",
+                "--corpus", tiny_corpus_path(),
+                "--model", "hdp-lex",
+                "--iterations", 2,
+                "--chains", 1,
+                *flags,
+                "--output-dir", out,
+            ]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.trace.csv"))
+        assert not list(tmp_path.rglob("*.clustering.json"))
 
     def test_unknown_model_name_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -409,3 +465,14 @@ class TestOraclePosterior:
             ]
         )
         assert code == 2
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, hddcrp.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hddcrp.corpus import ARGUMENT_ROLES, LexicalResources, Mention
-from hddcrp.features import FeatureExtractor, pos_pair_key
+from hddcrp import features
+from hddcrp.corpus import ARGUMENT_ROLES, LexicalResources, Mention, doc_similarity
+from hddcrp.features import FeatureExtractor, PairFeatures, cosine_matrix, pos_pair_key
 
 
 def mention(head, pos="NN", span=None, context=(), arguments=None, doc="d", k=0):
@@ -117,3 +118,96 @@ class TestValues:
         ex = FeatureExtractor(["NN|NN"])
         v = ex.extract(mention("up"), mention("down", k=1), res)
         assert v[ex.feature_index["head_embedding_cosine"]] == 0.0
+
+
+def edge_case_mentions():
+    """Mentions covering every special case of the per-pair features."""
+    crowd = {"participant": (("crowd", "crowd"), ("police",))}
+    return [
+        # empty context, a role on one side only, repeated tokens
+        mention("bombing", span=("bombing", "car", "car"), context=(), arguments=crowd),
+        mention("blast", span=("blast", "car"), context=("city", "city", "night"), k=1),
+        # out-of-vocabulary head lemma: zero vector, no synonyms listed
+        mention("zzz", span=("zzz",), context=("night",), k=2),
+        # a POS pair the extractor never saw (VB|NN falls into "other")
+        mention("bombing", pos="VB", arguments={"time": (("monday",),),
+                                                 "participant": (("crowd",),)}, k=3),
+        mention("quake", span=("quake", "quake"), context=("city",), k=4),
+        # a lemma with a vector but no synonym entry; a role whose argument
+        # spans are all empty counts as absent
+        mention("bombs", arguments={"location": ((),)}, k=5),
+    ]
+
+
+def all_ordered_pairs(n):
+    a, b = np.divmod(np.arange(n * n), n)
+    return a, b
+
+
+class TestBlockFeatures:
+    def assert_matches_extract(self, extractor, mentions, resources):
+        a, b = all_ordered_pairs(len(mentions))
+        got = PairFeatures(extractor, mentions, resources).gather(a, b)
+        want = np.array([extractor.extract(mentions[i], mentions[j], resources)
+                         for i, j in zip(a, b)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block_rows", [7, features.BLOCK_ROWS])
+    def test_every_ordered_pair_of_the_synthetic_corpus(
+        self, synthetic_corpus, resources, block_rows, monkeypatch
+    ):
+        monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
+        ex = FeatureExtractor.from_corpus(synthetic_corpus)
+        self.assert_matches_extract(ex, synthetic_corpus.mentions_in_order(), resources)
+
+    def test_every_ordered_pair_of_the_edge_cases(self, resources):
+        ex = FeatureExtractor(["NN|NN"])
+        self.assert_matches_extract(ex, edge_case_mentions(), resources)
+
+    def test_edge_cases_reach_the_special_values(self, resources):
+        # guards the edge-case corpus itself: each special case really occurs
+        ex = FeatureExtractor(["NN|NN"])
+        ms = edge_case_mentions()
+        a, b = all_ordered_pairs(len(ms))
+        got = PairFeatures(ex, ms, resources).gather(a, b)
+        idx = ex.feature_index
+        assert got[:, idx["pos_pair=other"]].any()
+        assert not got[:, idx["context_tf_cosine"]].reshape(len(ms), -1)[0].any()
+        assert got[:, idx["participant_both_present"]].any()
+        participant = got[:, idx["participant_tf_cosine"]]
+        assert ((participant > 0.0) & (participant < 1.0)).any()
+        assert not got[:, idx["location_both_present"]].any()
+        zzz = got.reshape(len(ms), len(ms), -1)[2]
+        assert not zzz[:, idx["head_embedding_cosine"]].any()
+
+    def test_index_arrays_select_the_same_pairs_as_slices(self, synthetic_corpus, resources):
+        ex = FeatureExtractor.from_corpus(synthetic_corpus)
+        pf = PairFeatures(ex, synthetic_corpus.mentions_in_order(), resources)
+        rows, cols = np.array([3, 0, 17]), np.arange(5, 40, 2)
+        by_array = dict(pf.values(rows, cols))
+        by_slice = dict(pf.values(slice(None), slice(None)))
+        for k, values in by_array.items():
+            assert np.array_equal(values, by_slice[k][np.ix_(rows, cols)])
+        assert np.array_equal(
+            pf.pos_columns(rows, cols), pf.pos_columns(slice(None), slice(None))[np.ix_(rows, cols)]
+        )
+
+    def test_cosine_matrix_equals_doc_similarity(self, synthetic_corpus):
+        docs = synthetic_corpus.documents
+        got = cosine_matrix([d.tf_vector for d in docs])
+        want = [[doc_similarity(d, e) for e in docs] for d in docs]
+        assert got.tolist() == want
+
+    def test_training_rows_equal_extract_bit_for_bit(self):
+        # the fitted weights depend on every last bit of the training rows
+        rng = np.random.default_rng(5)
+        heads = [f"h{k}" for k in range(12)]
+        res = LexicalResources(
+            embeddings={h: rng.normal(size=16) for h in heads[:10]}, dimension=16
+        )
+        ms = [mention(heads[k % 12], k=k) for k in range(30)]
+        ex = FeatureExtractor(["NN|NN"])
+        a, b = all_ordered_pairs(len(ms))
+        got = PairFeatures(ex, ms, res).gather(a, b)
+        want = np.array([ex.extract(ms[i], ms[j], res) for i, j in zip(a, b)])
+        assert np.array_equal(got, want)

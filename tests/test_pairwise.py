@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from hddcrp import features, pairwise
 from hddcrp.corpus import Corpus, Document, Mention, doc_similarity
 from hddcrp.errors import InputError
+from hddcrp.features import PairFeatures
 from hddcrp.pairwise import (
     PairwiseModel,
     build_training_pairs,
     fit_theta,
     load_model,
     pair_accuracy,
+    pair_features,
     penalized_grad,
     penalized_loglik,
     save_model,
     train,
 )
+from hddcrp.sampling import SamplerConfig, build_priors
+
+from reference_impls import priors_reference
 
 
 class TestTrainingPairs:
@@ -204,3 +210,81 @@ class TestTrainValidation:
         corpus = Corpus((doc,), GoldChains((frozenset({"d-m0", "d-m1"}),)))
         with pytest.raises(InputError):
             train(corpus, LexicalResources())
+
+
+@pytest.fixture(params=[5, features.BLOCK_ROWS], ids=["small-blocks", "default-blocks"])
+def block_rows(request, monkeypatch):
+    """Run a test with the default block size and with blocks that split
+    documents, so block boundaries are crossed."""
+    monkeypatch.setattr(features, "BLOCK_ROWS", request.param)
+    monkeypatch.setattr(pairwise, "BLOCK_ROWS", request.param)
+    return request.param
+
+
+class TestBlockScoring:
+    def test_similarity_block_equals_pair_similarity(
+        self, synthetic_corpus, resources, trained_model
+    ):
+        order = synthetic_corpus.mentions_in_order()
+        pf = PairFeatures(trained_model.extractor, order, resources)
+        got = trained_model.similarity_block(pf, slice(None), slice(None))
+        want = [[trained_model.pair_similarity(a, b, resources) for b in order] for a in order]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_upper_pairs_cover_each_unordered_pair_once(
+        self, synthetic_corpus, resources, trained_model, block_rows
+    ):
+        order = synthetic_corpus.mentions_in_order()
+        seen = []
+        for i, j, sim in trained_model.upper_pairs(order, resources):
+            assert (i < j).all()
+            seen += zip(i.tolist(), j.tolist())
+            for a, b, s in zip(i, j, sim):
+                want = trained_model.pair_similarity(order[a], order[b], resources)
+                assert abs(s - want) <= 1e-12
+        n = len(order)
+        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    @pytest.mark.parametrize("model", ["hddcrp", "ddcrp_flat", "hdp_lex", "hddcrp_star"])
+    def test_build_priors_equals_the_per_pair_reference(
+        self, synthetic_corpus, resources, trained_model, model, block_rows
+    ):
+        config = SamplerConfig(model=model)
+        priors = build_priors(synthetic_corpus, config, trained_model, resources)
+        customer, table = priors_reference(synthetic_corpus, config, trained_model, resources)
+        layers = [(priors.customer, customer)]
+        if model == "hddcrp":
+            layers.append((priors.table, table))
+        else:
+            assert priors.table is None
+        for got, want in layers:
+            assert len(got) == len(want)
+            for got_row, want_row in zip(got, want):
+                assert [j for j, _ in got_row] == [j for j, _ in want_row]
+                for (_, w), (_, v) in zip(got_row, want_row):
+                    assert abs(w - v) <= 1e-12
+                assert all(type(j) is int and type(w) is float for j, w in got_row)
+
+    def test_training_features_equal_extract(self, synthetic_corpus, resources):
+        pairs = build_training_pairs(synthetic_corpus, sigma=0.4)
+        ex = pairwise.FeatureExtractor.from_corpus(synthetic_corpus)
+        got = pair_features(synthetic_corpus, resources, ex, pairs)
+        m = synthetic_corpus.mention
+        want = np.array([ex.extract(m(p.a), m(p.b), resources) for p in pairs])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_given_features_give_the_same_fit_and_accuracy(
+        self, synthetic_corpus, resources, trained_model
+    ):
+        pairs = build_training_pairs(synthetic_corpus, sigma=0.4)
+        x = pair_features(synthetic_corpus, resources, trained_model.extractor, pairs)
+        again = train(synthetic_corpus, resources, pairs=pairs, features=x)
+        assert np.array_equal(again.theta, trained_model.theta)
+        m = synthetic_corpus.mention
+        per_pair = sum(
+            (trained_model.pair_similarity(m(p.a), m(p.b), resources) >= 0.5) == p.coreferent
+            for p in pairs
+        ) / len(pairs)
+        assert pair_accuracy(trained_model, synthetic_corpus, resources, pairs, features=x) == (
+            pair_accuracy(trained_model, synthetic_corpus, resources, pairs)
+        ) == per_pair

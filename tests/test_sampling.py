@@ -91,6 +91,10 @@ class TestConfig:
             SamplerConfig(iterations=0)
         with pytest.raises(InputError):
             SamplerConfig(concentration=-1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("alpha_d", "alpha_0", "concentration"):
+                with pytest.raises(InputError):
+                    SamplerConfig(**{name: bad})
 
 
 class TestPriors:
