@@ -87,16 +87,21 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _cast(value, default):
-    if value is None or default is None:
+# config-file value types of the options whose default is None; the others
+# take the type of their default
+_NONE_DEFAULT_TYPES = {"alpha_0": float}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _cast(name, value, default):
+    """A config-file value, checked against the type of its option."""
+    if value is None:
         return value
-    kind = type(default)
-    if kind is bool:
-        return bool(value)
-    if kind is int:
-        return int(value)
-    if kind is float:
+    kind = _NONE_DEFAULT_TYPES.get(name, str) if default is None else type(default)
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
+    if type(value) is not kind:
+        raise InputError(f"config key {name!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -110,6 +115,7 @@ def resolve_config(args, defaults):
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
+        file_values = {k: _cast(k, v, defaults[k]) for k, v in file_values.items()}
     options = {}
     for name, default in defaults.items():
         value = getattr(args, name)
@@ -123,7 +129,7 @@ def resolve_config(args, defaults):
                         f"{SEED_ENV_VAR} must be an integer, got {env!r}"
                     ) from exc
         if value is None and name in file_values:
-            value = _cast(file_values[name], default)
+            value = file_values[name]
         options[name] = default if value is None else value
     config = RunConfig(args.command, options)
     config.validate()

@@ -229,6 +229,15 @@ def _parse_mention(obj, doc_id, fallback_order, line_no):
         raise InputError(f"line {line_no}: malformed mention object ({exc})") from exc
 
 
+def _parse_gold_chains(chains):
+    if not isinstance(chains, list) or not all(isinstance(c, list) for c in chains):
+        raise InputError("gold_chains must be a list of lists of mention ids")
+    try:
+        return tuple(frozenset(chain) for chain in chains)
+    except TypeError as exc:
+        raise InputError(f"gold_chains holds an invalid mention id ({exc})") from exc
+
+
 def load_corpus(path, gold_path=None) -> Corpus:
     """Load a JSON-lines corpus file, validating all invariants."""
     documents = []
@@ -261,11 +270,18 @@ def load_corpus(path, gold_path=None) -> Corpus:
                 raise InputError(f"line {line_no}: object is neither a document nor gold_chains")
     if gold_path is not None:
         with open(gold_path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        gold_chains = obj["gold_chains"] if isinstance(obj, dict) else obj
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{gold_path}: not valid JSON ({exc.msg})") from exc
+        if isinstance(obj, dict):
+            if "gold_chains" not in obj:
+                raise InputError(f"{gold_path}: no gold_chains entry")
+            obj = obj["gold_chains"]
+        gold_chains = obj
     gold = None
     if gold_chains is not None:
-        gold = GoldChains(tuple(frozenset(chain) for chain in gold_chains))
+        gold = GoldChains(_parse_gold_chains(gold_chains))
     corpus = Corpus(tuple(documents), gold)
     corpus.validate()
     return corpus

@@ -20,6 +20,12 @@ Terms shared by all candidates cancel, so each move only compares the cluster
 containing the moving mention against each candidate's cluster in the base
 graph with the mention's outgoing edges removed.
 
+Each state keeps that graph in a LinkGraph: the active outgoing edge of every
+mention, its inbound edges, and the components with their member sets and
+cached lemma bags.  A move drops the mention's edge, which splits at most one
+component, and adds the new one, which merges at most two, so it costs
+O(|component| + |candidates|) instead of a rebuild over all mentions.
+
 For hddcrp_star and hdp_lex a customer-link move is blocked with the label of
 the table it may create: the label is summed out over the CRP conditional, and
 drawn afterwards only if the mention actually becomes a head.  Labels of all
@@ -42,7 +48,13 @@ from .likelihood import (
     log_marginal_raw,
     merge_ratio_raw,
 )
-from .links import ClusterAssignment, LinkState, clusters_from_links
+from .links import (
+    ClusterAssignment,
+    LinkState,
+    _components,
+    clusters_from_links,
+    tables_from_customer_links,
+)
 
 MODELS = ("hddcrp", "hddcrp_star", "ddcrp_flat", "hdp_lex")
 
@@ -217,30 +229,6 @@ def build_priors(corpus, config, pairwise=None, resources=None, within_fn=None, 
     return Priors(customer, table)
 
 
-def _component_labels(n, edges):
-    """Label connected components of an undirected edge list over 0..n-1."""
-    neigh = [[] for _ in range(n)]
-    for a, b in edges:
-        if a != b:
-            neigh[a].append(b)
-            neigh[b].append(a)
-    lab = [-1] * n
-    count = 0
-    for start in range(n):
-        if lab[start] >= 0:
-            continue
-        lab[start] = count
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in neigh[u]:
-                if lab[v] < 0:
-                    lab[v] = count
-                    stack.append(v)
-        count += 1
-    return lab, count
-
-
 def _draw(rng, log_weights):
     """Index sampled proportionally to exp(log_weights), max-shifted."""
     top = max(log_weights)
@@ -265,8 +253,174 @@ def crp_partition_log_prob(sizes, alpha):
     return out
 
 
+def _link_log_prior(cands, log_norm, target):
+    for j, _, lw in cands:
+        if j == target:
+            return lw - log_norm
+
+
+def _bag_builder(span_counts, span_totals):
+    """Function from a set of mentions to their lemma counts and total,
+    accumulated in ascending mention order so that equal sets give identical
+    bags.  It holds no state object, so the caches that keep it make no
+    reference cycle."""
+
+    def bag(members):
+        counts = {}
+        total = 0
+        for m in sorted(members):
+            for tok, c in span_counts[m].items():
+                counts[tok] = counts.get(tok, 0) + c
+            total += span_totals[m]
+        return counts, total
+
+    return bag
+
+
+class _Groups:
+    """Mention sets by key, each with its lemma bag cached until it changes."""
+
+    def __init__(self, bag_of):
+        self.members = {}
+        self._bag_of = bag_of
+        self._bags = {}
+
+    def bag(self, key):
+        got = self._bags.get(key)
+        if got is None:
+            got = self._bags[key] = self._bag_of(self.members[key])
+        return got
+
+    def add(self, key, members):
+        self.members.setdefault(key, set()).update(members)
+        self._bags.pop(key, None)
+
+    def remove(self, key, members):
+        left = self.members[key]
+        left -= members
+        if not left:
+            del self.members[key]
+        self._bags.pop(key, None)
+
+    def pop(self, key):
+        self._bags.pop(key, None)
+        return self.members.pop(key)
+
+    def check(self, expected, what):
+        """Raise AssertionError unless the member sets equal expected (key ->
+        set) and every cached bag equals one built afresh."""
+        if self.members != expected:
+            raise AssertionError(f"maintained {what} member sets differ from a rebuild")
+        for key, bag in self._bags.items():
+            if bag != self._bag_of(self.members[key]):
+                raise AssertionError(f"cached lemma bag of {what} {key} is stale")
+
+
+class LinkGraph:
+    """Components of the undirected graph with one outgoing edge per mention
+    (a self-loop stands for no edge), kept up to date one edge at a time.
+
+    Dropping an edge splits at most one component and adding one merges at
+    most two (Blei & Frazier 2011), so an update walks one component only.
+    """
+
+    def __init__(self, out, bag_of):
+        n = len(out)
+        self.out = list(out)
+        self.inbound = [set() for _ in range(n)]
+        for m, t in enumerate(out):
+            if t != m:
+                self.inbound[t].add(m)
+        self.comp = [0] * n
+        self.groups = _Groups(bag_of)
+        parts = _components(n, enumerate(out))
+        for k, part in enumerate(parts):
+            for m in part:
+                self.comp[m] = k
+            self.groups.add(k, part)
+        self._next_id = len(parts)
+
+    def members(self, m):
+        """Mentions of the component holding m."""
+        return self.groups.members[self.comp[m]]
+
+    def bag(self, m):
+        """Lemma bag of the component holding m."""
+        return self.groups.bag(self.comp[m])
+
+    def detach(self, i):
+        """Drop i's edge; if that splits i's component, i's side gets a new id.
+
+        Every mention has one outgoing edge, so i's side is the set of
+        mentions whose edges lead to i; it holds i's old target only if the
+        edge closed a cycle.
+        """
+        j = self.out[i]
+        if j == i:
+            return
+        self.out[i] = i
+        inbound = self.inbound
+        inbound[j].remove(i)
+        seen = {i}
+        stack = [i]
+        while stack:
+            for v in inbound[stack.pop()]:
+                if v == j:
+                    return
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        self.groups.remove(self.comp[i], seen)
+        new = self._next_id
+        self._next_id += 1
+        self.groups.add(new, seen)
+        for m in seen:
+            self.comp[m] = new
+
+    def attach(self, i, j):
+        """Give i, which has no edge, the edge i -> j; if that joins two
+        components, the smaller takes the larger's id."""
+        self.out[i] = j
+        if j == i:
+            return
+        self.inbound[j].add(i)
+        a, b = self.comp[i], self.comp[j]
+        if a == b:
+            return
+        members = self.groups.members
+        if len(members[a]) > len(members[b]):
+            a, b = b, a
+        moved = self.groups.pop(a)
+        self.groups.add(b, moved)
+        for m in moved:
+            self.comp[m] = b
+
+    def check(self, out):
+        """Raise AssertionError unless the edges, component ids and member
+        sets match a from-scratch rebuild over the edges out."""
+        if self.out != out:
+            raise AssertionError("maintained link edges differ from the state's links")
+        inbound = [set() for _ in out]
+        for m, t in enumerate(out):
+            if t != m:
+                inbound[t].add(m)
+        if self.inbound != inbound:
+            raise AssertionError("maintained inbound edges differ from a rebuild")
+        expected = {}
+        parts = _components(len(out), enumerate(out))
+        for part in parts:
+            ids = {self.comp[m] for m in part}
+            if len(ids) != 1:
+                raise AssertionError(f"component {part} carries ids {sorted(ids)}")
+            expected[ids.pop()] = set(part)
+        if len(expected) != len(parts):
+            raise AssertionError("two components share one id")
+        self.groups.check(expected, "component")
+
+
 class _StateBase:
-    """Shared precomputation over the canonical mention order."""
+    """Shared precomputation over the canonical mention order, and the
+    link-graph core each model keeps over its active links."""
 
     def __init__(self, corpus, config, priors, params):
         order = corpus.mentions_in_order()
@@ -287,6 +441,7 @@ class _StateBase:
                 counts[tok] = counts.get(tok, 0) + 1
             self.span_counts.append(counts)
             self.span_totals.append(len(m.span_lemmas))
+        self._bag = _bag_builder(self.span_counts, self.span_totals)
         self.flat = config.flat_likelihood
         self.debug = config.debug
         # per-mention candidate tuples (target, weight, log weight)
@@ -296,20 +451,28 @@ class _StateBase:
         self.log_norm_c = tuple(
             math.log(sum(w for _, w in cands)) for cands in priors.customer
         )
+        self.cl = list(range(self.n))
+        # (candidates, log normalizers, links) of each link level, in draw order
+        self._levels = ((self.cand_c, self.log_norm_c, self.cl),)
 
-    def _stats_of_label(self, lab, wanted, cache):
-        got = cache.get(wanted)
-        if got is None:
-            counts = {}
-            total = 0
-            for m in range(self.n):
-                if lab[m] == wanted:
-                    for tok, c in self.span_counts[m].items():
-                        counts[tok] = counts.get(tok, 0) + c
-                    total += self.span_totals[m]
-            got = (counts, total)
-            cache[wanted] = got
-        return got
+    def init_links(self, rng):
+        self._draw_links(rng)
+        self._start_graph()
+
+    def _draw_links(self, rng):
+        for i in range(self.n):
+            for cands, _, links in self._levels:
+                links[i] = cands[i][int(rng.integers(len(cands[i])))][0]
+
+    def _edge(self, m):
+        """Target of m's active link, m itself if it has none."""
+        return self.cl[m]
+
+    def _start_graph(self):
+        self.graph = LinkGraph([self._edge(m) for m in range(self.n)], self._bag)
+
+    def _check_core(self):
+        self.graph.check([self._edge(m) for m in range(self.n)])
 
     def _merge_delta(self, a, b):
         if self.flat:
@@ -325,27 +488,84 @@ class _StateBase:
             counts, total, self.params.concentration, self.params.vocab_size
         )
 
-    def _partition_loglik(self, lab, count):
+    def _partition_loglik(self, parts):
         total = 0.0
         if self.flat:
             return total
-        cache = {}
-        for k in range(count):
-            counts, tot = self._stats_of_label(lab, k, cache)
-            total += self._log_marginal(counts, tot)
+        for part in parts:
+            total += self._log_marginal(*self._bag(part))
         return total
+
+    def _scratch_loglik(self):
+        return self._partition_loglik(self._parts())
 
     def _scan_order(self, rng):
         if self.config.randomized_scan:
             return [int(i) for i in rng.permutation(self.n)]
         return range(self.n)
 
+    def _link_move(self, i, cands, links, self_target, rng):
+        """Resample links[i] over cands: each candidate is weighted by its
+        prior times the merge ratio of i's component with the component of
+        its target (self_target for the self candidate), with i's edge
+        dropped from the graph."""
+        graph = self.graph
+        graph.detach(i)
+        comp = graph.comp
+        home = comp[i]
+        stats_i = graph.groups.bag(home)
+        delta_by_comp = {home: 0.0}
+        deltas = []
+        log_weights = []
+        for j, _, lw in cands:
+            c = comp[self_target if j == i else j]
+            d = delta_by_comp.get(c)
+            if d is None:
+                d = self._merge_delta(stats_i, graph.groups.bag(c))
+                delta_by_comp[c] = d
+            deltas.append(d)
+            log_weights.append(lw + d)
+        choice = _draw(rng, log_weights)
+        if self.debug:
+            self._debug_check(i, cands, deltas, links)
+        links[i] = cands[choice][0]
+        graph.attach(i, self._edge(i))
+        if self.debug:
+            self._check_core()
+        return links[i]
+
+    def _debug_check(self, i, cands, deltas, links):
+        """Compare each candidate's ratio with the from-scratch likelihood
+        gap between i linked to it and i with no active link."""
+        saved = [(level, level[i]) for _, _, level in self._levels]
+        for level, _ in saved:
+            level[i] = i
+        base = self._scratch_loglik()
+        for (j, _, _), delta in zip(cands, deltas):
+            for level, value in saved:
+                level[i] = value
+            links[i] = j
+            gap = self._scratch_loglik() - base
+            if abs(gap - delta) > 1e-9:
+                raise AssertionError(
+                    f"incremental ratio {delta} != from-scratch {gap} "
+                    f"(mention {i}, candidate {j})"
+                )
+        for level, value in saved:
+            level[i] = value
+
+    def _links_log_prior(self):
+        score = 0.0
+        for i in range(self.n):
+            for cands, norms, links in self._levels:
+                score += _link_log_prior(cands[i], norms[i], links[i])
+        return score
+
+    def joint_log_score(self):
+        return self._links_log_prior() + self._partition_loglik(self._parts())
+
     def clustering(self):
-        lab, count = self._full_labels()
-        parts = [[] for _ in range(count)]
-        for m, k in enumerate(lab):
-            parts[k].append(m)
-        return ClusterAssignment.from_index_partition(self.mention_ids, parts)
+        return ClusterAssignment.from_index_partition(self.mention_ids, self._parts())
 
 
 class HddcrpState(_StateBase):
@@ -361,65 +581,21 @@ class HddcrpState(_StateBase):
         self.log_norm_t = tuple(
             math.log(sum(w for _, w in cands)) for cands in priors.table
         )
-        self.cl = list(range(self.n))
         self.tl = list(range(self.n))
+        self._levels += ((self.cand_t, self.log_norm_t, self.tl),)
+        self._start_graph()
 
-    def init_links(self, rng):
-        for i in range(self.n):
-            self.cl[i] = self.cand_c[i][int(rng.integers(len(self.cand_c[i])))][0]
-            self.tl[i] = self.cand_t[i][int(rng.integers(len(self.cand_t[i])))][0]
+    def _edge(self, m):
+        # a table link is active only on a table head
+        c = self.cl[m]
+        return c if c != m else self.tl[m]
 
-    def _edges_without(self, i):
-        cl, tl = self.cl, self.tl
-        for m in range(self.n):
-            if m == i:
-                continue
-            if cl[m] != m:
-                yield m, cl[m]
-            elif tl[m] != m:
-                yield m, tl[m]
-
-    def _full_labels(self):
-        cl, tl = self.cl, self.tl
-
-        def edges():
-            for m in range(self.n):
-                if cl[m] != m:
-                    yield m, cl[m]
-                elif tl[m] != m:
-                    yield m, tl[m]
-
-        return _component_labels(self.n, edges())
-
-    def _move(self, i, cands, is_customer, rng):
-        lab, _ = _component_labels(self.n, self._edges_without(i))
-        cache = {}
-        home = lab[i]
-        stats_i = self._stats_of_label(lab, home, cache)
-        deltas = []
-        delta_by_comp = {home: 0.0}
-        log_weights = []
-        for j, _, lw in cands:
-            # the self candidate of a customer move re-activates i's table link
-            target = self.tl[i] if (is_customer and j == i) else j
-            comp = lab[target]
-            d = delta_by_comp.get(comp)
-            if d is None:
-                d = self._merge_delta(stats_i, self._stats_of_label(lab, comp, cache))
-                delta_by_comp[comp] = d
-            deltas.append(d)
-            log_weights.append(lw + d)
-        choice = _draw(rng, log_weights)
-        if self.debug:
-            self._debug_check(i, cands, deltas, is_customer)
-        if is_customer:
-            self.cl[i] = cands[choice][0]
-        else:
-            self.tl[i] = cands[choice][0]
-        return cands[choice][0]
+    def _parts(self):
+        return clusters_from_links(self.cl, self.tl)
 
     def sample_customer_link(self, i, rng):
-        return self._move(i, self.cand_c[i], True, rng)
+        # the self candidate re-activates i's table link
+        return self._link_move(i, self.cand_c[i], self.cl, self.tl[i], rng)
 
     def sample_table_link(self, i, rng):
         cands = self.cand_t[i]
@@ -427,8 +603,10 @@ class HddcrpState(_StateBase):
             # inactive link: the clustering ignores it, so prior only
             choice = _draw(rng, [lw for _, _, lw in cands])
             self.tl[i] = cands[choice][0]
+            if self.debug:
+                self._check_core()
             return self.tl[i]
-        return self._move(i, cands, False, rng)
+        return self._link_move(i, cands, self.tl, i, rng)
 
     def sweep(self, rng):
         for i in self._scan_order(rng):
@@ -436,133 +614,84 @@ class HddcrpState(_StateBase):
         for i in self._scan_order(rng):
             self.sample_table_link(i, rng)
 
-    def joint_log_score(self):
-        score = 0.0
-        for i in range(self.n):
-            for j, _, lw in self.cand_c[i]:
-                if j == self.cl[i]:
-                    score += lw - self.log_norm_c[i]
-                    break
-            for j, _, lw in self.cand_t[i]:
-                if j == self.tl[i]:
-                    score += lw - self.log_norm_t[i]
-                    break
-        return score + self._partition_loglik(*self._full_labels())
-
     def snapshot(self):
         return LinkState(self.mention_ids, self.doc_of, tuple(self.cl), tuple(self.tl))
-
-    def _scratch_loglik(self):
-        parts = clusters_from_links(self.cl, self.tl)
-        total = 0.0
-        for part in parts:
-            counts = {}
-            tot = 0
-            for m in part:
-                for tok, c in self.span_counts[m].items():
-                    counts[tok] = counts.get(tok, 0) + c
-                tot += self.span_totals[m]
-            total += self._log_marginal(counts, tot)
-        return total
-
-    def _debug_check(self, i, cands, deltas, is_customer):
-        save_cl, save_tl = self.cl[i], self.tl[i]
-        self.cl[i], self.tl[i] = i, i
-        base = self._scratch_loglik()
-        for (j, _, _), delta in zip(cands, deltas):
-            if is_customer:
-                self.cl[i], self.tl[i] = j, save_tl
-            else:
-                self.cl[i], self.tl[i] = i, j
-            gap = self._scratch_loglik() - base
-            if abs(gap - delta) > 1e-9:
-                raise AssertionError(
-                    f"incremental ratio {delta} != from-scratch {gap} "
-                    f"(mention {i}, candidate {j})"
-                )
-        self.cl[i], self.tl[i] = save_cl, save_tl
 
 
 class TableCrpState(_StateBase):
     """Within-document links plus CRP cluster labels on table heads.
 
     Serves hddcrp_star and hdp_lex; they differ only in the customer priors.
+    The link-graph components are the tables; the mentions of each label are
+    kept beside them with a lemma bag per label.
     """
 
     def __init__(self, corpus, config, priors, params):
         super().__init__(corpus, config, priors, params)
         self.alpha_0 = config.resolved_alpha_0
-        self.cl = list(range(self.n))
         self.labels = {i: i for i in range(self.n)}
         self.next_label = self.n
+        self._start_graph()
 
     def init_links(self, rng):
-        for i in range(self.n):
-            self.cl[i] = self.cand_c[i][int(rng.integers(len(self.cand_c[i])))][0]
+        self._draw_links(rng)
         self.labels = {}
         for i in range(self.n):
             if self.cl[i] == i:
                 self.labels[i] = self.next_label
                 self.next_label += 1
+        self._start_graph()
 
-    def _roots(self):
-        """Table head of every mention; links point backward, so one pass."""
-        cl = self.cl
-        root = [0] * self.n
-        for m in range(self.n):
-            root[m] = m if cl[m] == m else root[cl[m]]
-        return root
+    def _start_graph(self):
+        super()._start_graph()
+        # label of each mention's table, None while its table is being moved
+        self.label_of = [None] * self.n
+        self.label_groups = _Groups(self._bag)
+        for head, k in self.labels.items():
+            self._relabel(self.graph.members(head), k)
 
-    def _label_aggregates(self, root, skip_head):
-        """Cluster stats and table counts over all tables except skip_head's."""
-        stats = {}
+    def _relabel(self, table, label):
+        """Move the mentions of one table from their label to label."""
+        old = self.label_of[next(iter(table))]
+        if old is not None:
+            self.label_groups.remove(old, table)
+        if label is not None:
+            self.label_groups.add(label, table)
+        for m in table:
+            self.label_of[m] = label
+
+    def _table_counts(self):
+        """Tables per label, in the order labels first occur among heads."""
         tables = {}
-        for h, k in self.labels.items():
-            if h == skip_head:
-                continue
+        for k in self.labels.values():
             tables[k] = tables.get(k, 0) + 1
-            if k not in stats:
-                stats[k] = ({}, 0)
-        for m in range(self.n):
-            h = root[m]
-            if h == skip_head:
-                continue
-            k = self.labels[h]
-            counts, total = stats[k]
-            for tok, c in self.span_counts[m].items():
-                counts[tok] = counts.get(tok, 0) + c
-            stats[k] = (counts, total + self.span_totals[m])
-        return stats, tables
+        return tables
 
-    def _group_stats(self, members):
-        counts = {}
-        total = 0
-        for m in members:
-            for tok, c in self.span_counts[m].items():
-                counts[tok] = counts.get(tok, 0) + c
-            total += self.span_totals[m]
-        return counts, total
+    def _delta_cache(self, stats):
+        label_delta = {}
+
+        def delta_for(k):
+            d = label_delta.get(k)
+            if d is None:
+                d = self._merge_delta(stats, self.label_groups.bag(k))
+                label_delta[k] = d
+            return d
+
+        return label_delta, delta_for
 
     def sample_customer_link(self, i, rng):
         """Blocked move: resample a_i with the label of a would-be new table
         summed out, then draw that label if i really becomes a head."""
         self.cl[i] = i
         self.labels.pop(i, None)
-        root = self._roots()
-        detached = [m for m in range(self.n) if root[m] == i]
-        stats_i = self._group_stats(detached)
-        stats, tables = self._label_aggregates(root, skip_head=i)
+        self.graph.detach(i)
+        table = self.graph.members(i)
+        self._relabel(table, None)
+        stats_i = self.graph.bag(i)
+        tables = self._table_counts()
         other_tables = sum(tables.values())
         denom = other_tables + self.alpha_0
-
-        label_delta = {}
-
-        def delta_for(k):
-            d = label_delta.get(k)
-            if d is None:
-                d = self._merge_delta(stats_i, stats[k])
-                label_delta[k] = d
-            return d
+        label_delta, delta_for = self._delta_cache(stats_i)
 
         cands = self.cand_c[i]
         log_weights = []
@@ -576,14 +705,20 @@ class TableCrpState(_StateBase):
                 marg = top + math.log(sum(math.exp(t - top) for t in terms))
                 log_weights.append(lw + marg)
             else:
-                log_weights.append(lw + delta_for(self.labels[root[j]]))
+                log_weights.append(lw + delta_for(self.label_of[j]))
         choice = _draw(rng, log_weights)
         if self.debug:
             self._debug_check_customer(i, label_delta)
         target = cands[choice][0]
-        self.cl[i] = target
         if target == i:
-            self.labels[i] = self._draw_label(rng, tables, delta_for)
+            label = self.labels[i] = self._draw_label(rng, tables, delta_for)
+        else:
+            label = self.label_of[target]
+        self._relabel(table, label)
+        self.cl[i] = target
+        self.graph.attach(i, target)
+        if self.debug:
+            self._check_core()
         return target
 
     def _draw_label(self, rng, tables, delta_for):
@@ -602,25 +737,18 @@ class TableCrpState(_StateBase):
         n_k times the merge ratio, a new cluster with weight alpha_0."""
         if self.cl[head] != head:
             raise ValueError(f"mention {head} does not head a table")
-        root = self._roots()
-        members = [m for m in range(self.n) if root[m] == head]
-        stats_t = self._group_stats(members)
+        table = self.graph.members(head)
+        stats_t = self.graph.bag(head)
         self.labels.pop(head)
-        stats, tables = self._label_aggregates(root, skip_head=head)
-
-        label_delta = {}
-
-        def delta_for(k):
-            d = label_delta.get(k)
-            if d is None:
-                d = self._merge_delta(stats_t, stats[k])
-                label_delta[k] = d
-            return d
-
-        label = self._draw_label(rng, tables, delta_for)
+        self._relabel(table, None)
+        label_delta, delta_for = self._delta_cache(stats_t)
+        label = self._draw_label(rng, self._table_counts(), delta_for)
         if self.debug:
-            self._debug_check_labels(head, stats_t, stats, label_delta)
+            self._debug_check_labels(head, stats_t, label_delta)
         self.labels[head] = label
+        self._relabel(table, label)
+        if self.debug:
+            self._check_core()
         return label
 
     def sweep(self, rng):
@@ -629,51 +757,51 @@ class TableCrpState(_StateBase):
         for head in sorted(self.labels):
             self.sample_table_label(head, rng)
 
-    def _full_labels(self):
-        root = self._roots()
-        remap = {}
-        lab = [0] * self.n
-        for m in range(self.n):
-            k = self.labels[root[m]]
-            if k not in remap:
-                remap[k] = len(remap)
-            lab[m] = remap[k]
-        return lab, len(remap)
+    def _label_parts(self):
+        """Mentions of each label, from the tables rebuilt from scratch."""
+        groups = {}
+        for table in tables_from_customer_links(self.cl):
+            head = next(m for m in table if self.cl[m] == m)
+            groups.setdefault(self.labels[head], []).extend(table)
+        return groups
+
+    def _parts(self):
+        # tables come in first-mention order, so labels do too
+        return [sorted(g) for g in self._label_parts().values()]
+
+    def _check_core(self):
+        super()._check_core()
+        heads = {m for m in range(self.n) if self.cl[m] == m}
+        if set(self.labels) != heads:
+            raise AssertionError("labelled mentions differ from the table heads")
+        expected = {k: set(g) for k, g in self._label_parts().items()}
+        for k, members in expected.items():
+            if any(self.label_of[m] != k for m in members):
+                raise AssertionError(f"maintained labels of label {k}'s mentions are stale")
+        self.label_groups.check(expected, "label")
 
     def joint_log_score(self):
-        score = 0.0
-        for i in range(self.n):
-            for j, _, lw in self.cand_c[i]:
-                if j == self.cl[i]:
-                    score += lw - self.log_norm_c[i]
-                    break
         sizes = {}
         for k in self.labels.values():
             sizes[k] = sizes.get(k, 0) + 1
+        score = self._links_log_prior()
         score += crp_partition_log_prob(sorted(sizes.values()), self.alpha_0)
-        return score + self._partition_loglik(*self._full_labels())
+        return score + self._partition_loglik(self._parts())
 
     def snapshot(self):
         return (tuple(self.cl), dict(self.labels))
-
-    def _scratch_partition_loglik(self):
-        root = self._roots()
-        groups = {}
-        for m in range(self.n):
-            groups.setdefault(self.labels[root[m]], []).append(m)
-        return sum(self._log_marginal(*self._group_stats(g)) for g in groups.values())
 
     def _debug_check_customer(self, i, label_delta):
         # base state: i detached as its own fresh table
         restore = self.next_label
         self.labels[i] = self.next_label
         self.next_label += 1
-        base = self._scratch_partition_loglik()
+        base = self._scratch_loglik()
         del self.labels[i]
         self.next_label = restore
         for k, delta in label_delta.items():
             self.labels[i] = k
-            gap = self._scratch_partition_loglik() - base
+            gap = self._scratch_loglik() - base
             del self.labels[i]
             if abs(gap - delta) > 1e-9:
                 raise AssertionError(
@@ -681,13 +809,14 @@ class TableCrpState(_StateBase):
                     f"(mention {i}, label {k})"
                 )
 
-    def _debug_check_labels(self, head, stats_t, stats, label_delta):
+    def _debug_check_labels(self, head, stats_t, label_delta):
         for k, delta in label_delta.items():
+            stats_k = self.label_groups.bag(k)
             counts = dict(stats_t[0])
-            for tok, c in stats[k][0].items():
+            for tok, c in stats_k[0].items():
                 counts[tok] = counts.get(tok, 0) + c
-            merged = self._log_marginal(counts, stats_t[1] + stats[k][1])
-            gap = merged - self._log_marginal(*stats_t) - self._log_marginal(*stats[k])
+            merged = self._log_marginal(counts, stats_t[1] + stats_k[1])
+            gap = merged - self._log_marginal(*stats_t) - self._log_marginal(*stats_k)
             if abs(gap - delta) > 1e-9:
                 raise AssertionError(
                     f"incremental ratio {delta} != from-scratch {gap} "
@@ -700,75 +829,20 @@ class FlatDdcrpState(_StateBase):
 
     def __init__(self, corpus, config, priors, params):
         super().__init__(corpus, config, priors, params)
-        self.cl = list(range(self.n))
+        self._start_graph()
 
-    def init_links(self, rng):
-        for i in range(self.n):
-            self.cl[i] = self.cand_c[i][int(rng.integers(len(self.cand_c[i])))][0]
-
-    def _full_labels(self):
-        cl = self.cl
-        return _component_labels(self.n, ((m, cl[m]) for m in range(self.n)))
+    def _parts(self):
+        return tables_from_customer_links(self.cl)
 
     def sample_customer_link(self, i, rng):
-        cl = self.cl
-        lab, _ = _component_labels(
-            self.n, ((m, cl[m]) for m in range(self.n) if m != i)
-        )
-        cache = {}
-        home = lab[i]
-        stats_i = self._stats_of_label(lab, home, cache)
-        delta_by_comp = {home: 0.0}
-        deltas = []
-        log_weights = []
-        cands = self.cand_c[i]
-        for j, _, lw in cands:
-            comp = lab[j]
-            d = delta_by_comp.get(comp)
-            if d is None:
-                d = self._merge_delta(stats_i, self._stats_of_label(lab, comp, cache))
-                delta_by_comp[comp] = d
-            deltas.append(d)
-            log_weights.append(lw + d)
-        choice = _draw(rng, log_weights)
-        if self.debug:
-            self._debug_check(i, cands, deltas)
-        self.cl[i] = cands[choice][0]
-        return self.cl[i]
+        return self._link_move(i, self.cand_c[i], self.cl, i, rng)
 
     def sweep(self, rng):
         for i in self._scan_order(rng):
             self.sample_customer_link(i, rng)
 
-    def joint_log_score(self):
-        score = 0.0
-        for i in range(self.n):
-            for j, _, lw in self.cand_c[i]:
-                if j == self.cl[i]:
-                    score += lw - self.log_norm_c[i]
-                    break
-        return score + self._partition_loglik(*self._full_labels())
-
     def snapshot(self):
         return tuple(self.cl)
-
-    def _scratch_loglik(self):
-        lab, count = self._full_labels()
-        return self._partition_loglik(lab, count)
-
-    def _debug_check(self, i, cands, deltas):
-        save = self.cl[i]
-        self.cl[i] = i
-        base = self._scratch_loglik()
-        for (j, _, _), delta in zip(cands, deltas):
-            self.cl[i] = j
-            gap = self._scratch_loglik() - base
-            if abs(gap - delta) > 1e-9:
-                raise AssertionError(
-                    f"incremental ratio {delta} != from-scratch {gap} "
-                    f"(mention {i}, candidate {j})"
-                )
-        self.cl[i] = save
 
 
 _STATE_CLASSES = {
@@ -787,33 +861,6 @@ def init_state(corpus, config, rng, priors=None, pairwise=None, resources=None, 
         params = LikelihoodParams.for_corpus(corpus, config.concentration)
     state = _STATE_CLASSES[config.model](corpus, config, priors, params)
     state.init_links(rng)
-    return state
-
-
-def sample_customer_link(state, i, rng):
-    return state.sample_customer_link(i, rng)
-
-
-def sample_table_link(state, i, rng):
-    return state.sample_table_link(i, rng)
-
-
-def hddcrp_star_table_assignment(state, table_head, rng):
-    return state.sample_table_label(table_head, rng)
-
-
-def gibbs_sweep(state, rng):
-    state.sweep(rng)
-    return state
-
-
-def ddcrp_flat_sweep(state, rng):
-    state.sweep(rng)
-    return state
-
-
-def hdp_lex_sweep(state, rng):
-    state.sweep(rng)
     return state
 
 
@@ -896,16 +943,7 @@ def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resour
     def loglik(key, parts):
         got = loglik_memo.get(key)
         if got is None:
-            got = 0.0
-            for part in parts:
-                counts = {}
-                total = 0
-                for m in part:
-                    for tok, c in state.span_counts[m].items():
-                        counts[tok] = counts.get(tok, 0) + c
-                    total += state.span_totals[m]
-                got += state._log_marginal(counts, total)
-            loglik_memo[key] = got
+            got = loglik_memo[key] = state._partition_loglik(parts)
         return got
 
     log_mass = {}

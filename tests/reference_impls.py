@@ -11,6 +11,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
+from hddcrp.likelihood import log_marginal_raw, merge_ratio_raw
+
 
 def prf(p_num, p_den, r_num, r_den):
     p = p_num / p_den if p_den else 0.0
@@ -304,3 +306,353 @@ def agglomerative_reference(corpus, model, resources, wd_threshold, cd_threshold
         frozenset(order[m].mention_id for k in group for m in clusters[k])
         for group in components_reference(len(clusters), merges)
     }
+
+
+# ---------------------------------------------------------------------------
+# Gibbs samplers that rebuild the link graph on every move
+# ---------------------------------------------------------------------------
+#
+# These are the samplers as they were before the link-graph core: every move
+# relabels the components of all mentions (or re-aggregates every CRP label)
+# in O(n).  Given the same priors and generator they must make the same
+# draws as the package's states, so links, labels and scores agree exactly.
+
+
+def _rebuild_component_labels(n, edges):
+    neigh = [[] for _ in range(n)]
+    for a, b in edges:
+        if a != b:
+            neigh[a].append(b)
+            neigh[b].append(a)
+    lab = [-1] * n
+    count = 0
+    for start in range(n):
+        if lab[start] >= 0:
+            continue
+        lab[start] = count
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in neigh[u]:
+                if lab[v] < 0:
+                    lab[v] = count
+                    stack.append(v)
+        count += 1
+    return lab, count
+
+
+def _rebuild_draw(rng, log_weights):
+    top = max(log_weights)
+    probs = [math.exp(x - top) for x in log_weights]
+    u = rng.random() * sum(probs)
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if u <= acc:
+            return k
+    return len(probs) - 1
+
+
+def _rebuild_crp_log_prob(sizes, alpha):
+    out = len(sizes) * math.log(alpha)
+    for s in sizes:
+        out += math.lgamma(s)
+    for t in range(sum(sizes)):
+        out -= math.log(alpha + t)
+    return out
+
+
+class _RebuildBase:
+    def __init__(self, corpus, config, priors, params):
+        order = corpus.mentions_in_order()
+        self.config = config
+        self.params = params
+        self.n = len(order)
+        self.span_counts = []
+        self.span_totals = []
+        for m in order:
+            counts = {}
+            for tok in m.span_lemmas:
+                counts[tok] = counts.get(tok, 0) + 1
+            self.span_counts.append(counts)
+            self.span_totals.append(len(m.span_lemmas))
+        self.flat = config.flat_likelihood
+        self.cand_c = tuple(
+            tuple((j, w, math.log(w)) for j, w in cands) for cands in priors.customer
+        )
+        self.log_norm_c = tuple(math.log(sum(w for _, w in c)) for c in priors.customer)
+        self.cl = list(range(self.n))
+
+    def _stats_of_label(self, lab, wanted, cache):
+        got = cache.get(wanted)
+        if got is None:
+            counts = {}
+            total = 0
+            for m in range(self.n):
+                if lab[m] == wanted:
+                    for tok, c in self.span_counts[m].items():
+                        counts[tok] = counts.get(tok, 0) + c
+                    total += self.span_totals[m]
+            got = cache[wanted] = (counts, total)
+        return got
+
+    def _merge_delta(self, a, b):
+        if self.flat:
+            return 0.0
+        return merge_ratio_raw(
+            a[0], a[1], b[0], b[1], self.params.concentration, self.params.vocab_size
+        )
+
+    def _partition_loglik(self, lab, count):
+        total = 0.0
+        if self.flat:
+            return total
+        cache = {}
+        for k in range(count):
+            counts, tot = self._stats_of_label(lab, k, cache)
+            total += log_marginal_raw(
+                counts, tot, self.params.concentration, self.params.vocab_size
+            )
+        return total
+
+    def _scan_order(self, rng):
+        if self.config.randomized_scan:
+            return [int(i) for i in rng.permutation(self.n)]
+        return range(self.n)
+
+    def _customer_prior(self, i):
+        for j, _, lw in self.cand_c[i]:
+            if j == self.cl[i]:
+                return lw - self.log_norm_c[i]
+
+    def _component_move(self, lab, i, cands, target_of):
+        cache = {}
+        home = lab[i]
+        stats_i = self._stats_of_label(lab, home, cache)
+        delta_by_comp = {home: 0.0}
+        log_weights = []
+        for j, _, lw in cands:
+            comp = lab[target_of(j)]
+            d = delta_by_comp.get(comp)
+            if d is None:
+                d = self._merge_delta(stats_i, self._stats_of_label(lab, comp, cache))
+                delta_by_comp[comp] = d
+            log_weights.append(lw + d)
+        return log_weights
+
+
+class RebuildHddcrpState(_RebuildBase):
+    def __init__(self, corpus, config, priors, params):
+        super().__init__(corpus, config, priors, params)
+        self.cand_t = tuple(
+            tuple((j, w, math.log(w)) for j, w in cands) for cands in priors.table
+        )
+        self.log_norm_t = tuple(math.log(sum(w for _, w in c)) for c in priors.table)
+        self.tl = list(range(self.n))
+
+    def init_links(self, rng):
+        for i in range(self.n):
+            self.cl[i] = self.cand_c[i][int(rng.integers(len(self.cand_c[i])))][0]
+            self.tl[i] = self.cand_t[i][int(rng.integers(len(self.cand_t[i])))][0]
+
+    def _edges(self, skip=None):
+        for m in range(self.n):
+            if m == skip:
+                continue
+            if self.cl[m] != m:
+                yield m, self.cl[m]
+            elif self.tl[m] != m:
+                yield m, self.tl[m]
+
+    def _move(self, i, cands, is_customer, rng):
+        lab, _ = _rebuild_component_labels(self.n, self._edges(skip=i))
+        log_weights = self._component_move(
+            lab, i, cands, lambda j: self.tl[i] if (is_customer and j == i) else j
+        )
+        choice = _rebuild_draw(rng, log_weights)
+        if is_customer:
+            self.cl[i] = cands[choice][0]
+        else:
+            self.tl[i] = cands[choice][0]
+
+    def sweep(self, rng):
+        for i in self._scan_order(rng):
+            self._move(i, self.cand_c[i], True, rng)
+        for i in self._scan_order(rng):
+            cands = self.cand_t[i]
+            if self.cl[i] != i:
+                choice = _rebuild_draw(rng, [lw for _, _, lw in cands])
+                self.tl[i] = cands[choice][0]
+            else:
+                self._move(i, cands, False, rng)
+
+    def joint_log_score(self):
+        score = 0.0
+        for i in range(self.n):
+            score += self._customer_prior(i)
+            for j, _, lw in self.cand_t[i]:
+                if j == self.tl[i]:
+                    score += lw - self.log_norm_t[i]
+                    break
+        lab, count = _rebuild_component_labels(self.n, self._edges())
+        return score + self._partition_loglik(lab, count)
+
+
+class RebuildFlatDdcrpState(_RebuildBase):
+    def init_links(self, rng):
+        for i in range(self.n):
+            self.cl[i] = self.cand_c[i][int(rng.integers(len(self.cand_c[i])))][0]
+
+    def sweep(self, rng):
+        for i in self._scan_order(rng):
+            lab, _ = _rebuild_component_labels(
+                self.n, ((m, self.cl[m]) for m in range(self.n) if m != i)
+            )
+            cands = self.cand_c[i]
+            log_weights = self._component_move(lab, i, cands, lambda j: j)
+            self.cl[i] = cands[_rebuild_draw(rng, log_weights)][0]
+
+    def joint_log_score(self):
+        score = 0.0
+        for i in range(self.n):
+            score += self._customer_prior(i)
+        lab, count = _rebuild_component_labels(
+            self.n, ((m, self.cl[m]) for m in range(self.n))
+        )
+        return score + self._partition_loglik(lab, count)
+
+
+class RebuildTableCrpState(_RebuildBase):
+    def __init__(self, corpus, config, priors, params):
+        super().__init__(corpus, config, priors, params)
+        self.alpha_0 = config.resolved_alpha_0
+        self.labels = {i: i for i in range(self.n)}
+        self.next_label = self.n
+
+    def init_links(self, rng):
+        for i in range(self.n):
+            self.cl[i] = self.cand_c[i][int(rng.integers(len(self.cand_c[i])))][0]
+        self.labels = {}
+        for i in range(self.n):
+            if self.cl[i] == i:
+                self.labels[i] = self.next_label
+                self.next_label += 1
+
+    def _roots(self):
+        root = [0] * self.n
+        for m in range(self.n):
+            root[m] = m if self.cl[m] == m else root[self.cl[m]]
+        return root
+
+    def _group_stats(self, members):
+        counts = {}
+        total = 0
+        for m in members:
+            for tok, c in self.span_counts[m].items():
+                counts[tok] = counts.get(tok, 0) + c
+            total += self.span_totals[m]
+        return counts, total
+
+    def _label_aggregates(self, root, skip_head):
+        stats = {}
+        tables = {}
+        for h, k in self.labels.items():
+            if h == skip_head:
+                continue
+            tables[k] = tables.get(k, 0) + 1
+            if k not in stats:
+                stats[k] = ({}, 0)
+        for m in range(self.n):
+            h = root[m]
+            if h == skip_head:
+                continue
+            k = self.labels[h]
+            counts, total = stats[k]
+            for tok, c in self.span_counts[m].items():
+                counts[tok] = counts.get(tok, 0) + c
+            stats[k] = (counts, total + self.span_totals[m])
+        return stats, tables
+
+    def _delta_for(self, stats_i, stats, label_delta):
+        def delta_for(k):
+            d = label_delta.get(k)
+            if d is None:
+                d = label_delta[k] = self._merge_delta(stats_i, stats[k])
+            return d
+
+        return delta_for
+
+    def _draw_label(self, rng, tables, delta_for):
+        keys = sorted(tables)
+        log_weights = [math.log(tables[k]) + delta_for(k) for k in keys]
+        log_weights.append(math.log(self.alpha_0))
+        choice = _rebuild_draw(rng, log_weights)
+        if choice == len(keys):
+            self.next_label += 1
+            return self.next_label - 1
+        return keys[choice]
+
+    def _customer_move(self, i, rng):
+        self.cl[i] = i
+        self.labels.pop(i, None)
+        root = self._roots()
+        stats_i = self._group_stats([m for m in range(self.n) if root[m] == i])
+        stats, tables = self._label_aggregates(root, skip_head=i)
+        denom = sum(tables.values()) + self.alpha_0
+        delta_for = self._delta_for(stats_i, stats, {})
+        cands = self.cand_c[i]
+        log_weights = []
+        for j, _, lw in cands:
+            if j == i:
+                terms = [math.log(self.alpha_0) - math.log(denom)]
+                for k, cnt in tables.items():
+                    terms.append(math.log(cnt) - math.log(denom) + delta_for(k))
+                top = max(terms)
+                marg = top + math.log(sum(math.exp(t - top) for t in terms))
+                log_weights.append(lw + marg)
+            else:
+                log_weights.append(lw + delta_for(self.labels[root[j]]))
+        target = cands[_rebuild_draw(rng, log_weights)][0]
+        self.cl[i] = target
+        if target == i:
+            self.labels[i] = self._draw_label(rng, tables, delta_for)
+
+    def _label_move(self, head, rng):
+        root = self._roots()
+        stats_t = self._group_stats([m for m in range(self.n) if root[m] == head])
+        self.labels.pop(head)
+        stats, tables = self._label_aggregates(root, skip_head=head)
+        delta_for = self._delta_for(stats_t, stats, {})
+        self.labels[head] = self._draw_label(rng, tables, delta_for)
+
+    def sweep(self, rng):
+        for i in self._scan_order(rng):
+            self._customer_move(i, rng)
+        for head in sorted(self.labels):
+            self._label_move(head, rng)
+
+    def joint_log_score(self):
+        score = 0.0
+        for i in range(self.n):
+            score += self._customer_prior(i)
+        sizes = {}
+        for k in self.labels.values():
+            sizes[k] = sizes.get(k, 0) + 1
+        score += _rebuild_crp_log_prob(sorted(sizes.values()), self.alpha_0)
+        root = self._roots()
+        remap = {}
+        lab = [0] * self.n
+        for m in range(self.n):
+            k = self.labels[root[m]]
+            if k not in remap:
+                remap[k] = len(remap)
+            lab[m] = remap[k]
+        return score + self._partition_loglik(lab, len(remap))
+
+
+REBUILD_STATES = {
+    "hddcrp": RebuildHddcrpState,
+    "hddcrp_star": RebuildTableCrpState,
+    "hdp_lex": RebuildTableCrpState,
+    "ddcrp_flat": RebuildFlatDdcrpState,
+}

@@ -334,6 +334,47 @@ class TestConfigPrecedence:
         assert "iterationz" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha_0", "0.1"), ("iterations", "abc"), ("randomized_scan", "false")],
+    )
+    def test_config_values_of_the_wrong_type_are_input_errors(
+        self, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value, "model": "hdp-lex"}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(
+            [
+                "sample",
+                "--corpus", synthetic_corpus_path(),
+                "--config", cfg,
+                "--iterations", 2, "--chains", 1,
+                "--output-dir", out,
+            ]
+        )
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_integers_are_accepted_as_numbers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha_0": 2, "model": "hdp-lex"}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(
+            [
+                "sample",
+                "--corpus", synthetic_corpus_path(),
+                "--config", cfg,
+                "--iterations", 2, "--chains", 1,
+                "--output-dir", out,
+            ]
+        )
+        assert code == 0
+        clustering = json.loads((out / "chain-00.clustering.json").read_text())
+        assert clustering["config"]["alpha_0"] == 2.0
+
+
 class TestBaselineAndScore:
     def gold_equals_lemma_corpus(self, tmp_path):
         """Chains follow head lemmas exactly, so the lemma baseline is perfect."""
@@ -419,6 +460,18 @@ class TestBaselineAndScore:
         assert run(["score", "--corpus", corpus, bare, "-o", report]) == 0
         got = json.loads(report.read_text(encoding="utf-8"))
         assert got["reports"]["CD"]["conll_f1"] == 1.0
+
+    @pytest.mark.parametrize(
+        "sidecar", ["{not json", "{}", '{"gold_chains": 5}', '[["d1-m0", ["d1-m1"]]]']
+    )
+    def test_malformed_gold_sidecar_is_an_input_error(self, tmp_path, capsys, sidecar):
+        corpus = self.gold_equals_lemma_corpus(tmp_path)
+        clustering = tmp_path / "lemma.json"
+        assert run(["baseline", "--corpus", corpus, "--method", "lemma", "-o", clustering]) == 0
+        gold = tmp_path / "gold.json"
+        gold.write_text(sidecar, encoding="utf-8")
+        assert run(["score", "--corpus", corpus, "--gold", gold, clustering]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_universe_mismatch_exits_three(self, tmp_path, capsys):
         corpus = self.gold_equals_lemma_corpus(tmp_path)

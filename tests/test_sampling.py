@@ -10,19 +10,17 @@ from hddcrp.likelihood import LikelihoodParams
 from hddcrp.sampling import (
     DEFAULT_ALPHA_0,
     MODELS,
+    LinkGraph,
     SamplerConfig,
+    TableCrpState,
     build_priors,
     crp_partition_log_prob,
-    ddcrp_flat_sweep,
     enumerate_exact_posterior,
-    gibbs_sweep,
-    hdp_lex_sweep,
     init_state,
     run_chains,
-    sample_customer_link,
-    sample_table_link,
 )
 from reference_impls import (
+    REBUILD_STATES,
     crp_eppf,
     dirichlet_marginal_reference,
     enumerate_flat_posterior,
@@ -246,6 +244,63 @@ class TestDebugMode:
                 state.sweep(rng)
 
 
+class TestLinkGraphCore:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("randomized_scan", [False, True])
+    def test_moves_match_samplers_that_rebuild_every_move(
+        self, synthetic_corpus, resources, trained_model, model, randomized_scan
+    ):
+        config = SamplerConfig(model=model, seed=71, randomized_scan=randomized_scan)
+        priors = build_priors(synthetic_corpus, config, trained_model, resources)
+        params = LikelihoodParams.for_corpus(synthetic_corpus, config.concentration)
+        rng = np.random.default_rng(71)
+        ref_rng = np.random.default_rng(71)
+        state = init_state(synthetic_corpus, config, rng, priors=priors, params=params)
+        ref = REBUILD_STATES[model](synthetic_corpus, config, priors, params)
+        ref.init_links(ref_rng)
+        for _ in range(20):
+            state.sweep(rng)
+            ref.sweep(ref_rng)
+            assert state.cl == ref.cl
+            if model == "hddcrp":
+                assert state.tl == ref.tl
+            elif model != "ddcrp_flat":
+                assert list(state.labels.items()) == list(ref.labels.items())
+            assert state.joint_log_score() == ref.joint_log_score()
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_debug_mode_catches_components_left_unmerged(
+        self, tiny_corpus, model, monkeypatch
+    ):
+        def attach_without_merging(graph, i, j):
+            graph.out[i] = j
+            if j != i:
+                graph.inbound[j].add(i)
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(LinkGraph, "attach", attach_without_merging)
+        with pytest.raises(AssertionError, match="component"):
+            for _ in range(10):
+                state.sweep(rng)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_stale_label_members(self, tiny_corpus, model, monkeypatch):
+        def relabel_mentions_only(state, table, label):
+            for m in table:
+                state.label_of[m] = label
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(TableCrpState, "_relabel", relabel_mentions_only)
+        with pytest.raises(AssertionError, match="label member sets differ"):
+            state.sweep(rng)
+
+
 class TestSweepOperations:
     def test_single_site_moves_respect_the_candidate_sets(self, tiny_corpus):
         config = SamplerConfig(model="hddcrp", concentration=0.5)
@@ -253,22 +308,28 @@ class TestSweepOperations:
         rng = np.random.default_rng(66)
         state = init_state(tiny_corpus, config, rng, priors=priors)
         for i in range(len(priors.customer)):
-            sample_customer_link(state, i, rng)
+            state.sample_customer_link(i, rng)
             assert state.cl[i] in {j for j, _ in priors.customer[i]}
-            sample_table_link(state, i, rng)
+            state.sample_table_link(i, rng)
             assert state.tl[i] in {j for j, _ in priors.table[i]}
 
-    def test_sweep_wrappers_dispatch_by_model(self, tiny_corpus):
-        for model, op in (
-            ("hddcrp", gibbs_sweep),
-            ("ddcrp_flat", ddcrp_flat_sweep),
-            ("hdp_lex", hdp_lex_sweep),
-        ):
+    def test_table_label_moves_need_a_table_head(self, tiny_corpus):
+        config = SamplerConfig(model="hddcrp_star", concentration=0.5)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(66)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        for head in sorted(state.labels):
+            assert state.sample_table_label(head, rng) == state.labels[head]
+        with pytest.raises(ValueError):
+            state.sample_table_label(next(i for i, j in enumerate(state.cl) if j != i), rng)
+
+    def test_sweeps_run_for_every_model(self, tiny_corpus):
+        for model in MODELS:
             config = SamplerConfig(model=model, concentration=0.5)
             priors = build_priors(tiny_corpus, config, **UNIFORM)
             rng = np.random.default_rng(67)
             state = init_state(tiny_corpus, config, rng, priors=priors)
-            assert op(state, rng) is state
+            state.sweep(rng)
             assert state.clustering().n_clusters() >= 1
 
     def test_hddcrp_snapshot_is_a_valid_link_state(self, tiny_corpus):
