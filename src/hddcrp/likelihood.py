@@ -40,27 +40,10 @@ class ClusterStats:
         self.counts = dict(counts) if counts else {}
         self.total = sum(self.counts.values())
 
-    def copy(self):
-        return ClusterStats(self.counts)
-
     def add(self, lemmas):
         for tok in lemmas:
             self.counts[tok] = self.counts.get(tok, 0) + 1
         self.total += len(lemmas)
-
-    def remove(self, lemmas):
-        for tok in lemmas:
-            n = self.counts[tok] - 1
-            if n:
-                self.counts[tok] = n
-            else:
-                del self.counts[tok]
-        self.total -= len(lemmas)
-
-    def merge(self, other):
-        for tok, n in other.counts.items():
-            self.counts[tok] = self.counts.get(tok, 0) + n
-        self.total += other.total
 
     def __eq__(self, other):
         return isinstance(other, ClusterStats) and self.counts == other.counts
@@ -117,14 +100,20 @@ def log_ratio_for_merge(a: ClusterStats, b: ClusterStats, params: LikelihoodPara
     )
 
 
-def merge_ratio_raw(counts_a, total_a, counts_b, total_b, c, v):
-    """log_ratio_for_merge on raw count dicts; the sampler hot path."""
-    out = (
+def merge_normaliser_raw(total_a, total_b, c, v):
+    """The normaliser term of merge_ratio_raw, which depends only on the two
+    lemma totals; for bags that share no lemma it is the whole ratio."""
+    return (
         lgamma(v * c + total_a)
         + lgamma(v * c + total_b)
         - lgamma(v * c)
         - lgamma(v * c + total_a + total_b)
     )
+
+
+def merge_ratio_raw(counts_a, total_a, counts_b, total_b, c, v):
+    """log_ratio_for_merge on raw count dicts; the sampler hot path."""
+    out = merge_normaliser_raw(total_a, total_b, c, v)
     if len(counts_b) < len(counts_a):
         counts_a, counts_b = counts_b, counts_a
     lg_c = lgamma(c)

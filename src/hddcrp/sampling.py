@@ -46,6 +46,7 @@ from .errors import InputError
 from .likelihood import (
     LikelihoodParams,
     log_marginal_raw,
+    merge_normaliser_raw,
     merge_ratio_raw,
 )
 from .links import (
@@ -481,6 +482,13 @@ class _StateBase:
             a[0], a[1], b[0], b[1], self.params.concentration, self.params.vocab_size
         )
 
+    def _merge_normaliser(self, total_a, total_b):
+        if self.flat:
+            return 0.0
+        return merge_normaliser_raw(
+            total_a, total_b, self.params.concentration, self.params.vocab_size
+        )
+
     def _log_marginal(self, counts, total):
         if self.flat:
             return 0.0
@@ -498,6 +506,19 @@ class _StateBase:
 
     def _scratch_loglik(self):
         return self._partition_loglik(self._parts())
+
+    def _groups_loglik(self, groups):
+        """_scratch_loglik from the maintained clusters: their cached bags,
+        summed in the order of their smallest members, which is the order
+        _parts() gives."""
+        total = 0.0
+        if not self.flat:
+            members = groups.members
+            for key in sorted(members, key=lambda k: min(members[k])):
+                total += self._log_marginal(*groups.bag(key))
+        if self.debug and total != self._scratch_loglik():
+            raise AssertionError("joint score from the maintained bags differs from a rebuild")
+        return total
 
     def _scan_order(self, rng):
         if self.config.randomized_scan:
@@ -562,7 +583,8 @@ class _StateBase:
         return score
 
     def joint_log_score(self):
-        return self._links_log_prior() + self._partition_loglik(self._parts())
+        # the graph's components are the clusters of hddcrp and ddcrp_flat
+        return self._links_log_prior() + self._groups_loglik(self.graph.groups)
 
     def clustering(self):
         return ClusterAssignment.from_index_partition(self.mention_ids, self._parts())
@@ -623,12 +645,22 @@ class TableCrpState(_StateBase):
 
     Serves hddcrp_star and hdp_lex; they differ only in the customer priors.
     The link-graph components are the tables; the mentions of each label are
-    kept beside them with a lemma bag per label.
+    kept beside them with a lemma bag and a lemma total per label.
+
+    A move scores every label against the moving table.  Only labels that
+    share a lemma with it, found through a lemma -> mentions index, need the
+    full merge ratio; for any other label the ratio is its normaliser, a
+    function of the two lemma totals kept in a memo.
     """
 
     def __init__(self, corpus, config, priors, params):
         super().__init__(corpus, config, priors, params)
         self.alpha_0 = config.resolved_alpha_0
+        self.lemma_holders = {}  # lemma -> mentions whose span holds it
+        for m, counts in enumerate(self.span_counts):
+            for tok in counts:
+                self.lemma_holders.setdefault(tok, []).append(m)
+        self._normalisers = {}  # (total_a, total_b) -> merge normaliser
         self.labels = {i: i for i in range(self.n)}
         self.next_label = self.n
         self._start_graph()
@@ -647,18 +679,26 @@ class TableCrpState(_StateBase):
         # label of each mention's table, None while its table is being moved
         self.label_of = [None] * self.n
         self.label_groups = _Groups(self._bag)
+        self.label_totals = {}
         for head, k in self.labels.items():
             self._relabel(self.graph.members(head), k)
 
     def _relabel(self, table, label):
         """Move the mentions of one table from their label to label."""
         old = self.label_of[next(iter(table))]
-        if old is not None:
-            self.label_groups.remove(old, table)
-        if label is not None:
-            self.label_groups.add(label, table)
+        total = 0
         for m in table:
             self.label_of[m] = label
+            total += self.span_totals[m]
+        if old is not None:
+            self.label_groups.remove(old, table)
+            if old in self.label_groups.members:
+                self.label_totals[old] -= total
+            else:
+                del self.label_totals[old]
+        if label is not None:
+            self.label_groups.add(label, table)
+            self.label_totals[label] = self.label_totals.get(label, 0) + total
 
     def _table_counts(self):
         """Tables per label, in the order labels first occur among heads."""
@@ -667,17 +707,35 @@ class TableCrpState(_StateBase):
             tables[k] = tables.get(k, 0) + 1
         return tables
 
-    def _delta_cache(self, stats):
-        label_delta = {}
+    def _label_deltas(self, stats, labels):
+        """Merge ratio of the table with lemma bag stats against each of labels.
 
-        def delta_for(k):
-            d = label_delta.get(k)
-            if d is None:
+        The full ratio runs only for labels that share a lemma with the table;
+        for all others it is the memoised normaliser of the two lemma totals.
+        """
+        counts, total = stats
+        label_of = self.label_of
+        shared = {label_of[m] for tok in counts for m in self.lemma_holders[tok]}
+        normalisers = self._normalisers
+        totals = self.label_totals
+        deltas = {}
+        for k in labels:
+            if k in shared:
                 d = self._merge_delta(stats, self.label_groups.bag(k))
-                label_delta[k] = d
-            return d
-
-        return label_delta, delta_for
+            else:
+                key = (total, totals[k])
+                d = normalisers.get(key)
+                if d is None:
+                    d = normalisers[key] = self._merge_normaliser(*key)
+            deltas[k] = d
+        if self.debug:
+            for k, d in deltas.items():
+                full = self._merge_delta(stats, self.label_groups.bag(k))
+                if d != full:
+                    raise AssertionError(
+                        f"label {k}: delta {d} != merge ratio {full} of the full bags"
+                    )
+        return deltas
 
     def sample_customer_link(self, i, rng):
         """Blocked move: resample a_i with the label of a would-be new table
@@ -691,27 +749,28 @@ class TableCrpState(_StateBase):
         tables = self._table_counts()
         other_tables = sum(tables.values())
         denom = other_tables + self.alpha_0
-        label_delta, delta_for = self._delta_cache(stats_i)
+        log_denom = math.log(denom)
+        label_delta = self._label_deltas(stats_i, tables)
 
         cands = self.cand_c[i]
         log_weights = []
         for j, _, lw in cands:
             if j == i:
                 # sum the CRP conditional over labels for the detached table
-                terms = [math.log(self.alpha_0) - math.log(denom)]
+                terms = [math.log(self.alpha_0) - log_denom]
                 for k, cnt in tables.items():
-                    terms.append(math.log(cnt) - math.log(denom) + delta_for(k))
+                    terms.append(math.log(cnt) - log_denom + label_delta[k])
                 top = max(terms)
                 marg = top + math.log(sum(math.exp(t - top) for t in terms))
                 log_weights.append(lw + marg)
             else:
-                log_weights.append(lw + delta_for(self.label_of[j]))
+                log_weights.append(lw + label_delta[self.label_of[j]])
         choice = _draw(rng, log_weights)
         if self.debug:
             self._debug_check_customer(i, label_delta)
         target = cands[choice][0]
         if target == i:
-            label = self.labels[i] = self._draw_label(rng, tables, delta_for)
+            label = self.labels[i] = self._draw_label(rng, tables, label_delta)
         else:
             label = self.label_of[target]
         self._relabel(table, label)
@@ -721,9 +780,9 @@ class TableCrpState(_StateBase):
             self._check_core()
         return target
 
-    def _draw_label(self, rng, tables, delta_for):
+    def _draw_label(self, rng, tables, label_delta):
         keys = sorted(tables)
-        log_weights = [math.log(tables[k]) + delta_for(k) for k in keys]
+        log_weights = [math.log(tables[k]) + label_delta[k] for k in keys]
         log_weights.append(math.log(self.alpha_0))
         choice = _draw(rng, log_weights)
         if choice == len(keys):
@@ -741,8 +800,9 @@ class TableCrpState(_StateBase):
         stats_t = self.graph.bag(head)
         self.labels.pop(head)
         self._relabel(table, None)
-        label_delta, delta_for = self._delta_cache(stats_t)
-        label = self._draw_label(rng, self._table_counts(), delta_for)
+        tables = self._table_counts()
+        label_delta = self._label_deltas(stats_t, tables)
+        label = self._draw_label(rng, tables, label_delta)
         if self.debug:
             self._debug_check_labels(head, stats_t, label_delta)
         self.labels[head] = label
@@ -779,6 +839,9 @@ class TableCrpState(_StateBase):
             if any(self.label_of[m] != k for m in members):
                 raise AssertionError(f"maintained labels of label {k}'s mentions are stale")
         self.label_groups.check(expected, "label")
+        totals = {k: sum(self.span_totals[m] for m in g) for k, g in expected.items()}
+        if self.label_totals != totals:
+            raise AssertionError("maintained lemma totals of labels differ from a rebuild")
 
     def joint_log_score(self):
         sizes = {}
@@ -786,7 +849,7 @@ class TableCrpState(_StateBase):
             sizes[k] = sizes.get(k, 0) + 1
         score = self._links_log_prior()
         score += crp_partition_log_prob(sorted(sizes.values()), self.alpha_0)
-        return score + self._partition_loglik(self._parts())
+        return score + self._groups_loglik(self.label_groups)
 
     def snapshot(self):
         return (tuple(self.cl), dict(self.labels))

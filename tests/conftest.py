@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from hddcrp.corpus import Corpus, Document, GoldChains
 from hddcrp.data import (
     load_synthetic_corpus,
     load_synthetic_resources,
@@ -14,6 +17,36 @@ _acceptance_outcomes = {}
 @pytest.fixture(scope="session")
 def synthetic_corpus():
     return load_synthetic_corpus()
+
+
+@pytest.fixture(scope="session")
+def replicated_corpus(synthetic_corpus):
+    """The synthetic corpus four times over, with doc ids, mention ids and
+    span lemmas renamed per copy, so that no two copies share a lemma."""
+    copies = 4
+    documents = []
+    for k in range(copies):
+        for doc in synthetic_corpus.documents:
+            doc_id = f"c{k}-{doc.doc_id}"
+            mentions = [
+                dataclasses.replace(
+                    m,
+                    mention_id=f"c{k}-{m.mention_id}",
+                    doc_id=doc_id,
+                    head_lemma=f"{m.head_lemma}.{k}",
+                    span_lemmas=tuple(f"{tok}.{k}" for tok in m.span_lemmas),
+                )
+                for m in doc.mentions
+            ]
+            documents.append(Document.build(doc_id, f"c{k}-{doc.seminal_event_id}", mentions))
+    chains = tuple(
+        frozenset(f"c{k}-{mid}" for mid in chain)
+        for k in range(copies)
+        for chain in synthetic_corpus.gold.chains
+    )
+    corpus = Corpus(tuple(documents), GoldChains(chains))
+    corpus.validate()
+    return corpus
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import pytest
 
 from hddcrp.corpus import Corpus, Document, Mention
 from hddcrp.errors import InputError
+from hddcrp import sampling
 from hddcrp.likelihood import LikelihoodParams
 from hddcrp.sampling import (
     DEFAULT_ALPHA_0,
@@ -244,29 +245,82 @@ class TestDebugMode:
                 state.sweep(rng)
 
 
+def assert_matches_rebuild_sampler(corpus, resources, trained_model, model, randomized_scan):
+    config = SamplerConfig(model=model, seed=71, randomized_scan=randomized_scan)
+    priors = build_priors(corpus, config, trained_model, resources)
+    params = LikelihoodParams.for_corpus(corpus, config.concentration)
+    rng = np.random.default_rng(71)
+    ref_rng = np.random.default_rng(71)
+    state = init_state(corpus, config, rng, priors=priors, params=params)
+    ref = REBUILD_STATES[model](corpus, config, priors, params)
+    ref.init_links(ref_rng)
+    for _ in range(20):
+        state.sweep(rng)
+        ref.sweep(ref_rng)
+        assert state.cl == ref.cl
+        if model == "hddcrp":
+            assert state.tl == ref.tl
+        elif model != "ddcrp_flat":
+            assert list(state.labels.items()) == list(ref.labels.items())
+        assert state.joint_log_score() == ref.joint_log_score()
+
+
 class TestLinkGraphCore:
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("randomized_scan", [False, True])
     def test_moves_match_samplers_that_rebuild_every_move(
         self, synthetic_corpus, resources, trained_model, model, randomized_scan
     ):
-        config = SamplerConfig(model=model, seed=71, randomized_scan=randomized_scan)
-        priors = build_priors(synthetic_corpus, config, trained_model, resources)
-        params = LikelihoodParams.for_corpus(synthetic_corpus, config.concentration)
-        rng = np.random.default_rng(71)
-        ref_rng = np.random.default_rng(71)
-        state = init_state(synthetic_corpus, config, rng, priors=priors, params=params)
-        ref = REBUILD_STATES[model](synthetic_corpus, config, priors, params)
-        ref.init_links(ref_rng)
-        for _ in range(20):
+        assert_matches_rebuild_sampler(
+            synthetic_corpus, resources, trained_model, model, randomized_scan
+        )
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    @pytest.mark.parametrize("randomized_scan", [False, True])
+    def test_moves_match_samplers_that_rebuild_every_move_over_many_labels(
+        self, replicated_corpus, resources, trained_model, model, randomized_scan
+    ):
+        assert_matches_rebuild_sampler(
+            replicated_corpus, resources, trained_model, model, randomized_scan
+        )
+
+    def test_merge_ratios_run_only_for_labels_that_share_a_lemma(
+        self, replicated_corpus, monkeypatch
+    ):
+        config = SamplerConfig(model="hdp_lex", seed=73)
+        priors = build_priors(replicated_corpus, config)
+        rng = np.random.default_rng(73)
+        state = init_state(replicated_corpus, config, rng, priors=priors)
+        ratio_calls = []  # (moving table's bag, label's bag) per merge_ratio_raw call
+        moves = []  # (labels sharing a lemma with the moving table, labels, first call)
+        merge_ratio_raw = sampling.merge_ratio_raw
+        label_deltas = TableCrpState._label_deltas
+
+        def counting_ratio(counts_a, total_a, counts_b, total_b, c, v):
+            ratio_calls.append((counts_a, counts_b))
+            return merge_ratio_raw(counts_a, total_a, counts_b, total_b, c, v)
+
+        def recording_deltas(state, stats, labels):
+            lemmas = stats[0].keys()
+            groups = state.label_groups.members
+            sharing = {
+                k for k in labels if any(lemmas & state.span_counts[m].keys() for m in groups[k])
+            }
+            moves.append((sharing, len(labels), len(ratio_calls)))
+            return label_deltas(state, stats, labels)
+
+        monkeypatch.setattr(sampling, "merge_ratio_raw", counting_ratio)
+        monkeypatch.setattr(TableCrpState, "_label_deltas", recording_deltas)
+        for _ in range(3):
             state.sweep(rng)
-            ref.sweep(ref_rng)
-            assert state.cl == ref.cl
-            if model == "hddcrp":
-                assert state.tl == ref.tl
-            elif model != "ddcrp_flat":
-                assert list(state.labels.items()) == list(ref.labels.items())
-            assert state.joint_log_score() == ref.joint_log_score()
+        starts = [first for _, _, first in moves] + [len(ratio_calls)]
+        for (sharing, _, _), lo, hi in zip(moves, starts, starts[1:]):
+            calls = ratio_calls[lo:hi]
+            assert len(calls) == len(sharing)
+            assert len({id(label_bag) for _, label_bag in calls}) == len(calls)
+            assert all(table_bag.keys() & label_bag.keys() for table_bag, label_bag in calls)
+        # most labels sit in other copies of the corpus and share no lemma
+        assert 2 * len(ratio_calls) < sum(n_labels for _, n_labels, _ in moves)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_debug_mode_catches_components_left_unmerged(
@@ -299,6 +353,49 @@ class TestLinkGraphCore:
         monkeypatch.setattr(TableCrpState, "_relabel", relabel_mentions_only)
         with pytest.raises(AssertionError, match="label member sets differ"):
             state.sweep(rng)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_stale_label_totals(self, tiny_corpus, model, monkeypatch):
+        relabel = TableCrpState._relabel
+
+        def relabel_and_miscount(state, table, label):
+            relabel(state, table, label)
+            if label is not None:
+                state.label_totals[label] += 1
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(TableCrpState, "_relabel", relabel_and_miscount)
+        with pytest.raises(AssertionError, match="lemma totals of labels differ"):
+            state.sweep(rng)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_a_label_missed_by_the_lemma_index(self, tiny_corpus, model):
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        state.lemma_holders = {tok: [] for tok in state.lemma_holders}
+        with pytest.raises(AssertionError, match="merge ratio"):
+            for _ in range(10):
+                state.sweep(rng)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_debug_mode_catches_a_joint_score_from_stale_bags(self, tiny_corpus, model):
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(74)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        state.sweep(rng)
+        state.joint_log_score()
+        groups = state.label_groups if hasattr(state, "labels") else state.graph.groups
+        key = next(iter(groups.members))
+        counts, total = groups.bag(key)
+        groups._bags[key] = (counts, total + 1)
+        with pytest.raises(AssertionError, match="joint score"):
+            state.joint_log_score()
 
 
 class TestSweepOperations:
