@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,35 +87,75 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-# config-file value types of the options whose default is None; the others
-# take the type of their default
-_NONE_DEFAULT_TYPES = {"alpha_0": float}
+# name -> (flags, type, help[, choices]); bool options are store_true flags
+OPTIONS = {
+    "corpus": (("--corpus",), str, "corpus JSON-lines file"),
+    "gold": (("--gold",), str, "gold chains JSON (when not in the corpus file)"),
+    "embeddings": (("--embeddings",), str, "word embedding text file"),
+    "synonyms": (("--synonyms",), str, "synonym list text file"),
+    "distance_model": (("--distance-model",), str, "trained pairwise model JSON"),
+    "l2": (("--l2",), float, "L2 penalty strength"),
+    "sigma": (("--sigma",), float, "document similarity cutoff for cross-document pairs"),
+    "truncation_threshold": (("--truncation-threshold",), float,
+                             "similarity level below which link distances become 0"),
+    "gamma": (("--gamma",), float, "document similarity exponent in cross-document distances"),
+    "model": (("--model",), str, "sampler model", sorted(MODEL_NAMES)),
+    "uniform_distances": (("--uniform-distances",), bool,
+                          "use constant 1.0 link distances instead of a trained model"),
+    "alpha_d": (("--alpha-d",), float, "within-document self-link weight"),
+    "alpha_0": (("--alpha0",), float, "top-level concentration (default depends on model)"),
+    "concentration": (("--concentration",), float,
+                      "Dirichlet concentration of the word likelihood"),
+    "iterations": (("--iterations",), int, "sweeps per chain"),
+    "chains": (("--chains",), int, "independent chains"),
+    "seed": (("--seed",), int, "master seed (env HDDCRP_SEED)"),
+    "burn_in": (("--burn-in",), int, "extra unrecorded sweeps before the trace"),
+    "randomized_scan": (("--randomized-scan",), bool, "visit mentions in random order each sweep"),
+    "map_estimate": (("--map-estimate",), bool,
+                     "report the best-scoring visited clustering per chain"),
+    "flat_likelihood": (("--flat-likelihood",), bool,
+                        "ignore the word likelihood (prior-only sampling)"),
+    "jobs": (("--jobs",), int, "parallel chain processes"),
+    "method": (("--method",), str, "baseline method", ("lemma", "agglomerative")),
+    "wd_threshold": (("--wd-threshold",), float, "within-document merge threshold"),
+    "cd_threshold": (("--cd-threshold",), float, "cross-document merge threshold"),
+    "setting": (("--setting",), str, "evaluation setting (default both)", ("WD", "CD", "both")),
+    "top": (("--top",), int, "clusterings to print"),
+    "output": (("-o", "--output"), str, "file to write"),
+    "output_dir": (("--output-dir",), str, "directory for chain outputs"),
+}
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _cast(name, value, default):
-    """A config-file value, checked against the type of its option."""
+def _cast(name, value):
+    """A config-file value, checked against the type and choices of its option."""
+    _, kind, _, *choices = OPTIONS[name]
     if value is None:
         return value
-    kind = _NONE_DEFAULT_TYPES.get(name, str) if default is None else type(default)
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
     if type(value) is not kind:
         raise InputError(f"config key {name!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if choices and value not in choices[0]:
+        raise InputError(f"config key {name!r} must be one of {list(choices[0])}, got {value!r}")
     return value
 
 
 def resolve_config(args, defaults):
-    """Merge flags over config-file values over defaults into a RunConfig."""
+    """Merge flags over config-file values over defaults into a RunConfig.
+
+    An option whose default is a string may not end up empty, so an option
+    with the default "" must be given.
+    """
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = _load_json(args.config)
         if not isinstance(file_values, dict):
             raise InputError(f"{args.config}: config must be a JSON object")
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        file_values = {k: _cast(k, v, defaults[k]) for k, v in file_values.items()}
+        file_values = {k: _cast(k, v) for k, v in file_values.items()}
     options = {}
     for name, default in defaults.items():
         value = getattr(args, name)
@@ -133,22 +173,14 @@ def resolve_config(args, defaults):
         options[name] = default if value is None else value
     config = RunConfig(args.command, options)
     config.validate()
+    for name, default in defaults.items():
+        if isinstance(default, str) and options[name] == "":
+            raise InputError(f"missing required option {OPTIONS[name][0][-1]}")
     return config
 
 
-def _require(config, name):
-    value = config.options.get(name)
-    if value in (None, ""):
-        raise InputError(f"missing required option --{name.replace('_', '-')}")
-    return value
-
-
-def _load_inputs(config):
-    corpus = load_corpus(_require(config, "corpus"), config.options.get("gold"))
-    resources = LexicalResources.load(
-        config.options.get("embeddings"), config.options.get("synonyms")
-    )
-    return corpus, resources
+def _resources(config):
+    return LexicalResources.load(config["embeddings"], config["synonyms"])
 
 
 def _read_clustering(path):
@@ -165,22 +197,9 @@ def _read_clustering(path):
 # ---------------------------------------------------------------------------
 
 
-def cmd_train_distance(args):
-    config = resolve_config(
-        args,
-        dict(
-            corpus=None,
-            gold=None,
-            embeddings=None,
-            synonyms=None,
-            l2=1.0,
-            sigma=0.4,
-            truncation_threshold=0.5,
-            gamma=1.0,
-            output="distance_model.json",
-        ),
-    )
-    corpus, resources = _load_inputs(config)
+def cmd_train_distance(config, args):
+    corpus = load_corpus(config["corpus"], config["gold"])
+    resources = _resources(config)
     pairs = build_training_pairs(corpus, config["sigma"])
     n_pos = sum(p.coreferent for p in pairs)
     print(
@@ -212,7 +231,7 @@ def cmd_train_distance(args):
         acc = pair_accuracy(model, corpus, resources, pairs, features=features)
         print(f"training pair accuracy (corpus too small to hold out): {acc:.4f}")
 
-    out = _require(config, "output")
+    out = config["output"]
     save_model(model, out, config=config.to_dict())
     sidecar = str(Path(out).with_suffix(".features.json"))
     _write_json(
@@ -226,77 +245,32 @@ def cmd_train_distance(args):
 
 
 def _sampler_config(config):
-    name = config["model"]
-    if name not in MODEL_NAMES:
-        raise InputError(f"unknown model {name!r}, expected one of {sorted(MODEL_NAMES)}")
-    return SamplerConfig(
-        model=MODEL_NAMES[name],
-        alpha_d=config["alpha_d"],
-        alpha_0=config.options.get("alpha_0"),
-        iterations=config.options.get("iterations", 1),
-        chains=config.options.get("chains", 1),
-        seed=config.options.get("seed", 0),
-        concentration=config["concentration"],
-        burn_in=config.options.get("burn_in", 0),
-        randomized_scan=bool(config.options.get("randomized_scan")),
-        map_estimate=bool(config.options.get("map_estimate")),
-        flat_likelihood=bool(config.options.get("flat_likelihood")),
-    )
+    names = {f.name for f in fields(SamplerConfig)}
+    kwargs = {k: v for k, v in config.options.items() if k in names}
+    kwargs["model"] = MODEL_NAMES[kwargs["model"]]
+    return SamplerConfig(**kwargs)
 
 
 def _distance_priors(corpus, config, sampler_config):
-    if config.options.get("uniform_distances"):
-        return build_priors(
-            corpus,
-            sampler_config,
-            within_fn=lambda a, b: 1.0,
-            cross_fn=lambda a, b, da, db: 1.0,
-        )
-    if sampler_config.model == "hdp_lex":
-        return build_priors(corpus, sampler_config)
-    if not config.options.get("distance_model"):
+    if config["uniform_distances"] or sampler_config.model == "hdp_lex":
+        return build_priors(corpus, sampler_config, uniform=True)
+    if not config["distance_model"]:
         raise InputError(
             f"model {config['model']!r} requires --distance-model or --uniform-distances"
         )
     pairwise = load_model(config["distance_model"])
-    resources = LexicalResources.load(
-        config.options.get("embeddings"), config.options.get("synonyms")
-    )
-    return build_priors(corpus, sampler_config, pairwise, resources)
+    return build_priors(corpus, sampler_config, pairwise, _resources(config))
 
 
-def cmd_sample(args):
-    config = resolve_config(
-        args,
-        dict(
-            corpus=None,
-            embeddings=None,
-            synonyms=None,
-            distance_model=None,
-            model="hddcrp",
-            uniform_distances=False,
-            alpha_d=0.5,
-            alpha_0=None,
-            iterations=500,
-            chains=5,
-            seed=0,
-            concentration=1e-7,
-            burn_in=0,
-            randomized_scan=False,
-            map_estimate=False,
-            flat_likelihood=False,
-            jobs=1,
-            output_dir="runs",
-        ),
-    )
-    corpus = load_corpus(_require(config, "corpus"))
+def cmd_sample(config, args):
+    corpus = load_corpus(config["corpus"])
     sampler_config = _sampler_config(config)
     priors = _distance_priors(corpus, config, sampler_config)
     results = run_chains(corpus, sampler_config, priors=priors, jobs=config["jobs"])
 
     embed = config.to_dict()
     embed["alpha_0"] = sampler_config.resolved_alpha_0
-    out_dir = Path(_require(config, "output_dir"))
+    out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for r in results:
         stem = out_dir / f"chain-{r.chain_index:02d}"
@@ -316,36 +290,18 @@ def cmd_sample(args):
     print(f"wrote {2 * len(results)} files to {out_dir}")
 
 
-def cmd_baseline(args):
-    config = resolve_config(
-        args,
-        dict(
-            corpus=None,
-            embeddings=None,
-            synonyms=None,
-            distance_model=None,
-            method="lemma",
-            wd_threshold=0.5,
-            cd_threshold=0.5,
-            output="baseline.clustering.json",
-        ),
-    )
-    corpus = load_corpus(_require(config, "corpus"))
+def cmd_baseline(config, args):
+    corpus = load_corpus(config["corpus"])
     method = config["method"]
     if method == "lemma":
         clustering = lemma_baseline(corpus)
-    elif method == "agglomerative":
-        if not config.options.get("distance_model"):
+    else:
+        if not config["distance_model"]:
             raise InputError("agglomerative baseline requires --distance-model")
         model = load_model(config["distance_model"])
-        resources = LexicalResources.load(
-            config.options.get("embeddings"), config.options.get("synonyms")
-        )
         thresholds = AgglomerativeConfig(config["wd_threshold"], config["cd_threshold"])
-        clustering = agglomerative(corpus, model, resources, thresholds)
-    else:
-        raise InputError(f"unknown baseline method {method!r}")
-    out = _require(config, "output")
+        clustering = agglomerative(corpus, model, _resources(config), thresholds)
+    out = config["output"]
     _write_json(
         out,
         {"assignment": clustering.as_mapping(), "config": config.to_dict(), "method": method},
@@ -357,12 +313,8 @@ def cmd_baseline(args):
     print(f"wrote {out}")
 
 
-def cmd_score(args):
-    config = resolve_config(
-        args,
-        dict(corpus=None, gold=None, setting="both", output=None),
-    )
-    corpus = load_corpus(_require(config, "corpus"), config.options.get("gold"))
+def cmd_score(config, args):
+    corpus = load_corpus(config["corpus"], config["gold"])
     gold = gold_partition(corpus)
     predictions = [_read_clustering(path) for path in args.predictions]
     settings = ("WD", "CD") if config["setting"] == "both" else (config["setting"],)
@@ -377,31 +329,17 @@ def cmd_score(args):
         "predictions": list(args.predictions),
         "reports": {r.setting: r.to_dict() for r in averaged},
     }
-    if config.options.get("output"):
+    if config["output"]:
         _write_json(config["output"], report)
         print(f"wrote {config['output']}")
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def cmd_oracle_posterior(args):
-    config = resolve_config(
-        args,
-        dict(
-            corpus=None,
-            embeddings=None,
-            synonyms=None,
-            distance_model=None,
-            model="hddcrp",
-            uniform_distances=False,
-            alpha_d=0.5,
-            alpha_0=None,
-            concentration=1e-7,
-            top=10,
-            output=None,
-        ),
-    )
-    corpus = load_corpus(_require(config, "corpus"))
+def cmd_oracle_posterior(config, args):
+    if config["top"] < 0:
+        raise InputError(f"--top must be nonnegative, got {config['top']}")
+    corpus = load_corpus(config["corpus"])
     sampler_config = _sampler_config(config)
     priors = _distance_priors(corpus, config, sampler_config)
     posterior = enumerate_exact_posterior(corpus, sampler_config, priors=priors)
@@ -413,7 +351,7 @@ def cmd_oracle_posterior(args):
     for assignment, prob in rows[: config["top"]]:
         parts = " | ".join(",".join(sorted(p)) for p in assignment.partition())
         print(f"{prob:.6f}  {parts}")
-    if config.options.get("output"):
+    if config["output"]:
         _write_json(
             config["output"],
             {
@@ -430,30 +368,28 @@ def cmd_oracle_posterior(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+_INPUTS = dict(corpus="", embeddings=None, synonyms=None)
+_SAMPLER = dict(model="hddcrp", distance_model=None, uniform_distances=False, alpha_d=0.5,
+                alpha_0=None, concentration=1e-7)
 
-def _add_common(sp):
-    sp.add_argument("--corpus", help="corpus JSON-lines file")
-    sp.add_argument("--config", help="JSON file supplying option defaults")
-
-
-def _add_resources(sp):
-    sp.add_argument("--embeddings", help="word embedding text file")
-    sp.add_argument("--synonyms", help="synonym list text file")
-
-
-def _add_model_selection(sp):
-    sp.add_argument("--model", choices=sorted(MODEL_NAMES), help="sampler model")
-    sp.add_argument("--distance-model", dest="distance_model",
-                    help="trained pairwise model JSON")
-    sp.add_argument("--uniform-distances", dest="uniform_distances",
-                    action="store_true", default=None,
-                    help="use constant 1.0 link distances instead of a trained model")
-    sp.add_argument("--alpha-d", dest="alpha_d", type=float,
-                    help="within-document self-link weight")
-    sp.add_argument("--alpha0", dest="alpha_0", type=float,
-                    help="top-level concentration (default depends on model)")
-    sp.add_argument("--concentration", type=float,
-                    help="Dirichlet concentration of the word likelihood")
+# name -> (function, help, option defaults); the defaults name the options of
+# the command, which are also its config keys
+COMMANDS = {
+    "train-distance": (cmd_train_distance, "fit the pairwise distance model", dict(
+        _INPUTS, gold=None, l2=1.0, sigma=0.4, truncation_threshold=0.5, gamma=1.0,
+        output="distance_model.json")),
+    "sample": (cmd_sample, "run Gibbs sampling chains", dict(
+        _INPUTS, **_SAMPLER, iterations=500, chains=5, seed=0, burn_in=0, randomized_scan=False,
+        map_estimate=False, flat_likelihood=False, jobs=1, output_dir="runs")),
+    "baseline": (cmd_baseline, "run a deterministic baseline clustering", dict(
+        _INPUTS, method="lemma", distance_model=None, wd_threshold=0.5, cd_threshold=0.5,
+        output="baseline.clustering.json")),
+    "score": (cmd_score, "score predicted clusterings against gold", dict(
+        corpus="", gold=None, setting="both", output=None)),
+    "oracle-posterior": (cmd_oracle_posterior,
+                         "enumerate the exact clustering posterior (small corpora)",
+                         dict(_INPUTS, **_SAMPLER, top=10, output=None)),
+}
 
 
 def build_parser():
@@ -462,80 +398,26 @@ def build_parser():
         description="Hierarchical DDCRP event coreference: train, sample, score.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    sp = sub.add_parser("train-distance", help="fit the pairwise distance model")
-    _add_common(sp)
-    _add_resources(sp)
-    sp.add_argument("--gold", help="gold chains JSON (when not in the corpus file)")
-    sp.add_argument("--l2", type=float, help="L2 penalty strength")
-    sp.add_argument("--sigma", type=float,
-                    help="document similarity cutoff for cross-document pairs")
-    sp.add_argument("--truncation-threshold", dest="truncation_threshold", type=float,
-                    help="similarity level below which link distances become 0")
-    sp.add_argument("--gamma", type=float,
-                    help="document similarity exponent in cross-document distances")
-    sp.add_argument("-o", "--output", help="model file to write")
-    sp.set_defaults(func=cmd_train_distance)
-
-    sp = sub.add_parser("sample", help="run Gibbs sampling chains")
-    _add_common(sp)
-    _add_resources(sp)
-    _add_model_selection(sp)
-    sp.add_argument("--iterations", type=int, help="sweeps per chain")
-    sp.add_argument("--chains", type=int, help="independent chains")
-    sp.add_argument("--seed", type=int, help="master seed (env HDDCRP_SEED)")
-    sp.add_argument("--burn-in", dest="burn_in", type=int,
-                    help="extra unrecorded sweeps before the trace")
-    sp.add_argument("--randomized-scan", dest="randomized_scan",
-                    action="store_true", default=None,
-                    help="visit mentions in random order each sweep")
-    sp.add_argument("--map-estimate", dest="map_estimate",
-                    action="store_true", default=None,
-                    help="report the best-scoring visited clustering per chain")
-    sp.add_argument("--flat-likelihood", dest="flat_likelihood",
-                    action="store_true", default=None,
-                    help="ignore the word likelihood (prior-only sampling)")
-    sp.add_argument("--jobs", type=int, help="parallel chain processes")
-    sp.add_argument("--output-dir", dest="output_dir", help="directory for chain outputs")
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("baseline", help="run a deterministic baseline clustering")
-    _add_common(sp)
-    _add_resources(sp)
-    sp.add_argument("--method", choices=("lemma", "agglomerative"), help="baseline method")
-    sp.add_argument("--distance-model", dest="distance_model",
-                    help="trained pairwise model JSON (agglomerative only)")
-    sp.add_argument("--wd-threshold", dest="wd_threshold", type=float,
-                    help="within-document merge threshold")
-    sp.add_argument("--cd-threshold", dest="cd_threshold", type=float,
-                    help="cross-document merge threshold")
-    sp.add_argument("-o", "--output", help="clustering file to write")
-    sp.set_defaults(func=cmd_baseline)
-
-    sp = sub.add_parser("score", help="score predicted clusterings against gold")
-    _add_common(sp)
-    sp.add_argument("predictions", nargs="+", help="clustering JSON files (averaged)")
-    sp.add_argument("--gold", help="gold chains JSON (when not in the corpus file)")
-    sp.add_argument("--setting", choices=("WD", "CD", "both"),
-                    help="evaluation setting (default both)")
-    sp.add_argument("-o", "--output", help="JSON report file to write")
-    sp.set_defaults(func=cmd_score)
-
-    sp = sub.add_parser("oracle-posterior",
-                        help="enumerate the exact clustering posterior (small corpora)")
-    _add_common(sp)
-    _add_resources(sp)
-    _add_model_selection(sp)
-    sp.add_argument("--top", type=int, help="clusterings to print")
-    sp.add_argument("-o", "--output", help="JSON posterior file to write")
-    sp.set_defaults(func=cmd_oracle_posterior)
+    for command, (_, help_text, defaults) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="JSON file supplying option defaults")
+        if command == "score":
+            sp.add_argument("predictions", nargs="+", help="clustering JSON files (averaged)")
+        for name in defaults:
+            flags, kind, help_text, *choices = OPTIONS[name]
+            if kind is bool:
+                kind_args = dict(action="store_true", default=None)
+            else:
+                kind_args = dict(type=kind, choices=choices[0] if choices else None)
+            sp.add_argument(*flags, dest=name, help=help_text, **kind_args)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    func, _, defaults = COMMANDS[args.command]
     try:
-        result = args.func(args)
+        result = func(resolve_config(args, defaults), args)
         return 0 if result is None else result
     except UniverseMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

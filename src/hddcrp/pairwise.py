@@ -20,7 +20,7 @@ order in which the weighted feature sum is accumulated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,8 @@ def build_training_pairs(corpus, sigma=0.4):
     restricted to document pairs with cosine similarity at least sigma."""
     if corpus.gold is None:
         raise InputError("training requires gold chains")
+    if not np.isfinite(sigma):
+        raise InputError(f"sigma must be finite, got {sigma}")
     chain_of = corpus.gold.chain_of()
 
     def coreferent(a, b):
@@ -118,6 +120,10 @@ class PairwiseModel:
             )
         if not np.isfinite(self.theta).all():
             raise InputError("weight vector contains non-finite values")
+        values = (self.l2_strength, self.truncation_threshold, self.gamma)
+        if not np.isfinite(values).all() or self.l2_strength < 0:
+            raise InputError(f"l2, truncation threshold and gamma must be finite and l2 "
+                             f"nonnegative, got {values}")
 
     def pair_similarity(self, a, b, resources):
         """Logistic similarity in (0, 1); symmetric in a and b."""
@@ -206,6 +212,8 @@ def train(
     """
     if extractor is None:
         extractor = FeatureExtractor.from_corpus(corpus)
+    # checks the hyperparameters before the fit
+    model = PairwiseModel(np.zeros(len(extractor)), extractor, l2, truncation_threshold, gamma)
     if pairs is None:
         pairs = build_training_pairs(corpus, sigma)
     if not pairs:
@@ -217,8 +225,7 @@ def train(
         raise InputError("non-finite feature values in training data")
     if len(np.unique(labels)) < 2:
         raise InputError("training pairs all carry the same label")
-    theta = fit_theta(features, labels, l2, gtol, max_iter)
-    return PairwiseModel(theta, extractor, l2, truncation_threshold, gamma)
+    return replace(model, theta=fit_theta(features, labels, l2, gtol, max_iter))
 
 
 def pair_accuracy(model, corpus, resources, pairs, features=None):

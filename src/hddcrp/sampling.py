@@ -94,8 +94,9 @@ class SamplerConfig:
             raise InputError("concentrations must be positive")
         if self.iterations < 1 or self.chains < 1:
             raise InputError("iterations and chains must be at least 1")
-        if self.burn_in < 0:
-            raise InputError("burn_in must be nonnegative")
+        for name in ("burn_in", "seed"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.concentration <= 0:
             raise InputError("concentration must be positive")
 
@@ -133,20 +134,6 @@ def _support(n, self_weight, rows, targets, weights):
     )
 
 
-def _fn_links(pairs, fn):
-    """(row, target, weight) arrays of fn over (row, target, *args) tuples."""
-    rows, targets, weights = [], [], []
-    for i, j, *args in pairs:
-        rows.append(i)
-        targets.append(j)
-        weights.append(fn(*args))
-    return (
-        np.array(rows, dtype=np.intp),
-        np.array(targets, dtype=np.intp),
-        np.array(weights, dtype=np.float64),
-    )
-
-
 def _both_ways(i, j, w):
     return np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((w, w))
 
@@ -162,71 +149,50 @@ def _trained_pairs(pairwise, mentions, resources):
     return [np.concatenate(x) for x in zip(*parts)]
 
 
-def build_priors(corpus, config, pairwise=None, resources=None, within_fn=None, cross_fn=None):
-    """Assemble link supports for a model from trained distances.
+def _uniform_pairs(sizes, across):
+    """(i, j, 1.0) arrays of the pairs i < j of the canonical order, over
+    documents of the given sizes; pairs across documents only if across."""
+    bounds = np.cumsum([0, *sizes]).tolist()
+    blocks = [(0, bounds[-1])] if across else zip(bounds, bounds[1:])
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp))]
+    parts += [[lo + x for x in np.triu_indices(hi - lo, 1)] for lo, hi in blocks]
+    i, j = (np.concatenate(x) for x in zip(*parts))
+    return i, j, np.ones(len(i))
 
-    within_fn(a, b) and cross_fn(a, b, doc_a, doc_b) override the trained
-    distances; hdp_lex always uses constant within-document weights.
-    """
+
+def build_priors(corpus, config, pairwise=None, resources=None, uniform=False):
+    """Assemble link supports for a model from trained distances, or from a
+    distance of 1.0 on every allowed link if uniform; hdp_lex is always
+    uniform."""
     order = corpus.mentions_in_order()
     n = len(order)
     documents = sorted(corpus.documents, key=lambda d: d.doc_id)
-    doc_index = {d.doc_id: k for k, d in enumerate(documents)}
-    docs = [doc_index[m.doc_id] for m in order]
-    doc_of = np.array(docs, dtype=np.intp)
+    sizes = [len(d.mentions) for d in documents]
+    doc_of = np.repeat(np.arange(len(documents)), sizes)
     kind = config.model
     alpha_d, alpha_0 = config.alpha_d, config.resolved_alpha_0
 
-    if kind == "hdp_lex":
-        within_fn = lambda a, b: 1.0
-    trained_cross = kind == "hddcrp" and cross_fn is None and len(documents) > 1
-    if within_fn is None or trained_cross:
-        if pairwise is None or resources is None:
-            raise InputError(f"model {kind!r} needs a trained distance model")
+    uniform = uniform or kind == "hdp_lex"
+    if uniform:
+        # only hddcrp tables and ddcrp_flat links leave the document
+        i, j, w = _uniform_pairs(sizes, kind in ("hddcrp", "ddcrp_flat"))
+    elif pairwise is None or resources is None:
+        raise InputError(f"model {kind!r} needs a trained distance model")
+    else:
         i, j, w = _trained_pairs(pairwise, order, resources)
 
     if kind == "ddcrp_flat":
-        if within_fn is None:
-            links = _both_ways(i, j, w)
-        else:
-            links = _fn_links(
-                ((k, h, a, b) for k, a in enumerate(order) for h, b in enumerate(order) if h != k),
-                within_fn,
-            )
-        return Priors(_support(n, alpha_0, *links))
+        return Priors(_support(n, alpha_0, *_both_ways(i, j, w)))
 
-    if within_fn is None:
-        # the later mention of a same-document pair links back to the earlier
-        same = doc_of[i] == doc_of[j]
-        links = (j[same], i[same], w[same])
-    else:
-        first = {}  # doc -> index of its first mention in the canonical order
-        for k, d in enumerate(docs):
-            first.setdefault(d, k)
-        links = _fn_links(
-            ((k, h, a, order[h]) for k, a in enumerate(order) for h in range(first[docs[k]], k)),
-            within_fn,
-        )
-    customer = _support(n, alpha_d, *links)
-
+    # the later mention of a same-document pair links back to the earlier
+    same = doc_of[i] == doc_of[j]
+    customer = _support(n, alpha_d, j[same], i[same], w[same])
     table = None
     if kind == "hddcrp":
-        if trained_cross:
-            cross = doc_of[i] != doc_of[j]
-            i, j = i[cross], j[cross]
-            w = pairwise.cross_doc_factors(documents)[doc_of[i], doc_of[j]] * w[cross]
-            links = _both_ways(i, j, w)
-        else:
-            links = _fn_links(
-                (
-                    (k, h, a, b, documents[docs[k]], documents[docs[h]])
-                    for k, a in enumerate(order)
-                    for h, b in enumerate(order)
-                    if docs[k] != docs[h]
-                ),
-                cross_fn,
-            )
-        table = _support(n, alpha_0, *links)
+        i, j, w = i[~same], j[~same], w[~same]
+        if not uniform:
+            w = pairwise.cross_doc_factors(documents)[doc_of[i], doc_of[j]] * w
+        table = _support(n, alpha_0, *_both_ways(i, j, w))
     return Priors(customer, table)
 
 

@@ -239,21 +239,27 @@ def total_variation(p, q):
 # ---------------------------------------------------------------------------
 
 
-def priors_reference(corpus, config, pairwise, resources):
-    """(customer, table) candidate lists scored one pair at a time with the
-    per-pair distance methods: self candidate first, then every earlier
-    same-document (or, for ddcrp_flat, any other) mention with a positive
-    weight, targets ascending; table candidates for hddcrp only."""
+def priors_reference(corpus, config, pairwise=None, resources=None, uniform=False):
+    """(customer, table) candidate tuples scored one pair at a time with the
+    per-pair distance methods, or with distance 1.0 if uniform: self
+    candidate first, then every earlier same-document (or, for ddcrp_flat,
+    any other) mention with a positive weight, targets ascending; table
+    candidates for hddcrp only."""
     order = corpus.mentions_in_order()
     docs = {d.doc_id: d for d in corpus.documents}
     kind = config.model
 
     def within(a, b):
-        if kind == "hdp_lex":
+        if uniform or kind == "hdp_lex":
             return 1.0
         if kind == "ddcrp_flat":
             return pairwise.truncated_similarity(a, b, resources)
         return pairwise.within_doc_distance(a, b, resources)
+
+    def cross(a, b):
+        if uniform:
+            return 1.0
+        return pairwise.cross_doc_distance(a, b, docs[a.doc_id], docs[b.doc_id], resources)
 
     customer, table = [], []
     for i, a in enumerate(order):
@@ -264,15 +270,11 @@ def priors_reference(corpus, config, pairwise, resources):
             allowed = [j for j in range(i) if order[j].doc_id == a.doc_id]
             self_weight = config.alpha_d
         row = [(j, within(a, order[j])) for j in allowed]
-        customer.append([(i, self_weight)] + [(j, w) for j, w in row if w > 0])
+        customer.append(((i, self_weight), *[(j, w) for j, w in row if w > 0]))
         if kind == "hddcrp":
-            row = [
-                (j, pairwise.cross_doc_distance(a, b, docs[a.doc_id], docs[b.doc_id], resources))
-                for j, b in enumerate(order)
-                if b.doc_id != a.doc_id
-            ]
-            table.append([(i, config.resolved_alpha_0)] + [(j, w) for j, w in row if w > 0])
-    return customer, (table if kind == "hddcrp" else None)
+            row = [(j, cross(a, b)) for j, b in enumerate(order) if b.doc_id != a.doc_id]
+            table.append(((i, config.resolved_alpha_0), *[(j, w) for j, w in row if w > 0]))
+    return tuple(customer), (tuple(table) if kind == "hddcrp" else None)
 
 
 def agglomerative_reference(corpus, model, resources, wd_threshold, cd_threshold):

@@ -49,7 +49,7 @@ from reference_impls import (
     total_variation,
 )
 
-UNIFORM = dict(within_fn=lambda a, b: 1.0, cross_fn=lambda a, b, da, db: 1.0)
+UNIFORM = dict(uniform=True)
 
 
 @pytest.fixture(autouse=True)

@@ -4,13 +4,9 @@ import pytest
 from reference_impls import agglomerative_reference
 
 from hddcrp import features, pairwise
-from hddcrp.baselines import (
-    AgglomerativeConfig,
-    _single_link,
-    agglomerative,
-    lemma_baseline,
-)
+from hddcrp.baselines import AgglomerativeConfig, agglomerative, lemma_baseline
 from hddcrp.corpus import gold_partition
+from hddcrp.errors import InputError
 from hddcrp.metrics import score
 
 
@@ -34,30 +30,12 @@ class TestLemmaBaseline:
         assert report.conll_f1 < 0.75
 
 
-class TestSingleLink:
-    def test_hand_traced_merge_sequence(self):
-        edges = [(0.9, 0, 1), (0.8, 2, 3), (0.6, 1, 2), (0.4, 0, 3)]
-        parts, trace = _single_link(4, edges, threshold=0.7)
-        assert sorted(sorted(p) for p in parts) == [[0, 1], [2, 3]]
-        assert [(a, b) for _, a, b in trace] == [(0, 1), (2, 3)]
-
-    def test_lower_threshold_merges_everything(self):
-        edges = [(0.9, 0, 1), (0.8, 2, 3), (0.6, 1, 2), (0.4, 0, 3)]
-        parts, trace = _single_link(4, edges, threshold=0.5)
-        assert sorted(sorted(p) for p in parts) == [[0, 1, 2, 3]]
-        assert len(trace) == 3
-
-    def test_ties_break_deterministically_by_index(self):
-        edges = [(0.8, 0, 1), (0.8, 0, 2)]
-        _, trace_a = _single_link(3, edges, threshold=0.5)
-        _, trace_b = _single_link(3, list(reversed(edges)), threshold=0.5)
-        assert trace_a == trace_b
-
-
 class TestAgglomerative:
     def test_thresholds_must_lie_in_unit_interval(self):
         with pytest.raises(ValueError):
             AgglomerativeConfig(wd_threshold=1.5)
+        with pytest.raises(InputError):
+            AgglomerativeConfig(cd_threshold=float("nan"))
 
     def test_high_cross_threshold_keeps_clusters_within_documents(
         self, synthetic_corpus, resources, trained_model

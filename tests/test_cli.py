@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from hddcrp import pairwise
-from hddcrp.cli import main
+from hddcrp.cli import build_parser, main
 from hddcrp.corpus import Corpus, Document, GoldChains, Mention, save_corpus
 from hddcrp.data import (
     synthetic_corpus_path,
@@ -100,6 +101,31 @@ class TestTrainDistance:
         )
         assert code == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--gamma", "nan"],
+            ["--gamma", "inf"],
+            ["--l2", "nan"],
+            ["--l2", "-1"],
+            ["--sigma", "nan"],
+            ["--truncation-threshold", "inf"],
+        ],
+    )
+    def test_non_finite_hyperparameters_exit_two(self, flags, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run(
+            [
+                "train-distance",
+                "--corpus", synthetic_corpus_path(),
+                *flags,
+                "-o", out,
+            ]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         argv = [
@@ -211,6 +237,7 @@ class TestSample:
             ["--concentration", "inf"],
             ["--jobs", "0"],
             ["--jobs", "-2"],
+            ["--seed", "-1"],
         ],
     )
     def test_non_finite_settings_and_bad_jobs_exit_two(self, flags, tmp_path, capsys):
@@ -319,6 +346,14 @@ class TestConfigPrecedence:
         )
         assert code == 2
 
+    def test_negative_seed_env_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HDDCRP_SEED", "-1")
+        code = run(["sample", "--corpus", tiny_corpus_path(), "--model", "hdp-lex",
+                    "--output-dir", tmp_path / "x"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_keys_are_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"iterationz": 7}), encoding="utf-8")
@@ -354,6 +389,27 @@ class TestConfigPrecedence:
             ]
         )
         assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["bogus", ""])
+    @pytest.mark.parametrize(
+        "command, key", [("sample", "model"), ("baseline", "method"), ("score", "setting")]
+    )
+    def test_config_values_outside_the_choices_exit_two(
+        self, tmp_path, capsys, command, key, value
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--corpus", tiny_corpus_path(), "--config", cfg]
+        if command == "sample":
+            argv += ["--iterations", 2, "--chains", 1, "--output-dir", out]
+        elif command == "baseline":
+            argv += ["-o", out]
+        else:
+            argv += [tiny_corpus_path(), "-o", out]
+        assert run(argv) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 
@@ -447,6 +503,25 @@ class TestBaselineAndScore:
         assert obj["method"] == "agglomerative"
         assert len(obj["assignment"]) == 40
 
+    @pytest.mark.parametrize("flags", [["--wd-threshold", "2.0"], ["--cd-threshold", "nan"]])
+    def test_thresholds_outside_the_unit_interval_exit_two(
+        self, model_file, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "agg.json"
+        code = run(
+            [
+                "baseline",
+                "--corpus", synthetic_corpus_path(),
+                "--method", "agglomerative",
+                "--distance-model", model_file,
+                *flags,
+                "-o", out,
+            ]
+        )
+        assert code == 2
+        assert "thresholds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_score_accepts_bare_mapping_files(self, tmp_path):
         corpus = self.gold_equals_lemma_corpus(tmp_path)
         bare = tmp_path / "bare.json"
@@ -508,6 +583,14 @@ class TestOraclePosterior:
         assert probs == sorted(probs, reverse=True)
         assert obj["config"]["alpha_0"] == 0.001
 
+    def test_negative_top_exits_two(self, tmp_path, capsys):
+        code = run(
+            ["oracle-posterior", "--corpus", tiny_corpus_path(), "--uniform-distances",
+             "--top", -1]
+        )
+        assert code == 2
+        assert "--top" in capsys.readouterr().err
+
     def test_rejects_models_without_exact_enumeration(self, tmp_path, capsys):
         code = run(
             [
@@ -529,3 +612,80 @@ def test_importing_the_cli_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+_COMMON = {"corpus": (("--corpus",), str, None), "config": (("--config",), str, None)}
+_RESOURCES = {
+    "embeddings": (("--embeddings",), str, None),
+    "synonyms": (("--synonyms",), str, None),
+}
+_MODEL_SELECTION = {
+    "model": (("--model",), str, ("ddcrp", "hddcrp", "hddcrp-star", "hdp-lex")),
+    "distance_model": (("--distance-model",), str, None),
+    "uniform_distances": (("--uniform-distances",), bool, None),
+    "alpha_d": (("--alpha-d",), float, None),
+    "alpha_0": (("--alpha0",), float, None),
+    "concentration": (("--concentration",), float, None),
+}
+_OUTPUT = {"output": (("-o", "--output"), str, None)}
+
+# dest -> (option strings, type, choices) of every subcommand; bool marks a
+# store_true flag, and every default is None so that config files can fill it
+PARSER_SURFACE = {
+    "train-distance": {
+        **_COMMON, **_RESOURCES, **_OUTPUT,
+        "gold": (("--gold",), str, None),
+        "l2": (("--l2",), float, None),
+        "sigma": (("--sigma",), float, None),
+        "truncation_threshold": (("--truncation-threshold",), float, None),
+        "gamma": (("--gamma",), float, None),
+    },
+    "sample": {
+        **_COMMON, **_RESOURCES, **_MODEL_SELECTION,
+        "iterations": (("--iterations",), int, None),
+        "chains": (("--chains",), int, None),
+        "seed": (("--seed",), int, None),
+        "burn_in": (("--burn-in",), int, None),
+        "randomized_scan": (("--randomized-scan",), bool, None),
+        "map_estimate": (("--map-estimate",), bool, None),
+        "flat_likelihood": (("--flat-likelihood",), bool, None),
+        "jobs": (("--jobs",), int, None),
+        "output_dir": (("--output-dir",), str, None),
+    },
+    "baseline": {
+        **_COMMON, **_RESOURCES, **_OUTPUT,
+        "method": (("--method",), str, ("agglomerative", "lemma")),
+        "distance_model": (("--distance-model",), str, None),
+        "wd_threshold": (("--wd-threshold",), float, None),
+        "cd_threshold": (("--cd-threshold",), float, None),
+    },
+    "score": {
+        **_COMMON, **_OUTPUT,
+        "predictions": ((), str, None),
+        "gold": (("--gold",), str, None),
+        "setting": (("--setting",), str, ("CD", "WD", "both")),
+    },
+    "oracle-posterior": {
+        **_COMMON, **_RESOURCES, **_MODEL_SELECTION, **_OUTPUT,
+        "top": (("--top",), int, None),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_parser_surface():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(PARSER_SURFACE)
+    for name, sp in sub.choices.items():
+        got = {}
+        for a in sp._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            assert a.default is None, (name, a.dest)
+            flag = isinstance(a, argparse._StoreTrueAction)
+            kind = bool if flag else a.type or str
+            choices = tuple(sorted(a.choices)) if a.choices else None
+            got[a.dest] = (tuple(a.option_strings), kind, choices)
+        assert got == PARSER_SURFACE[name], name
+    (predictions,) = [a for a in sub.choices["score"]._actions if a.dest == "predictions"]
+    assert predictions.nargs == "+"

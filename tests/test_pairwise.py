@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -64,6 +65,11 @@ class TestTrainingPairs:
         bare = Corpus(synthetic_corpus.documents)
         with pytest.raises(InputError):
             build_training_pairs(bare, sigma=0.4)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_is_an_input_error(self, synthetic_corpus, sigma):
+        with pytest.raises(InputError):
+            build_training_pairs(synthetic_corpus, sigma=sigma)
 
 
 class TestObjective:
@@ -197,6 +203,21 @@ class TestPersistence:
         with pytest.raises(InputError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("gamma", math.nan), ("l2", math.inf), ("l2", -1.0), ("truncation_threshold", math.nan)],
+    )
+    def test_hand_edited_hyperparameters_are_checked_on_load(
+        self, trained_model, tmp_path, key, value
+    ):
+        path = tmp_path / "model.json"
+        save_model(trained_model, path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj[key] = value
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(InputError):
+            load_model(path)
+
 
 class TestTrainValidation:
     def test_single_class_corpus_rejected(self):
@@ -210,6 +231,23 @@ class TestTrainValidation:
         corpus = Corpus((doc,), GoldChains((frozenset({"d-m0", "d-m1"}),)))
         with pytest.raises(InputError):
             train(corpus, LexicalResources())
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("l2", math.nan), ("l2", -0.5), ("gamma", math.nan), ("gamma", math.inf),
+            ("truncation_threshold", -math.inf),
+        ],
+    )
+    def test_non_finite_hyperparameters_are_rejected_before_the_fit(
+        self, synthetic_corpus, resources, monkeypatch, name, value
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_theta called")
+
+        monkeypatch.setattr(pairwise, "fit_theta", no_fit)
+        with pytest.raises(InputError):
+            train(synthetic_corpus, resources, **{name: value})
 
 
 @pytest.fixture(params=[5, features.BLOCK_ROWS], ids=["small-blocks", "default-blocks"])

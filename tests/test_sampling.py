@@ -26,10 +26,11 @@ from reference_impls import (
     dirichlet_marginal_reference,
     enumerate_flat_posterior,
     enumerate_star_posterior,
+    priors_reference,
     total_variation,
 )
 
-UNIFORM = dict(within_fn=lambda a, b: 1.0, cross_fn=lambda a, b, da, db: 1.0)
+UNIFORM = dict(uniform=True)
 
 
 def single_doc_corpus(n, head="w"):
@@ -90,6 +91,8 @@ class TestConfig:
             SamplerConfig(iterations=0)
         with pytest.raises(InputError):
             SamplerConfig(concentration=-1.0)
+        with pytest.raises(InputError):
+            SamplerConfig(seed=-1)
         for bad in (math.nan, math.inf, -math.inf):
             for name in ("alpha_d", "alpha_0", "concentration"):
                 with pytest.raises(InputError):
@@ -136,6 +139,34 @@ class TestPriors:
     def test_distance_models_are_required_when_documents_interact(self, synthetic_corpus):
         with pytest.raises(InputError):
             build_priors(synthetic_corpus, SamplerConfig(model="hddcrp"))
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("corpus_name", ["tiny_corpus", "synthetic_corpus", "single_doc"])
+    def test_uniform_priors_equal_the_per_pair_reference(self, request, model, corpus_name):
+        if corpus_name == "single_doc":
+            corpus = single_doc_corpus(4)
+        else:
+            corpus = request.getfixturevalue(corpus_name)
+        config = SamplerConfig(model=model)
+        priors = build_priors(corpus, config, uniform=True)
+        assert (priors.customer, priors.table) == priors_reference(corpus, config, uniform=True)
+
+    @pytest.mark.parametrize("model", ["hdp_lex", "hddcrp_star"])
+    def test_uniform_within_document_priors_make_only_same_document_pairs(
+        self, synthetic_corpus, monkeypatch, model
+    ):
+        made = []
+        pairs = sampling._uniform_pairs
+
+        def counted(sizes, across):
+            i, j, w = pairs(sizes, across)
+            made.append(len(i))
+            return i, j, w
+
+        monkeypatch.setattr(sampling, "_uniform_pairs", counted)
+        build_priors(synthetic_corpus, SamplerConfig(model=model), uniform=True)
+        sizes = [len(d.mentions) for d in synthetic_corpus.documents]
+        assert made == [sum(k * (k - 1) // 2 for k in sizes)]
 
     def test_single_document_hddcrp_needs_no_distance_model(self):
         corpus = single_doc_corpus(3)
