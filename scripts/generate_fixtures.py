@@ -1,5 +1,9 @@
 """Regenerate the bundled data fixtures under src/hddcrp/data/.
 
+    python3 scripts/generate_fixtures.py [OUT_DIR]
+
+writes them to OUT_DIR instead when it is given.
+
 The synthetic corpus has three topics (seminal events), two documents each,
 40 mentions total.  Each topic holds two distinct gold events that share head
 lemmas, so head matching alone over-merges them inside a topic; argument and
@@ -204,19 +208,20 @@ SYNONYMS = {
 }
 
 
-def main():
-    DATA.mkdir(parents=True, exist_ok=True)
-    save_corpus(build_synthetic(), DATA / "synthetic_corpus.jsonl")
-    save_corpus(build_tiny(), DATA / "tiny_corpus.jsonl")
-    with open(DATA / "synthetic_embeddings.txt", "w", encoding="utf-8") as fh:
+def main(out=DATA):
+    out = pathlib.Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_corpus(build_synthetic(), out / "synthetic_corpus.jsonl")
+    save_corpus(build_tiny(), out / "tiny_corpus.jsonl")
+    with open(out / "synthetic_embeddings.txt", "w", encoding="utf-8") as fh:
         for lemma in sorted(EMBEDDINGS):
             values = " ".join(repr(v) for v in EMBEDDINGS[lemma])
             fh.write(f"{lemma} {values}\n")
-    with open(DATA / "synthetic_synonyms.txt", "w", encoding="utf-8") as fh:
+    with open(out / "synthetic_synonyms.txt", "w", encoding="utf-8") as fh:
         for lemma in sorted(SYNONYMS):
             fh.write(f"{lemma}\t{','.join(SYNONYMS[lemma])}\n")
-    print(f"fixtures written to {DATA}")
+    print(f"fixtures written to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -21,16 +21,9 @@ from .corpus import (
 )
 from .errors import InputError, UniverseMismatchError
 from .features import FeatureExtractor
-from .likelihood import (
-    ClusterStats,
-    LikelihoodParams,
-    corpus_log_likelihood,
-    log_marginal,
-    log_ratio_for_merge,
-)
+from .likelihood import LikelihoodParams, corpus_log_likelihood, lemma_bags
 from .links import (
     ClusterAssignment,
-    LinkState,
     canonical_order,
     clusters_from_links,
     tables_from_customer_links,
@@ -70,7 +63,6 @@ __all__ = [
     "AgglomerativeConfig",
     "ChainResult",
     "ClusterAssignment",
-    "ClusterStats",
     "Corpus",
     "DEFAULT_ALPHA_0",
     "Document",
@@ -79,7 +71,6 @@ __all__ = [
     "InputError",
     "LexicalResources",
     "LikelihoodParams",
-    "LinkState",
     "MODELS",
     "Mention",
     "PairwiseModel",
@@ -100,11 +91,10 @@ __all__ = [
     "format_table",
     "gold_partition",
     "init_state",
+    "lemma_bags",
     "lemma_baseline",
     "load_corpus",
     "load_model",
-    "log_marginal",
-    "log_ratio_for_merge",
     "mean_reports",
     "muc",
     "pair_accuracy",

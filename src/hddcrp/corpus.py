@@ -150,19 +150,8 @@ class Corpus:
                         raise InputError(f"mention {mid!r} appears in two gold chains")
                     covered.add(mid)
 
-    def doc(self, doc_id) -> Document:
-        return self._doc_index[doc_id]
-
     def mention(self, mention_id) -> Mention:
         return self._mention_index[mention_id]
-
-    @property
-    def _doc_index(self):
-        idx = getattr(self, "_doc_idx_cache", None)
-        if idx is None:
-            idx = {d.doc_id: d for d in self.documents}
-            object.__setattr__(self, "_doc_idx_cache", idx)
-        return idx
 
     @property
     def _mention_index(self):
@@ -209,23 +198,46 @@ def gold_partition(corpus: Corpus):
 # ---------------------------------------------------------------------------
 
 
+def _is_strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_SHAPES = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a list of strings": _is_strings,
+    "a list of lists of strings": lambda v: isinstance(v, list) and all(map(_is_strings, v)),
+}
+
+
+def _field(obj, key, shape, line_no, default=None):
+    """obj[key], or default if given and key is absent; InputError unless the
+    value has the named shape."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not _SHAPES[shape](value):
+        raise InputError(f"line {line_no}: {key} must be {shape}, got {value!r:.60}")
+    return value
+
+
 def _parse_mention(obj, doc_id, fallback_order, line_no):
+    if not isinstance(obj, dict):
+        raise InputError(f"line {line_no}: a mention must be an object, got {obj!r:.60}")
     try:
-        arguments = {
-            role: tuple(tuple(span) for span in spans)
-            for role, spans in obj.get("arguments", {}).items()
-        }
+        arguments = _field(obj, "arguments", "an object", line_no, {})
+        spans = {r: _field(arguments, r, "a list of lists of strings", line_no) for r in arguments}
         return Mention(
-            mention_id=obj["mention_id"],
+            mention_id=_field(obj, "mention_id", "a string", line_no),
             doc_id=doc_id,
-            order_index=int(obj.get("order_index", fallback_order)),
-            head_lemma=obj["head_lemma"],
-            head_pos=obj["head_pos"],
-            span_lemmas=tuple(obj["span_lemmas"]),
-            context_lemmas=tuple(obj.get("context_lemmas", ())),
-            arguments=arguments,
+            order_index=_field(obj, "order_index", "an integer", line_no, fallback_order),
+            head_lemma=_field(obj, "head_lemma", "a string", line_no),
+            head_pos=_field(obj, "head_pos", "a string", line_no),
+            span_lemmas=tuple(_field(obj, "span_lemmas", "a list of strings", line_no)),
+            context_lemmas=tuple(_field(obj, "context_lemmas", "a list of strings", line_no, [])),
+            arguments={role: tuple(map(tuple, s)) for role, s in spans.items()},
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"line {line_no}: malformed mention object ({exc})") from exc
 
 
@@ -251,17 +263,18 @@ def load_corpus(path, gold_path=None) -> Corpus:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}: line {line_no}: not valid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise InputError(f"line {line_no}: expected a JSON object, got {obj!r:.60}")
             if "doc_id" in obj:
-                doc_id = obj["doc_id"]
+                doc_id = _field(obj, "doc_id", "a string", line_no)
                 if "seminal_event_id" not in obj:
                     raise InputError(f"line {line_no}: document {doc_id!r} lacks seminal_event_id")
                 mentions = [
                     _parse_mention(mobj, doc_id, k, line_no)
-                    for k, mobj in enumerate(obj.get("mentions", []))
+                    for k, mobj in enumerate(_field(obj, "mentions", "a list", line_no, []))
                 ]
-                documents.append(
-                    Document.build(doc_id, obj["seminal_event_id"], mentions)
-                )
+                seminal = _field(obj, "seminal_event_id", "a string", line_no)
+                documents.append(Document.build(doc_id, seminal, mentions))
             elif "gold_chains" in obj:
                 if gold_chains is not None:
                     raise InputError(f"line {line_no}: duplicate gold_chains entry")

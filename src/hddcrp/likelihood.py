@@ -9,7 +9,7 @@ for which all terms over lemmas absent from both halves cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lgamma
 
 
@@ -31,48 +31,41 @@ class LikelihoodParams:
         return LikelihoodParams(concentration, max(1, len(corpus.span_vocabulary())))
 
 
-class ClusterStats:
-    """Mutable bag of lemma counts for one cluster."""
+def lemma_bags(lemma_lists):
+    """Lemma counts of each list, each list's total, and a function from a set
+    of list indices to their summed counts and total.
 
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts=None):
-        self.counts = dict(counts) if counts else {}
-        self.total = sum(self.counts.values())
-
-    def add(self, lemmas):
+    The function sums in ascending index order, so equal sets give identical
+    bags.  It holds no state object, so the caches that keep it make no
+    reference cycle.
+    """
+    counts = []
+    for lemmas in lemma_lists:
+        bag = {}
         for tok in lemmas:
-            self.counts[tok] = self.counts.get(tok, 0) + 1
-        self.total += len(lemmas)
+            bag[tok] = bag.get(tok, 0) + 1
+        counts.append(bag)
+    totals = [sum(bag.values()) for bag in counts]
 
-    def __eq__(self, other):
-        return isinstance(other, ClusterStats) and self.counts == other.counts
+    def bag_of(members):
+        merged = {}
+        total = 0
+        for m in sorted(members):
+            for tok, c in counts[m].items():
+                merged[tok] = merged.get(tok, 0) + c
+            total += totals[m]
+        return merged, total
 
-    def __repr__(self):
-        return f"ClusterStats({self.counts!r})"
-
-    @staticmethod
-    def of_mentions(mentions):
-        stats = ClusterStats()
-        for m in mentions:
-            stats.add(m.span_lemmas)
-        return stats
+    return counts, totals, bag_of
 
 
-def log_marginal(stats: ClusterStats, params: LikelihoodParams) -> float:
+def log_marginal_raw(counts, total, c, v):
     """Log marginal likelihood of one cluster's lemma counts.
 
     log [ G(V*c) / G(V*c + N) * prod_w G(c + n_w) / G(c) ] with G the gamma
     function, c the concentration, V the vocabulary size, N the total count.
     Lemmas with n_w = 0 contribute nothing.
     """
-    return log_marginal_raw(
-        stats.counts, stats.total, params.concentration, params.vocab_size
-    )
-
-
-def log_marginal_raw(counts, total, c, v):
-    """log_marginal on a raw count dict; the sampler hot path."""
     out = lgamma(v * c) - lgamma(v * c + total)
     lg_c = lgamma(c)
     for n in counts.values():
@@ -82,22 +75,16 @@ def log_marginal_raw(counts, total, c, v):
 
 def corpus_log_likelihood(assignment, corpus, params: LikelihoodParams) -> float:
     """Sum of per-cluster log marginals under a clustering of the corpus."""
-    total = 0.0
-    for part in assignment.partition():
-        stats = ClusterStats.of_mentions(corpus.mention(mid) for mid in part)
-        total += log_marginal(stats, params)
-    return total
-
-
-def log_ratio_for_merge(a: ClusterStats, b: ClusterStats, params: LikelihoodParams) -> float:
-    """log p(merged) - log p(a) - log p(b) for two mention-disjoint clusters.
-
-    Computed without building the merged bag: only lemmas present in both
-    halves contribute to the product term, the normalizer term always does.
-    """
-    return merge_ratio_raw(
-        a.counts, a.total, b.counts, b.total, params.concentration, params.vocab_size
+    _, _, bag_of = lemma_bags(
+        corpus.mention(mid).span_lemmas for mid in assignment.mention_ids
     )
+    parts = {}
+    for m, k in enumerate(assignment.labels):
+        parts.setdefault(k, []).append(m)
+    total = 0.0
+    for part in parts.values():
+        total += log_marginal_raw(*bag_of(part), params.concentration, params.vocab_size)
+    return total
 
 
 def merge_normaliser_raw(total_a, total_b, c, v):
@@ -112,7 +99,11 @@ def merge_normaliser_raw(total_a, total_b, c, v):
 
 
 def merge_ratio_raw(counts_a, total_a, counts_b, total_b, c, v):
-    """log_ratio_for_merge on raw count dicts; the sampler hot path."""
+    """log p(merged) - log p(a) - log p(b) for two mention-disjoint clusters.
+
+    Computed without building the merged bag: only lemmas present in both
+    halves contribute to the product term, the normalizer term always does.
+    """
     out = merge_normaliser_raw(total_a, total_b, c, v)
     if len(counts_b) < len(counts_a):
         counts_a, counts_b = counts_b, counts_a

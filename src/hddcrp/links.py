@@ -67,44 +67,6 @@ def clusters_from_links(customer_link, table_link):
 
 
 @dataclass(frozen=True)
-class LinkState:
-    """A full link configuration over the mentions of a corpus.
-
-    Mentions are indexed in canonical order: documents by doc_id, mentions by
-    order_index within each document.
-    """
-
-    mention_ids: tuple[str, ...]
-    doc_of: tuple[int, ...]
-    customer_link: tuple[int, ...]
-    table_link: tuple[int, ...]
-
-    def validate(self):
-        n = len(self.mention_ids)
-        if not (len(self.doc_of) == len(self.customer_link) == len(self.table_link) == n):
-            raise InputError("link arrays have inconsistent lengths")
-        for i in range(n):
-            j = self.customer_link[i]
-            if j != i and (self.doc_of[j] != self.doc_of[i] or j > i):
-                raise InputError(
-                    f"customer link {i} -> {j} must stay within the document "
-                    "and point backwards"
-                )
-            k = self.table_link[i]
-            if k != i and self.doc_of[k] == self.doc_of[i]:
-                raise InputError(f"table link {i} -> {k} must leave the document")
-
-    def tables(self):
-        return tables_from_customer_links(self.customer_link)
-
-    def clusters(self):
-        return clusters_from_links(self.customer_link, self.table_link)
-
-    def assignment(self):
-        return ClusterAssignment.from_index_partition(self.mention_ids, self.clusters())
-
-
-@dataclass(frozen=True)
 class ClusterAssignment:
     """A clustering of mentions with canonical labels.
 
@@ -160,13 +122,6 @@ class ClusterAssignment:
 
     def n_clusters(self):
         return max(self.labels) + 1 if self.labels else 0
-
-    def restrict(self, keep_ids):
-        """Assignment over a subset of mentions, relabeled canonically."""
-        keep = set(keep_ids)
-        ids = tuple(m for m in self.mention_ids if m in keep)
-        labels = [l for m, l in zip(self.mention_ids, self.labels) if m in keep]
-        return ClusterAssignment(ids, _canonical(labels))
 
 
 def _canonical(labels):

@@ -124,6 +124,9 @@ class PairwiseModel:
         if not np.isfinite(values).all() or self.l2_strength < 0:
             raise InputError(f"l2, truncation threshold and gamma must be finite and l2 "
                              f"nonnegative, got {values}")
+        if not 0 <= self.truncation_threshold <= 1:
+            raise InputError(f"truncation threshold must lie in [0, 1], "
+                             f"got {self.truncation_threshold}")
 
     def pair_similarity(self, a, b, resources):
         """Logistic similarity in (0, 1); symmetric in a and b."""

@@ -38,20 +38,20 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .likelihood import (
     LikelihoodParams,
+    lemma_bags,
     log_marginal_raw,
     merge_normaliser_raw,
     merge_ratio_raw,
 )
 from .links import (
     ClusterAssignment,
-    LinkState,
     _components,
     clusters_from_links,
     tables_from_customer_links,
@@ -226,22 +226,11 @@ def _link_log_prior(cands, log_norm, target):
             return lw - log_norm
 
 
-def _bag_builder(span_counts, span_totals):
-    """Function from a set of mentions to their lemma counts and total,
-    accumulated in ascending mention order so that equal sets give identical
-    bags.  It holds no state object, so the caches that keep it make no
-    reference cycle."""
-
-    def bag(members):
-        counts = {}
-        total = 0
-        for m in sorted(members):
-            for tok, c in span_counts[m].items():
-                counts[tok] = counts.get(tok, 0) + c
-            total += span_totals[m]
-        return counts, total
-
-    return bag
+def _with_logs(supports):
+    """Per-mention candidate tuples (target, weight, log weight) and the log
+    of each mention's total weight."""
+    cands = tuple(tuple((j, w, math.log(w)) for j, w in c) for c in supports)
+    return cands, tuple(math.log(sum(w for _, w in c)) for c in supports)
 
 
 class _Groups:
@@ -391,45 +380,26 @@ class _StateBase:
 
     def __init__(self, corpus, config, priors, params):
         order = corpus.mentions_in_order()
-        self.corpus = corpus
         self.config = config
-        self.priors = priors
         self.params = params
         self.n = len(order)
         self.mention_ids = tuple(m.mention_id for m in order)
-        doc_ids = sorted(d.doc_id for d in corpus.documents)
-        doc_index = {d: k for k, d in enumerate(doc_ids)}
-        self.doc_of = tuple(doc_index[m.doc_id] for m in order)
-        self.span_counts = []
-        self.span_totals = []
-        for m in order:
-            counts = {}
-            for tok in m.span_lemmas:
-                counts[tok] = counts.get(tok, 0) + 1
-            self.span_counts.append(counts)
-            self.span_totals.append(len(m.span_lemmas))
-        self._bag = _bag_builder(self.span_counts, self.span_totals)
+        self.span_counts, self.span_totals, self._bag = lemma_bags(
+            m.span_lemmas for m in order
+        )
         self.flat = config.flat_likelihood
         self.debug = config.debug
-        # per-mention candidate tuples (target, weight, log weight)
-        self.cand_c = tuple(
-            tuple((j, w, math.log(w)) for j, w in cands) for cands in priors.customer
-        )
-        self.log_norm_c = tuple(
-            math.log(sum(w for _, w in cands)) for cands in priors.customer
-        )
+        self.cand_c, self.log_norm_c = _with_logs(priors.customer)
         self.cl = list(range(self.n))
         # (candidates, log normalizers, links) of each link level, in draw order
         self._levels = ((self.cand_c, self.log_norm_c, self.cl),)
 
     def init_links(self, rng):
-        self._draw_links(rng)
-        self._start_graph()
-
-    def _draw_links(self, rng):
+        """Draw every link uniformly from its support and build the graph."""
         for i in range(self.n):
             for cands, _, links in self._levels:
                 links[i] = cands[i][int(rng.integers(len(cands[i])))][0]
+        self._start_graph()
 
     def _edge(self, m):
         """Target of m's active link, m itself if it has none."""
@@ -456,8 +426,6 @@ class _StateBase:
         )
 
     def _log_marginal(self, counts, total):
-        if self.flat:
-            return 0.0
         return log_marginal_raw(
             counts, total, self.params.concentration, self.params.vocab_size
         )
@@ -563,15 +531,9 @@ class HddcrpState(_StateBase):
         super().__init__(corpus, config, priors, params)
         if priors.table is None:
             raise InputError("hddcrp needs table-link priors")
-        self.cand_t = tuple(
-            tuple((j, w, math.log(w)) for j, w in cands) for cands in priors.table
-        )
-        self.log_norm_t = tuple(
-            math.log(sum(w for _, w in cands)) for cands in priors.table
-        )
+        self.cand_t, self.log_norm_t = _with_logs(priors.table)
         self.tl = list(range(self.n))
         self._levels += ((self.cand_t, self.log_norm_t, self.tl),)
-        self._start_graph()
 
     def _edge(self, m):
         # a table link is active only on a table head
@@ -602,9 +564,6 @@ class HddcrpState(_StateBase):
         for i in self._scan_order(rng):
             self.sample_table_link(i, rng)
 
-    def snapshot(self):
-        return LinkState(self.mention_ids, self.doc_of, tuple(self.cl), tuple(self.tl))
-
 
 class TableCrpState(_StateBase):
     """Within-document links plus CRP cluster labels on table heads.
@@ -627,27 +586,21 @@ class TableCrpState(_StateBase):
             for tok in counts:
                 self.lemma_holders.setdefault(tok, []).append(m)
         self._normalisers = {}  # (total_a, total_b) -> merge normaliser
-        self.labels = {i: i for i in range(self.n)}
         self.next_label = self.n
-        self._start_graph()
-
-    def init_links(self, rng):
-        self._draw_links(rng)
-        self.labels = {}
-        for i in range(self.n):
-            if self.cl[i] == i:
-                self.labels[i] = self.next_label
-                self.next_label += 1
-        self._start_graph()
 
     def _start_graph(self):
+        """Build the link graph and give every table a fresh label."""
         super()._start_graph()
         # label of each mention's table, None while its table is being moved
         self.label_of = [None] * self.n
         self.label_groups = _Groups(self._bag)
         self.label_totals = {}
-        for head, k in self.labels.items():
-            self._relabel(self.graph.members(head), k)
+        self.labels = {}
+        for head in range(self.n):
+            if self.cl[head] == head:
+                self.labels[head] = self.next_label
+                self.next_label += 1
+                self._relabel(self.graph.members(head), self.labels[head])
 
     def _relabel(self, table, label):
         """Move the mentions of one table from their label to label."""
@@ -733,7 +686,7 @@ class TableCrpState(_StateBase):
                 log_weights.append(lw + label_delta[self.label_of[j]])
         choice = _draw(rng, log_weights)
         if self.debug:
-            self._debug_check_customer(i, label_delta)
+            self._debug_check_relabel(i, label_delta)
         target = cands[choice][0]
         if target == i:
             label = self.labels[i] = self._draw_label(rng, tables, label_delta)
@@ -768,9 +721,9 @@ class TableCrpState(_StateBase):
         self._relabel(table, None)
         tables = self._table_counts()
         label_delta = self._label_deltas(stats_t, tables)
-        label = self._draw_label(rng, tables, label_delta)
         if self.debug:
-            self._debug_check_labels(head, stats_t, label_delta)
+            self._debug_check_relabel(head, label_delta)
+        label = self._draw_label(rng, tables, label_delta)
         self.labels[head] = label
         self._relabel(table, label)
         if self.debug:
@@ -810,18 +763,15 @@ class TableCrpState(_StateBase):
             raise AssertionError("maintained lemma totals of labels differ from a rebuild")
 
     def joint_log_score(self):
-        sizes = {}
-        for k in self.labels.values():
-            sizes[k] = sizes.get(k, 0) + 1
+        sizes = self._table_counts()
         score = self._links_log_prior()
         score += crp_partition_log_prob(sorted(sizes.values()), self.alpha_0)
         return score + self._groups_loglik(self.label_groups)
 
-    def snapshot(self):
-        return (tuple(self.cl), dict(self.labels))
-
-    def _debug_check_customer(self, i, label_delta):
-        # base state: i detached as its own fresh table
+    def _debug_check_relabel(self, i, label_delta):
+        """Compare each label's ratio with the from-scratch likelihood gap
+        between head i's unlabelled table joining that label and starting a
+        fresh one."""
         restore = self.next_label
         self.labels[i] = self.next_label
         self.next_label += 1
@@ -838,27 +788,9 @@ class TableCrpState(_StateBase):
                     f"(mention {i}, label {k})"
                 )
 
-    def _debug_check_labels(self, head, stats_t, label_delta):
-        for k, delta in label_delta.items():
-            stats_k = self.label_groups.bag(k)
-            counts = dict(stats_t[0])
-            for tok, c in stats_k[0].items():
-                counts[tok] = counts.get(tok, 0) + c
-            merged = self._log_marginal(counts, stats_t[1] + stats_k[1])
-            gap = merged - self._log_marginal(*stats_t) - self._log_marginal(*stats_k)
-            if abs(gap - delta) > 1e-9:
-                raise AssertionError(
-                    f"incremental ratio {delta} != from-scratch {gap} "
-                    f"(head {head}, label {k})"
-                )
-
 
 class FlatDdcrpState(_StateBase):
     """Single-level links over the whole corpus, no sequential restriction."""
-
-    def __init__(self, corpus, config, priors, params):
-        super().__init__(corpus, config, priors, params)
-        self._start_graph()
 
     def _parts(self):
         return tables_from_customer_links(self.cl)
@@ -869,9 +801,6 @@ class FlatDdcrpState(_StateBase):
     def sweep(self, rng):
         for i in self._scan_order(rng):
             self.sample_customer_link(i, rng)
-
-    def snapshot(self):
-        return tuple(self.cl)
 
 
 _STATE_CLASSES = {
@@ -896,7 +825,6 @@ def init_state(corpus, config, rng, priors=None, pairwise=None, resources=None, 
 @dataclass(frozen=True)
 class ChainResult:
     chain_index: int
-    final_state: object
     final_clustering: ClusterAssignment
     estimate: ClusterAssignment
     loglik_trace: tuple
@@ -923,7 +851,7 @@ def _run_chain(corpus, config, priors, params, index, seed_seq):
             best = state.clustering()
     final = state.clustering()
     estimate = best if config.map_estimate else final
-    return ChainResult(index, state.snapshot(), final, estimate, tuple(trace))
+    return ChainResult(index, final, estimate, tuple(trace))
 
 
 def run_chains(corpus, config, pairwise=None, resources=None, priors=None, jobs=1):

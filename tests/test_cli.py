@@ -111,6 +111,8 @@ class TestTrainDistance:
             ["--l2", "-1"],
             ["--sigma", "nan"],
             ["--truncation-threshold", "inf"],
+            ["--truncation-threshold", "2"],
+            ["--truncation-threshold", "-0.5"],
         ],
     )
     def test_non_finite_hyperparameters_exit_two(self, flags, tmp_path, capsys):
@@ -169,6 +171,27 @@ class TestSample:
             assert trace[0].startswith("# config: ")
             assert trace[1] == "iteration,joint_log_score"
             assert len(trace) == 2 + 20
+
+    def test_model_file_with_a_threshold_outside_the_unit_interval_exits_two(
+        self, model_file, tmp_path, capsys
+    ):
+        obj = json.loads(model_file.read_text(encoding="utf-8"))
+        obj["truncation_threshold"] = 2.0
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(obj), encoding="utf-8")
+        out = tmp_path / "run"
+        code = run(
+            [
+                "sample",
+                "--corpus", synthetic_corpus_path(),
+                "--distance-model", edited,
+                "--model", "hddcrp",
+                "--output-dir", out,
+            ]
+        )
+        assert code == 2
+        assert "truncation threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_embedded_alpha_0_tracks_the_model_default(self, model_file, tmp_path):
         for name, alpha in (("hddcrp-star", 1.0), ("ddcrp", 0.1)):
@@ -548,6 +571,14 @@ class TestBaselineAndScore:
         assert run(["score", "--corpus", corpus, "--gold", gold, clustering]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [[1], {"k": 1}, 1.5])
+    def test_cluster_labels_must_be_strings_or_integers(self, tmp_path, capsys, label):
+        corpus = self.gold_equals_lemma_corpus(tmp_path)
+        clustering = tmp_path / "bad.json"
+        clustering.write_text(json.dumps({"assignment": {"x": label}}), encoding="utf-8")
+        assert run(["score", "--corpus", corpus, clustering]) == 2
+        assert "cluster labels" in capsys.readouterr().err
+
     def test_universe_mismatch_exits_three(self, tmp_path, capsys):
         corpus = self.gold_equals_lemma_corpus(tmp_path)
         foreign = tmp_path / "foreign.json"
@@ -562,6 +593,54 @@ class TestBaselineAndScore:
         run(["score", "--corpus", corpus, clustering, "--setting", "CD", "-o", report])
         got = json.loads(report.read_text(encoding="utf-8"))
         assert list(got["reports"]) == ["CD"]
+
+
+def _set(path, value):
+    """Edit of a document object: the field at path (keys and indices) set to
+    value, or the whole line replaced by value if path is empty."""
+
+    def edit(doc):
+        if not path:
+            return value
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+
+    return edit
+
+
+class TestCorpusInput:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set(("mentions", 0, "order_index"), "x"),
+            _set((), 5),
+            _set(("mentions",), {"m": 1}),
+            _set(("mentions", 0), ["mention_id", "tiny1-m0"]),
+            _set(("mentions", 0, "span_lemmas"), ["bomb", ["bomb"]]),
+            _set(("doc_id",), ["tiny1"]),
+            _set(("mentions", 0, "arguments"), []),
+            _set(("mentions", 0, "context_lemmas"), "market"),
+            _set(("mentions", 0, "arguments"), {"participant": "abc"}),
+        ],
+        ids=[
+            "order-index-string", "bare-number-line", "mentions-object", "mention-list",
+            "unhashable-lemma", "unhashable-doc-id", "arguments-list", "context-string",
+            "argument-string",
+        ],
+    )
+    def test_malformed_fields_exit_two(self, tmp_path, capsys, edit):
+        lines = tiny_corpus_path().read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps(edit(json.loads(lines[0])))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "lemma.json"
+        code = run(["baseline", "--corpus", corpus, "--method", "lemma", "-o", out])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOraclePosterior:

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +136,17 @@ class TestRoundTrip:
         )
         again = load_corpus(body, gold)
         assert set(again.gold.chains) == set(synthetic_corpus.gold.chains)
+
+
+    def test_fixture_script_regenerates_the_bundled_files(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "generate_fixtures.py"
+        subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                       capture_output=True)
+        bundled = synthetic_corpus_path().parent
+        names = sorted(p.name for p in bundled.iterdir() if p.is_file())
+        assert names == sorted(p.name for p in tmp_path.iterdir())
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
 
 
 class TestResources:

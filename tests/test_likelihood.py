@@ -5,12 +5,10 @@ import pytest
 
 from hddcrp.corpus import Corpus, Document, Mention
 from hddcrp.likelihood import (
-    ClusterStats,
     LikelihoodParams,
     corpus_log_likelihood,
-    log_marginal,
+    lemma_bags,
     log_marginal_raw,
-    log_ratio_for_merge,
     merge_normaliser_raw,
     merge_ratio_raw,
 )
@@ -18,12 +16,10 @@ from hddcrp.links import ClusterAssignment
 from reference_impls import dirichlet_marginal_reference
 
 
-def stats(counts):
-    s = ClusterStats()
-    for tok, c in counts.items():
-        for _ in range(c):
-            s.add((tok,))
-    return s
+def marginal(counts, params):
+    return log_marginal_raw(
+        counts, sum(counts.values()), params.concentration, params.vocab_size
+    )
 
 
 class TestClosedForms:
@@ -31,19 +27,19 @@ class TestClosedForms:
         # counts (2,1), vocab 2, concentration 1:
         # G(2)G(2+3) / [G(1+2)G(1+1) / G(1)G(1)] inverted = 1/12
         params = LikelihoodParams(concentration=1.0, vocab_size=2)
-        got = log_marginal(stats({"a": 2, "b": 1}), params)
+        got = marginal({"a": 2, "b": 1}, params)
         assert math.isclose(got, math.log(1 / 12), rel_tol=1e-12)
 
     def test_merge_of_two_distinct_singletons(self):
         # merging {a} with {b} at vocab 2, concentration 1:
         # p({a,b}) / (p({a}) p({b})) = (1/6) / (1/2 * 1/2) = 2/3
         params = LikelihoodParams(concentration=1.0, vocab_size=2)
-        got = log_ratio_for_merge(stats({"a": 1}), stats({"b": 1}), params)
+        got = merge_ratio_raw({"a": 1}, 1, {"b": 1}, 1, 1.0, 2)
         assert math.isclose(got, math.log(2 / 3), rel_tol=1e-12)
 
     def test_empty_cluster_scores_zero(self):
         params = LikelihoodParams(concentration=0.5, vocab_size=4)
-        assert log_marginal(ClusterStats(), params) == 0.0
+        assert marginal({}, params) == 0.0
 
 
 class TestAgainstDenseGammaReference:
@@ -56,7 +52,7 @@ class TestAgainstDenseGammaReference:
             c = float(rng.choice([1e-7, 0.01, 0.5, 1.0, 2.0]))
             params = LikelihoodParams(concentration=c, vocab_size=v)
             want = dirichlet_marginal_reference(counts, v, c)
-            assert math.isclose(log_marginal(stats(counts), params), want, abs_tol=1e-9)
+            assert math.isclose(marginal(counts, params), want, abs_tol=1e-9)
 
     def test_merge_ratio_equals_difference_of_marginals(self):
         rng = np.random.default_rng(22)
@@ -92,17 +88,26 @@ class TestAgainstDenseGammaReference:
             assert merge_normaliser_raw(tb, ta, c, v) == merge_ratio_raw(b, tb, a, ta, c, v)
 
 
-class TestClusterStats:
-    def test_add_accumulates(self):
-        s = ClusterStats()
-        s.add(("a", "b", "a"))
-        s.add(("b",))
-        assert s.total == 4 and s.counts == {"a": 2, "b": 2}
+class TestLemmaBags:
+    def test_counts_and_totals_per_list(self):
+        counts, totals, _ = lemma_bags([("a", "b", "a"), ("b",), ()])
+        assert counts == [{"a": 2, "b": 1}, {"b": 1}, {}]
+        assert totals == [3, 1, 0]
 
-    def test_of_mentions_collects_span_lemmas(self, tiny_corpus):
+    def test_bag_of_sums_a_set_of_lists(self):
+        _, _, bag_of = lemma_bags([("a", "b", "a"), ("b",), ("c",)])
+        assert bag_of({0, 1}) == ({"a": 2, "b": 2}, 4)
+        assert bag_of(set()) == ({}, 0)
+
+    def test_bag_of_adds_lists_in_ascending_order(self):
+        _, _, bag_of = lemma_bags([("x",), ("y", "x"), ("z", "y")])
+        assert list(bag_of({2, 0, 1})[0]) == ["x", "y", "z"]
+        assert list(bag_of([2, 1])[0]) == ["y", "x", "z"]
+
+    def test_collects_span_lemmas_of_mentions(self, tiny_corpus):
         order = tiny_corpus.mentions_in_order()
-        s = ClusterStats.of_mentions(order[:2])
-        assert s.counts == {"bomb": 1, "blast": 1}
+        _, _, bag_of = lemma_bags(m.span_lemmas for m in order)
+        assert bag_of(range(2)) == ({"bomb": 1, "blast": 1}, 2)
 
 
 class TestCorpusLogLikelihood:

@@ -4,7 +4,6 @@ import pytest
 from hddcrp.errors import InputError
 from hddcrp.links import (
     ClusterAssignment,
-    LinkState,
     canonical_order,
     clusters_from_links,
     tables_from_customer_links,
@@ -61,32 +60,6 @@ class TestConnectivity:
         assert sorted(sorted(p) for p in clusters) == [[0, 1, 2, 3]]
 
 
-class TestLinkState:
-    def test_validate_accepts_random_valid_states(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            doc_of, customer, table = random_link_state(rng, [3, 2, 3])
-            ids = tuple(f"m{k}" for k in range(len(doc_of)))
-            state = LinkState(ids, tuple(doc_of), tuple(customer), tuple(table))
-            state.validate()
-            assert state.assignment().n_clusters() >= 1
-
-    def test_forward_customer_link_rejected(self):
-        state = LinkState(("a", "b"), (0, 0), (1, 1), (0, 1))
-        with pytest.raises(InputError):
-            state.validate()
-
-    def test_cross_document_customer_link_rejected(self):
-        state = LinkState(("a", "b"), (0, 1), (0, 0), (0, 1))
-        with pytest.raises(InputError):
-            state.validate()
-
-    def test_same_document_table_link_rejected(self):
-        state = LinkState(("a", "b"), (0, 0), (0, 0), (1, 1))
-        with pytest.raises(InputError):
-            state.validate()
-
-
 class TestClusterAssignment:
     def test_labels_are_canonicalized_by_first_appearance(self):
         a = ClusterAssignment.from_mapping(["x", "y", "z"], {"x": 9, "y": 4, "z": 9})
@@ -118,13 +91,6 @@ class TestClusterAssignment:
     def test_overlapping_clusters_rejected(self):
         with pytest.raises(InputError):
             ClusterAssignment.from_partition(["a", "b"], [{"a", "b"}, {"b"}])
-
-    def test_restrict_keeps_relative_grouping(self):
-        ids = ["a", "b", "c", "d"]
-        a = ClusterAssignment.from_mapping(ids, {"a": 0, "b": 0, "c": 1, "d": 1})
-        sub = a.restrict(["b", "c", "d"])
-        assert sub.mention_ids == ("b", "c", "d")
-        assert sub.labels == (0, 1, 1)
 
     def test_canonical_order_is_doc_then_index(self, synthetic_corpus):
         order = canonical_order(synthetic_corpus)

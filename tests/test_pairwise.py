@@ -205,7 +205,10 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("gamma", math.nan), ("l2", math.inf), ("l2", -1.0), ("truncation_threshold", math.nan)],
+        [
+            ("gamma", math.nan), ("l2", math.inf), ("l2", -1.0), ("truncation_threshold", math.nan),
+            ("truncation_threshold", 2.0), ("truncation_threshold", -0.1),
+        ],
     )
     def test_hand_edited_hyperparameters_are_checked_on_load(
         self, trained_model, tmp_path, key, value
@@ -236,7 +239,7 @@ class TestTrainValidation:
         "name, value",
         [
             ("l2", math.nan), ("l2", -0.5), ("gamma", math.nan), ("gamma", math.inf),
-            ("truncation_threshold", -math.inf),
+            ("truncation_threshold", -math.inf), ("truncation_threshold", 1.5),
         ],
     )
     def test_non_finite_hyperparameters_are_rejected_before_the_fit(

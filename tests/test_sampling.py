@@ -276,6 +276,40 @@ class TestDebugMode:
                 state.sweep(rng)
 
 
+    @pytest.fixture
+    def ratios_off_by_a_millionth(self, monkeypatch):
+        for name in ("merge_ratio_raw", "merge_normaliser_raw"):
+            exact = getattr(sampling, name)
+            monkeypatch.setattr(sampling, name, lambda *args, f=exact: f(*args) + 1e-6)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_from_scratch_check_catches_wrong_ratios_in_sweeps(
+        self, tiny_corpus, model, ratios_off_by_a_millionth
+    ):
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(65)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        with pytest.raises(AssertionError, match="from-scratch"):
+            for _ in range(10):
+                state.sweep(rng)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_from_scratch_check_catches_wrong_ratios_in_label_moves(
+        self, tiny_corpus, model, ratios_off_by_a_millionth
+    ):
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        first = init_state(tiny_corpus, config, np.random.default_rng(65), priors=priors)
+        heads = sorted(first.labels)
+        assert len(heads) >= 2
+        for head in heads:
+            rng = np.random.default_rng(65)
+            state = init_state(tiny_corpus, config, rng, priors=priors)
+            with pytest.raises(AssertionError, match="from-scratch"):
+                state.sample_table_label(head, rng)
+
+
 def assert_matches_rebuild_sampler(corpus, resources, trained_model, model, randomized_scan):
     config = SamplerConfig(model=model, seed=71, randomized_scan=randomized_scan)
     priors = build_priors(corpus, config, trained_model, resources)
@@ -459,14 +493,6 @@ class TestSweepOperations:
             state = init_state(tiny_corpus, config, rng, priors=priors)
             state.sweep(rng)
             assert state.clustering().n_clusters() >= 1
-
-    def test_hddcrp_snapshot_is_a_valid_link_state(self, tiny_corpus):
-        config = SamplerConfig(model="hddcrp", iterations=20, chains=1)
-        priors = build_priors(tiny_corpus, config, **UNIFORM)
-        (result,) = run_chains(tiny_corpus, config, priors=priors)
-        snap = result.final_state
-        snap.validate()
-        assert snap.assignment() == result.final_clustering
 
 
 class TestChains:
