@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import AgglomerativeConfig, agglomerative, lemma_baseline
-from .corpus import LexicalResources, gold_partition, load_corpus
+from .corpus import LexicalResources, gold_partition, load_corpus, read_text
 from .errors import InputError, UniverseMismatchError
 from .features import FeatureExtractor
 from .links import ClusterAssignment
@@ -47,7 +47,7 @@ MODEL_NAMES = {
     "hdp-lex": "hdp_lex",
 }
 
-# options holding input paths that must exist at run start
+# options holding input paths that must name existing files at run start
 _PATH_OPTIONS = ("corpus", "gold", "embeddings", "synonyms", "distance_model")
 
 
@@ -64,8 +64,8 @@ class RunConfig:
     def validate(self):
         for name in _PATH_OPTIONS:
             value = self.options.get(name)
-            if value is not None and not Path(value).exists():
-                raise InputError(f"--{name.replace('_', '-')}: no such file {value!r}")
+            if value is not None and not Path(value).is_file():
+                raise InputError(f"--{name.replace('_', '-')}: {value!r} is not a file")
 
     def to_dict(self):
         return {"command": self.command, **self.options}
@@ -73,8 +73,7 @@ class RunConfig:
 
 def _load_json(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(read_text(path))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -250,43 +250,50 @@ def _parse_gold_chains(chains):
         raise InputError(f"gold_chains holds an invalid mention id ({exc})") from exc
 
 
+def read_text(path):
+    """The text of an input file, which must be UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_corpus(path, gold_path=None) -> Corpus:
     """Load a JSON-lines corpus file, validating all invariants."""
     documents = []
     gold_chains = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: line {line_no}: not valid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise InputError(f"line {line_no}: expected a JSON object, got {obj!r:.60}")
-            if "doc_id" in obj:
-                doc_id = _field(obj, "doc_id", "a string", line_no)
-                if "seminal_event_id" not in obj:
-                    raise InputError(f"line {line_no}: document {doc_id!r} lacks seminal_event_id")
-                mentions = [
-                    _parse_mention(mobj, doc_id, k, line_no)
-                    for k, mobj in enumerate(_field(obj, "mentions", "a list", line_no, []))
-                ]
-                seminal = _field(obj, "seminal_event_id", "a string", line_no)
-                documents.append(Document.build(doc_id, seminal, mentions))
-            elif "gold_chains" in obj:
-                if gold_chains is not None:
-                    raise InputError(f"line {line_no}: duplicate gold_chains entry")
-                gold_chains = obj["gold_chains"]
-            else:
-                raise InputError(f"line {line_no}: object is neither a document nor gold_chains")
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: line {line_no}: not valid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise InputError(f"line {line_no}: expected a JSON object, got {obj!r:.60}")
+        if "doc_id" in obj:
+            doc_id = _field(obj, "doc_id", "a string", line_no)
+            if "seminal_event_id" not in obj:
+                raise InputError(f"line {line_no}: document {doc_id!r} lacks seminal_event_id")
+            mentions = [
+                _parse_mention(mobj, doc_id, k, line_no)
+                for k, mobj in enumerate(_field(obj, "mentions", "a list", line_no, []))
+            ]
+            seminal = _field(obj, "seminal_event_id", "a string", line_no)
+            documents.append(Document.build(doc_id, seminal, mentions))
+        elif "gold_chains" in obj:
+            if gold_chains is not None:
+                raise InputError(f"line {line_no}: duplicate gold_chains entry")
+            gold_chains = obj["gold_chains"]
+        else:
+            raise InputError(f"line {line_no}: object is neither a document nor gold_chains")
     if gold_path is not None:
-        with open(gold_path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{gold_path}: not valid JSON ({exc.msg})") from exc
+        try:
+            obj = json.loads(read_text(gold_path))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{gold_path}: not valid JSON ({exc.msg})") from exc
         if isinstance(obj, dict):
             if "gold_chains" not in obj:
                 raise InputError(f"{gold_path}: no gold_chains entry")
@@ -331,36 +338,33 @@ def load_embeddings(path):
     """Word vectors, one line per lemma: lemma followed by the vector entries."""
     vectors = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            lemma, values = parts[0], parts[1:]
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise InputError(f"{path}: line {line_no}: bad vector entry") from exc
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise InputError(
-                    f"{path}: line {line_no}: vector length {vec.shape[0]} != {dim}"
-                )
-            vectors[lemma] = vec
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        lemma, values = parts[0], parts[1:]
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise InputError(f"{path}: line {line_no}: bad vector entry") from exc
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise InputError(
+                f"{path}: line {line_no}: vector length {vec.shape[0]} != {dim}"
+            )
+        vectors[lemma] = vec
     return vectors
 
 
 def load_synonyms(path):
     """Synonym sets, one line per lemma: lemma TAB comma-separated synonyms."""
     synonyms = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            lemma, _, rest = line.partition("\t")
-            synonyms[lemma] = frozenset(s for s in rest.split(",") if s)
+    for line in read_text(path).split("\n"):
+        if not line.strip():
+            continue
+        lemma, _, rest = line.partition("\t")
+        synonyms[lemma] = frozenset(s for s in rest.split(",") if s)
     return synonyms
 
 

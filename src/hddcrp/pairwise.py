@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import doc_similarity
+from .corpus import doc_similarity, read_text
 from .errors import InputError
 from .features import BLOCK_ROWS, FeatureExtractor, PairFeatures, cosine_matrix
 
@@ -261,9 +261,9 @@ def save_model(model, path, config=None):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    text = read_text(path)
     try:
+        obj = json.loads(text)
         extractor = FeatureExtractor.from_feature_index(obj["feature_index"])
         theta = np.array([float(v) for v in obj["theta"]])
         return PairwiseModel(

@@ -209,6 +209,11 @@ def _draw(rng, log_weights):
     return len(probs) - 1
 
 
+def _log_sum_exp(terms):
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
 def crp_partition_log_prob(sizes, alpha):
     """Log EPPF of a CRP partition: alpha^K prod (n_k-1)! / rising(alpha, n)."""
     n = sum(sizes)
@@ -418,13 +423,6 @@ class _StateBase:
             a[0], a[1], b[0], b[1], self.params.concentration, self.params.vocab_size
         )
 
-    def _merge_normaliser(self, total_a, total_b):
-        if self.flat:
-            return 0.0
-        return merge_normaliser_raw(
-            total_a, total_b, self.params.concentration, self.params.vocab_size
-        )
-
     def _log_marginal(self, counts, total):
         return log_marginal_raw(
             counts, total, self.params.concentration, self.params.vocab_size
@@ -570,17 +568,23 @@ class TableCrpState(_StateBase):
 
     Serves hddcrp_star and hdp_lex; they differ only in the customer priors.
     The link-graph components are the tables; the mentions of each label are
-    kept beside them with a lemma bag and a lemma total per label.
+    kept beside them with a lemma bag, a lemma total and a table count per
+    label, and a multiset of the labels' (tables, lemma total) keys.
 
     A move scores every label against the moving table.  Only labels that
     share a lemma with it, found through a lemma -> mentions index, need the
     full merge ratio; for any other label the ratio is its normaliser, a
-    function of the two lemma totals kept in a memo.
+    function of the two lemma totals kept in a memo.  Such a label's CRP
+    weight thus depends on its key alone: the summed-out label of a new table
+    takes one term per key, and the label draw weighs each key once.
     """
 
     def __init__(self, corpus, config, priors, params):
         super().__init__(corpus, config, priors, params)
         self.alpha_0 = config.resolved_alpha_0
+        self._log_alpha_0 = math.log(self.alpha_0)
+        # logs[k] is math.log(k) for every table or label count k a state reaches
+        self._logs = [-math.inf] + [math.log(k) for k in range(1, self.n + 1)]
         self.lemma_holders = {}  # lemma -> mentions whose span holds it
         for m, counts in enumerate(self.span_counts):
             for tok in counts:
@@ -596,11 +600,41 @@ class TableCrpState(_StateBase):
         self.label_groups = _Groups(self._bag)
         self.label_totals = {}
         self.labels = {}
+        self.tables = {}  # label -> heads carrying it
+        self.keys = {}  # (tables, lemma total) -> labels with that key
         for head in range(self.n):
             if self.cl[head] == head:
-                self.labels[head] = self.next_label
+                self._set_label(head, self.next_label)
                 self.next_label += 1
                 self._relabel(self.graph.members(head), self.labels[head])
+
+    def _count_key(self, k, step):
+        """Add step to the count of label k's (tables, lemma total) key, if
+        k has tables; callers take the key out before changing either count
+        and put it back after."""
+        t = self.tables.get(k)
+        if t:
+            key = (t, self.label_totals.get(k, 0))
+            left = self.keys.get(key, 0) + step
+            if left:
+                self.keys[key] = left
+            else:
+                del self.keys[key]
+
+    def _set_label(self, head, label):
+        """Give head's table label, or take its label away if label is None."""
+        old = self.labels.pop(head, None)
+        for k, step in ((old, -1), (label, 1)):
+            if k is not None:
+                self._count_key(k, -1)
+                t = self.tables.get(k, 0) + step
+                if t:
+                    self.tables[k] = t
+                else:
+                    del self.tables[k]
+                self._count_key(k, 1)
+        if label is not None:
+            self.labels[head] = label
 
     def _relabel(self, table, label):
         """Move the mentions of one table from their label to label."""
@@ -610,86 +644,101 @@ class TableCrpState(_StateBase):
             self.label_of[m] = label
             total += self.span_totals[m]
         if old is not None:
+            self._count_key(old, -1)
             self.label_groups.remove(old, table)
             if old in self.label_groups.members:
                 self.label_totals[old] -= total
             else:
                 del self.label_totals[old]
+            self._count_key(old, 1)
         if label is not None:
+            self._count_key(label, -1)
             self.label_groups.add(label, table)
             self.label_totals[label] = self.label_totals.get(label, 0) + total
+            self._count_key(label, 1)
 
-    def _table_counts(self):
-        """Tables per label, in the order labels first occur among heads."""
-        tables = {}
-        for k in self.labels.values():
-            tables[k] = tables.get(k, 0) + 1
-        return tables
+    def _normaliser(self, total_a, total_b):
+        """Merge normaliser of two lemma totals, memoised per chain."""
+        key = (total_a, total_b)
+        d = self._normalisers.get(key)
+        if d is None:
+            d = 0.0
+            if not self.flat:
+                c, v = self.params.concentration, self.params.vocab_size
+                d = merge_normaliser_raw(total_a, total_b, c, v)
+            self._normalisers[key] = d
+        return d
 
-    def _label_deltas(self, stats, labels):
-        """Merge ratio of the table with lemma bag stats against each of labels.
-
-        The full ratio runs only for labels that share a lemma with the table;
-        for all others it is the memoised normaliser of the two lemma totals.
-        """
-        counts, total = stats
+    def _shared_deltas(self, stats):
+        """Merge ratio of the table with lemma bag stats against each label
+        that shares a lemma with it, in label order."""
         label_of = self.label_of
-        shared = {label_of[m] for tok in counts for m in self.lemma_holders[tok]}
-        normalisers = self._normalisers
-        totals = self.label_totals
-        deltas = {}
-        for k in labels:
-            if k in shared:
-                d = self._merge_delta(stats, self.label_groups.bag(k))
-            else:
-                key = (total, totals[k])
-                d = normalisers.get(key)
-                if d is None:
-                    d = normalisers[key] = self._merge_normaliser(*key)
-            deltas[k] = d
-        if self.debug:
-            for k, d in deltas.items():
-                full = self._merge_delta(stats, self.label_groups.bag(k))
-                if d != full:
-                    raise AssertionError(
-                        f"label {k}: delta {d} != merge ratio {full} of the full bags"
-                    )
-        return deltas
+        shared = {label_of[m] for tok in stats[0] for m in self.lemma_holders[tok]}
+        shared.discard(None)
+        bag = self.label_groups.bag
+        return {k: self._merge_delta(stats, bag(k)) for k in sorted(shared)}
+
+    def _key_weights(self, total):
+        """log n + merge normaliser against a table of lemma total total, per
+        (n tables, lemma total) key: the CRP weight of a label with that key
+        that shares no lemma with the table."""
+        logs = self._logs
+        return {(n, t): logs[n] + self._normaliser(total, t) for n, t in self.keys}
+
+    def _delta(self, k, total, shared):
+        """Merge ratio of a table of lemma total total against label k."""
+        d = shared.get(k)
+        return self._normaliser(total, self.label_totals[k]) if d is None else d
+
+    def _new_table_terms(self, shared, weights, log_denom):
+        """Log terms of the CRP conditional of a new table with its label
+        summed out: alpha_0, each label sharing a lemma with the table, and
+        one term per key for the m labels of that key that share none."""
+        logs, tables, totals = self._logs, self.tables, self.label_totals
+        terms = [self._log_alpha_0 - log_denom]
+        left = dict(self.keys)
+        for k, d in shared.items():
+            n_k = tables[k]
+            terms.append(logs[n_k] - log_denom + d)
+            left[n_k, totals[k]] -= 1
+        for key, m in left.items():
+            if m:
+                terms.append(logs[m] + weights[key] - log_denom)
+        return terms
 
     def sample_customer_link(self, i, rng):
         """Blocked move: resample a_i with the label of a would-be new table
         summed out, then draw that label if i really becomes a head."""
         self.cl[i] = i
-        self.labels.pop(i, None)
+        self._set_label(i, None)
         self.graph.detach(i)
         table = self.graph.members(i)
         self._relabel(table, None)
         stats_i = self.graph.bag(i)
-        tables = self._table_counts()
-        other_tables = sum(tables.values())
-        denom = other_tables + self.alpha_0
-        log_denom = math.log(denom)
-        label_delta = self._label_deltas(stats_i, tables)
+        total = stats_i[1]
+        shared = self._shared_deltas(stats_i)
+        weights = self._key_weights(total)
+        log_denom = math.log(len(self.labels) + self.alpha_0)
+        marg = _log_sum_exp(self._new_table_terms(shared, weights, log_denom))
 
+        label_of = self.label_of
         cands = self.cand_c[i]
         log_weights = []
         for j, _, lw in cands:
-            if j == i:
-                # sum the CRP conditional over labels for the detached table
-                terms = [math.log(self.alpha_0) - log_denom]
-                for k, cnt in tables.items():
-                    terms.append(math.log(cnt) - log_denom + label_delta[k])
-                top = max(terms)
-                marg = top + math.log(sum(math.exp(t - top) for t in terms))
-                log_weights.append(lw + marg)
-            else:
-                log_weights.append(lw + label_delta[self.label_of[j]])
+            d = marg if j == i else self._delta(label_of[j], total, shared)
+            log_weights.append(lw + d)
         choice = _draw(rng, log_weights)
         if self.debug:
-            self._debug_check_relabel(i, label_delta)
+            deltas = self._debug_check_deltas(i, stats_i, shared)
+            terms = [self._log_alpha_0 - log_denom]
+            terms += [math.log(self.tables[k]) - log_denom + d for k, d in deltas.items()]
+            full = _log_sum_exp(terms)
+            if abs(marg - full) > 1e-12 * max(1.0, abs(full)):
+                raise AssertionError(f"grouped marginal {marg} != per-label sum {full}")
         target = cands[choice][0]
         if target == i:
-            label = self.labels[i] = self._draw_label(rng, tables, label_delta)
+            label = self._draw_label(rng, shared, weights)
+            self._set_label(i, label)
         else:
             label = self.label_of[target]
         self._relabel(table, label)
@@ -699,16 +748,22 @@ class TableCrpState(_StateBase):
             self._check_core()
         return target
 
-    def _draw_label(self, rng, tables, label_delta):
-        keys = sorted(tables)
-        log_weights = [math.log(tables[k]) + label_delta[k] for k in keys]
-        log_weights.append(math.log(self.alpha_0))
+    def _draw_label(self, rng, shared, weights):
+        """Existing label k with weight n_k times its merge ratio, a new label
+        with weight alpha_0; a label sharing no lemma reads its key's weight."""
+        tables, totals, logs = self.tables, self.label_totals, self._logs
+        labels = sorted(tables)
+        log_weights = [
+            logs[tables[k]] + shared[k] if k in shared else weights[tables[k], totals[k]]
+            for k in labels
+        ]
+        log_weights.append(self._log_alpha_0)
         choice = _draw(rng, log_weights)
-        if choice == len(keys):
+        if choice == len(labels):
             label = self.next_label
             self.next_label += 1
             return label
-        return keys[choice]
+        return labels[choice]
 
     def sample_table_label(self, head, rng):
         """CRP label move for one table: existing cluster k with weight
@@ -717,14 +772,13 @@ class TableCrpState(_StateBase):
             raise ValueError(f"mention {head} does not head a table")
         table = self.graph.members(head)
         stats_t = self.graph.bag(head)
-        self.labels.pop(head)
+        self._set_label(head, None)
         self._relabel(table, None)
-        tables = self._table_counts()
-        label_delta = self._label_deltas(stats_t, tables)
+        shared = self._shared_deltas(stats_t)
         if self.debug:
-            self._debug_check_relabel(head, label_delta)
-        label = self._draw_label(rng, tables, label_delta)
-        self.labels[head] = label
+            self._debug_check_deltas(head, stats_t, shared)
+        label = self._draw_label(rng, shared, self._key_weights(stats_t[1]))
+        self._set_label(head, label)
         self._relabel(table, label)
         if self.debug:
             self._check_core()
@@ -761,12 +815,34 @@ class TableCrpState(_StateBase):
         totals = {k: sum(self.span_totals[m] for m in g) for k, g in expected.items()}
         if self.label_totals != totals:
             raise AssertionError("maintained lemma totals of labels differ from a rebuild")
+        tables = {}
+        for k in self.labels.values():
+            tables[k] = tables.get(k, 0) + 1
+        if self.tables != tables:
+            raise AssertionError("maintained table counts of labels differ from a rebuild")
+        keys = {}
+        for k, t in tables.items():
+            keys[t, totals[k]] = keys.get((t, totals[k]), 0) + 1
+        if self.keys != keys:
+            raise AssertionError("maintained (tables, lemma total) keys differ from a rebuild")
 
     def joint_log_score(self):
-        sizes = self._table_counts()
         score = self._links_log_prior()
-        score += crp_partition_log_prob(sorted(sizes.values()), self.alpha_0)
+        score += crp_partition_log_prob(sorted(self.tables.values()), self.alpha_0)
         return score + self._groups_loglik(self.label_groups)
+
+    def _debug_check_deltas(self, i, stats, shared):
+        """Check every label's delta against the merge ratio of the full bags
+        and the from-scratch likelihood gap; return the deltas by label."""
+        deltas = {k: self._delta(k, stats[1], shared) for k in self.tables}
+        for k, d in deltas.items():
+            full = self._merge_delta(stats, self.label_groups.bag(k))
+            if d != full:
+                raise AssertionError(
+                    f"label {k}: delta {d} != merge ratio {full} of the full bags"
+                )
+        self._debug_check_relabel(i, deltas)
+        return deltas
 
     def _debug_check_relabel(self, i, label_delta):
         """Compare each label's ratio with the from-scratch likelihood gap

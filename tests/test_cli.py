@@ -682,6 +682,69 @@ class TestOraclePosterior:
         assert code == 2
 
 
+class TestInputFiles:
+    def test_malformed_model_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad", encoding="utf-8")
+        code = run(
+            [
+                "sample",
+                "--corpus", tiny_corpus_path(),
+                "--model", "hddcrp",
+                "--distance-model", bad,
+                "--output-dir", tmp_path / "run",
+            ]
+        )
+        assert code == 2
+        assert "malformed model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--corpus", "--distance-model"])
+    def test_directory_paths_exit_two(self, option, model_file, tmp_path, capsys):
+        paths = {"--corpus": tiny_corpus_path(), "--distance-model": model_file}
+        paths[option] = tmp_path
+        code = run(
+            [
+                "sample",
+                "--corpus", paths["--corpus"],
+                "--model", "hddcrp",
+                "--distance-model", paths["--distance-model"],
+                "--output-dir", tmp_path / "run",
+            ]
+        )
+        assert code == 2
+        assert "is not a file" in capsys.readouterr().err
+
+    BAD = "<not utf-8>"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["baseline", "--corpus", BAD, "--method", "lemma"],
+            ["baseline", "--config", BAD, "--corpus", tiny_corpus_path(), "--method", "lemma"],
+            ["train-distance", "--corpus", synthetic_corpus_path(), "--embeddings", BAD,
+             "--synonyms", synthetic_synonyms_path()],
+            ["train-distance", "--corpus", synthetic_corpus_path(),
+             "--embeddings", synthetic_embeddings_path(), "--synonyms", BAD],
+            ["sample", "--corpus", tiny_corpus_path(), "--model", "hddcrp",
+             "--distance-model", BAD],
+            ["score", "--corpus", tiny_corpus_path(), "--gold", BAD, tiny_corpus_path()],
+            ["score", "--corpus", tiny_corpus_path(), BAD],
+        ],
+        ids=["corpus", "config", "embeddings", "synonyms", "distance-model", "gold",
+             "prediction"],
+    )
+    def test_input_files_that_are_not_utf8_exit_two(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff")
+        argv = [bad if a == self.BAD else a for a in argv]
+        command = argv[0]
+        out = ["--output-dir", tmp_path / "run"] if command == "sample" else []
+        if command in ("baseline", "train-distance"):
+            out = ["-o", tmp_path / "out.json"]
+        assert run([*argv, *out]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = (
         "import sys, hddcrp.cli; "

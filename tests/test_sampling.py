@@ -359,23 +359,24 @@ class TestLinkGraphCore:
         ratio_calls = []  # (moving table's bag, label's bag) per merge_ratio_raw call
         moves = []  # (labels sharing a lemma with the moving table, labels, first call)
         merge_ratio_raw = sampling.merge_ratio_raw
-        label_deltas = TableCrpState._label_deltas
+        shared_deltas = TableCrpState._shared_deltas
 
         def counting_ratio(counts_a, total_a, counts_b, total_b, c, v):
             ratio_calls.append((counts_a, counts_b))
             return merge_ratio_raw(counts_a, total_a, counts_b, total_b, c, v)
 
-        def recording_deltas(state, stats, labels):
+        def recording_deltas(state, stats):
             lemmas = stats[0].keys()
             groups = state.label_groups.members
+            labels = state.tables
             sharing = {
                 k for k in labels if any(lemmas & state.span_counts[m].keys() for m in groups[k])
             }
             moves.append((sharing, len(labels), len(ratio_calls)))
-            return label_deltas(state, stats, labels)
+            return shared_deltas(state, stats)
 
         monkeypatch.setattr(sampling, "merge_ratio_raw", counting_ratio)
-        monkeypatch.setattr(TableCrpState, "_label_deltas", recording_deltas)
+        monkeypatch.setattr(TableCrpState, "_shared_deltas", recording_deltas)
         for _ in range(3):
             state.sweep(rng)
         starts = [first for _, _, first in moves] + [len(ratio_calls)]
@@ -386,6 +387,89 @@ class TestLinkGraphCore:
             assert all(table_bag.keys() & label_bag.keys() for table_bag, label_bag in calls)
         # most labels sit in other copies of the corpus and share no lemma
         assert 2 * len(ratio_calls) < sum(n_labels for _, n_labels, _ in moves)
+
+    def test_new_table_marginals_take_one_term_per_key(self, replicated_corpus, monkeypatch):
+        config = SamplerConfig(model="hdp_lex", seed=75)
+        priors = build_priors(replicated_corpus, config)
+        rng = np.random.default_rng(75)
+        state = init_state(replicated_corpus, config, rng, priors=priors)
+        sizes = []  # (terms, labels sharing a lemma, keys, labels) per marginal
+        new_table_terms = TableCrpState._new_table_terms
+
+        def recording_terms(state, shared, weights, log_denom):
+            terms = new_table_terms(state, shared, weights, log_denom)
+            sizes.append((len(terms), len(shared), len(state.keys), len(state.tables)))
+            return terms
+
+        monkeypatch.setattr(TableCrpState, "_new_table_terms", recording_terms)
+        for _ in range(3):
+            state.sweep(rng)
+        assert len(sizes) == 3 * state.n
+        assert all(terms <= 1 + shared + keys for terms, shared, keys, _ in sizes)
+        # most labels share no lemma and fall into a few keys
+        assert 2 * sum(s[0] for s in sizes) < sum(s[3] for s in sizes)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_grouped_marginals_match_the_per_label_sum_in_debug_mode(
+        self, synthetic_corpus, model
+    ):
+        config = SamplerConfig(model=model, debug=True)
+        priors = build_priors(synthetic_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(76)
+        state = init_state(synthetic_corpus, config, rng, priors=priors)
+        for _ in range(2):
+            state.sweep(rng)
+        assert any(m > 1 for m in state.keys.values())
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_a_wrong_grouped_marginal(self, tiny_corpus, model, monkeypatch):
+        new_table_terms = TableCrpState._new_table_terms
+
+        def terms_off_by_a_billionth(state, *args):
+            return [t + 1e-9 for t in new_table_terms(state, *args)]
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(TableCrpState, "_new_table_terms", terms_off_by_a_billionth)
+        with pytest.raises(AssertionError, match="grouped marginal"):
+            state.sweep(rng)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_miscounted_tables(self, tiny_corpus, model, monkeypatch):
+        set_label = TableCrpState._set_label
+
+        def set_label_and_miscount(state, head, label):
+            set_label(state, head, label)
+            if label is not None:
+                state.tables[label] += 1
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(TableCrpState, "_set_label", set_label_and_miscount)
+        with pytest.raises(AssertionError, match="table counts of labels differ"):
+            state.sweep(rng)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_stale_keys(self, tiny_corpus, model, monkeypatch):
+        relabel = TableCrpState._relabel
+
+        def relabel_leaving_keys_stale(state, table, label):
+            keys = dict(state.keys)
+            relabel(state, table, label)
+            if label is not None:
+                state.keys = keys
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(TableCrpState, "_relabel", relabel_leaving_keys_stale)
+        with pytest.raises(AssertionError, match="keys differ"):
+            state.sweep(rng)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_debug_mode_catches_components_left_unmerged(
