@@ -250,20 +250,33 @@ def _parse_gold_chains(chains):
         raise InputError(f"gold_chains holds an invalid mention id ({exc})") from exc
 
 
+def _not_utf8(path, exc):
+    return InputError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def read_text(path):
-    """The text of an input file, which must be UTF-8."""
+    """The whole text of an input file, which must be UTF-8."""
     with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+            raise _not_utf8(path, exc) from exc
+
+
+def read_lines(path):
+    """The lines of an input file, which must be UTF-8, read one at a time."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def load_corpus(path, gold_path=None) -> Corpus:
     """Load a JSON-lines corpus file, validating all invariants."""
     documents = []
     gold_chains = None
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
@@ -338,7 +351,7 @@ def load_embeddings(path):
     """Word vectors, one line per lemma: lemma followed by the vector entries."""
     vectors = {}
     dim = None
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         parts = line.split()
         if not parts:
             continue
@@ -360,7 +373,8 @@ def load_embeddings(path):
 def load_synonyms(path):
     """Synonym sets, one line per lemma: lemma TAB comma-separated synonyms."""
     synonyms = {}
-    for line in read_text(path).split("\n"):
+    for line in read_lines(path):
+        line = line.rstrip("\n")
         if not line.strip():
             continue
         lemma, _, rest = line.partition("\t")

@@ -11,7 +11,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_sweeps.py"
 def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
     out = tmp_path / "BENCH_sweeps.json"
     subprocess.run(
-        [sys.executable, str(SCRIPT), "--sizes", "40", "--repeats", "2", "-o", str(out)],
+        [sys.executable, str(SCRIPT), "--sizes", "40", "-o", str(out)],
         check=True,
         capture_output=True,
     )
@@ -23,5 +23,5 @@ def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
     assert set(size["models"]) == set(MODELS)
     for timing in size["models"].values():
         assert set(timing) == {"priors_s", "sweep_ms", "sweeps_ms"}
-        assert len(timing["sweeps_ms"]) == 2
+        assert len(timing["sweeps_ms"]) == 3
         assert timing["sweep_ms"] > 0

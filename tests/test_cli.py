@@ -735,7 +735,9 @@ class TestInputFiles:
     )
     def test_input_files_that_are_not_utf8_exit_two(self, argv, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_bytes(b"\xff")
+        # beyond the first buffered read, so line-by-line loaders meet the
+        # byte after they have parsed earlier lines
+        bad.write_bytes(b"\n" * 100_000 + b"\xff")
         argv = [bad if a == self.BAD else a for a in argv]
         command = argv[0]
         out = ["--output-dir", tmp_path / "run"] if command == "sample" else []
