@@ -1,0 +1,97 @@
+"""Check that two source trees give the same fixed-seed sampler outputs.
+
+    python3 scripts/same_outputs.py ROOT_A ROOT_B
+
+For each tree the script runs that tree's CLI (ROOT/src on PYTHONPATH) on its
+bundled synthetic corpus: train-distance, then `sample` for all four models,
+once sequential and once with --randomized-scan --map-estimate, each with
+seed 3 and 3 chains x 60 sweeps.  It compares every chain-NN.clustering.json
+on every field except the embedded config, and the joint-score traces value
+by value.  It prints each clustering that differs, the number of trace files
+that differ and the largest relative trace drift, and exits 1 if any
+clustering differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MODELS = ("hddcrp", "ddcrp", "hddcrp-star", "hdp-lex")
+SCANS = {"sequential": [], "randomized-map": ["--randomized-scan", "--map-estimate"]}
+SAMPLE = ["--seed", "3", "--chains", "3", "--iterations", "60"]
+
+
+def run_matrix(root, work):
+    """Run the command matrix with the CLI of root, writing under work."""
+    root = Path(root).resolve()
+    corpus = root / "src" / "hddcrp" / "data" / "synthetic_corpus.jsonl"
+    resources = [
+        "--embeddings", str(corpus.with_name("synthetic_embeddings.txt")),
+        "--synonyms", str(corpus.with_name("synthetic_synonyms.txt")),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def cli(*args):
+        cmd = [sys.executable, "-m", "hddcrp.cli", *args]
+        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"{root}: {' '.join(args[:1])} exited {done.returncode}\n{done.stderr}")
+
+    model = work / "distance_model.json"
+    cli("train-distance", "--corpus", str(corpus), *resources, "-o", str(model))
+    for name in MODELS:
+        for scan, flags in SCANS.items():
+            out = work / f"{name}-{scan}"
+            cli("sample", "--corpus", str(corpus), *resources, "--model", name,
+                "--distance-model", str(model), *SAMPLE, *flags, "--output-dir", str(out))
+
+
+def clustering(path):
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj.pop("config")
+    return obj
+
+
+def trace(path):
+    lines = path.read_text(encoding="utf-8").splitlines()[2:]  # config, header
+    return [float(line.split(",")[1]) for line in lines]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root_a")
+    parser.add_argument("root_b")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work_a, work_b = Path(tmp, "a"), Path(tmp, "b")
+        for root, work in ((args.root_a, work_a), (args.root_b, work_b)):
+            work.mkdir()
+            run_matrix(root, work)
+        clusterings = sorted(work_a.glob("*/chain-*.clustering.json"))
+        differing = [
+            p.relative_to(work_a) for p in clusterings
+            if clustering(p) != clustering(work_b / p.relative_to(work_a))
+        ]
+        traces = sorted(work_a.glob("*/chain-*.trace.csv"))
+        drifts = []
+        for p in traces:
+            a, b = trace(p), trace(work_b / p.relative_to(work_a))
+            if len(a) != len(b):
+                sys.exit(f"{p.relative_to(work_a)}: traces of different lengths")
+            drifts.append(max(abs(x - y) / max(abs(x), abs(y), 1e-300) for x, y in zip(a, b)))
+    for p in differing:
+        print(f"clustering differs: {p}")
+    print(f"{len(clusterings) - len(differing)} of {len(clusterings)} clusterings identical")
+    print(f"{sum(d > 0 for d in drifts)} of {len(traces)} trace files differ; "
+          f"largest relative drift {max(drifts):.3g}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

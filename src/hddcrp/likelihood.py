@@ -5,12 +5,16 @@ from a cluster-specific multinomial with a symmetric Dirichlet prior.  The
 multinomial is integrated out, leaving a closed form in log-gamma terms.  The
 sampler only ever needs ratios between a merged cluster and its two halves,
 for which all terms over lemmas absent from both halves cancel.
+
+The functions read their log-gamma terms from tables on the LikelihoodParams
+and add them with math.fsum, which rounds the exact sum once, so results do
+not depend on the order of a bag's lemmas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import lgamma
+from dataclasses import dataclass, field
+from math import fsum, lgamma
 
 
 @dataclass(frozen=True)
@@ -19,6 +23,9 @@ class LikelihoodParams:
 
     concentration: float = 1e-7
     vocab_size: int = 1
+    # lgamma(c + n) - lgamma(c) and lgamma(V*c + n) for n = 0, 1, ..., grown on demand
+    _count_terms: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _total_terms: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.concentration <= 0:
@@ -30,13 +37,19 @@ class LikelihoodParams:
     def for_corpus(corpus, concentration=1e-7):
         return LikelihoodParams(concentration, max(1, len(corpus.span_vocabulary())))
 
+    def _grow(self, n):
+        """Extend both tables to cover every count and total up to n."""
+        c, vc = self.concentration, self.vocab_size * self.concentration
+        for k in range(len(self._count_terms), n + 1):
+            self._count_terms.append(lgamma(c + k) - lgamma(c))
+            self._total_terms.append(lgamma(vc + k))
+
 
 def lemma_bags(lemma_lists):
-    """Lemma counts of each list, each list's total, and a function from a set
-    of list indices to their summed counts and total.
+    """Lemma counts of each list, each list's total, and a function from a
+    collection of list indices to their summed counts and total.
 
-    The function sums in ascending index order, so equal sets give identical
-    bags.  It holds no state object, so the caches that keep it make no
+    The function holds no state object, so the caches that keep it make no
     reference cycle.
     """
     counts = []
@@ -50,7 +63,7 @@ def lemma_bags(lemma_lists):
     def bag_of(members):
         merged = {}
         total = 0
-        for m in sorted(members):
+        for m in members:
             for tok, c in counts[m].items():
                 merged[tok] = merged.get(tok, 0) + c
             total += totals[m]
@@ -59,18 +72,17 @@ def lemma_bags(lemma_lists):
     return counts, totals, bag_of
 
 
-def log_marginal_raw(counts, total, c, v):
+def log_marginal_raw(counts, total, params):
     """Log marginal likelihood of one cluster's lemma counts.
 
     log [ G(V*c) / G(V*c + N) * prod_w G(c + n_w) / G(c) ] with G the gamma
     function, c the concentration, V the vocabulary size, N the total count.
     Lemmas with n_w = 0 contribute nothing.
     """
-    out = lgamma(v * c) - lgamma(v * c + total)
-    lg_c = lgamma(c)
-    for n in counts.values():
-        out += lgamma(c + n) - lg_c
-    return out
+    if total >= len(params._total_terms):
+        params._grow(total)
+    g, lg = params._total_terms, params._count_terms
+    return fsum([g[0], -g[total], *[lg[n] for n in counts.values()]])
 
 
 def corpus_log_likelihood(assignment, corpus, params: LikelihoodParams) -> float:
@@ -83,33 +95,31 @@ def corpus_log_likelihood(assignment, corpus, params: LikelihoodParams) -> float
         parts.setdefault(k, []).append(m)
     total = 0.0
     for part in parts.values():
-        total += log_marginal_raw(*bag_of(part), params.concentration, params.vocab_size)
+        total += log_marginal_raw(*bag_of(part), params)
     return total
 
 
-def merge_normaliser_raw(total_a, total_b, c, v):
+def merge_normaliser_raw(total_a, total_b, params):
     """The normaliser term of merge_ratio_raw, which depends only on the two
     lemma totals; for bags that share no lemma it is the whole ratio."""
-    return (
-        lgamma(v * c + total_a)
-        + lgamma(v * c + total_b)
-        - lgamma(v * c)
-        - lgamma(v * c + total_a + total_b)
-    )
+    g = params._total_terms
+    if total_a + total_b >= len(g):
+        params._grow(total_a + total_b)
+    return fsum((g[total_a], g[total_b], -g[0], -g[total_a + total_b]))
 
 
-def merge_ratio_raw(counts_a, total_a, counts_b, total_b, c, v):
+def merge_ratio_raw(counts_a, total_a, counts_b, total_b, params):
     """log p(merged) - log p(a) - log p(b) for two mention-disjoint clusters.
 
     Computed without building the merged bag: only lemmas present in both
     halves contribute to the product term, the normalizer term always does.
     """
-    out = merge_normaliser_raw(total_a, total_b, c, v)
+    terms = [merge_normaliser_raw(total_a, total_b, params)]
     if len(counts_b) < len(counts_a):
         counts_a, counts_b = counts_b, counts_a
-    lg_c = lgamma(c)
+    lg = params._count_terms
     for tok, ns in counts_a.items():
         nl = counts_b.get(tok)
         if nl is not None:
-            out += lgamma(c + ns + nl) - lgamma(c + ns) - lgamma(c + nl) + lg_c
-    return out
+            terms += (lg[ns + nl], -lg[ns], -lg[nl])
+    return fsum(terms)

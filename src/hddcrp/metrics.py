@@ -14,6 +14,7 @@ recall is 0 rather than NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,11 @@ def _b_cubed_counts(gold, pred):
     for part in pred:
         for m in part:
             pred_of[m] = part
-    r_num = p_num = 0.0
+    # fsum rounds once, so the sums do not depend on the hash order of the sets
+    overlap = {m: len(gold_of[m] & pred_of[m]) for m in gold_of}
+    r_num = math.fsum(overlap[m] / len(gold_of[m]) for m in gold_of)
+    p_num = math.fsum(overlap[m] / len(pred_of[m]) for m in gold_of)
     n = len(gold_of)
-    for m in gold_of:
-        overlap = len(gold_of[m] & pred_of[m])
-        r_num += overlap / len(gold_of[m])
-        p_num += overlap / len(pred_of[m])
     return r_num, n, p_num, n
 
 

@@ -22,9 +22,11 @@ graph with the mention's outgoing edges removed.
 
 Each state keeps that graph in a LinkGraph: the active outgoing edge of every
 mention, its inbound edges, and the components with their member sets and
-cached lemma bags.  A move drops the mention's edge, which splits at most one
+lemma bags.  A move drops the mention's edge, which splits at most one
 component, and adds the new one, which merges at most two, so it costs
-O(|component| + |candidates|) instead of a rebuild over all mentions.
+O(|component| + |candidates|) instead of a rebuild over all mentions.  A
+split subtracts the detached side's lemma counts from the old bag and a merge
+adds the smaller bag into the larger, so no bag is ever rebuilt.
 
 For hddcrp_star and hdp_lex a customer-link move is blocked with the label of
 the table it may create: the label is summed out over the CRP conditional, and
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -239,42 +242,45 @@ def _with_logs(supports):
 
 
 class _Groups:
-    """Mention sets by key, each with its lemma bag cached until it changes."""
+    """Mention sets by key, each with its lemma bag (counts, total) kept up to
+    date by adding and subtracting the bags of the members that move."""
 
     def __init__(self, bag_of):
         self.members = {}
-        self._bag_of = bag_of
-        self._bags = {}
+        self.bags = {}
+        self.bag_of = bag_of
 
-    def bag(self, key):
-        got = self._bags.get(key)
-        if got is None:
-            got = self._bags[key] = self._bag_of(self.members[key])
-        return got
-
-    def add(self, key, members):
+    def add(self, key, members, bag):
+        """Add members, whose summed lemma bag is bag, to the group at key."""
         self.members.setdefault(key, set()).update(members)
-        self._bags.pop(key, None)
+        counts, total = self.bags.get(key) or ({}, 0)
+        for tok, c in bag[0].items():
+            counts[tok] = counts.get(tok, 0) + c
+        self.bags[key] = (counts, total + bag[1])
 
-    def remove(self, key, members):
-        left = self.members[key]
-        left -= members
-        if not left:
-            del self.members[key]
-        self._bags.pop(key, None)
+    def remove(self, key, members, bag):
+        """Take members, whose summed lemma bag is bag, out of the group at key."""
+        self.members[key] -= members
+        counts, total = self.bags[key]
+        for tok, c in bag[0].items():
+            counts[tok] -= c
+            if not counts[tok]:
+                del counts[tok]
+        self.bags[key] = (counts, total - bag[1])
+        if not self.members[key]:
+            del self.members[key], self.bags[key]
 
     def pop(self, key):
-        self._bags.pop(key, None)
-        return self.members.pop(key)
+        return self.members.pop(key), self.bags.pop(key)
 
     def check(self, expected, what):
         """Raise AssertionError unless the member sets equal expected (key ->
-        set) and every cached bag equals one built afresh."""
+        set) and every bag equals one built afresh."""
         if self.members != expected:
             raise AssertionError(f"maintained {what} member sets differ from a rebuild")
-        for key, bag in self._bags.items():
-            if bag != self._bag_of(self.members[key]):
-                raise AssertionError(f"cached lemma bag of {what} {key} is stale")
+        for key, bag in self.bags.items():
+            if bag != self.bag_of(self.members[key]):
+                raise AssertionError(f"lemma bag of {what} {key} differs from a rebuild")
 
 
 class LinkGraph:
@@ -298,7 +304,7 @@ class LinkGraph:
         for k, part in enumerate(parts):
             for m in part:
                 self.comp[m] = k
-            self.groups.add(k, part)
+            self.groups.add(k, part, bag_of(part))
         self._next_id = len(parts)
 
     def members(self, m):
@@ -307,7 +313,7 @@ class LinkGraph:
 
     def bag(self, m):
         """Lemma bag of the component holding m."""
-        return self.groups.bag(self.comp[m])
+        return self.groups.bags[self.comp[m]]
 
     def detach(self, i):
         """Drop i's edge; if that splits i's component, i's side gets a new id.
@@ -331,10 +337,11 @@ class LinkGraph:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        self.groups.remove(self.comp[i], seen)
+        side = self.groups.bag_of(seen)
+        self.groups.remove(self.comp[i], seen, side)
         new = self._next_id
         self._next_id += 1
-        self.groups.add(new, seen)
+        self.groups.add(new, seen, side)
         for m in seen:
             self.comp[m] = new
 
@@ -351,8 +358,8 @@ class LinkGraph:
         members = self.groups.members
         if len(members[a]) > len(members[b]):
             a, b = b, a
-        moved = self.groups.pop(a)
-        self.groups.add(b, moved)
+        moved, bag = self.groups.pop(a)
+        self.groups.add(b, moved, bag)
         for m in moved:
             self.comp[m] = b
 
@@ -389,9 +396,7 @@ class _StateBase:
         self.params = params
         self.n = len(order)
         self.mention_ids = tuple(m.mention_id for m in order)
-        self.span_counts, self.span_totals, self._bag = lemma_bags(
-            m.span_lemmas for m in order
-        )
+        self.span_counts, _, self._bag = lemma_bags(m.span_lemmas for m in order)
         self.flat = config.flat_likelihood
         self.debug = config.debug
         self.cand_c, self.log_norm_c = _with_logs(priors.customer)
@@ -417,37 +422,28 @@ class _StateBase:
         self.graph.check([self._edge(m) for m in range(self.n)])
 
     def _merge_delta(self, a, b):
-        if self.flat:
-            return 0.0
-        return merge_ratio_raw(
-            a[0], a[1], b[0], b[1], self.params.concentration, self.params.vocab_size
-        )
-
-    def _log_marginal(self, counts, total):
-        return log_marginal_raw(
-            counts, total, self.params.concentration, self.params.vocab_size
-        )
+        return 0.0 if self.flat else merge_ratio_raw(*a, *b, self.params)
 
     def _partition_loglik(self, parts):
         total = 0.0
         if self.flat:
             return total
         for part in parts:
-            total += self._log_marginal(*self._bag(part))
+            total += log_marginal_raw(*self._bag(part), self.params)
         return total
 
     def _scratch_loglik(self):
         return self._partition_loglik(self._parts())
 
     def _groups_loglik(self, groups):
-        """_scratch_loglik from the maintained clusters: their cached bags,
-        summed in the order of their smallest members, which is the order
-        _parts() gives."""
+        """_scratch_loglik from the maintained clusters: their bags, summed in
+        the order of their smallest members, which is the order _parts()
+        gives."""
         total = 0.0
         if not self.flat:
-            members = groups.members
+            members, bags = groups.members, groups.bags
             for key in sorted(members, key=lambda k: min(members[k])):
-                total += self._log_marginal(*groups.bag(key))
+                total += log_marginal_raw(*bags[key], self.params)
         if self.debug and total != self._scratch_loglik():
             raise AssertionError("joint score from the maintained bags differs from a rebuild")
         return total
@@ -466,7 +462,8 @@ class _StateBase:
         graph.detach(i)
         comp = graph.comp
         home = comp[i]
-        stats_i = graph.groups.bag(home)
+        bags = graph.groups.bags
+        stats_i = bags[home]
         delta_by_comp = {home: 0.0}
         deltas = []
         log_weights = []
@@ -474,7 +471,7 @@ class _StateBase:
             c = comp[self_target if j == i else j]
             d = delta_by_comp.get(c)
             if d is None:
-                d = self._merge_delta(stats_i, graph.groups.bag(c))
+                d = self._merge_delta(stats_i, bags[c])
                 delta_by_comp[c] = d
             deltas.append(d)
             log_weights.append(lw + d)
@@ -567,9 +564,10 @@ class TableCrpState(_StateBase):
     """Within-document links plus CRP cluster labels on table heads.
 
     Serves hddcrp_star and hdp_lex; they differ only in the customer priors.
-    The link-graph components are the tables; the mentions of each label are
-    kept beside them with a lemma bag, a lemma total and a table count per
-    label, and a multiset of the labels' (tables, lemma total) keys.
+    The link-graph components are the tables; the mentions and lemma bag of
+    each label are kept beside them, the bag updated by the bags of the tables
+    that join or leave it, with a table count per label and a multiset of the
+    labels' (tables, lemma total) keys.
 
     A move scores every label against the moving table.  Only labels that
     share a lemma with it, found through a lemma -> mentions index, need the
@@ -598,7 +596,6 @@ class TableCrpState(_StateBase):
         # label of each mention's table, None while its table is being moved
         self.label_of = [None] * self.n
         self.label_groups = _Groups(self._bag)
-        self.label_totals = {}
         self.labels = {}
         self.tables = {}  # label -> heads carrying it
         self.keys = {}  # (tables, lemma total) -> labels with that key
@@ -614,7 +611,8 @@ class TableCrpState(_StateBase):
         and put it back after."""
         t = self.tables.get(k)
         if t:
-            key = (t, self.label_totals.get(k, 0))
+            bag = self.label_groups.bags.get(k)
+            key = (t, bag[1] if bag else 0)
             left = self.keys.get(key, 0) + step
             if left:
                 self.keys[key] = left
@@ -637,24 +635,20 @@ class TableCrpState(_StateBase):
             self.labels[head] = label
 
     def _relabel(self, table, label):
-        """Move the mentions of one table from their label to label."""
-        old = self.label_of[next(iter(table))]
-        total = 0
+        """Move the mentions of one table, a link-graph component, and its
+        lemma bag from their label to label."""
+        first = next(iter(table))
+        old = self.label_of[first]
+        bag = self.graph.bag(first)
         for m in table:
             self.label_of[m] = label
-            total += self.span_totals[m]
         if old is not None:
             self._count_key(old, -1)
-            self.label_groups.remove(old, table)
-            if old in self.label_groups.members:
-                self.label_totals[old] -= total
-            else:
-                del self.label_totals[old]
+            self.label_groups.remove(old, table, bag)
             self._count_key(old, 1)
         if label is not None:
             self._count_key(label, -1)
-            self.label_groups.add(label, table)
-            self.label_totals[label] = self.label_totals.get(label, 0) + total
+            self.label_groups.add(label, table, bag)
             self._count_key(label, 1)
 
     def _normaliser(self, total_a, total_b):
@@ -662,10 +656,7 @@ class TableCrpState(_StateBase):
         key = (total_a, total_b)
         d = self._normalisers.get(key)
         if d is None:
-            d = 0.0
-            if not self.flat:
-                c, v = self.params.concentration, self.params.vocab_size
-                d = merge_normaliser_raw(total_a, total_b, c, v)
+            d = 0.0 if self.flat else merge_normaliser_raw(total_a, total_b, self.params)
             self._normalisers[key] = d
         return d
 
@@ -675,8 +666,8 @@ class TableCrpState(_StateBase):
         label_of = self.label_of
         shared = {label_of[m] for tok in stats[0] for m in self.lemma_holders[tok]}
         shared.discard(None)
-        bag = self.label_groups.bag
-        return {k: self._merge_delta(stats, bag(k)) for k in sorted(shared)}
+        bags = self.label_groups.bags
+        return {k: self._merge_delta(stats, bags[k]) for k in sorted(shared)}
 
     def _key_weights(self, total):
         """log n + merge normaliser against a table of lemma total total, per
@@ -688,19 +679,19 @@ class TableCrpState(_StateBase):
     def _delta(self, k, total, shared):
         """Merge ratio of a table of lemma total total against label k."""
         d = shared.get(k)
-        return self._normaliser(total, self.label_totals[k]) if d is None else d
+        return self._normaliser(total, self.label_groups.bags[k][1]) if d is None else d
 
     def _new_table_terms(self, shared, weights, log_denom):
         """Log terms of the CRP conditional of a new table with its label
         summed out: alpha_0, each label sharing a lemma with the table, and
         one term per key for the m labels of that key that share none."""
-        logs, tables, totals = self._logs, self.tables, self.label_totals
+        logs, tables, bags = self._logs, self.tables, self.label_groups.bags
         terms = [self._log_alpha_0 - log_denom]
         left = dict(self.keys)
         for k, d in shared.items():
             n_k = tables[k]
             terms.append(logs[n_k] - log_denom + d)
-            left[n_k, totals[k]] -= 1
+            left[n_k, bags[k][1]] -= 1
         for key, m in left.items():
             if m:
                 terms.append(logs[m] + weights[key] - log_denom)
@@ -751,10 +742,10 @@ class TableCrpState(_StateBase):
     def _draw_label(self, rng, shared, weights):
         """Existing label k with weight n_k times its merge ratio, a new label
         with weight alpha_0; a label sharing no lemma reads its key's weight."""
-        tables, totals, logs = self.tables, self.label_totals, self._logs
+        tables, bags, logs = self.tables, self.label_groups.bags, self._logs
         labels = sorted(tables)
         log_weights = [
-            logs[tables[k]] + shared[k] if k in shared else weights[tables[k], totals[k]]
+            logs[tables[k]] + shared[k] if k in shared else weights[tables[k], bags[k][1]]
             for k in labels
         ]
         log_weights.append(self._log_alpha_0)
@@ -812,17 +803,10 @@ class TableCrpState(_StateBase):
             if any(self.label_of[m] != k for m in members):
                 raise AssertionError(f"maintained labels of label {k}'s mentions are stale")
         self.label_groups.check(expected, "label")
-        totals = {k: sum(self.span_totals[m] for m in g) for k, g in expected.items()}
-        if self.label_totals != totals:
-            raise AssertionError("maintained lemma totals of labels differ from a rebuild")
-        tables = {}
-        for k in self.labels.values():
-            tables[k] = tables.get(k, 0) + 1
+        tables = Counter(self.labels.values())
         if self.tables != tables:
             raise AssertionError("maintained table counts of labels differ from a rebuild")
-        keys = {}
-        for k, t in tables.items():
-            keys[t, totals[k]] = keys.get((t, totals[k]), 0) + 1
+        keys = Counter((t, self.label_groups.bags[k][1]) for k, t in tables.items())
         if self.keys != keys:
             raise AssertionError("maintained (tables, lemma total) keys differ from a rebuild")
 
@@ -836,7 +820,7 @@ class TableCrpState(_StateBase):
         and the from-scratch likelihood gap; return the deltas by label."""
         deltas = {k: self._delta(k, stats[1], shared) for k in self.tables}
         for k, d in deltas.items():
-            full = self._merge_delta(stats, self.label_groups.bag(k))
+            full = self._merge_delta(stats, self.label_groups.bags[k])
             if d != full:
                 raise AssertionError(
                     f"label {k}: delta {d} != merge ratio {full} of the full bags"

@@ -401,9 +401,7 @@ class _RebuildBase:
     def _merge_delta(self, a, b):
         if self.flat:
             return 0.0
-        return merge_ratio_raw(
-            a[0], a[1], b[0], b[1], self.params.concentration, self.params.vocab_size
-        )
+        return merge_ratio_raw(a[0], a[1], b[0], b[1], self.params)
 
     def _partition_loglik(self, lab, count):
         total = 0.0
@@ -412,9 +410,7 @@ class _RebuildBase:
         cache = {}
         for k in range(count):
             counts, tot = self._stats_of_label(lab, k, cache)
-            total += log_marginal_raw(
-                counts, tot, self.params.concentration, self.params.vocab_size
-            )
+            total += log_marginal_raw(counts, tot, self.params)
         return total
 
     def _scan_order(self, rng):

@@ -24,7 +24,7 @@ from hddcrp.data import (
     synthetic_synonyms_path,
     tiny_corpus_path,
 )
-from hddcrp.likelihood import log_marginal_raw
+from hddcrp.likelihood import LikelihoodParams, log_marginal_raw
 from hddcrp.metrics import b_cubed, ceaf_e, muc
 from hddcrp.pairwise import (
     FeatureExtractor,
@@ -111,7 +111,8 @@ def test_cluster_likelihood_matches_closed_form_and_incremental_ratios(tiny_corp
         distinct = int(rng.integers(1, min(vocab, 12) + 1))
         counts = {f"w{j}": int(rng.integers(1, 9)) for j in range(distinct)}
         conc = float(rng.choice([1e-7, 1e-3, 0.5, 2.0]))
-        ours = log_marginal_raw(counts, sum(counts.values()), conc, vocab)
+        params = LikelihoodParams(conc, vocab)
+        ours = log_marginal_raw(counts, sum(counts.values()), params)
         ref = dirichlet_marginal_reference(counts, vocab, conc)
         assert math.isclose(ours, ref, abs_tol=1e-9)
 

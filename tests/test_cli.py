@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 from hddcrp import pairwise
 from hddcrp.cli import build_parser, main
-from hddcrp.corpus import Corpus, Document, GoldChains, Mention, save_corpus
+from hddcrp.corpus import Corpus, Document, GoldChains, Mention, load_corpus, save_corpus
 from hddcrp.data import (
     synthetic_corpus_path,
     synthetic_embeddings_path,
@@ -584,6 +585,28 @@ class TestBaselineAndScore:
         foreign = tmp_path / "foreign.json"
         foreign.write_text(json.dumps({"z-m0": 0}), encoding="utf-8")
         assert run(["score", "--corpus", corpus, foreign]) == 3
+
+    def test_score_output_does_not_depend_on_the_string_hash_seed(self, tmp_path):
+        # B3 sums per-mention proportions over sets of mention ids; on this
+        # input a plain loop over them gives different last bits under these
+        # two hash seeds
+        corpus = synthetic_corpus_path()
+        order = load_corpus(corpus).mentions_in_order()
+        prediction = tmp_path / "mod5.json"
+        prediction.write_text(
+            json.dumps({m.mention_id: k % 5 for k, m in enumerate(order)}), encoding="utf-8"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "hddcrp.cli", "score", "--corpus", str(corpus),
+                 str(prediction)],
+                capture_output=True,
+                check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "2")
+        ]
+        assert outputs[0] == outputs[1]
 
     def test_single_setting_flag_limits_the_report(self, tmp_path):
         corpus = self.gold_equals_lemma_corpus(tmp_path)

@@ -356,14 +356,16 @@ class TestLinkGraphCore:
         priors = build_priors(replicated_corpus, config)
         rng = np.random.default_rng(73)
         state = init_state(replicated_corpus, config, rng, priors=priors)
-        ratio_calls = []  # (moving table's bag, label's bag) per merge_ratio_raw call
+        # (moving table's lemmas, label's bag object, label's lemmas) per
+        # merge_ratio_raw call, copied at call time: the live bags change later
+        ratio_calls = []
         moves = []  # (labels sharing a lemma with the moving table, labels, first call)
         merge_ratio_raw = sampling.merge_ratio_raw
         shared_deltas = TableCrpState._shared_deltas
 
-        def counting_ratio(counts_a, total_a, counts_b, total_b, c, v):
-            ratio_calls.append((counts_a, counts_b))
-            return merge_ratio_raw(counts_a, total_a, counts_b, total_b, c, v)
+        def counting_ratio(counts_a, total_a, counts_b, total_b, params):
+            ratio_calls.append((set(counts_a), id(counts_b), set(counts_b)))
+            return merge_ratio_raw(counts_a, total_a, counts_b, total_b, params)
 
         def recording_deltas(state, stats):
             lemmas = stats[0].keys()
@@ -383,8 +385,8 @@ class TestLinkGraphCore:
         for (sharing, _, _), lo, hi in zip(moves, starts, starts[1:]):
             calls = ratio_calls[lo:hi]
             assert len(calls) == len(sharing)
-            assert len({id(label_bag) for _, label_bag in calls}) == len(calls)
-            assert all(table_bag.keys() & label_bag.keys() for table_bag, label_bag in calls)
+            assert len({label_bag for _, label_bag, _ in calls}) == len(calls)
+            assert all(table_lemmas & label_lemmas for table_lemmas, _, label_lemmas in calls)
         # most labels sit in other copies of the corpus and share no lemma
         assert 2 * len(ratio_calls) < sum(n_labels for _, n_labels, _ in moves)
 
@@ -489,6 +491,49 @@ class TestLinkGraphCore:
             for _ in range(10):
                 state.sweep(rng)
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_debug_mode_catches_a_bag_left_unmerged(self, tiny_corpus, model, monkeypatch):
+        attach = LinkGraph.attach
+
+        def attach_without_merging_bags(graph, i, j):
+            bags = graph.groups.bags
+            before = {k: (dict(counts), total) for k, (counts, total) in bags.items()}
+            attach(graph, i, j)
+            for k in bags:
+                bags[k] = before[k]
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(LinkGraph, "attach", attach_without_merging_bags)
+        with pytest.raises(AssertionError, match="lemma bag of component .* differs"):
+            for _ in range(10):
+                state.sweep(rng)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_debug_mode_catches_zero_counts_left_in_a_bag(
+        self, tiny_corpus, model, monkeypatch
+    ):
+        def remove_keeping_zeros(groups, key, members, bag):
+            groups.members[key] -= members
+            if not groups.members[key]:
+                del groups.members[key], groups.bags[key]
+                return
+            counts, total = groups.bags[key]
+            for tok, c in bag[0].items():
+                counts[tok] -= c
+            groups.bags[key] = (counts, total - bag[1])
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(sampling._Groups, "remove", remove_keeping_zeros)
+        with pytest.raises(AssertionError, match="lemma bag of .* differs"):
+            for _ in range(30):
+                state.sweep(rng)
+
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_stale_label_members(self, tiny_corpus, model, monkeypatch):
         def relabel_mentions_only(state, table, label):
@@ -510,14 +555,15 @@ class TestLinkGraphCore:
         def relabel_and_miscount(state, table, label):
             relabel(state, table, label)
             if label is not None:
-                state.label_totals[label] += 1
+                counts, total = state.label_groups.bags[label]
+                state.label_groups.bags[label] = (counts, total + 1)
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
         monkeypatch.setattr(TableCrpState, "_relabel", relabel_and_miscount)
-        with pytest.raises(AssertionError, match="lemma totals of labels differ"):
+        with pytest.raises(AssertionError, match="lemma bag of label .* differs"):
             state.sweep(rng)
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
@@ -541,8 +587,8 @@ class TestLinkGraphCore:
         state.joint_log_score()
         groups = state.label_groups if hasattr(state, "labels") else state.graph.groups
         key = next(iter(groups.members))
-        counts, total = groups.bag(key)
-        groups._bags[key] = (counts, total + 1)
+        counts, total = groups.bags[key]
+        groups.bags[key] = (counts, total + 1)
         with pytest.raises(AssertionError, match="joint score"):
             state.joint_log_score()
 
