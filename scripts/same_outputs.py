@@ -4,8 +4,9 @@
 
 For each tree the script runs that tree's CLI (ROOT/src on PYTHONPATH) on its
 bundled synthetic corpus: train-distance, then `sample` for all four models,
-once sequential and once with --randomized-scan --map-estimate, each with
-seed 3 and 3 chains x 60 sweeps.  It compares every chain-NN.clustering.json
+once sequential, once with --randomized-scan --map-estimate and once with
+--flat-likelihood --uniform-distances --randomized-scan, each with seed 3 and
+3 chains x 60 sweeps (36 clusterings).  It compares every chain-NN.clustering.json
 on every field except the embedded config, and the joint-score traces value
 by value.  It prints each clustering that differs, the number of trace files
 that differ and the largest relative trace drift, and exits 1 if any
@@ -23,7 +24,11 @@ import tempfile
 from pathlib import Path
 
 MODELS = ("hddcrp", "ddcrp", "hddcrp-star", "hdp-lex")
-SCANS = {"sequential": [], "randomized-map": ["--randomized-scan", "--map-estimate"]}
+SCANS = {
+    "sequential": [],
+    "randomized-map": ["--randomized-scan", "--map-estimate"],
+    "flat-uniform": ["--flat-likelihood", "--uniform-distances", "--randomized-scan"],
+}
 SAMPLE = ["--seed", "3", "--chains", "3", "--iterations", "60"]
 
 

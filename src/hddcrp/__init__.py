@@ -22,12 +22,7 @@ from .corpus import (
 from .errors import InputError, UniverseMismatchError
 from .features import FeatureExtractor
 from .likelihood import LikelihoodParams, corpus_log_likelihood, lemma_bags
-from .links import (
-    ClusterAssignment,
-    canonical_order,
-    clusters_from_links,
-    tables_from_customer_links,
-)
+from .links import ClusterAssignment, canonical_order, clusters_from_links
 from .metrics import (
     ScoreReport,
     b_cubed,
@@ -102,6 +97,5 @@ __all__ = [
     "save_corpus",
     "save_model",
     "score",
-    "tables_from_customer_links",
     "train",
 ]

@@ -66,6 +66,18 @@ class RunConfig:
             value = self.options.get(name)
             if value is not None and not Path(value).is_file():
                 raise InputError(f"--{name.replace('_', '-')}: {value!r} is not a file")
+        # an output path that cannot be written fails now, not after the work
+        output = self.options.get("output")
+        if output is not None and Path(output).is_dir():
+            raise InputError(f"--output: {output!r} is a directory")
+        if output is not None and not Path(output).parent.is_dir():
+            raise InputError(f"--output: {str(Path(output).parent)!r} is not a directory")
+        out_dir = self.options.get("output_dir")
+        if out_dir is not None:
+            # the directory itself, or the nearest of its parents that exists
+            existing = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
+            if not existing.is_dir():
+                raise InputError(f"--output-dir: {str(existing)!r} is not a directory")
 
     def to_dict(self):
         return {"command": self.command, **self.options}

@@ -360,6 +360,8 @@ def load_embeddings(path):
             vec = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
             raise InputError(f"{path}: line {line_no}: bad vector entry") from exc
+        if not np.isfinite(vec).all():
+            raise InputError(f"{path}: line {line_no}: non-finite vector entry")
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:

@@ -43,12 +43,6 @@ def _components(n, edges):
     return out
 
 
-def tables_from_customer_links(customer_link):
-    """Partition of mention indices induced by customer links alone."""
-    n = len(customer_link)
-    return _components(n, ((i, customer_link[i]) for i in range(n)))
-
-
 def clusters_from_links(customer_link, table_link):
     """Partition induced by customer links plus active table links.
 

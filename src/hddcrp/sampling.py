@@ -20,13 +20,13 @@ Terms shared by all candidates cancel, so each move only compares the cluster
 containing the moving mention against each candidate's cluster in the base
 graph with the mention's outgoing edges removed.
 
-Each state keeps that graph in a LinkGraph: the active outgoing edge of every
-mention, its inbound edges, and the components with their member sets and
-lemma bags.  A move drops the mention's edge, which splits at most one
-component, and adds the new one, which merges at most two, so it costs
-O(|component| + |candidates|) instead of a rebuild over all mentions.  A
+Each state holds every mention's active outgoing edge (_edge) and keeps the
+graph in a LinkGraph: each mention's inbound edges and the components with
+their member sets and lemma bags.  A move drops the mention's edge, which
+splits at most one component, and adds the new one, which merges at most two,
+so it costs O(|component| + |candidates|), not a rebuild over all mentions.  A
 split subtracts the detached side's lemma counts from the old bag and a merge
-adds the smaller bag into the larger, so no bag is ever rebuilt.
+adds the smaller bag into the larger; no bag is rebuilt.
 
 For hddcrp_star and hdp_lex a customer-link move is blocked with the label of
 the table it may create: the label is summed out over the CRP conditional, and
@@ -53,12 +53,7 @@ from .likelihood import (
     merge_normaliser_raw,
     merge_ratio_raw,
 )
-from .links import (
-    ClusterAssignment,
-    _components,
-    clusters_from_links,
-    tables_from_customer_links,
-)
+from .links import ClusterAssignment, _components, clusters_from_links
 
 MODELS = ("hddcrp", "hddcrp_star", "ddcrp_flat", "hdp_lex")
 
@@ -286,6 +281,7 @@ class _Groups:
 class LinkGraph:
     """Components of the undirected graph with one outgoing edge per mention
     (a self-loop stands for no edge), kept up to date one edge at a time.
+    The state holds the edges; the graph holds each mention's inbound edges.
 
     Dropping an edge splits at most one component and adding one merges at
     most two (Blei & Frazier 2011), so an update walks one component only.
@@ -293,7 +289,6 @@ class LinkGraph:
 
     def __init__(self, out, bag_of):
         n = len(out)
-        self.out = list(out)
         self.inbound = [set() for _ in range(n)]
         for m, t in enumerate(out):
             if t != m:
@@ -315,17 +310,15 @@ class LinkGraph:
         """Lemma bag of the component holding m."""
         return self.groups.bags[self.comp[m]]
 
-    def detach(self, i):
-        """Drop i's edge; if that splits i's component, i's side gets a new id.
+    def detach(self, i, j):
+        """Drop the edge i -> j; if that splits i's component, i's side gets a new id.
 
         Every mention has one outgoing edge, so i's side is the set of
-        mentions whose edges lead to i; it holds i's old target only if the
-        edge closed a cycle.
+        mentions whose edges lead to i; it holds j only if the edge closed a
+        cycle.
         """
-        j = self.out[i]
         if j == i:
             return
-        self.out[i] = i
         inbound = self.inbound
         inbound[j].remove(i)
         seen = {i}
@@ -348,7 +341,6 @@ class LinkGraph:
     def attach(self, i, j):
         """Give i, which has no edge, the edge i -> j; if that joins two
         components, the smaller takes the larger's id."""
-        self.out[i] = j
         if j == i:
             return
         self.inbound[j].add(i)
@@ -364,10 +356,8 @@ class LinkGraph:
             self.comp[m] = b
 
     def check(self, out):
-        """Raise AssertionError unless the edges, component ids and member
-        sets match a from-scratch rebuild over the edges out."""
-        if self.out != out:
-            raise AssertionError("maintained link edges differ from the state's links")
+        """Raise AssertionError unless the inbound edges, component ids and
+        member sets match a from-scratch rebuild over the edges out."""
         inbound = [set() for _ in out]
         for m, t in enumerate(out):
             if t != m:
@@ -396,8 +386,9 @@ class _StateBase:
         self.params = params
         self.n = len(order)
         self.mention_ids = tuple(m.mention_id for m in order)
-        self.span_counts, _, self._bag = lemma_bags(m.span_lemmas for m in order)
-        self.flat = config.flat_likelihood
+        # a flat likelihood is one over empty bags: every ratio and marginal is 0.0
+        lemmas = (() if config.flat_likelihood else m.span_lemmas for m in order)
+        self.span_counts, _, self._bag = lemma_bags(lemmas)
         self.debug = config.debug
         self.cand_c, self.log_norm_c = _with_logs(priors.customer)
         self.cl = list(range(self.n))
@@ -415,19 +406,25 @@ class _StateBase:
         """Target of m's active link, m itself if it has none."""
         return self.cl[m]
 
+    def _edges(self):
+        return [self._edge(m) for m in range(self.n)]
+
     def _start_graph(self):
-        self.graph = LinkGraph([self._edge(m) for m in range(self.n)], self._bag)
+        self.graph = LinkGraph(self._edges(), self._bag)
 
     def _check_core(self):
-        self.graph.check([self._edge(m) for m in range(self.n)])
+        self.graph.check(self._edges())
+
+    def _parts(self):
+        """Components of the active links, rebuilt from scratch: the clusters
+        of hddcrp and ddcrp_flat, the tables of the table models."""
+        return _components(self.n, enumerate(self._edges()))
 
     def _merge_delta(self, a, b):
-        return 0.0 if self.flat else merge_ratio_raw(*a, *b, self.params)
+        return merge_ratio_raw(*a, *b, self.params)
 
     def _partition_loglik(self, parts):
         total = 0.0
-        if self.flat:
-            return total
         for part in parts:
             total += log_marginal_raw(*self._bag(part), self.params)
         return total
@@ -440,10 +437,9 @@ class _StateBase:
         the order of their smallest members, which is the order _parts()
         gives."""
         total = 0.0
-        if not self.flat:
-            members, bags = groups.members, groups.bags
-            for key in sorted(members, key=lambda k: min(members[k])):
-                total += log_marginal_raw(*bags[key], self.params)
+        members, bags = groups.members, groups.bags
+        for key in sorted(members, key=lambda k: min(members[k])):
+            total += log_marginal_raw(*bags[key], self.params)
         if self.debug and total != self._scratch_loglik():
             raise AssertionError("joint score from the maintained bags differs from a rebuild")
         return total
@@ -453,13 +449,16 @@ class _StateBase:
             return [int(i) for i in rng.permutation(self.n)]
         return range(self.n)
 
-    def _link_move(self, i, cands, links, self_target, rng):
+    def _link_move(self, i, cands, links, rng):
         """Resample links[i] over cands: each candidate is weighted by its
         prior times the merge ratio of i's component with the component of
-        its target (self_target for the self candidate), with i's edge
-        dropped from the graph."""
+        its target, with i's edge dropped from the graph.  The self
+        candidate's target is i's edge with links[i] = i, which for a
+        customer link of hddcrp is i's table link."""
         graph = self.graph
-        graph.detach(i)
+        graph.detach(i, self._edge(i))
+        links[i] = i
+        self_target = self._edge(i)
         comp = graph.comp
         home = comp[i]
         bags = graph.groups.bags
@@ -471,8 +470,7 @@ class _StateBase:
             c = comp[self_target if j == i else j]
             d = delta_by_comp.get(c)
             if d is None:
-                d = self._merge_delta(stats_i, bags[c])
-                delta_by_comp[c] = d
+                d = delta_by_comp[c] = self._merge_delta(stats_i, bags[c])
             deltas.append(d)
             log_weights.append(lw + d)
         choice = _draw(rng, log_weights)
@@ -518,6 +516,13 @@ class _StateBase:
     def clustering(self):
         return ClusterAssignment.from_index_partition(self.mention_ids, self._parts())
 
+    def sample_customer_link(self, i, rng):
+        return self._link_move(i, self.cand_c[i], self.cl, rng)
+
+    def sweep(self, rng):
+        for i in self._scan_order(rng):
+            self.sample_customer_link(i, rng)
+
 
 class HddcrpState(_StateBase):
     """Full two-level link state: customer links plus table links."""
@@ -535,13 +540,6 @@ class HddcrpState(_StateBase):
         c = self.cl[m]
         return c if c != m else self.tl[m]
 
-    def _parts(self):
-        return clusters_from_links(self.cl, self.tl)
-
-    def sample_customer_link(self, i, rng):
-        # the self candidate re-activates i's table link
-        return self._link_move(i, self.cand_c[i], self.cl, self.tl[i], rng)
-
     def sample_table_link(self, i, rng):
         cands = self.cand_t[i]
         if self.cl[i] != i:
@@ -551,11 +549,10 @@ class HddcrpState(_StateBase):
             if self.debug:
                 self._check_core()
             return self.tl[i]
-        return self._link_move(i, cands, self.tl, i, rng)
+        return self._link_move(i, cands, self.tl, rng)
 
     def sweep(self, rng):
-        for i in self._scan_order(rng):
-            self.sample_customer_link(i, rng)
+        super().sweep(rng)
         for i in self._scan_order(rng):
             self.sample_table_link(i, rng)
 
@@ -564,10 +561,10 @@ class TableCrpState(_StateBase):
     """Within-document links plus CRP cluster labels on table heads.
 
     Serves hddcrp_star and hdp_lex; they differ only in the customer priors.
-    The link-graph components are the tables; the mentions and lemma bag of
-    each label are kept beside them, the bag updated by the bags of the tables
-    that join or leave it, with a table count per label and a multiset of the
-    labels' (tables, lemma total) keys.
+    The link-graph components are the tables.  Each mention's label, the
+    mentions and lemma bag of each label, its table count and a multiset of
+    the labels' (tables, lemma total) keys are kept beside them; a table that
+    joins or leaves a label moves all of these in one step.
 
     A move scores every label against the moving table.  Only labels that
     share a lemma with it, found through a lemma -> mentions index, need the
@@ -596,14 +593,15 @@ class TableCrpState(_StateBase):
         # label of each mention's table, None while its table is being moved
         self.label_of = [None] * self.n
         self.label_groups = _Groups(self._bag)
-        self.labels = {}
         self.tables = {}  # label -> heads carrying it
         self.keys = {}  # (tables, lemma total) -> labels with that key
-        for head in range(self.n):
-            if self.cl[head] == head:
-                self._set_label(head, self.next_label)
-                self.next_label += 1
-                self._relabel(self.graph.members(head), self.labels[head])
+        for head in self._heads():
+            self._relabel(self.graph.members(head), self.next_label, True)
+            self.next_label += 1
+
+    def _heads(self):
+        """Mentions whose customer link is a self-loop, in ascending order."""
+        return [m for m in range(self.n) if self.cl[m] == m]
 
     def _count_key(self, k, step):
         """Add step to the count of label k's (tables, lemma total) key, if
@@ -611,53 +609,44 @@ class TableCrpState(_StateBase):
         and put it back after."""
         t = self.tables.get(k)
         if t:
-            bag = self.label_groups.bags.get(k)
-            key = (t, bag[1] if bag else 0)
+            key = (t, self.label_groups.bags[k][1])
             left = self.keys.get(key, 0) + step
             if left:
                 self.keys[key] = left
             else:
                 del self.keys[key]
 
-    def _set_label(self, head, label):
-        """Give head's table label, or take its label away if label is None."""
-        old = self.labels.pop(head, None)
-        for k, step in ((old, -1), (label, 1)):
-            if k is not None:
-                self._count_key(k, -1)
-                t = self.tables.get(k, 0) + step
-                if t:
-                    self.tables[k] = t
-                else:
-                    del self.tables[k]
-                self._count_key(k, 1)
-        if label is not None:
-            self.labels[head] = label
-
-    def _relabel(self, table, label):
-        """Move the mentions of one table, a link-graph component, and its
-        lemma bag from their label to label."""
+    def _relabel(self, table, label, headed):
+        """Move the mentions of one table, a link-graph component, its lemma
+        bag and, if the table has its head, its table count from their label
+        to label; None stands for no label."""
         first = next(iter(table))
         old = self.label_of[first]
         bag = self.graph.bag(first)
         for m in table:
             self.label_of[m] = label
-        if old is not None:
-            self._count_key(old, -1)
-            self.label_groups.remove(old, table, bag)
-            self._count_key(old, 1)
-        if label is not None:
-            self._count_key(label, -1)
-            self.label_groups.add(label, table, bag)
-            self._count_key(label, 1)
+        for k, step in ((old, -1), (label, 1)):
+            if k is None:
+                continue
+            self._count_key(k, -1)
+            if step < 0:
+                self.label_groups.remove(k, table, bag)
+            else:
+                self.label_groups.add(k, table, bag)
+            if headed:
+                t = self.tables.get(k, 0) + step
+                if t:
+                    self.tables[k] = t
+                else:
+                    del self.tables[k]
+            self._count_key(k, 1)
 
     def _normaliser(self, total_a, total_b):
         """Merge normaliser of two lemma totals, memoised per chain."""
         key = (total_a, total_b)
         d = self._normalisers.get(key)
         if d is None:
-            d = 0.0 if self.flat else merge_normaliser_raw(total_a, total_b, self.params)
-            self._normalisers[key] = d
+            d = self._normalisers[key] = merge_normaliser_raw(total_a, total_b, self.params)
         return d
 
     def _shared_deltas(self, stats):
@@ -700,16 +689,18 @@ class TableCrpState(_StateBase):
     def sample_customer_link(self, i, rng):
         """Blocked move: resample a_i with the label of a would-be new table
         summed out, then draw that label if i really becomes a head."""
+        j = self.cl[i]
         self.cl[i] = i
-        self._set_label(i, None)
-        self.graph.detach(i)
+        self.graph.detach(i, j)
         table = self.graph.members(i)
-        self._relabel(table, None)
+        self._relabel(table, None, j == i)
         stats_i = self.graph.bag(i)
         total = stats_i[1]
         shared = self._shared_deltas(stats_i)
         weights = self._key_weights(total)
-        log_denom = math.log(len(self.labels) + self.alpha_0)
+        # every table but i's has a head with a label (_check_core says so),
+        # so the components other than i's count the labelled tables
+        log_denom = math.log(len(self.graph.groups.members) - 1 + self.alpha_0)
         marg = _log_sum_exp(self._new_table_terms(shared, weights, log_denom))
 
         label_of = self.label_of
@@ -729,10 +720,9 @@ class TableCrpState(_StateBase):
         target = cands[choice][0]
         if target == i:
             label = self._draw_label(rng, shared, weights)
-            self._set_label(i, label)
         else:
             label = self.label_of[target]
-        self._relabel(table, label)
+        self._relabel(table, label, target == i)
         self.cl[i] = target
         self.graph.attach(i, target)
         if self.debug:
@@ -763,30 +753,27 @@ class TableCrpState(_StateBase):
             raise ValueError(f"mention {head} does not head a table")
         table = self.graph.members(head)
         stats_t = self.graph.bag(head)
-        self._set_label(head, None)
-        self._relabel(table, None)
+        self._relabel(table, None, True)
         shared = self._shared_deltas(stats_t)
         if self.debug:
             self._debug_check_deltas(head, stats_t, shared)
         label = self._draw_label(rng, shared, self._key_weights(stats_t[1]))
-        self._set_label(head, label)
-        self._relabel(table, label)
+        self._relabel(table, label, True)
         if self.debug:
             self._check_core()
         return label
 
     def sweep(self, rng):
-        for i in self._scan_order(rng):
-            self.sample_customer_link(i, rng)
-        for head in sorted(self.labels):
+        super().sweep(rng)
+        for head in self._heads():
             self.sample_table_label(head, rng)
 
     def _label_parts(self):
         """Mentions of each label, from the tables rebuilt from scratch."""
         groups = {}
-        for table in tables_from_customer_links(self.cl):
+        for table in super()._parts():
             head = next(m for m in table if self.cl[m] == m)
-            groups.setdefault(self.labels[head], []).extend(table)
+            groups.setdefault(self.label_of[head], []).extend(table)
         return groups
 
     def _parts(self):
@@ -795,15 +782,12 @@ class TableCrpState(_StateBase):
 
     def _check_core(self):
         super()._check_core()
-        heads = {m for m in range(self.n) if self.cl[m] == m}
-        if set(self.labels) != heads:
-            raise AssertionError("labelled mentions differ from the table heads")
         expected = {k: set(g) for k, g in self._label_parts().items()}
         for k, members in expected.items():
             if any(self.label_of[m] != k for m in members):
                 raise AssertionError(f"maintained labels of label {k}'s mentions are stale")
         self.label_groups.check(expected, "label")
-        tables = Counter(self.labels.values())
+        tables = Counter(self.label_of[head] for head in self._heads())
         if self.tables != tables:
             raise AssertionError("maintained table counts of labels differ from a rebuild")
         keys = Counter((t, self.label_groups.bags[k][1]) for k, t in tables.items())
@@ -832,35 +816,21 @@ class TableCrpState(_StateBase):
         """Compare each label's ratio with the from-scratch likelihood gap
         between head i's unlabelled table joining that label and starting a
         fresh one."""
-        restore = self.next_label
-        self.labels[i] = self.next_label
-        self.next_label += 1
+        self.label_of[i] = self.next_label
         base = self._scratch_loglik()
-        del self.labels[i]
-        self.next_label = restore
         for k, delta in label_delta.items():
-            self.labels[i] = k
+            self.label_of[i] = k
             gap = self._scratch_loglik() - base
-            del self.labels[i]
             if abs(gap - delta) > 1e-9:
                 raise AssertionError(
                     f"incremental ratio {delta} != from-scratch {gap} "
                     f"(mention {i}, label {k})"
                 )
+        self.label_of[i] = None
 
 
 class FlatDdcrpState(_StateBase):
     """Single-level links over the whole corpus, no sequential restriction."""
-
-    def _parts(self):
-        return tables_from_customer_links(self.cl)
-
-    def sample_customer_link(self, i, rng):
-        return self._link_move(i, self.cand_c[i], self.cl, i, rng)
-
-    def sweep(self, rng):
-        for i in self._scan_order(rng):
-            self.sample_customer_link(i, rng)
 
 
 _STATE_CLASSES = {

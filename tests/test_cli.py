@@ -737,6 +737,28 @@ class TestInputFiles:
         assert code == 2
         assert "is not a file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["train-distance", "sample", "baseline"])
+    def test_non_finite_embedding_entries_exit_two(
+        self, value, command, model_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "embeddings.txt"
+        text = synthetic_embeddings_path().read_text(encoding="utf-8")
+        assert text.startswith("acquisition 0.0")
+        bad.write_text(text.replace("acquisition 0.0", f"acquisition {value}", 1), "utf-8")
+        inputs = ["--corpus", synthetic_corpus_path(), "--embeddings", bad,
+                  "--synonyms", synthetic_synonyms_path()]
+        argv = {
+            "train-distance": ["train-distance", *inputs, "-o", tmp_path / "m.json"],
+            "sample": ["sample", *inputs, "--model", "hddcrp", "--distance-model", model_file,
+                       "--chains", 1, "--iterations", 2, "--output-dir", tmp_path / "run"],
+            "baseline": ["baseline", *inputs, "--method", "agglomerative",
+                         "--distance-model", model_file, "-o", tmp_path / "agg.json"],
+        }[command]
+        assert run(argv) == 2
+        assert list(tmp_path.iterdir()) == [bad]
+        assert f"{bad}: line 1: non-finite vector entry" in capsys.readouterr().err
+
     BAD = "<not utf-8>"
 
     @pytest.mark.parametrize(
@@ -768,6 +790,55 @@ class TestInputFiles:
             out = ["-o", tmp_path / "out.json"]
         assert run([*argv, *out]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    """Output paths that cannot be written exit 2 before any work is done."""
+
+    PREDICTION = "<prediction>"
+    ARGV = {
+        "train-distance": ["train-distance", "--corpus", synthetic_corpus_path(),
+                           "--embeddings", synthetic_embeddings_path(),
+                           "--synonyms", synthetic_synonyms_path()],
+        "baseline": ["baseline", "--corpus", tiny_corpus_path()],
+        "score": ["score", "--corpus", tiny_corpus_path(), PREDICTION],
+        "oracle-posterior": ["oracle-posterior", "--corpus", tiny_corpus_path(),
+                             "--uniform-distances"],
+    }
+
+    @pytest.mark.parametrize("command", ARGV)
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unusable_output_exits_two(self, command, where, tmp_path, capsys):
+        prediction = tmp_path / "lemma.json"
+        assert run(["baseline", "--corpus", tiny_corpus_path(), "-o", prediction]) == 0
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "missing" / "out.json"
+        if where == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+            before.append(out)
+        argv = [prediction if a == self.PREDICTION else a for a in self.ARGV[command]]
+        capsys.readouterr()
+        assert run([*argv, "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert "--output" in captured.err
+        assert "wrote" not in captured.out
+        assert sorted(tmp_path.rglob("*")) == sorted(before)
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_output_dir_that_is_a_file_exits_two(self, below, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        out_dir = taken / "run" if below else taken
+        code = run(
+            ["sample", "--corpus", tiny_corpus_path(), "--model", "hdp-lex",
+             "--chains", 1, "--iterations", 2, "--output-dir", out_dir]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--output-dir" in captured.err
+        assert "chain 0" not in captured.out
+        assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from hddcrp.errors import InputError
-from hddcrp.links import (
-    ClusterAssignment,
-    canonical_order,
-    clusters_from_links,
-    tables_from_customer_links,
-)
+from hddcrp.links import ClusterAssignment, canonical_order, clusters_from_links
 from reference_impls import components_reference
 
 
@@ -40,13 +35,6 @@ class TestConnectivity:
             # only table links of table heads (self-customer mentions) are active
             edges += [(i, table[i]) for i in range(n) if customer[i] == i]
             assert got == components_reference(n, edges)
-
-    def test_tables_ignore_table_links(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            doc_of, customer, table = random_link_state(rng, [3, 3, 2])
-            tables = sorted(sorted(p) for p in tables_from_customer_links(customer))
-            assert tables == components_reference(len(customer), list(enumerate(customer)))
 
     def test_non_head_table_links_never_affect_clusters(self):
         # mention 1 links back to 0, so its table link must be inert

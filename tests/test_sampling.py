@@ -301,7 +301,7 @@ class TestDebugMode:
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         first = init_state(tiny_corpus, config, np.random.default_rng(65), priors=priors)
-        heads = sorted(first.labels)
+        heads = first._heads()
         assert len(heads) >= 2
         for head in heads:
             rng = np.random.default_rng(65)
@@ -326,7 +326,7 @@ def assert_matches_rebuild_sampler(corpus, resources, trained_model, model, rand
         if model == "hddcrp":
             assert state.tl == ref.tl
         elif model != "ddcrp_flat":
-            assert list(state.labels.items()) == list(ref.labels.items())
+            assert {h: state.label_of[h] for h in state._heads()} == ref.labels
         assert state.joint_log_score() == ref.joint_log_score()
 
 
@@ -440,18 +440,18 @@ class TestLinkGraphCore:
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_miscounted_tables(self, tiny_corpus, model, monkeypatch):
-        set_label = TableCrpState._set_label
+        relabel = TableCrpState._relabel
 
-        def set_label_and_miscount(state, head, label):
-            set_label(state, head, label)
-            if label is not None:
+        def relabel_and_miscount(state, table, label, headed):
+            relabel(state, table, label, headed)
+            if label is not None and headed:
                 state.tables[label] += 1
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(TableCrpState, "_set_label", set_label_and_miscount)
+        monkeypatch.setattr(TableCrpState, "_relabel", relabel_and_miscount)
         with pytest.raises(AssertionError, match="table counts of labels differ"):
             state.sweep(rng)
 
@@ -459,9 +459,9 @@ class TestLinkGraphCore:
     def test_debug_mode_catches_stale_keys(self, tiny_corpus, model, monkeypatch):
         relabel = TableCrpState._relabel
 
-        def relabel_leaving_keys_stale(state, table, label):
+        def relabel_leaving_keys_stale(state, table, label, headed):
             keys = dict(state.keys)
-            relabel(state, table, label)
+            relabel(state, table, label, headed)
             if label is not None:
                 state.keys = keys
 
@@ -478,7 +478,6 @@ class TestLinkGraphCore:
         self, tiny_corpus, model, monkeypatch
     ):
         def attach_without_merging(graph, i, j):
-            graph.out[i] = j
             if j != i:
                 graph.inbound[j].add(i)
 
@@ -536,15 +535,19 @@ class TestLinkGraphCore:
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_stale_label_members(self, tiny_corpus, model, monkeypatch):
-        def relabel_mentions_only(state, table, label):
-            for m in table:
-                state.label_of[m] = label
+        relabel = TableCrpState._relabel
+
+        def relabel_leaving_member_sets(state, table, label, headed):
+            members = {k: set(g) for k, g in state.label_groups.members.items()}
+            relabel(state, table, label, headed)
+            if label is not None:
+                state.label_groups.members[label] = members.get(label, set())
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(TableCrpState, "_relabel", relabel_mentions_only)
+        monkeypatch.setattr(TableCrpState, "_relabel", relabel_leaving_member_sets)
         with pytest.raises(AssertionError, match="label member sets differ"):
             state.sweep(rng)
 
@@ -552,8 +555,8 @@ class TestLinkGraphCore:
     def test_debug_mode_catches_stale_label_totals(self, tiny_corpus, model, monkeypatch):
         relabel = TableCrpState._relabel
 
-        def relabel_and_miscount(state, table, label):
-            relabel(state, table, label)
+        def relabel_and_miscount_totals(state, table, label, headed):
+            relabel(state, table, label, headed)
             if label is not None:
                 counts, total = state.label_groups.bags[label]
                 state.label_groups.bags[label] = (counts, total + 1)
@@ -562,7 +565,7 @@ class TestLinkGraphCore:
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(TableCrpState, "_relabel", relabel_and_miscount)
+        monkeypatch.setattr(TableCrpState, "_relabel", relabel_and_miscount_totals)
         with pytest.raises(AssertionError, match="lemma bag of label .* differs"):
             state.sweep(rng)
 
@@ -585,7 +588,7 @@ class TestLinkGraphCore:
         state = init_state(tiny_corpus, config, rng, priors=priors)
         state.sweep(rng)
         state.joint_log_score()
-        groups = state.label_groups if hasattr(state, "labels") else state.graph.groups
+        groups = state.label_groups if hasattr(state, "label_groups") else state.graph.groups
         key = next(iter(groups.members))
         counts, total = groups.bags[key]
         groups.bags[key] = (counts, total + 1)
@@ -594,6 +597,25 @@ class TestLinkGraphCore:
 
 
 class TestSweepOperations:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("randomized_scan", [False, True])
+    def test_flat_likelihood_adds_exactly_nothing_to_the_joint_score(
+        self, synthetic_corpus, model, randomized_scan
+    ):
+        config = SamplerConfig(
+            model=model, flat_likelihood=True, randomized_scan=randomized_scan, debug=True
+        )
+        priors = build_priors(synthetic_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(77)
+        state = init_state(synthetic_corpus, config, rng, priors=priors)
+        for _ in range(3):
+            state.sweep(rng)
+            prior = state._links_log_prior()
+            if model in ("hddcrp_star", "hdp_lex"):
+                sizes = sorted(state.tables.values())
+                prior += crp_partition_log_prob(sizes, state.alpha_0)
+            assert state.joint_log_score() == prior
+
     def test_single_site_moves_respect_the_candidate_sets(self, tiny_corpus):
         config = SamplerConfig(model="hddcrp", concentration=0.5)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
@@ -610,8 +632,8 @@ class TestSweepOperations:
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(66)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        for head in sorted(state.labels):
-            assert state.sample_table_label(head, rng) == state.labels[head]
+        for head in state._heads():
+            assert state.sample_table_label(head, rng) == state.label_of[head]
         with pytest.raises(ValueError):
             state.sample_table_label(next(i for i, j in enumerate(state.cl) if j != i), rng)
 
