@@ -4,7 +4,8 @@ Each coreference cluster emits the bag of span lemmas of its member mentions
 from a cluster-specific multinomial with a symmetric Dirichlet prior.  The
 multinomial is integrated out, leaving a closed form in log-gamma terms.  The
 sampler only ever needs ratios between a merged cluster and its two halves,
-for which all terms over lemmas absent from both halves cancel.
+for which all terms over lemmas absent from both halves cancel; a split is
+scored as the merge of one side with the rest, read off the whole bag.
 
 The functions read their log-gamma terms from tables on the LikelihoodParams
 and add them with math.fsum, which rounds the exact sum once, so results do
@@ -122,4 +123,21 @@ def merge_ratio_raw(counts_a, total_a, counts_b, total_b, params):
         nl = counts_b.get(tok)
         if nl is not None:
             terms += (lg[ns + nl], -lg[ns], -lg[nl])
+    return fsum(terms)
+
+
+def split_ratio_raw(side_bag, whole_bag, params):
+    """merge_ratio_raw of side_bag and the rest of whole_bag, a (counts,
+    total) bag that holds it, without building the rest.
+
+    The terms are the ones merge_ratio_raw adds, so the value is the same to
+    the bit: a lemma contributes only if the rest holds some of it too.
+    """
+    (counts_s, total_s), (counts_w, total_w) = side_bag, whole_bag
+    terms = [merge_normaliser_raw(total_s, total_w - total_s, params)]
+    lg = params._count_terms
+    for tok, ns in counts_s.items():
+        nw = counts_w[tok]
+        if nw != ns:
+            terms += (lg[nw], -lg[ns], -lg[nw - ns])
     return fsum(terms)

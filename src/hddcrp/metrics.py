@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -206,7 +208,8 @@ def mean_reports(reports):
 
     def avg(get):
         vals = [get(r) for r in reports]
-        return sum(vals) / len(vals)
+        # left to right: sum() of floats is compensated from Python 3.12 on
+        return reduce(add, vals, 0.0) / len(vals)
 
     def mean_prf(name):
         return PRF(

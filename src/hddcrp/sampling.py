@@ -22,11 +22,17 @@ graph with the mention's outgoing edges removed.
 
 Each state holds every mention's active outgoing edge (_edge) and keeps the
 graph in a LinkGraph: each mention's inbound edges and the components with
-their member sets and lemma bags.  A move drops the mention's edge, which
-splits at most one component, and adds the new one, which merges at most two,
-so it costs O(|component| + |candidates|), not a rebuild over all mentions.  A
-split subtracts the detached side's lemma counts from the old bag and a merge
-adds the smaller bag into the larger; no bag is rebuilt.
+their member sets and lemma bags.  A move first proposes, reading the graph
+only: it finds the side that dropping the mention's edge would split off and
+scores every candidate against that virtual split, so a target on the side
+weighs nothing and one in the rest of the component weighs the split ratio,
+read off the whole bag.  It then commits the drawn edge, and the components
+change only if the partition does: the side splits off, joins another
+component, or the whole component merges with another.  Most moves end in
+the component they left and touch no member set or bag.  A move costs
+O(|component| + |candidates|), not a rebuild over all mentions, and no bag
+is rebuilt: a split or join adds and subtracts the side's lemma counts, and
+a merge adds the smaller bag into the larger.
 
 For hddcrp_star and hdp_lex a customer-link move is blocked with the label of
 the table it may create: the label is summed out over the CRP conditional, and
@@ -39,9 +45,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -52,10 +61,14 @@ from .likelihood import (
     log_marginal_raw,
     merge_normaliser_raw,
     merge_ratio_raw,
+    split_ratio_raw,
 )
 from .links import ClusterAssignment, _components, clusters_from_links
 
 MODELS = ("hddcrp", "hddcrp_star", "ddcrp_flat", "hdp_lex")
+
+# chain seeds come from SeedSequence.spawn, which builds every child at once
+MAX_CHAINS = 10_000
 
 # top-level concentration defaults per model
 DEFAULT_ALPHA_0 = {
@@ -92,6 +105,8 @@ class SamplerConfig:
             raise InputError("concentrations must be positive")
         if self.iterations < 1 or self.chains < 1:
             raise InputError("iterations and chains must be at least 1")
+        if self.chains > MAX_CHAINS:
+            raise InputError(f"chains must be at most {MAX_CHAINS}, got {self.chains}")
         for name in ("burn_in", "seed"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -194,22 +209,23 @@ def build_priors(corpus, config, pairwise=None, resources=None, uniform=False):
     return Priors(customer, table)
 
 
+# Float sums that reach an output add left to right with reduce(add, ...):
+# sum() of floats is compensated from Python 3.12 on, so its last bits
+# depend on the interpreter.
+
+
 def _draw(rng, log_weights):
-    """Index sampled proportionally to exp(log_weights), max-shifted."""
+    """Index sampled proportionally to exp(log_weights), max-shifted: the
+    first whose left-to-right partial sum reaches u, a uniform draw below
+    the total."""
     top = max(log_weights)
-    probs = [math.exp(x - top) for x in log_weights]
-    u = rng.random() * sum(probs)
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u <= acc:
-            return k
-    return len(probs) - 1
+    acc = list(itertools.accumulate([math.exp(x - top) for x in log_weights]))
+    return bisect_left(acc, rng.random() * acc[-1])
 
 
 def _log_sum_exp(terms):
     top = max(terms)
-    return top + math.log(sum(math.exp(t - top) for t in terms))
+    return top + math.log(reduce(add, [math.exp(t - top) for t in terms], 0.0))
 
 
 def crp_partition_log_prob(sizes, alpha):
@@ -233,7 +249,7 @@ def _with_logs(supports):
     """Per-mention candidate tuples (target, weight, log weight) and the log
     of each mention's total weight."""
     cands = tuple(tuple((j, w, math.log(w)) for j, w in c) for c in supports)
-    return cands, tuple(math.log(sum(w for _, w in c)) for c in supports)
+    return cands, tuple(math.log(reduce(add, (w for _, w in c), 0.0)) for c in supports)
 
 
 class _Groups:
@@ -284,7 +300,10 @@ class LinkGraph:
     The state holds the edges; the graph holds each mention's inbound edges.
 
     Dropping an edge splits at most one component and adding one merges at
-    most two (Blei & Frazier 2011), so an update walks one component only.
+    most two (Blei & Frazier 2011).  A move asks side() what dropping an edge
+    would split off, without changing anything, and scores its candidates
+    against that virtual split; move() then commits the new edge and touches
+    the components only if the partition changes.
     """
 
     def __init__(self, out, bag_of):
@@ -310,50 +329,59 @@ class LinkGraph:
         """Lemma bag of the component holding m."""
         return self.groups.bags[self.comp[m]]
 
-    def detach(self, i, j):
-        """Drop the edge i -> j; if that splits i's component, i's side gets a new id.
+    def side(self, i, j):
+        """Mentions left with i if its edge i -> j were dropped, or None if
+        dropping it splits nothing (a self edge, or an edge closing a cycle).
 
         Every mention has one outgoing edge, so i's side is the set of
-        mentions whose edges lead to i; it holds j only if the edge closed a
-        cycle.
+        mentions whose edges lead to i; it reaches j only through a cycle.
         """
         if j == i:
-            return
+            return None
         inbound = self.inbound
-        inbound[j].remove(i)
         seen = {i}
         stack = [i]
         while stack:
             for v in inbound[stack.pop()]:
                 if v == j:
-                    return
+                    return None
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        side = self.groups.bag_of(seen)
-        self.groups.remove(self.comp[i], seen, side)
-        new = self._next_id
-        self._next_id += 1
-        self.groups.add(new, seen, side)
-        for m in seen:
-            self.comp[m] = new
+        return seen
 
-    def attach(self, i, j):
-        """Give i, which has no edge, the edge i -> j; if that joins two
-        components, the smaller takes the larger's id."""
-        if j == i:
+    def move(self, i, old, new, side, side_bag):
+        """Replace i's edge i -> old with i -> new, where side is
+        side(i, old) and side_bag its lemma bag.  The side splits off if new
+        lies on it, joins new's component if that is another one, and stays
+        put if new lies in the rest of i's component; with no side, i's
+        component merges with new's, the smaller taking the larger's id."""
+        if old != new:
+            if old != i:
+                self.inbound[old].remove(i)
+            if new != i:
+                self.inbound[new].add(i)
+        comp, groups = self.comp, self.groups
+        a, b = comp[i], comp[new]
+        if side is None:
+            if a == b:
+                return
+            if len(groups.members[a]) > len(groups.members[b]):
+                a, b = b, a
+            moved, bag = groups.pop(a)
+        elif new in side:
+            b = self._next_id
+            self._next_id += 1
+            moved, bag = side, side_bag
+            groups.remove(a, moved, bag)
+        elif a != b:
+            moved, bag = side, side_bag
+            groups.remove(a, moved, bag)
+        else:
             return
-        self.inbound[j].add(i)
-        a, b = self.comp[i], self.comp[j]
-        if a == b:
-            return
-        members = self.groups.members
-        if len(members[a]) > len(members[b]):
-            a, b = b, a
-        moved, bag = self.groups.pop(a)
-        self.groups.add(b, moved, bag)
+        groups.add(b, moved, bag)
         for m in moved:
-            self.comp[m] = b
+            comp[m] = b
 
     def check(self, out):
         """Raise AssertionError unless the inbound edges, component ids and
@@ -451,33 +479,45 @@ class _StateBase:
 
     def _link_move(self, i, cands, links, rng):
         """Resample links[i] over cands: each candidate is weighted by its
-        prior times the merge ratio of i's component with the component of
-        its target, with i's edge dropped from the graph.  The self
-        candidate's target is i's edge with links[i] = i, which for a
-        customer link of hddcrp is i's table link."""
+        prior times the merge ratio of i's side with the component of its
+        target, in the graph without i's edge.  That split is virtual: a
+        target on i's side weighs 0.0 and one in the rest of i's component
+        the split ratio, and the graph changes only when the move commits.
+        The self candidate's target is i's edge with links[i] = i, which for
+        a customer link of hddcrp is i's table link."""
         graph = self.graph
-        graph.detach(i, self._edge(i))
+        old = self._edge(i)
+        side = graph.side(i, old)
         links[i] = i
         self_target = self._edge(i)
         comp = graph.comp
         home = comp[i]
         bags = graph.groups.bags
-        stats_i = bags[home]
-        delta_by_comp = {home: 0.0}
+        if side is None:
+            stats_i = bags[home]
+            delta_by_comp = {home: 0.0}
+        else:
+            stats_i = self._bag(side)
+            rest = split_ratio_raw(stats_i, bags[home], self.params)
+            delta_by_comp = {}
         deltas = []
         log_weights = []
         for j, _, lw in cands:
-            c = comp[self_target if j == i else j]
+            t = self_target if j == i else j
+            c = comp[t]
             d = delta_by_comp.get(c)
             if d is None:
-                d = delta_by_comp[c] = self._merge_delta(stats_i, bags[c])
+                if c == home:  # reached only when i's edge splits a side off
+                    d = 0.0 if t in side else rest
+                else:
+                    d = delta_by_comp[c] = self._merge_delta(stats_i, bags[c])
             deltas.append(d)
             log_weights.append(lw + d)
         choice = _draw(rng, log_weights)
         if self.debug:
             self._debug_check(i, cands, deltas, links)
         links[i] = cands[choice][0]
-        graph.attach(i, self._edge(i))
+        graph.move(i, old, self._edge(i), side, stats_i)
         if self.debug:
             self._check_core()
         return links[i]
@@ -596,7 +636,7 @@ class TableCrpState(_StateBase):
         self.tables = {}  # label -> heads carrying it
         self.keys = {}  # (tables, lemma total) -> labels with that key
         for head in self._heads():
-            self._relabel(self.graph.members(head), self.next_label, True)
+            self._relabel(self.graph.members(head), self.graph.bag(head), self.next_label, True)
             self.next_label += 1
 
     def _heads(self):
@@ -616,13 +656,11 @@ class TableCrpState(_StateBase):
             else:
                 del self.keys[key]
 
-    def _relabel(self, table, label, headed):
-        """Move the mentions of one table, a link-graph component, its lemma
-        bag and, if the table has its head, its table count from their label
-        to label; None stands for no label."""
-        first = next(iter(table))
-        old = self.label_of[first]
-        bag = self.graph.bag(first)
+    def _relabel(self, table, bag, label, headed):
+        """Move the mentions of one table, its lemma bag bag and, if the
+        table has its head, its table count from their label to label; None
+        stands for no label."""
+        old = self.label_of[next(iter(table))]
         for m in table:
             self.label_of[m] = label
         for k, step in ((old, -1), (label, 1)):
@@ -689,18 +727,23 @@ class TableCrpState(_StateBase):
     def sample_customer_link(self, i, rng):
         """Blocked move: resample a_i with the label of a would-be new table
         summed out, then draw that label if i really becomes a head."""
-        j = self.cl[i]
+        graph = self.graph
+        old = self.cl[i]
+        # i's table: the side split off by dropping a_i, or its whole table
+        side = graph.side(i, old)
+        if side is None:
+            table, stats_i = graph.members(i), graph.bag(i)
+        else:
+            table, stats_i = side, self._bag(side)
         self.cl[i] = i
-        self.graph.detach(i, j)
-        table = self.graph.members(i)
-        self._relabel(table, None, j == i)
-        stats_i = self.graph.bag(i)
+        self._relabel(table, stats_i, None, old == i)
         total = stats_i[1]
         shared = self._shared_deltas(stats_i)
         weights = self._key_weights(total)
         # every table but i's has a head with a label (_check_core says so),
-        # so the components other than i's count the labelled tables
-        log_denom = math.log(len(self.graph.groups.members) - 1 + self.alpha_0)
+        # so the components other than i's count the labelled tables; a
+        # virtual split adds one component to those the graph holds
+        log_denom = math.log(len(graph.groups.members) - (side is None) + self.alpha_0)
         marg = _log_sum_exp(self._new_table_terms(shared, weights, log_denom))
 
         label_of = self.label_of
@@ -722,9 +765,9 @@ class TableCrpState(_StateBase):
             label = self._draw_label(rng, shared, weights)
         else:
             label = self.label_of[target]
-        self._relabel(table, label, target == i)
+        self._relabel(table, stats_i, label, target == i)
         self.cl[i] = target
-        self.graph.attach(i, target)
+        graph.move(i, old, target, side, stats_i)
         if self.debug:
             self._check_core()
         return target
@@ -753,12 +796,12 @@ class TableCrpState(_StateBase):
             raise ValueError(f"mention {head} does not head a table")
         table = self.graph.members(head)
         stats_t = self.graph.bag(head)
-        self._relabel(table, None, True)
+        self._relabel(table, stats_t, None, True)
         shared = self._shared_deltas(stats_t)
         if self.debug:
             self._debug_check_deltas(head, stats_t, shared)
         label = self._draw_label(rng, shared, self._key_weights(stats_t[1]))
-        self._relabel(table, label, True)
+        self._relabel(table, stats_t, label, True)
         if self.debug:
             self._check_core()
         return label
@@ -894,7 +937,7 @@ def run_chains(corpus, config, pairwise=None, resources=None, priors=None, jobs=
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     args = [(corpus, config, priors, params, k, seeds[k]) for k in range(config.chains)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, config.chains)) as pool:
             futures = [pool.submit(_run_chain, *a) for a in args]
             return [f.result() for f in futures]
     return [_run_chain(*a) for a in args]
@@ -919,7 +962,7 @@ def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resour
     state = HddcrpState(corpus, config, priors, params)
 
     def normalized(cands):
-        z = sum(w for _, w in cands)
+        z = reduce(add, (w for _, w in cands), 0.0)
         return [(j, math.log(w / z)) for j, w in cands]
 
     cust = [normalized(c) for c in priors.customer]
@@ -936,7 +979,7 @@ def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resour
     log_mass = {}
     for combo in itertools.product(*cust):
         links = [j for j, _ in combo]
-        prior_a = sum(lp for _, lp in combo)
+        prior_a = reduce(add, (lp for _, lp in combo), 0.0)
         heads = [i for i in range(n) if links[i] == i]
         for tcombo in itertools.product(*(tab[h] for h in heads)):
             table_links = list(range(n))
@@ -951,5 +994,5 @@ def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resour
             log_mass[key] = w if prev is None else np.logaddexp(prev, w)
     top = max(log_mass.values())
     masses = {k: math.exp(v - top) for k, v in log_mass.items()}
-    z = sum(masses.values())
+    z = reduce(add, masses.values(), 0.0)
     return {k: v / z for k, v in masses.items()}

@@ -5,6 +5,7 @@ dense log-gamma sums, exhaustive enumeration) without touching the package's
 own incremental code paths, so agreement is meaningful evidence.
 """
 
+import builtins
 import itertools
 import math
 
@@ -12,6 +13,20 @@ import numpy as np
 from scipy.special import gammaln
 
 from hddcrp.likelihood import log_marginal_raw, merge_ratio_raw
+
+
+def compensated_sum(values, start=0):
+    """sum() as Python 3.12 computes it: exact over ints, and a Neumaier
+    compensated sum once a float appears."""
+    values = list(values)
+    if not any(isinstance(v, float) for v in values):
+        return builtins.sum(values, start)
+    total, error = float(start), 0.0
+    for v in values:
+        t = total + v
+        error += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + error
 
 
 def prf(p_num, p_den, r_num, r_den):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hddcrp import pairwise
+from hddcrp import metrics, pairwise, sampling
 from hddcrp.cli import build_parser, main
 from hddcrp.corpus import Corpus, Document, GoldChains, Mention, load_corpus, save_corpus
 from hddcrp.data import (
@@ -16,6 +16,7 @@ from hddcrp.data import (
     tiny_corpus_path,
 )
 from hddcrp.pairwise import load_model
+from reference_impls import compensated_sum
 
 
 @pytest.fixture(autouse=True)
@@ -281,6 +282,29 @@ class TestSample:
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.trace.csv"))
         assert not list(tmp_path.rglob("*.clustering.json"))
+
+    @pytest.mark.parametrize("chains", [10**30, 10_001])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_too_many_chains_exit_two(self, chains, route, tmp_path, capsys):
+        if route == "flag":
+            flags = ["--chains", chains]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"chains": chains}), encoding="utf-8")
+            flags = ["--config", cfg]
+        code = run(
+            [
+                "sample",
+                "--corpus", tiny_corpus_path(),
+                "--model", "hdp-lex",
+                "--iterations", 2,
+                *flags,
+                "--output-dir", tmp_path / "run",
+            ]
+        )
+        assert code == 2
+        assert "chains must be at most" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_model_name_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -632,6 +656,39 @@ def _set(path, value):
         return doc
 
     return edit
+
+
+class TestInterpreterIndependentSums:
+    def run_and_read(self, model_file, out):
+        corpus = synthetic_corpus_path()
+        for model in ("hddcrp", "hddcrp-star", "ddcrp"):
+            code = run(
+                [
+                    "sample",
+                    "--corpus", corpus,
+                    "--model", model,
+                    "--distance-model", model_file,
+                    "--seed", 0,
+                    "--chains", 3,
+                    "--iterations", 30,
+                    "--output-dir", out / model,
+                ]
+            )
+            assert code == 0
+            chains = sorted((out / model).glob("*.clustering.json"))
+            code = run(["score", "--corpus", corpus, *chains, "-o", out / f"{model}.score.json"])
+            assert code == 0
+        return {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_a_compensated_sum_leaves_every_output_unchanged(
+        self, model_file, tmp_path, monkeypatch
+    ):
+        plain = self.run_and_read(model_file, tmp_path)
+        for module in (sampling, metrics):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+        compensated = self.run_and_read(model_file, tmp_path)
+        assert len(plain) == 3 * 7
+        assert compensated == plain
 
 
 class TestCorpusInput:

@@ -11,6 +11,7 @@ from hddcrp.likelihood import (
     log_marginal_raw,
     merge_normaliser_raw,
     merge_ratio_raw,
+    split_ratio_raw,
 )
 from hddcrp.links import ClusterAssignment
 from reference_impls import dirichlet_marginal_reference
@@ -147,6 +148,40 @@ class TestOrderFreeSums:
             - marginal({"b": 1500}, params),
             rel_tol=1e-12,
         )
+
+
+class TestSplitRatio:
+    """split_ratio_raw scores a side against the rest of a whole bag as
+    merge_ratio_raw scores it against the rest built out."""
+
+    @staticmethod
+    def assert_split_matches_merge(side, rest, params):
+        whole = dict(rest)
+        for tok, n in side.items():
+            whole[tok] = whole.get(tok, 0) + n
+        ts, tr = sum(side.values()), sum(rest.values())
+        got = split_ratio_raw((side, ts), (whole, ts + tr), params)
+        assert got == merge_ratio_raw(side, ts, rest, tr, params)
+        assert got == merge_ratio_raw(rest, tr, side, ts, params)
+
+    def test_overlapping_bags(self):
+        for a, b, params in random_bags(34, 300):
+            self.assert_split_matches_merge(a, b, params)
+            self.assert_split_matches_merge(b, a, params)
+
+    def test_disjoint_bags(self):
+        for a, b, params in random_bags(35, 200):
+            b = {f"x{tok}": n for tok, n in b.items()}
+            self.assert_split_matches_merge(a, b, params)
+            self.assert_split_matches_merge(b, a, params)
+
+    def test_empty_bags(self):
+        for a, _, params in random_bags(36, 50):
+            self.assert_split_matches_merge(a, {}, params)
+            self.assert_split_matches_merge({}, a, params)
+            # the flat likelihood's bags are all empty
+            self.assert_split_matches_merge({}, {}, params)
+            assert split_ratio_raw(({}, 0), ({}, 0), params) == 0.0
 
 
 class TestLemmaBags:

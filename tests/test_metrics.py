@@ -6,6 +6,8 @@ import pytest
 from hddcrp.errors import UniverseMismatchError
 from hddcrp.links import ClusterAssignment, canonical_order
 from hddcrp.metrics import (
+    PRF,
+    ScoreReport,
     b_cubed,
     ceaf_e,
     format_table,
@@ -14,7 +16,13 @@ from hddcrp.metrics import (
     score,
 )
 from hddcrp.corpus import gold_partition
-from reference_impls import b_cubed_reference, ceaf_e_reference, muc_reference
+from hddcrp import metrics
+from reference_impls import (
+    b_cubed_reference,
+    ceaf_e_reference,
+    compensated_sum,
+    muc_reference,
+)
 
 
 def parts(*groups):
@@ -138,6 +146,15 @@ class TestAveraging:
         avg = mean_reports([r] * 5)
         assert avg.conll_f1 == r.conll_f1
         assert avg.muc == r.muc and avg.b3 == r.b3 and avg.ceafe == r.ceafe
+
+    def test_means_add_left_to_right_on_every_interpreter(self, monkeypatch):
+        # Python 3.12's sum() gives 0.6 here, a left-to-right sum 0.6000000000000001
+        monkeypatch.setattr(metrics, "sum", compensated_sum, raising=False)
+        reports = [ScoreReport("CD", *[PRF(x, x, x)] * 3) for x in (0.1, 0.2, 0.3)]
+        mean = mean_reports(reports)
+        want = (0.1 + 0.2 + 0.3) / 3
+        assert compensated_sum([0.1, 0.2, 0.3]) / 3 != want
+        assert mean.muc == mean.b3 == mean.ceafe == PRF(want, want, want)
 
     def test_mixed_settings_rejected(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)

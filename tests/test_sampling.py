@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hddcrp import sampling
 from hddcrp.likelihood import LikelihoodParams
 from hddcrp.sampling import (
     DEFAULT_ALPHA_0,
+    MAX_CHAINS,
     MODELS,
     LinkGraph,
     SamplerConfig,
@@ -93,6 +95,10 @@ class TestConfig:
             SamplerConfig(concentration=-1.0)
         with pytest.raises(InputError):
             SamplerConfig(seed=-1)
+        for chains in (MAX_CHAINS + 1, 10**30):
+            with pytest.raises(InputError, match="chains must be at most"):
+                SamplerConfig(chains=chains)
+        assert SamplerConfig(chains=MAX_CHAINS).chains == MAX_CHAINS
         for bad in (math.nan, math.inf, -math.inf):
             for name in ("alpha_d", "alpha_0", "concentration"):
                 with pytest.raises(InputError):
@@ -182,6 +188,33 @@ class TestCrpMachinery:
             alpha = float(rng.uniform(0.1, 3.0))
             got = crp_partition_log_prob(sizes, alpha)
             assert math.isclose(got, math.log(crp_eppf(sizes, alpha)), rel_tol=1e-10)
+
+    def test_draw_takes_the_first_partial_sum_that_reaches_u(self):
+        class FixedRng:
+            def __init__(self, r):
+                self.r = r
+
+            def random(self):
+                return self.r
+
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            log_weights = rng.normal(0.0, 3.0, int(rng.integers(1, 12))).tolist()
+            # weights that vanish after the max shift give runs of equal partial sums
+            log_weights += [-800.0] * int(rng.integers(0, 3))
+            rng.shuffle(log_weights)
+            top = max(log_weights)
+            probs = [math.exp(x - top) for x in log_weights]
+            total = 0.0
+            for p in probs:
+                total += p
+            for r in (0.0, float(rng.random()), 1.0 - 2.0**-53):
+                u, acc = r * total, 0.0
+                for want, p in enumerate(probs):
+                    acc += p
+                    if u <= acc:
+                        break
+                assert sampling._draw(FixedRng(r), log_weights) == want
 
     def test_three_mention_reduction_recovers_crp_exactly(self):
         corpus = single_doc_corpus(3)
@@ -278,7 +311,7 @@ class TestDebugMode:
 
     @pytest.fixture
     def ratios_off_by_a_millionth(self, monkeypatch):
-        for name in ("merge_ratio_raw", "merge_normaliser_raw"):
+        for name in ("merge_ratio_raw", "merge_normaliser_raw", "split_ratio_raw"):
             exact = getattr(sampling, name)
             monkeypatch.setattr(sampling, name, lambda *args, f=exact: f(*args) + 1e-6)
 
@@ -339,6 +372,38 @@ class TestLinkGraphCore:
         assert_matches_rebuild_sampler(
             synthetic_corpus, resources, trained_model, model, randomized_scan
         )
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_move_that_keeps_the_partition_leaves_the_components_untouched(
+        self, synthetic_corpus, model
+    ):
+        config = SamplerConfig(model=model)
+        priors = build_priors(synthetic_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(77)
+        state = init_state(synthetic_corpus, config, rng, priors=priors)
+        moves = [state.sample_customer_link]
+        if model == "hddcrp":
+            moves.append(state.sample_table_link)
+        graph = state.graph
+        kept = 0
+        for move in moves:
+            for i in range(state.n):
+                # the graph's components, rebuilt from the edges
+                parts = sampling._StateBase._parts(state)
+                comp = list(graph.comp)
+                members = {k: (s, set(s)) for k, s in graph.groups.members.items()}
+                bags = {k: (b, (dict(b[0]), b[1])) for k, b in graph.groups.bags.items()}
+                move(i, rng)
+                if sampling._StateBase._parts(state) != parts:
+                    continue
+                kept += 1
+                assert graph.comp == comp
+                assert graph.groups.members.keys() == members.keys()
+                for k, (s, copy) in members.items():
+                    assert graph.groups.members[k] is s and s == copy
+                for k, (b, copy) in bags.items():
+                    assert graph.groups.bags[k] is b and (b[0], b[1]) == copy
+        assert kept > state.n // 2
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     @pytest.mark.parametrize("randomized_scan", [False, True])
@@ -442,8 +507,8 @@ class TestLinkGraphCore:
     def test_debug_mode_catches_miscounted_tables(self, tiny_corpus, model, monkeypatch):
         relabel = TableCrpState._relabel
 
-        def relabel_and_miscount(state, table, label, headed):
-            relabel(state, table, label, headed)
+        def relabel_and_miscount(state, table, bag, label, headed):
+            relabel(state, table, bag, label, headed)
             if label is not None and headed:
                 state.tables[label] += 1
 
@@ -459,9 +524,9 @@ class TestLinkGraphCore:
     def test_debug_mode_catches_stale_keys(self, tiny_corpus, model, monkeypatch):
         relabel = TableCrpState._relabel
 
-        def relabel_leaving_keys_stale(state, table, label, headed):
+        def relabel_leaving_keys_stale(state, table, bag, label, headed):
             keys = dict(state.keys)
-            relabel(state, table, label, headed)
+            relabel(state, table, bag, label, headed)
             if label is not None:
                 state.keys = keys
 
@@ -477,35 +542,42 @@ class TestLinkGraphCore:
     def test_debug_mode_catches_components_left_unmerged(
         self, tiny_corpus, model, monkeypatch
     ):
-        def attach_without_merging(graph, i, j):
-            if j != i:
-                graph.inbound[j].add(i)
+        move = LinkGraph.move
+
+        def move_without_merging(graph, i, old, new, side, side_bag):
+            if graph.comp[i] == graph.comp[new]:
+                move(graph, i, old, new, side, side_bag)
+                return
+            # the new edge joins two components: update the edges only
+            if old != i:
+                graph.inbound[old].remove(i)
+            graph.inbound[new].add(i)
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(LinkGraph, "attach", attach_without_merging)
+        monkeypatch.setattr(LinkGraph, "move", move_without_merging)
         with pytest.raises(AssertionError, match="component"):
             for _ in range(10):
                 state.sweep(rng)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_debug_mode_catches_a_bag_left_unmerged(self, tiny_corpus, model, monkeypatch):
-        attach = LinkGraph.attach
+        move = LinkGraph.move
 
-        def attach_without_merging_bags(graph, i, j):
+        def move_without_merging_bags(graph, *args):
             bags = graph.groups.bags
             before = {k: (dict(counts), total) for k, (counts, total) in bags.items()}
-            attach(graph, i, j)
-            for k in bags:
+            move(graph, *args)
+            for k in bags.keys() & before.keys():
                 bags[k] = before[k]
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(LinkGraph, "attach", attach_without_merging_bags)
+        monkeypatch.setattr(LinkGraph, "move", move_without_merging_bags)
         with pytest.raises(AssertionError, match="lemma bag of component .* differs"):
             for _ in range(10):
                 state.sweep(rng)
@@ -537,9 +609,9 @@ class TestLinkGraphCore:
     def test_debug_mode_catches_stale_label_members(self, tiny_corpus, model, monkeypatch):
         relabel = TableCrpState._relabel
 
-        def relabel_leaving_member_sets(state, table, label, headed):
+        def relabel_leaving_member_sets(state, table, bag, label, headed):
             members = {k: set(g) for k, g in state.label_groups.members.items()}
-            relabel(state, table, label, headed)
+            relabel(state, table, bag, label, headed)
             if label is not None:
                 state.label_groups.members[label] = members.get(label, set())
 
@@ -555,8 +627,8 @@ class TestLinkGraphCore:
     def test_debug_mode_catches_stale_label_totals(self, tiny_corpus, model, monkeypatch):
         relabel = TableCrpState._relabel
 
-        def relabel_and_miscount_totals(state, table, label, headed):
-            relabel(state, table, label, headed)
+        def relabel_and_miscount_totals(state, table, bag, label, headed):
+            relabel(state, table, bag, label, headed)
             if label is not None:
                 counts, total = state.label_groups.bags[label]
                 state.label_groups.bags[label] = (counts, total + 1)
@@ -699,6 +771,37 @@ class TestChains:
         for rs, rp in zip(seq, par):
             assert rs.loglik_trace == rp.loglik_trace
             assert rs.estimate == rp.estimate
+
+    @pytest.mark.parametrize("jobs, chains, workers", [(1000, 2, 2), (2, 3, 2)])
+    def test_jobs_start_no_more_workers_than_chains(
+        self, tiny_corpus, monkeypatch, jobs, chains, workers
+    ):
+        started = []
+
+        class InlineExecutor:
+            """Records its worker count and runs each task in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        config = SamplerConfig(model="hddcrp", iterations=5, chains=chains, seed=8)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        seq = run_chains(tiny_corpus, config, priors=priors)
+        monkeypatch.setattr(sampling, "ProcessPoolExecutor", InlineExecutor)
+        par = run_chains(tiny_corpus, config, priors=priors, jobs=jobs)
+        assert started == [workers]
+        assert [r.loglik_trace for r in par] == [r.loglik_trace for r in seq]
 
     def test_full_model_set_runs_on_the_synthetic_corpus(
         self, synthetic_corpus, resources, trained_model
