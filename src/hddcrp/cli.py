@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -51,36 +51,24 @@ MODEL_NAMES = {
 _PATH_OPTIONS = ("corpus", "gold", "embeddings", "synonyms", "distance_model")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one command invocation."""
-
-    command: str
-    options: dict
-
-    def __getitem__(self, name):
-        return self.options[name]
-
-    def validate(self):
-        for name in _PATH_OPTIONS:
-            value = self.options.get(name)
-            if value is not None and not Path(value).is_file():
-                raise InputError(f"--{name.replace('_', '-')}: {value!r} is not a file")
-        # an output path that cannot be written fails now, not after the work
-        output = self.options.get("output")
-        if output is not None and Path(output).is_dir():
-            raise InputError(f"--output: {output!r} is a directory")
-        if output is not None and not Path(output).parent.is_dir():
-            raise InputError(f"--output: {str(Path(output).parent)!r} is not a directory")
-        out_dir = self.options.get("output_dir")
-        if out_dir is not None:
-            # the directory itself, or the nearest of its parents that exists
-            existing = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
-            if not existing.is_dir():
-                raise InputError(f"--output-dir: {str(existing)!r} is not a directory")
-
-    def to_dict(self):
-        return {"command": self.command, **self.options}
+def validate(options):
+    """Check the input and output paths of resolved options before any work."""
+    for name in _PATH_OPTIONS:
+        value = options.get(name)
+        if value is not None and not Path(value).is_file():
+            raise InputError(f"--{name.replace('_', '-')}: {value!r} is not a file")
+    # an output path that cannot be written fails now, not after the work
+    output = options.get("output")
+    if output is not None and Path(output).is_dir():
+        raise InputError(f"--output: {output!r} is a directory")
+    if output is not None and not Path(output).parent.is_dir():
+        raise InputError(f"--output: {str(Path(output).parent)!r} is not a directory")
+    out_dir = options.get("output_dir")
+    if out_dir is not None:
+        # the directory itself, or the nearest of its parents that exists
+        existing = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
+        if not existing.is_dir():
+            raise InputError(f"--output-dir: {str(existing)!r} is not a directory")
 
 
 def _load_json(path):
@@ -153,7 +141,8 @@ def _cast(name, value):
 
 
 def resolve_config(args, defaults):
-    """Merge flags over config-file values over defaults into a RunConfig.
+    """Merge flags over config-file values over defaults into the resolved
+    options: a dict that starts with "command".
 
     An option whose default is a string may not end up empty, so an option
     with the default "" must be given.
@@ -167,7 +156,7 @@ def resolve_config(args, defaults):
         if unknown:
             raise InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
         file_values = {k: _cast(k, v) for k, v in file_values.items()}
-    options = {}
+    options = {"command": args.command}
     for name, default in defaults.items():
         value = getattr(args, name)
         if value is None and name == "seed":
@@ -182,12 +171,11 @@ def resolve_config(args, defaults):
         if value is None and name in file_values:
             value = file_values[name]
         options[name] = default if value is None else value
-    config = RunConfig(args.command, options)
-    config.validate()
+    validate(options)
     for name, default in defaults.items():
         if isinstance(default, str) and options[name] == "":
             raise InputError(f"missing required option {OPTIONS[name][0][-1]}")
-    return config
+    return options
 
 
 def _resources(config):
@@ -245,12 +233,12 @@ def cmd_train_distance(config, args):
         print(f"training pair accuracy (corpus too small to hold out): {acc:.4f}")
 
     out = config["output"]
-    save_model(model, out, config=config.to_dict())
+    save_model(model, out, config=config)
     sidecar = str(Path(out).with_suffix(".features.json"))
     _write_json(
         sidecar,
         {
-            "config": config.to_dict(),
+            "config": config,
             "feature_index": dict(model.extractor.feature_index),
         },
     )
@@ -259,7 +247,7 @@ def cmd_train_distance(config, args):
 
 def _sampler_config(config):
     names = {f.name for f in fields(SamplerConfig)}
-    kwargs = {k: v for k, v in config.options.items() if k in names}
+    kwargs = {k: v for k, v in config.items() if k in names}
     kwargs["model"] = MODEL_NAMES[kwargs["model"]]
     return SamplerConfig(**kwargs)
 
@@ -281,8 +269,7 @@ def cmd_sample(config, args):
     priors = _distance_priors(corpus, config, sampler_config)
     results = run_chains(corpus, sampler_config, priors=priors, jobs=config["jobs"])
 
-    embed = config.to_dict()
-    embed["alpha_0"] = sampler_config.resolved_alpha_0
+    embed = dict(config, alpha_0=sampler_config.resolved_alpha_0)
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for r in results:
@@ -317,7 +304,7 @@ def cmd_baseline(config, args):
     out = config["output"]
     _write_json(
         out,
-        {"assignment": clustering.as_mapping(), "config": config.to_dict(), "method": method},
+        {"assignment": clustering.as_mapping(), "config": config, "method": method},
     )
     print(
         f"{method}: {clustering.n_clusters()} clusters over "
@@ -337,7 +324,7 @@ def cmd_score(config, args):
         averaged.append(mean_reports(reports))
     print(format_table(averaged))
     report = {
-        "config": config.to_dict(),
+        "config": config,
         "n_predictions": len(predictions),
         "predictions": list(args.predictions),
         "reports": {r.setting: r.to_dict() for r in averaged},
@@ -358,8 +345,7 @@ def cmd_oracle_posterior(config, args):
     posterior = enumerate_exact_posterior(corpus, sampler_config, priors=priors)
 
     rows = sorted(posterior.items(), key=lambda kv: (-kv[1], kv[0].labels))
-    embed = config.to_dict()
-    embed["alpha_0"] = sampler_config.resolved_alpha_0
+    embed = dict(config, alpha_0=sampler_config.resolved_alpha_0)
     print(f"{len(rows)} clusterings carry posterior mass")
     for assignment, prob in rows[: config["top"]]:
         parts = " | ".join(",".join(sorted(p)) for p in assignment.partition())
@@ -430,8 +416,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     func, _, defaults = COMMANDS[args.command]
     try:
-        result = func(resolve_config(args, defaults), args)
-        return 0 if result is None else result
+        func(resolve_config(args, defaults), args)
+        return 0
     except UniverseMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

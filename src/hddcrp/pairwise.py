@@ -264,7 +264,10 @@ def load_model(path):
     text = read_text(path)
     try:
         obj = json.loads(text)
-        extractor = FeatureExtractor.from_feature_index(obj["feature_index"])
+        index = obj["feature_index"]
+        if not isinstance(index, dict) or any(type(v) is not int for v in index.values()):
+            raise InputError(f"{path}: feature_index must map feature names to integers")
+        extractor = FeatureExtractor.from_feature_index(index)
         theta = np.array([float(v) for v in obj["theta"]])
         return PairwiseModel(
             theta,

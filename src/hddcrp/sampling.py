@@ -22,23 +22,26 @@ graph with the mention's outgoing edges removed.
 
 Each state holds every mention's active outgoing edge (_edge) and keeps the
 graph in a LinkGraph: each mention's inbound edges and the components with
-their member sets and lemma bags.  A move first proposes, reading the graph
-only: it finds the side that dropping the mention's edge would split off and
-scores every candidate against that virtual split, so a target on the side
-weighs nothing and one in the rest of the component weighs the split ratio,
-read off the whole bag.  It then commits the drawn edge, and the components
-change only if the partition does: the side splits off, joins another
-component, or the whole component merges with another.  Most moves end in
-the component they left and touch no member set or bag.  A move costs
-O(|component| + |candidates|), not a rebuild over all mentions, and no bag
-is rebuilt: a split or join adds and subtracts the side's lemma counts, and
-a merge adds the smaller bag into the larger.
+their member sets and lemma bags.  One link move serves all four models.  It
+proposes first, reading the graph only: the moving mention's part is the side
+that dropping its edge would split off, or else its whole component, and the
+model weighs every candidate against that virtual split.  It then draws and
+commits the edge, and the components change only if the partition does: the
+side splits off, joins another component, or the whole component merges with
+another.  Most moves touch no member set or bag.  A move costs
+O(|component| + |candidates|), and no bag is rebuilt: a split or join adds
+and subtracts the side's lemma counts, a merge adds the smaller bag into the
+larger.
 
-For hddcrp_star and hdp_lex a customer-link move is blocked with the label of
-the table it may create: the label is summed out over the CRP conditional, and
-drawn afterwards only if the mention actually becomes a head.  Labels of all
-other tables never change during the move, and because the CRP over tables is
-exchangeable their probability is a common factor across candidates.
+For hddcrp and ddcrp_flat a candidate weighs the merge ratio with its
+target's component: nothing for a target on the side, the split ratio, read
+off the whole bag, for one in the rest of the component.  For hddcrp_star
+and hdp_lex the part is a table and a candidate weighs the merge ratio with
+its target's label; the self candidate, which makes a new table, has that
+table's label summed out over the CRP conditional, and the label is drawn
+after the link, only if the mention really becomes a head.  Labels of all
+other tables never change during the move, and because the CRP over tables
+is exchangeable their probability is a common factor across candidates.
 """
 
 from __future__ import annotations
@@ -249,7 +252,10 @@ def _with_logs(supports):
     """Per-mention candidate tuples (target, weight, log weight) and the log
     of each mention's total weight."""
     cands = tuple(tuple((j, w, math.log(w)) for j, w in c) for c in supports)
-    return cands, tuple(math.log(reduce(add, (w for _, w in c), 0.0)) for c in supports)
+    norms = tuple(math.log(reduce(add, (w for _, w in c), 0.0)) for c in supports)
+    if not all(map(math.isfinite, norms)):
+        raise InputError("link weights overflow: lower gamma or the concentrations")
+    return cands, norms
 
 
 class _Groups:
@@ -460,13 +466,13 @@ class _StateBase:
     def _scratch_loglik(self):
         return self._partition_loglik(self._parts())
 
-    def _groups_loglik(self, groups):
-        """_scratch_loglik from the maintained clusters: their bags, summed in
-        the order of their smallest members, which is the order _parts()
-        gives."""
+    def _groups_loglik(self, groups, key_of):
+        """_scratch_loglik from the maintained clusters, key_of[m] being the
+        key of mention m's cluster: their bags, summed in the order of their
+        first mentions, which is the order _parts() gives."""
         total = 0.0
-        members, bags = groups.members, groups.bags
-        for key in sorted(members, key=lambda k: min(members[k])):
+        bags = groups.bags
+        for key in dict.fromkeys(key_of):
             total += log_marginal_raw(*bags[key], self.params)
         if self.debug and total != self._scratch_loglik():
             raise AssertionError("joint score from the maintained bags differs from a rebuild")
@@ -478,27 +484,40 @@ class _StateBase:
         return range(self.n)
 
     def _link_move(self, i, cands, links, rng):
-        """Resample links[i] over cands: each candidate is weighted by its
-        prior times the merge ratio of i's side with the component of its
-        target, in the graph without i's edge.  That split is virtual: a
-        target on i's side weighs 0.0 and one in the rest of i's component
-        the split ratio, and the graph changes only when the move commits.
-        The self candidate's target is i's edge with links[i] = i, which for
-        a customer link of hddcrp is i's table link."""
+        """Resample links[i] over cands: the one move of every model.  With
+        links[i] = i, _weigh scores each candidate against the virtual split
+        of i's part, the side dropping i's edge would split off or else i's
+        whole component; after the draw, _place settles the part and
+        LinkGraph.move commits the edge.  The self candidate's target is i's
+        edge with links[i] = i: for a customer link of hddcrp, its table link."""
         graph = self.graph
         old = self._edge(i)
         side = graph.side(i, old)
         links[i] = i
-        self_target = self._edge(i)
-        comp = graph.comp
-        home = comp[i]
-        bags = graph.groups.bags
         if side is None:
-            stats_i = bags[home]
+            part, bag = graph.members(i), graph.bag(i)
+        else:
+            part, bag = side, self._bag(side)
+        log_weights, scored = self._weigh(i, cands, links, part, bag, side)
+        links[i] = cands[_draw(rng, log_weights)][0]
+        self._place(i, part, bag, links[i], scored, rng)
+        graph.move(i, old, self._edge(i), side, bag)
+        if self.debug:
+            self._check_core()
+        return links[i]
+
+    def _weigh(self, i, cands, links, part, bag, side):
+        """Log weight of each candidate, its prior times the merge ratio of
+        i's part with its target's component: 0.0 for a target on i's side,
+        the split ratio in the rest of i's component; _place needs nothing."""
+        comp = self.graph.comp
+        home = comp[i]
+        bags = self.graph.groups.bags
+        self_target = self._edge(i)
+        if side is None:
             delta_by_comp = {home: 0.0}
         else:
-            stats_i = self._bag(side)
-            rest = split_ratio_raw(stats_i, bags[home], self.params)
+            rest = split_ratio_raw(bag, bags[home], self.params)
             delta_by_comp = {}
         deltas = []
         log_weights = []
@@ -510,17 +529,15 @@ class _StateBase:
                 if c == home:  # reached only when i's edge splits a side off
                     d = 0.0 if t in side else rest
                 else:
-                    d = delta_by_comp[c] = self._merge_delta(stats_i, bags[c])
+                    d = delta_by_comp[c] = self._merge_delta(bag, bags[c])
             deltas.append(d)
             log_weights.append(lw + d)
-        choice = _draw(rng, log_weights)
         if self.debug:
             self._debug_check(i, cands, deltas, links)
-        links[i] = cands[choice][0]
-        graph.move(i, old, self._edge(i), side, stats_i)
-        if self.debug:
-            self._check_core()
-        return links[i]
+        return log_weights, None
+
+    def _place(self, i, part, bag, target, scored, rng):
+        """Settle i's part once links[i] is target: the edges say it all here."""
 
     def _debug_check(self, i, cands, deltas, links):
         """Compare each candidate's ratio with the from-scratch likelihood
@@ -551,7 +568,7 @@ class _StateBase:
 
     def joint_log_score(self):
         # the graph's components are the clusters of hddcrp and ddcrp_flat
-        return self._links_log_prior() + self._groups_loglik(self.graph.groups)
+        return self._links_log_prior() + self._groups_loglik(self.graph.groups, self.graph.comp)
 
     def clustering(self):
         return ClusterAssignment.from_index_partition(self.mention_ids, self._parts())
@@ -604,7 +621,9 @@ class TableCrpState(_StateBase):
     The link-graph components are the tables.  Each mention's label, the
     mentions and lemma bag of each label, its table count and a multiset of
     the labels' (tables, lemma total) keys are kept beside them; a table that
-    joins or leaves a label moves all of these in one step.
+    joins or leaves a label moves all of these in one step.  The customer
+    move is the shared link move: this class supplies only its label weights
+    (_weigh) and its label step (_place).
 
     A move scores every label against the moving table.  Only labels that
     share a lemma with it, found through a lemma -> mentions index, need the
@@ -724,53 +743,40 @@ class TableCrpState(_StateBase):
                 terms.append(logs[m] + weights[key] - log_denom)
         return terms
 
-    def sample_customer_link(self, i, rng):
-        """Blocked move: resample a_i with the label of a would-be new table
-        summed out, then draw that label if i really becomes a head."""
-        graph = self.graph
-        old = self.cl[i]
-        # i's table: the side split off by dropping a_i, or its whole table
-        side = graph.side(i, old)
-        if side is None:
-            table, stats_i = graph.members(i), graph.bag(i)
-        else:
-            table, stats_i = side, self._bag(side)
-        self.cl[i] = i
-        self._relabel(table, stats_i, None, old == i)
-        total = stats_i[1]
-        shared = self._shared_deltas(stats_i)
+    def _weigh(self, i, cands, links, table, bag, side):
+        """Log weight of each customer candidate, its prior times the merge
+        ratio of i's table, unlabelled first, with the target's label, or for
+        the self candidate the CRP conditional of a new table with its label
+        summed out; returned with the label weights for _place.  Customer
+        links close no cycle, so the table has its head iff no side splits."""
+        self._relabel(table, bag, None, side is None)
+        total = bag[1]
+        shared = self._shared_deltas(bag)
         weights = self._key_weights(total)
         # every table but i's has a head with a label (_check_core says so),
         # so the components other than i's count the labelled tables; a
         # virtual split adds one component to those the graph holds
-        log_denom = math.log(len(graph.groups.members) - (side is None) + self.alpha_0)
+        log_denom = math.log(len(self.graph.groups.members) - (side is None) + self.alpha_0)
         marg = _log_sum_exp(self._new_table_terms(shared, weights, log_denom))
-
         label_of = self.label_of
-        cands = self.cand_c[i]
         log_weights = []
         for j, _, lw in cands:
             d = marg if j == i else self._delta(label_of[j], total, shared)
             log_weights.append(lw + d)
-        choice = _draw(rng, log_weights)
         if self.debug:
-            deltas = self._debug_check_deltas(i, stats_i, shared)
+            deltas = self._debug_check_deltas(i, bag, shared)
             terms = [self._log_alpha_0 - log_denom]
             terms += [math.log(self.tables[k]) - log_denom + d for k, d in deltas.items()]
             full = _log_sum_exp(terms)
             if abs(marg - full) > 1e-12 * max(1.0, abs(full)):
                 raise AssertionError(f"grouped marginal {marg} != per-label sum {full}")
-        target = cands[choice][0]
-        if target == i:
-            label = self._draw_label(rng, shared, weights)
-        else:
-            label = self.label_of[target]
-        self._relabel(table, stats_i, label, target == i)
-        self.cl[i] = target
-        graph.move(i, old, target, side, stats_i)
-        if self.debug:
-            self._check_core()
-        return target
+        return log_weights, (shared, weights)
+
+    def _place(self, i, table, bag, target, scored, rng):
+        """Give i's table the label of target's table, or draw it from the
+        label weights if i now heads a table."""
+        label = self._draw_label(rng, *scored) if target == i else self.label_of[target]
+        self._relabel(table, bag, label, target == i)
 
     def _draw_label(self, rng, shared, weights):
         """Existing label k with weight n_k times its merge ratio, a new label
@@ -840,36 +846,29 @@ class TableCrpState(_StateBase):
     def joint_log_score(self):
         score = self._links_log_prior()
         score += crp_partition_log_prob(sorted(self.tables.values()), self.alpha_0)
-        return score + self._groups_loglik(self.label_groups)
+        return score + self._groups_loglik(self.label_groups, self.label_of)
 
     def _debug_check_deltas(self, i, stats, shared):
-        """Check every label's delta against the merge ratio of the full bags
-        and the from-scratch likelihood gap; return the deltas by label."""
+        """Check every label's delta against the merge ratio of the full bags,
+        and against the from-scratch likelihood gap between head i's
+        unlabelled table joining that label and starting a fresh one; return
+        the deltas by label."""
         deltas = {k: self._delta(k, stats[1], shared) for k in self.tables}
         for k, d in deltas.items():
             full = self._merge_delta(stats, self.label_groups.bags[k])
             if d != full:
-                raise AssertionError(
-                    f"label {k}: delta {d} != merge ratio {full} of the full bags"
-                )
-        self._debug_check_relabel(i, deltas)
-        return deltas
-
-    def _debug_check_relabel(self, i, label_delta):
-        """Compare each label's ratio with the from-scratch likelihood gap
-        between head i's unlabelled table joining that label and starting a
-        fresh one."""
+                raise AssertionError(f"label {k}: delta {d} != merge ratio {full} of the full bags")
         self.label_of[i] = self.next_label
         base = self._scratch_loglik()
-        for k, delta in label_delta.items():
+        for k, d in deltas.items():
             self.label_of[i] = k
             gap = self._scratch_loglik() - base
-            if abs(gap - delta) > 1e-9:
+            if abs(gap - d) > 1e-9:
                 raise AssertionError(
-                    f"incremental ratio {delta} != from-scratch {gap} "
-                    f"(mention {i}, label {k})"
+                    f"incremental ratio {d} != from-scratch {gap} (mention {i}, label {k})"
                 )
         self.label_of[i] = None
+        return deltas
 
 
 class FlatDdcrpState(_StateBase):

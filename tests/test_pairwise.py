@@ -208,6 +208,7 @@ class TestPersistence:
         [
             ("gamma", math.nan), ("l2", math.inf), ("l2", -1.0), ("truncation_threshold", math.nan),
             ("truncation_threshold", 2.0), ("truncation_threshold", -0.1),
+            ("feature_index", [1, 2]),
         ],
     )
     def test_hand_edited_hyperparameters_are_checked_on_load(
