@@ -6,11 +6,13 @@ For each tree the script runs that tree's CLI (ROOT/src on PYTHONPATH) on its
 bundled synthetic corpus: train-distance, then `sample` for all four models,
 once sequential, once with --randomized-scan --map-estimate and once with
 --flat-likelihood --uniform-distances --randomized-scan, each with seed 3 and
-3 chains x 60 sweeps (36 clusterings).  It compares every chain-NN.clustering.json
-on every field except the embedded config, and the joint-score traces value
-by value.  It prints each clustering that differs, the number of trace files
-that differ and the largest relative trace drift, and exits 1 if any
-clustering differs.
+3 chains x 60 sweeps (36 clusterings).  It compares the trained distance model
+(distance_model.json and distance_model.features.json) and every
+chain-NN.clustering.json on every field except the embedded config, and the
+joint-score traces value by value.  It prints whether the distance model is
+identical, each clustering that differs, the number of trace files that
+differ and the largest relative trace drift, and exits 1 if the distance
+model or any clustering differs.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def run_matrix(root, work):
                 "--distance-model", str(model), *SAMPLE, *flags, "--output-dir", str(out))
 
 
-def clustering(path):
+def without_config(path):
     obj = json.loads(path.read_text(encoding="utf-8"))
     obj.pop("config")
     return obj
@@ -78,10 +80,12 @@ def main(argv=None):
         for root, work in ((args.root_a, work_a), (args.root_b, work_b)):
             work.mkdir()
             run_matrix(root, work)
+        models = sorted(work_a.glob("distance_model*.json"))
+        same_model = all(without_config(p) == without_config(work_b / p.name) for p in models)
         clusterings = sorted(work_a.glob("*/chain-*.clustering.json"))
         differing = [
             p.relative_to(work_a) for p in clusterings
-            if clustering(p) != clustering(work_b / p.relative_to(work_a))
+            if without_config(p) != without_config(work_b / p.relative_to(work_a))
         ]
         traces = sorted(work_a.glob("*/chain-*.trace.csv"))
         drifts = []
@@ -90,12 +94,13 @@ def main(argv=None):
             if len(a) != len(b):
                 sys.exit(f"{p.relative_to(work_a)}: traces of different lengths")
             drifts.append(max(abs(x - y) / max(abs(x), abs(y), 1e-300) for x, y in zip(a, b)))
+    print(f"distance model {'identical' if same_model else 'differs'} ({len(models)} files)")
     for p in differing:
         print(f"clustering differs: {p}")
     print(f"{len(clusterings) - len(differing)} of {len(clusterings)} clusterings identical")
     print(f"{sum(d > 0 for d in drifts)} of {len(traces)} trace files differ; "
           f"largest relative drift {max(drifts):.3g}")
-    return 1 if differing else 0
+    return 1 if differing or not same_model else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from .corpus import (
     GoldChains,
     LexicalResources,
     Mention,
-    build_meta_documents,
     doc_similarity,
     gold_partition,
     load_corpus,
@@ -74,7 +73,6 @@ __all__ = [
     "UniverseMismatchError",
     "agglomerative",
     "b_cubed",
-    "build_meta_documents",
     "build_priors",
     "build_training_pairs",
     "canonical_order",

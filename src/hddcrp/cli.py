@@ -202,7 +202,7 @@ def cmd_train_distance(config, args):
     corpus = load_corpus(config["corpus"], config["gold"])
     resources = _resources(config)
     pairs = build_training_pairs(corpus, config["sigma"])
-    n_pos = sum(p.coreferent for p in pairs)
+    n_pos = np.count_nonzero(pairs.coreferent)
     print(
         f"pair construction: sigma={config['sigma']}, "
         f"{len(pairs)} pairs ({n_pos} coreferent)"
@@ -220,10 +220,9 @@ def cmd_train_distance(config, args):
     features = pair_features(corpus, resources, kwargs["extractor"], pairs)
     model = train(corpus, resources, pairs=pairs, features=features, **kwargs)
     held_out = np.arange(len(pairs)) % 5 == 4
-    held = [p for p, h in zip(pairs, held_out) if h]
-    rest = [p for p, h in zip(pairs, held_out) if not h]
+    held, rest = pairs[held_out], pairs[~held_out]
     try:
-        if not held:
+        if not len(held):
             raise InputError("too few pairs to hold out")
         probe = train(corpus, resources, pairs=rest, features=features[~held_out], **kwargs)
         acc = pair_accuracy(probe, corpus, resources, held, features=features[held_out])

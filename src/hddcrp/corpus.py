@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -415,7 +415,7 @@ class LexicalResources:
 
 
 # ---------------------------------------------------------------------------
-# Document similarity and meta-documents
+# Document similarity
 # ---------------------------------------------------------------------------
 
 
@@ -440,28 +440,3 @@ def count_cosine(a, b):
     na = math.sqrt(sum(c * c for c in a.values()))
     nb = math.sqrt(sum(c * c for c in b.values()))
     return min(1.0, dot / (na * nb))
-
-
-def build_meta_documents(corpus: Corpus) -> Corpus:
-    """Merge documents sharing a seminal event into meta-documents.
-
-    Mentions are concatenated in (doc_id, order_index) order with order_index
-    reassigned; gold chains carry over untouched.  Meta-documents exist for
-    cross-document scoring only and are never visible to inference.
-    """
-    groups = {}
-    for d in corpus.documents:
-        if not d.seminal_event_id:
-            raise InputError(f"document {d.doc_id!r} lacks a seminal_event_id")
-        groups.setdefault(d.seminal_event_id, []).append(d)
-    metas = []
-    for event_id in sorted(groups):
-        docs = sorted(groups[event_id], key=lambda d: d.doc_id)
-        mentions = []
-        for d in docs:
-            for m in sorted(d.mentions, key=lambda m: m.order_index):
-                mentions.append(
-                    replace(m, doc_id=event_id, order_index=len(mentions))
-                )
-        metas.append(Document.build(event_id, event_id, mentions))
-    return Corpus(tuple(metas), corpus.gold)

@@ -3,8 +3,8 @@
 All three metrics compare a predicted partition against a gold partition over
 the same mention universe.  Evaluation has two settings: within-document (WD)
 restricts both partitions to one source document at a time, cross-document
-(CD) restricts them to meta-documents that pool every document describing the
-same seminal event.  Either way the per-unit counts are micro-aggregated:
+(CD) restricts them to units that pool every document describing the same
+seminal event.  Either way the per-unit counts are micro-aggregated:
 numerators and denominators are summed over units before any division, which
 matches the reference scorer behavior for multi-document inputs.
 
@@ -21,8 +21,7 @@ from operator import add
 
 import numpy as np
 
-from .corpus import build_meta_documents
-from .errors import UniverseMismatchError
+from .errors import InputError, UniverseMismatchError
 from .links import ClusterAssignment
 
 
@@ -174,24 +173,26 @@ def _restrict(partition, universe):
 
 
 def score(corpus, gold, pred, setting="WD"):
-    """Micro-aggregated ScoreReport over documents (WD) or meta-documents (CD)."""
+    """Micro-aggregated ScoreReport over documents (WD) or seminal events
+    (CD), taken in order of their ids."""
     if setting not in ("WD", "CD"):
         raise ValueError(f"unknown setting {setting!r}")
     gold, pred = _as_partition(gold), _as_partition(pred)
     _check_universe(gold, pred)
-    scope = corpus if setting == "WD" else build_meta_documents(corpus)
-    units = [
-        frozenset(m.mention_id for m in d.mentions)
-        for d in sorted(scope.documents, key=lambda d: d.doc_id)
-    ]
+    units = {}
+    for d in corpus.documents:
+        if setting == "CD" and not d.seminal_event_id:
+            raise InputError(f"document {d.doc_id!r} lacks a seminal_event_id")
+        key = d.doc_id if setting == "WD" else d.seminal_event_id
+        units.setdefault(key, set()).update(m.mention_id for m in d.mentions)
     totals = {
         "muc": [0.0, 0.0, 0.0, 0.0],
         "b3": [0.0, 0.0, 0.0, 0.0],
         "ceafe": [0.0, 0.0, 0.0, 0.0],
     }
     counts = {"muc": _muc_counts, "b3": _b_cubed_counts, "ceafe": _ceaf_e_counts}
-    for unit in units:
-        g, p = _restrict(gold, unit), _restrict(pred, unit)
+    for key in sorted(units):
+        g, p = _restrict(gold, units[key]), _restrict(pred, units[key])
         for name, fn in counts.items():
             for k, v in enumerate(fn(g, p)):
                 totals[name][k] += v

@@ -29,45 +29,33 @@ from .errors import InputError
 from .features import BLOCK_ROWS, FeatureExtractor, PairFeatures, cosine_matrix
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    a: str
-    b: str
-    coreferent: bool
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("a training pair needs two distinct mentions")
-
-
 def build_training_pairs(corpus, sigma=0.4):
-    """Labeled mention pairs: all within-document ordered pairs (each later
-    mention against each earlier one) plus every cross-document pair once,
-    restricted to document pairs with cosine similarity at least sigma."""
+    """Labeled mention pairs as a record array of canonical mention indices
+    a, b and the flag coreferent: every within-document pair (each later
+    mention against each earlier one), document by document, then every
+    cross-document pair once, for the document pairs with cosine similarity
+    at least sigma, mentions of the earlier document first."""
     if corpus.gold is None:
         raise InputError("training requires gold chains")
     if not np.isfinite(sigma):
         raise InputError(f"sigma must be finite, got {sigma}")
-    chain_of = corpus.gold.chain_of()
-
-    def coreferent(a, b):
-        ka = chain_of.get(a.mention_id)
-        return ka is not None and ka == chain_of.get(b.mention_id)
-
-    pairs = []
-    for d in sorted(corpus.documents, key=lambda d: d.doc_id):
-        for i, a in enumerate(d.mentions):
-            for b in d.mentions[:i]:
-                pairs.append(TrainingPair(a.mention_id, b.mention_id, coreferent(a, b)))
     docs = sorted(corpus.documents, key=lambda d: d.doc_id)
-    for i, d in enumerate(docs):
-        for d2 in docs[i + 1 :]:
-            if doc_similarity(d, d2) < sigma:
-                continue
-            for a in d.mentions:
-                for b in d2.mentions:
-                    pairs.append(TrainingPair(a.mention_id, b.mention_id, coreferent(a, b)))
-    return pairs
+    bounds = np.cumsum([0] + [len(d.mentions) for d in docs])
+    spans = [np.arange(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    a, b = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for span in spans:
+        later, earlier = np.tril_indices(len(span), -1)
+        a.append(span[later])
+        b.append(span[earlier])
+    similar = np.triu(cosine_matrix([d.tf_vector for d in docs]) >= sigma, 1)
+    for d, e in zip(*np.nonzero(similar)):
+        a.append(np.repeat(spans[d], len(spans[e])))
+        b.append(np.tile(spans[e], len(spans[d])))
+    a, b = np.concatenate(a), np.concatenate(b)
+    chain_of = corpus.gold.chain_of()
+    chain = np.array([chain_of.get(m.mention_id, -1) for m in corpus.mentions_in_order()])
+    coreferent = (chain[a] == chain[b]) & (chain[a] >= 0)
+    return np.rec.fromarrays((a, b, coreferent), names="a,b,coreferent")
 
 
 def penalized_loglik(theta, features, labels, l2):
@@ -187,12 +175,10 @@ class PairwiseModel:
 
 
 def pair_features(corpus, resources, extractor, pairs):
-    """Feature matrix of labelled pairs: row p is extract(p.a, p.b)."""
+    """Feature matrix of labelled pairs: row p is extract of the mentions
+    with canonical indices pairs.a[p] and pairs.b[p]."""
     order = corpus.mentions_in_order()
-    index = {m.mention_id: k for k, m in enumerate(order)}
-    a = np.array([index[p.a] for p in pairs], dtype=np.intp)
-    b = np.array([index[p.b] for p in pairs], dtype=np.intp)
-    return PairFeatures(extractor, order, resources).gather(a, b)
+    return PairFeatures(extractor, order, resources).gather(pairs.a, pairs.b)
 
 
 def train(
@@ -219,11 +205,11 @@ def train(
     model = PairwiseModel(np.zeros(len(extractor)), extractor, l2, truncation_threshold, gamma)
     if pairs is None:
         pairs = build_training_pairs(corpus, sigma)
-    if not pairs:
+    if not len(pairs):
         raise InputError("no training pairs (corpus too small or sigma too high)")
     if features is None:
         features = pair_features(corpus, resources, extractor, pairs)
-    labels = np.array([1.0 if p.coreferent else -1.0 for p in pairs])
+    labels = np.where(pairs.coreferent, 1.0, -1.0)
     if not np.isfinite(features).all():
         raise InputError("non-finite feature values in training data")
     if len(np.unique(labels)) < 2:
@@ -241,8 +227,7 @@ def pair_accuracy(model, corpus, resources, pairs, features=None):
     if features is None:
         features = pair_features(corpus, resources, model.extractor, pairs)
     predicted = expit(features @ model.theta) >= 0.5
-    labels = np.array([p.coreferent for p in pairs], dtype=bool)
-    return int(np.count_nonzero(predicted == labels)) / len(pairs)
+    return int(np.count_nonzero(predicted == pairs.coreferent)) / len(pairs)
 
 
 def save_model(model, path, config=None):

@@ -258,6 +258,19 @@ def _with_logs(supports):
     return cands, norms
 
 
+def _shift_bag(bags, key, bag, sign):
+    """Add (sign 1) or subtract (sign -1) the lemma bag bag, a (counts,
+    total) pair, to the bag at key, dropping the counts that reach 0."""
+    counts, total = bags.get(key) or ({}, 0)
+    for tok, c in bag[0].items():
+        left = counts.get(tok, 0) + sign * c
+        if left:
+            counts[tok] = left
+        else:
+            del counts[tok]
+    bags[key] = (counts, total + sign * bag[1])
+
+
 class _Groups:
     """Mention sets by key, each with its lemma bag (counts, total) kept up to
     date by adding and subtracting the bags of the members that move."""
@@ -270,34 +283,25 @@ class _Groups:
     def add(self, key, members, bag):
         """Add members, whose summed lemma bag is bag, to the group at key."""
         self.members.setdefault(key, set()).update(members)
-        counts, total = self.bags.get(key) or ({}, 0)
-        for tok, c in bag[0].items():
-            counts[tok] = counts.get(tok, 0) + c
-        self.bags[key] = (counts, total + bag[1])
+        _shift_bag(self.bags, key, bag, 1)
 
     def remove(self, key, members, bag):
-        """Take members, whose summed lemma bag is bag, out of the group at key."""
+        """Take members, whose summed lemma bag is bag, out of the group at
+        key; some members stay."""
         self.members[key] -= members
-        counts, total = self.bags[key]
-        for tok, c in bag[0].items():
-            counts[tok] -= c
-            if not counts[tok]:
-                del counts[tok]
-        self.bags[key] = (counts, total - bag[1])
-        if not self.members[key]:
-            del self.members[key], self.bags[key]
+        _shift_bag(self.bags, key, bag, -1)
 
     def pop(self, key):
         return self.members.pop(key), self.bags.pop(key)
 
-    def check(self, expected, what):
+    def check(self, expected):
         """Raise AssertionError unless the member sets equal expected (key ->
         set) and every bag equals one built afresh."""
         if self.members != expected:
-            raise AssertionError(f"maintained {what} member sets differ from a rebuild")
+            raise AssertionError("maintained component member sets differ from a rebuild")
         for key, bag in self.bags.items():
             if bag != self.bag_of(self.members[key]):
-                raise AssertionError(f"lemma bag of {what} {key} differs from a rebuild")
+                raise AssertionError(f"lemma bag of component {key} differs from a rebuild")
 
 
 class LinkGraph:
@@ -407,7 +411,7 @@ class LinkGraph:
             expected[ids.pop()] = set(part)
         if len(expected) != len(parts):
             raise AssertionError("two components share one id")
-        self.groups.check(expected, "component")
+        self.groups.check(expected)
 
 
 class _StateBase:
@@ -466,12 +470,11 @@ class _StateBase:
     def _scratch_loglik(self):
         return self._partition_loglik(self._parts())
 
-    def _groups_loglik(self, groups, key_of):
-        """_scratch_loglik from the maintained clusters, key_of[m] being the
-        key of mention m's cluster: their bags, summed in the order of their
-        first mentions, which is the order _parts() gives."""
+    def _groups_loglik(self, bags, key_of):
+        """_scratch_loglik from the maintained cluster bags, key_of[m] being
+        the key of mention m's cluster: summed in the order of their first
+        mentions, which is the order _parts() gives."""
         total = 0.0
-        bags = groups.bags
         for key in dict.fromkeys(key_of):
             total += log_marginal_raw(*bags[key], self.params)
         if self.debug and total != self._scratch_loglik():
@@ -568,7 +571,8 @@ class _StateBase:
 
     def joint_log_score(self):
         # the graph's components are the clusters of hddcrp and ddcrp_flat
-        return self._links_log_prior() + self._groups_loglik(self.graph.groups, self.graph.comp)
+        graph = self.graph
+        return self._links_log_prior() + self._groups_loglik(graph.groups.bags, graph.comp)
 
     def clustering(self):
         return ClusterAssignment.from_index_partition(self.mention_ids, self._parts())
@@ -619,11 +623,11 @@ class TableCrpState(_StateBase):
 
     Serves hddcrp_star and hdp_lex; they differ only in the customer priors.
     The link-graph components are the tables.  Each mention's label, the
-    mentions and lemma bag of each label, its table count and a multiset of
-    the labels' (tables, lemma total) keys are kept beside them; a table that
-    joins or leaves a label moves all of these in one step.  The customer
-    move is the shared link move: this class supplies only its label weights
-    (_weigh) and its label step (_place).
+    lemma bag and table count of each label and a multiset of the labels'
+    (tables, lemma total) keys are kept beside them; a table that joins or
+    leaves a label moves all of these in one step.  The customer move is the
+    shared link move: this class supplies only its label weights (_weigh) and
+    its label step (_place).
 
     A move scores every label against the moving table.  Only labels that
     share a lemma with it, found through a lemma -> mentions index, need the
@@ -651,7 +655,7 @@ class TableCrpState(_StateBase):
         super()._start_graph()
         # label of each mention's table, None while its table is being moved
         self.label_of = [None] * self.n
-        self.label_groups = _Groups(self._bag)
+        self.label_bags = {}  # label -> lemma bag of its mentions
         self.tables = {}  # label -> heads carrying it
         self.keys = {}  # (tables, lemma total) -> labels with that key
         for head in self._heads():
@@ -668,7 +672,7 @@ class TableCrpState(_StateBase):
         and put it back after."""
         t = self.tables.get(k)
         if t:
-            key = (t, self.label_groups.bags[k][1])
+            key = (t, self.label_bags[k][1])
             left = self.keys.get(key, 0) + step
             if left:
                 self.keys[key] = left
@@ -686,16 +690,14 @@ class TableCrpState(_StateBase):
             if k is None:
                 continue
             self._count_key(k, -1)
-            if step < 0:
-                self.label_groups.remove(k, table, bag)
-            else:
-                self.label_groups.add(k, table, bag)
+            _shift_bag(self.label_bags, k, bag, step)
             if headed:
                 t = self.tables.get(k, 0) + step
                 if t:
                     self.tables[k] = t
                 else:
-                    del self.tables[k]
+                    # every table carries its head's label, so k has no mentions left
+                    del self.tables[k], self.label_bags[k]
             self._count_key(k, 1)
 
     def _normaliser(self, total_a, total_b):
@@ -712,7 +714,7 @@ class TableCrpState(_StateBase):
         label_of = self.label_of
         shared = {label_of[m] for tok in stats[0] for m in self.lemma_holders[tok]}
         shared.discard(None)
-        bags = self.label_groups.bags
+        bags = self.label_bags
         return {k: self._merge_delta(stats, bags[k]) for k in sorted(shared)}
 
     def _key_weights(self, total):
@@ -725,13 +727,13 @@ class TableCrpState(_StateBase):
     def _delta(self, k, total, shared):
         """Merge ratio of a table of lemma total total against label k."""
         d = shared.get(k)
-        return self._normaliser(total, self.label_groups.bags[k][1]) if d is None else d
+        return self._normaliser(total, self.label_bags[k][1]) if d is None else d
 
     def _new_table_terms(self, shared, weights, log_denom):
         """Log terms of the CRP conditional of a new table with its label
         summed out: alpha_0, each label sharing a lemma with the table, and
         one term per key for the m labels of that key that share none."""
-        logs, tables, bags = self._logs, self.tables, self.label_groups.bags
+        logs, tables, bags = self._logs, self.tables, self.label_bags
         terms = [self._log_alpha_0 - log_denom]
         left = dict(self.keys)
         for k, d in shared.items():
@@ -781,7 +783,7 @@ class TableCrpState(_StateBase):
     def _draw_label(self, rng, shared, weights):
         """Existing label k with weight n_k times its merge ratio, a new label
         with weight alpha_0; a label sharing no lemma reads its key's weight."""
-        tables, bags, logs = self.tables, self.label_groups.bags, self._logs
+        tables, bags, logs = self.tables, self.label_bags, self._logs
         labels = sorted(tables)
         log_weights = [
             logs[tables[k]] + shared[k] if k in shared else weights[tables[k], bags[k][1]]
@@ -831,22 +833,25 @@ class TableCrpState(_StateBase):
 
     def _check_core(self):
         super()._check_core()
-        expected = {k: set(g) for k, g in self._label_parts().items()}
-        for k, members in expected.items():
+        bags = {}
+        for k, members in self._label_parts().items():
             if any(self.label_of[m] != k for m in members):
                 raise AssertionError(f"maintained labels of label {k}'s mentions are stale")
-        self.label_groups.check(expected, "label")
+            bags[k] = self._bag(members)
+        for k in bags.keys() | self.label_bags.keys():
+            if self.label_bags.get(k) != bags.get(k):
+                raise AssertionError(f"lemma bag of label {k} differs from a rebuild")
         tables = Counter(self.label_of[head] for head in self._heads())
         if self.tables != tables:
             raise AssertionError("maintained table counts of labels differ from a rebuild")
-        keys = Counter((t, self.label_groups.bags[k][1]) for k, t in tables.items())
+        keys = Counter((t, self.label_bags[k][1]) for k, t in tables.items())
         if self.keys != keys:
             raise AssertionError("maintained (tables, lemma total) keys differ from a rebuild")
 
     def joint_log_score(self):
         score = self._links_log_prior()
         score += crp_partition_log_prob(sorted(self.tables.values()), self.alpha_0)
-        return score + self._groups_loglik(self.label_groups, self.label_of)
+        return score + self._groups_loglik(self.label_bags, self.label_of)
 
     def _debug_check_deltas(self, i, stats, shared):
         """Check every label's delta against the merge ratio of the full bags,
@@ -855,7 +860,7 @@ class TableCrpState(_StateBase):
         the deltas by label."""
         deltas = {k: self._delta(k, stats[1], shared) for k in self.tables}
         for k, d in deltas.items():
-            full = self._merge_delta(stats, self.label_groups.bags[k])
+            full = self._merge_delta(stats, self.label_bags[k])
             if d != full:
                 raise AssertionError(f"label {k}: delta {d} != merge ratio {full} of the full bags")
         self.label_of[i] = self.next_label
@@ -914,9 +919,11 @@ def _run_chain(corpus, config, priors, params, index, seed_seq):
     trace = []
     best_score = -math.inf
     best = None
-    for _ in range(config.iterations):
+    for sweep in range(config.burn_in + 1, config.burn_in + config.iterations + 1):
         state.sweep(rng)
         s = state.joint_log_score()
+        if not math.isfinite(s):
+            raise InputError(f"chain {index}: joint log score is {s} after sweep {sweep}")
         trace.append(s)
         if config.map_estimate and s > best_score:
             best_score = s

@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
+from hddcrp.corpus import doc_similarity
 from hddcrp.likelihood import log_marginal_raw, merge_ratio_raw
 
 
@@ -252,6 +253,28 @@ def total_variation(p, q):
 # ---------------------------------------------------------------------------
 # Pair-by-pair link priors and agglomerative clustering
 # ---------------------------------------------------------------------------
+
+
+def training_pairs_reference(corpus, sigma):
+    """(a, b, coreferent) triples of canonical mention indices, built pair by
+    pair: every within-document pair of a later mention a with an earlier
+    one b, documents by doc_id, then every cross-document pair once for each
+    document pair with doc_similarity at least sigma."""
+    index = {m.mention_id: k for k, m in enumerate(corpus.mentions_in_order())}
+    chain_of = corpus.gold.chain_of()
+
+    def pair(a, b):
+        ka = chain_of.get(a.mention_id)
+        coreferent = ka is not None and ka == chain_of.get(b.mention_id)
+        return index[a.mention_id], index[b.mention_id], coreferent
+
+    docs = sorted(corpus.documents, key=lambda d: d.doc_id)
+    pairs = [pair(a, b) for d in docs for i, a in enumerate(d.mentions) for b in d.mentions[:i]]
+    for i, d in enumerate(docs):
+        for d2 in docs[i + 1 :]:
+            if doc_similarity(d, d2) >= sigma:
+                pairs += [pair(a, b) for a in d.mentions for b in d2.mentions]
+    return pairs
 
 
 def priors_reference(corpus, config, pairwise=None, resources=None, uniform=False):

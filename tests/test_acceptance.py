@@ -134,13 +134,9 @@ def test_distance_gradient_matches_finite_differences_and_separates(
     """Analytic gradient at 20 random points; near-perfect pair accuracy."""
     pairs = build_training_pairs(synthetic_corpus, sigma=0.4)
     extractor = FeatureExtractor.from_corpus(synthetic_corpus)
+    mentions = synthetic_corpus.mentions_in_order()
     features = np.array(
-        [
-            extractor.extract(
-                synthetic_corpus.mention(p.a), synthetic_corpus.mention(p.b), resources
-            )
-            for p in pairs
-        ]
+        [extractor.extract(mentions[p.a], mentions[p.b], resources) for p in pairs]
     )
     labels = np.array([1.0 if p.coreferent else -1.0 for p in pairs])
 

@@ -13,7 +13,6 @@ from hddcrp.corpus import (
     GoldChains,
     LexicalResources,
     Mention,
-    build_meta_documents,
     doc_similarity,
     gold_partition,
     load_corpus,
@@ -198,31 +197,3 @@ class TestDocSimilarity:
         cross = doc_similarity(docs["doc01"], docs["doc03"])
         assert same > 0.4 > cross
 
-
-class TestMetaDocuments:
-    def test_groups_by_seminal_event(self, synthetic_corpus):
-        meta = build_meta_documents(synthetic_corpus)
-        assert sorted(d.doc_id for d in meta.documents) == [
-            "ev-acquisition",
-            "ev-bombing",
-            "ev-earthquake",
-        ]
-        assert meta.n_mentions() == synthetic_corpus.n_mentions()
-        meta.validate()
-
-    def test_mention_order_follows_source_documents(self, synthetic_corpus):
-        meta = build_meta_documents(synthetic_corpus)
-        for d in meta.documents:
-            ids = [m.mention_id for m in d.mentions]
-            source = [
-                m.mention_id
-                for sd in sorted(synthetic_corpus.documents, key=lambda x: x.doc_id)
-                if sd.seminal_event_id == d.doc_id
-                for m in sd.mentions
-            ]
-            assert ids == source
-            assert [m.order_index for m in d.mentions] == list(range(len(ids)))
-
-    def test_gold_chains_survive_the_merge(self, synthetic_corpus):
-        meta = build_meta_documents(synthetic_corpus)
-        assert set(meta.gold.chains) == set(synthetic_corpus.gold.chains)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hddcrp.errors import UniverseMismatchError
+from hddcrp.errors import InputError, UniverseMismatchError
 from hddcrp.links import ClusterAssignment, canonical_order
 from hddcrp.metrics import (
     PRF,
@@ -15,7 +16,7 @@ from hddcrp.metrics import (
     muc,
     score,
 )
-from hddcrp.corpus import gold_partition
+from hddcrp.corpus import Corpus, gold_partition
 from hddcrp import metrics
 from reference_impls import (
     b_cubed_reference,
@@ -130,6 +131,15 @@ class TestScoreSettings:
         pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
         report = score(synthetic_corpus, gold, pred, "CD")
         assert report.setting == "CD"
+
+    def test_cd_setting_needs_every_seminal_event_id(self, synthetic_corpus):
+        first, *rest = synthetic_corpus.documents
+        corpus = Corpus((dataclasses.replace(first, seminal_event_id=""), *rest))
+        gold = gold_partition(synthetic_corpus)
+        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
+        assert math.isclose(score(corpus, gold, pred, "WD").conll_f1, 1.0, rel_tol=1e-12)
+        with pytest.raises(InputError, match="lacks a seminal_event_id"):
+            score(corpus, gold, pred, "CD")
 
     def test_unknown_setting_rejected(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)

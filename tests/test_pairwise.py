@@ -6,7 +6,9 @@ import pytest
 from scipy.special import expit
 
 from hddcrp import features, pairwise
-from hddcrp.corpus import Corpus, Document, Mention, doc_similarity
+from hddcrp.corpus import (
+    Corpus, Document, GoldChains, LexicalResources, Mention, doc_similarity
+)
 from hddcrp.errors import InputError
 from hddcrp.features import PairFeatures
 from hddcrp.pairwise import (
@@ -23,7 +25,7 @@ from hddcrp.pairwise import (
 )
 from hddcrp.sampling import SamplerConfig, build_priors
 
-from reference_impls import priors_reference
+from reference_impls import priors_reference, training_pairs_reference
 
 
 class TestTrainingPairs:
@@ -38,7 +40,7 @@ class TestTrainingPairs:
 
     def test_within_pairs_are_ordered_later_to_earlier(self, synthetic_corpus):
         pairs = build_training_pairs(synthetic_corpus, sigma=0.4)
-        mentions = {m.mention_id: m for m in synthetic_corpus.mentions_in_order()}
+        mentions = synthetic_corpus.mentions_in_order()
         for p in pairs:
             a, b = mentions[p.a], mentions[p.b]
             if a.doc_id == b.doc_id:
@@ -46,7 +48,7 @@ class TestTrainingPairs:
 
     def test_cross_pairs_appear_once_and_respect_sigma(self, synthetic_corpus):
         pairs = build_training_pairs(synthetic_corpus, sigma=0.4)
-        mentions = {m.mention_id: m for m in synthetic_corpus.mentions_in_order()}
+        mentions = synthetic_corpus.mentions_in_order()
         docs = {d.doc_id: d for d in synthetic_corpus.documents}
         seen = set()
         for p in pairs:
@@ -56,6 +58,32 @@ class TestTrainingPairs:
             seen.add(key)
             if a.doc_id != b.doc_id:
                 assert doc_similarity(docs[a.doc_id], docs[b.doc_id]) >= 0.4
+
+    @pytest.mark.parametrize("sigma", [0.4, 1.1])
+    def test_rows_equal_the_per_pair_reference(self, synthetic_corpus, sigma):
+        # the fitted weights are byte-identical only if the rows keep their order
+        pairs = build_training_pairs(synthetic_corpus, sigma)
+        got = list(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.coreferent.tolist()))
+        assert got == training_pairs_reference(synthetic_corpus, sigma)
+
+    def test_rows_equal_the_per_pair_reference_on_edge_cases(self):
+        def doc(doc_id, *spans):
+            return Document.build(doc_id, "ev", [
+                Mention(f"{doc_id}{k}", doc_id, k, span[0], "NN", span, (), {})
+                for k, span in enumerate(spans)
+            ])
+
+        # doc a has one mention and cosine exactly 1 / (1 * 2) with doc b;
+        # c0 and c2 are in no gold chain
+        docs = (
+            doc("a", ("x",)), doc("b", ("x", "y"), ("z", "w")), doc("c", ("y",), ("q",), ("q",))
+        )
+        corpus = Corpus(docs, GoldChains((frozenset({"a0", "b0"}), frozenset({"b1", "c1"}))))
+        assert doc_similarity(docs[0], docs[1]) == 0.5
+        pairs = build_training_pairs(corpus, 0.5)
+        got = list(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.coreferent.tolist()))
+        assert got == training_pairs_reference(corpus, 0.5)
+        assert got[-2:] == [(0, 1, True), (0, 2, False)]
 
     def test_raising_sigma_drops_all_cross_pairs(self, synthetic_corpus):
         pairs = build_training_pairs(synthetic_corpus, sigma=1.1)
@@ -236,6 +264,12 @@ class TestTrainValidation:
         with pytest.raises(InputError):
             train(corpus, LexicalResources())
 
+    def test_an_empty_pair_set_is_rejected(self):
+        doc = Document.build("d", "ev", [Mention("d-m0", "d", 0, "x", "NN", ("x",), (), {})])
+        corpus = Corpus((doc,), GoldChains(()))
+        with pytest.raises(InputError, match="no training pairs"):
+            train(corpus, LexicalResources())
+
     @pytest.mark.parametrize(
         "name, value",
         [
@@ -311,8 +345,8 @@ class TestBlockScoring:
         pairs = build_training_pairs(synthetic_corpus, sigma=0.4)
         ex = pairwise.FeatureExtractor.from_corpus(synthetic_corpus)
         got = pair_features(synthetic_corpus, resources, ex, pairs)
-        m = synthetic_corpus.mention
-        want = np.array([ex.extract(m(p.a), m(p.b), resources) for p in pairs])
+        m = synthetic_corpus.mentions_in_order()
+        want = np.array([ex.extract(m[p.a], m[p.b], resources) for p in pairs])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_given_features_give_the_same_fit_and_accuracy(
@@ -322,9 +356,9 @@ class TestBlockScoring:
         x = pair_features(synthetic_corpus, resources, trained_model.extractor, pairs)
         again = train(synthetic_corpus, resources, pairs=pairs, features=x)
         assert np.array_equal(again.theta, trained_model.theta)
-        m = synthetic_corpus.mention
+        m = synthetic_corpus.mentions_in_order()
         per_pair = sum(
-            (trained_model.pair_similarity(m(p.a), m(p.b), resources) >= 0.5) == p.coreferent
+            (trained_model.pair_similarity(m[p.a], m[p.b], resources) >= 0.5) == p.coreferent
             for p in pairs
         ) / len(pairs)
         assert pair_accuracy(trained_model, synthetic_corpus, resources, pairs, features=x) == (

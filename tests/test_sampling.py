@@ -434,7 +434,9 @@ class TestLinkGraphCore:
 
         def recording_deltas(state, stats):
             lemmas = stats[0].keys()
-            groups = state.label_groups.members
+            groups = {}
+            for m, k in enumerate(state.label_of):
+                groups.setdefault(k, []).append(m)
             labels = state.tables
             sharing = {
                 k for k in labels if any(lemmas & state.span_counts[m].keys() for m in groups[k])
@@ -607,20 +609,20 @@ class TestLinkGraphCore:
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_stale_label_members(self, tiny_corpus, model, monkeypatch):
-        relabel = TableCrpState._relabel
+        place = TableCrpState._place
 
-        def relabel_leaving_member_sets(state, table, bag, label, headed):
-            members = {k: set(g) for k, g in state.label_groups.members.items()}
-            relabel(state, table, bag, label, headed)
-            if label is not None:
-                state.label_groups.members[label] = members.get(label, set())
+        def place_leaving_a_stale_label(state, i, table, bag, target, scored, rng):
+            place(state, i, table, bag, target, scored, rng)
+            non_heads = [m for m in table if state.cl[m] != m]
+            if non_heads:
+                state.label_of[non_heads[0]] = state.next_label
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(TableCrpState, "_relabel", relabel_leaving_member_sets)
-        with pytest.raises(AssertionError, match="label member sets differ"):
+        monkeypatch.setattr(TableCrpState, "_place", place_leaving_a_stale_label)
+        with pytest.raises(AssertionError, match="are stale"):
             state.sweep(rng)
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
@@ -630,8 +632,8 @@ class TestLinkGraphCore:
         def relabel_and_miscount_totals(state, table, bag, label, headed):
             relabel(state, table, bag, label, headed)
             if label is not None:
-                counts, total = state.label_groups.bags[label]
-                state.label_groups.bags[label] = (counts, total + 1)
+                counts, total = state.label_bags[label]
+                state.label_bags[label] = (counts, total + 1)
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
@@ -660,10 +662,10 @@ class TestLinkGraphCore:
         state = init_state(tiny_corpus, config, rng, priors=priors)
         state.sweep(rng)
         state.joint_log_score()
-        groups = state.label_groups if hasattr(state, "label_groups") else state.graph.groups
-        key = next(iter(groups.members))
-        counts, total = groups.bags[key]
-        groups.bags[key] = (counts, total + 1)
+        bags = state.label_bags if hasattr(state, "label_bags") else state.graph.groups.bags
+        key = next(iter(bags))
+        counts, total = bags[key]
+        bags[key] = (counts, total + 1)
         with pytest.raises(AssertionError, match="joint score"):
             state.joint_log_score()
 
@@ -753,6 +755,18 @@ class TestChains:
         plain = SamplerConfig(model="hddcrp", iterations=60, chains=1, seed=3)
         (base,) = run_chains(tiny_corpus, plain, priors=priors)
         assert base.estimate == base.final_clustering
+
+    @pytest.mark.parametrize("map_estimate", [False, True])
+    def test_a_non_finite_joint_score_names_its_chain_and_sweep(
+        self, tiny_corpus, monkeypatch, map_estimate
+    ):
+        config = SamplerConfig(
+            model="hddcrp", iterations=5, burn_in=2, chains=2, seed=3, map_estimate=map_estimate
+        )
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        monkeypatch.setattr(sampling.HddcrpState, "joint_log_score", lambda state: math.nan)
+        with pytest.raises(InputError, match="chain 0: joint log score is nan after sweep 3"):
+            run_chains(tiny_corpus, config, priors=priors)
 
     def test_randomized_scan_is_still_seed_deterministic(self, tiny_corpus):
         config = SamplerConfig(
