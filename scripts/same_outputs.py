@@ -6,13 +6,17 @@ For each tree the script runs that tree's CLI (ROOT/src on PYTHONPATH) on its
 bundled synthetic corpus: train-distance, then `sample` for all four models,
 once sequential, once with --randomized-scan --map-estimate and once with
 --flat-likelihood --uniform-distances --randomized-scan, each with seed 3 and
-3 chains x 60 sweeps (36 clusterings).  It compares the trained distance model
-(distance_model.json and distance_model.features.json) and every
-chain-NN.clustering.json on every field except the embedded config, and the
-joint-score traces value by value.  It prints whether the distance model is
-identical, each clustering that differs, the number of trace files that
-differ and the largest relative trace drift, and exits 1 if the distance
-model or any clustering differs.
+3 chains x 60 sweeps (36 clusterings).  It also runs the exact enumerator,
+oracle-posterior --uniform-distances, on the bundled tiny corpus, at the
+defaults and at --alpha-d 2 --alpha0 0.5 --concentration 0.3.  It compares
+the trained distance model (distance_model.json and
+distance_model.features.json), every chain-NN.clustering.json and both
+oracle-*.json posteriors on every field except the embedded config, and the
+joint-score traces value by value.  It prints whether the distance model and
+the enumerator output are identical, each clustering that differs, the
+number of trace files that differ and the largest relative trace drift, and
+exits 1 if the distance model, the enumerator output or any clustering
+differs.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ SCANS = {
     "flat-uniform": ["--flat-likelihood", "--uniform-distances", "--randomized-scan"],
 }
 SAMPLE = ["--seed", "3", "--chains", "3", "--iterations", "60"]
+ORACLE = {
+    "defaults": [],
+    "tuned": ["--alpha-d", "2", "--alpha0", "0.5", "--concentration", "0.3"],
+}
 
 
 def run_matrix(root, work):
@@ -57,6 +65,10 @@ def run_matrix(root, work):
             out = work / f"{name}-{scan}"
             cli("sample", "--corpus", str(corpus), *resources, "--model", name,
                 "--distance-model", str(model), *SAMPLE, *flags, "--output-dir", str(out))
+    tiny = corpus.with_name("tiny_corpus.jsonl")
+    for name, flags in ORACLE.items():
+        cli("oracle-posterior", "--corpus", str(tiny), "--uniform-distances", *flags,
+            "-o", str(work / f"oracle-{name}.json"))
 
 
 def without_config(path):
@@ -82,6 +94,8 @@ def main(argv=None):
             run_matrix(root, work)
         models = sorted(work_a.glob("distance_model*.json"))
         same_model = all(without_config(p) == without_config(work_b / p.name) for p in models)
+        oracles = sorted(work_a.glob("oracle-*.json"))
+        same_oracle = all(without_config(p) == without_config(work_b / p.name) for p in oracles)
         clusterings = sorted(work_a.glob("*/chain-*.clustering.json"))
         differing = [
             p.relative_to(work_a) for p in clusterings
@@ -95,12 +109,14 @@ def main(argv=None):
                 sys.exit(f"{p.relative_to(work_a)}: traces of different lengths")
             drifts.append(max(abs(x - y) / max(abs(x), abs(y), 1e-300) for x, y in zip(a, b)))
     print(f"distance model {'identical' if same_model else 'differs'} ({len(models)} files)")
+    print(f"enumerator output {'identical' if same_oracle else 'differs'} "
+          f"({len(oracles)} files)")
     for p in differing:
         print(f"clustering differs: {p}")
     print(f"{len(clusterings) - len(differing)} of {len(clusterings)} clusterings identical")
     print(f"{sum(d > 0 for d in drifts)} of {len(traces)} trace files differ; "
           f"largest relative drift {max(drifts):.3g}")
-    return 1 if differing or not same_model else 0
+    return 1 if differing or not (same_model and same_oracle) else 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .corpus import (
 from .errors import InputError, UniverseMismatchError
 from .features import FeatureExtractor
 from .likelihood import LikelihoodParams, corpus_log_likelihood, lemma_bags
-from .links import ClusterAssignment, canonical_order, clusters_from_links
+from .links import ClusterAssignment, canonical_order
 from .metrics import (
     ScoreReport,
     b_cubed,
@@ -77,7 +77,6 @@ __all__ = [
     "build_training_pairs",
     "canonical_order",
     "ceaf_e",
-    "clusters_from_links",
     "corpus_log_likelihood",
     "doc_similarity",
     "enumerate_exact_posterior",

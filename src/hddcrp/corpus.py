@@ -316,6 +316,8 @@ def load_corpus(path, gold_path=None) -> Corpus:
     if gold_chains is not None:
         gold = GoldChains(_parse_gold_chains(gold_chains))
     corpus = Corpus(tuple(documents), gold)
+    if not corpus.n_mentions():
+        raise InputError(f"{path}: the corpus holds no mentions")
     corpus.validate()
     return corpus
 

@@ -1,12 +1,10 @@
-"""Link representations and their induced partitions.
+"""Connected components and canonical clusterings of mentions.
 
-Every mention owns a within-document customer link pointing at an earlier
-mention of the same document or at itself.  Mentions whose customer link is a
-self-loop head a table; every mention also carries a table link pointing at a
-mention of another document or at itself, but only the table links of heads
-are active.  Coreference clusters are the connected components of the
-undirected graph over customer links plus active table links; tables are the
-components over customer links alone.
+_components is the one routine that turns edges into a partition: the
+samplers' link graphs and the agglomerative baseline call it.  A
+ClusterAssignment is a partition with canonical labels, the form every
+sampler, baseline and scorer hands on.  Which links are active and what
+their components stand for is defined by the samplers in sampling.py.
 """
 
 from __future__ import annotations
@@ -41,23 +39,6 @@ def _components(n, edges):
                     members.append(v)
         out.append(sorted(members))
     return out
-
-
-def clusters_from_links(customer_link, table_link):
-    """Partition induced by customer links plus active table links.
-
-    A table link is active only for mentions whose customer link is a
-    self-loop; the others are carried along but do not join anything.
-    """
-    n = len(customer_link)
-
-    def edges():
-        for i in range(n):
-            yield i, customer_link[i]
-            if customer_link[i] == i:
-                yield i, table_link[i]
-
-    return _components(n, edges())
 
 
 @dataclass(frozen=True)

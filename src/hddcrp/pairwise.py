@@ -28,6 +28,10 @@ from .corpus import doc_similarity, read_text
 from .errors import InputError
 from .features import BLOCK_ROWS, FeatureExtractor, PairFeatures, cosine_matrix
 
+# L-BFGS-B stopping rule of the fit: projected gradient tolerance and iteration cap
+GTOL = 1e-6
+MAX_ITER = 10_000
+
 
 def build_training_pairs(corpus, sigma=0.4):
     """Labeled mention pairs as a record array of canonical mention indices
@@ -71,7 +75,7 @@ def penalized_grad(theta, features, labels, l2):
     return features.T @ (labels * expit(-margins)) - 2.0 * l2 * theta
 
 
-def fit_theta(features, labels, l2, gtol=1e-6, max_iter=10000):
+def fit_theta(features, labels, l2):
     """Maximize the penalized log likelihood from a zero start."""
     from scipy.optimize import minimize
 
@@ -85,7 +89,7 @@ def fit_theta(features, labels, l2, gtol=1e-6, max_iter=10000):
         np.zeros(features.shape[1]),
         jac=True,
         method="L-BFGS-B",
-        options={"gtol": gtol, "ftol": 1e-14, "maxiter": max_iter, "maxfun": 10 * max_iter},
+        options={"gtol": GTOL, "ftol": 1e-14, "maxiter": MAX_ITER, "maxfun": 10 * MAX_ITER},
     )
     return result.x
 
@@ -190,8 +194,6 @@ def train(
     gamma=1.0,
     extractor=None,
     pairs=None,
-    gtol=1e-6,
-    max_iter=10000,
     features=None,
 ):
     """Fit a PairwiseModel on a gold-annotated corpus.
@@ -214,7 +216,7 @@ def train(
         raise InputError("non-finite feature values in training data")
     if len(np.unique(labels)) < 2:
         raise InputError("training pairs all carry the same label")
-    return replace(model, theta=fit_theta(features, labels, l2, gtol, max_iter))
+    return replace(model, theta=fit_theta(features, labels, l2))
 
 
 def pair_accuracy(model, corpus, resources, pairs, features=None):

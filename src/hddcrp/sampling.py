@@ -66,7 +66,7 @@ from .likelihood import (
     merge_ratio_raw,
     split_ratio_raw,
 )
-from .links import ClusterAssignment, _components, clusters_from_links
+from .links import ClusterAssignment, _components
 
 MODELS = ("hddcrp", "hddcrp_star", "ddcrp_flat", "hdp_lex")
 
@@ -243,15 +243,15 @@ def crp_partition_log_prob(sizes, alpha):
 
 
 def _link_log_prior(cands, log_norm, target):
-    for j, _, lw in cands:
+    for j, lw in cands:
         if j == target:
             return lw - log_norm
 
 
 def _with_logs(supports):
-    """Per-mention candidate tuples (target, weight, log weight) and the log
-    of each mention's total weight."""
-    cands = tuple(tuple((j, w, math.log(w)) for j, w in c) for c in supports)
+    """Per-mention candidate tuples (target, log weight) and the log of each
+    mention's total weight, from the (target, weight) supports of Priors."""
+    cands = tuple(tuple((j, math.log(w)) for j, w in c) for c in supports)
     norms = tuple(math.log(reduce(add, (w for _, w in c), 0.0)) for c in supports)
     if not all(map(math.isfinite, norms)):
         raise InputError("link weights overflow: lower gamma or the concentrations")
@@ -271,43 +271,12 @@ def _shift_bag(bags, key, bag, sign):
     bags[key] = (counts, total + sign * bag[1])
 
 
-class _Groups:
-    """Mention sets by key, each with its lemma bag (counts, total) kept up to
-    date by adding and subtracting the bags of the members that move."""
-
-    def __init__(self, bag_of):
-        self.members = {}
-        self.bags = {}
-        self.bag_of = bag_of
-
-    def add(self, key, members, bag):
-        """Add members, whose summed lemma bag is bag, to the group at key."""
-        self.members.setdefault(key, set()).update(members)
-        _shift_bag(self.bags, key, bag, 1)
-
-    def remove(self, key, members, bag):
-        """Take members, whose summed lemma bag is bag, out of the group at
-        key; some members stay."""
-        self.members[key] -= members
-        _shift_bag(self.bags, key, bag, -1)
-
-    def pop(self, key):
-        return self.members.pop(key), self.bags.pop(key)
-
-    def check(self, expected):
-        """Raise AssertionError unless the member sets equal expected (key ->
-        set) and every bag equals one built afresh."""
-        if self.members != expected:
-            raise AssertionError("maintained component member sets differ from a rebuild")
-        for key, bag in self.bags.items():
-            if bag != self.bag_of(self.members[key]):
-                raise AssertionError(f"lemma bag of component {key} differs from a rebuild")
-
-
 class LinkGraph:
     """Components of the undirected graph with one outgoing edge per mention
     (a self-loop stands for no edge), kept up to date one edge at a time.
-    The state holds the edges; the graph holds each mention's inbound edges.
+    The state holds the edges; the graph holds each mention's inbound edges,
+    each mention's component id and each component's members and lemma bag
+    (counts, total), kept by adding and subtracting the bags that move.
 
     Dropping an edge splits at most one component and adding one merges at
     most two (Blei & Frazier 2011).  A move asks side() what dropping an edge
@@ -322,22 +291,22 @@ class LinkGraph:
         for m, t in enumerate(out):
             if t != m:
                 self.inbound[t].add(m)
+        self.bag_of = bag_of
         self.comp = [0] * n
-        self.groups = _Groups(bag_of)
+        self.members = {}  # component id -> mentions
+        self.bags = {}  # component id -> lemma bag
         parts = _components(n, enumerate(out))
         for k, part in enumerate(parts):
             for m in part:
                 self.comp[m] = k
-            self.groups.add(k, part, bag_of(part))
+            self.members[k] = set(part)
+            self.bags[k] = bag_of(part)
         self._next_id = len(parts)
 
-    def members(self, m):
-        """Mentions of the component holding m."""
-        return self.groups.members[self.comp[m]]
-
-    def bag(self, m):
-        """Lemma bag of the component holding m."""
-        return self.groups.bags[self.comp[m]]
+    def component(self, m):
+        """Members and lemma bag of the component holding m."""
+        k = self.comp[m]
+        return self.members[k], self.bags[k]
 
     def side(self, i, j):
         """Mentions left with i if its edge i -> j were dropped, or None if
@@ -371,31 +340,33 @@ class LinkGraph:
                 self.inbound[old].remove(i)
             if new != i:
                 self.inbound[new].add(i)
-        comp, groups = self.comp, self.groups
+        comp, members, bags = self.comp, self.members, self.bags
         a, b = comp[i], comp[new]
         if side is None:
             if a == b:
                 return
-            if len(groups.members[a]) > len(groups.members[b]):
+            if len(members[a]) > len(members[b]):
                 a, b = b, a
-            moved, bag = groups.pop(a)
-        elif new in side:
-            b = self._next_id
-            self._next_id += 1
-            moved, bag = side, side_bag
-            groups.remove(a, moved, bag)
-        elif a != b:
-            moved, bag = side, side_bag
-            groups.remove(a, moved, bag)
+            moved, bag = members.pop(a), bags.pop(a)
         else:
-            return
-        groups.add(b, moved, bag)
+            if new in side:
+                b = self._next_id
+                self._next_id += 1
+            elif a == b:
+                return
+            moved, bag = side, side_bag
+            # a split or a join leaves at least the old target in the rest
+            members[a] -= moved
+            _shift_bag(bags, a, bag, -1)
+        members.setdefault(b, set()).update(moved)
+        _shift_bag(bags, b, bag, 1)
         for m in moved:
             comp[m] = b
 
     def check(self, out):
-        """Raise AssertionError unless the inbound edges, component ids and
-        member sets match a from-scratch rebuild over the edges out."""
+        """Raise AssertionError unless the inbound edges, component ids,
+        member sets and lemma bags match a from-scratch rebuild over the
+        edges out."""
         inbound = [set() for _ in out]
         for m, t in enumerate(out):
             if t != m:
@@ -411,7 +382,12 @@ class LinkGraph:
             expected[ids.pop()] = set(part)
         if len(expected) != len(parts):
             raise AssertionError("two components share one id")
-        self.groups.check(expected)
+        if self.members != expected:
+            raise AssertionError("maintained component member sets differ from a rebuild")
+        bags = {k: self.bag_of(part) for k, part in expected.items()}
+        for k in bags.keys() | self.bags.keys():
+            if self.bags.get(k) != bags.get(k):
+                raise AssertionError(f"lemma bag of component {k} differs from a rebuild")
 
 
 class _StateBase:
@@ -498,7 +474,7 @@ class _StateBase:
         side = graph.side(i, old)
         links[i] = i
         if side is None:
-            part, bag = graph.members(i), graph.bag(i)
+            part, bag = graph.component(i)
         else:
             part, bag = side, self._bag(side)
         log_weights, scored = self._weigh(i, cands, links, part, bag, side)
@@ -515,7 +491,7 @@ class _StateBase:
         the split ratio in the rest of i's component; _place needs nothing."""
         comp = self.graph.comp
         home = comp[i]
-        bags = self.graph.groups.bags
+        bags = self.graph.bags
         self_target = self._edge(i)
         if side is None:
             delta_by_comp = {home: 0.0}
@@ -524,7 +500,7 @@ class _StateBase:
             delta_by_comp = {}
         deltas = []
         log_weights = []
-        for j, _, lw in cands:
+        for j, lw in cands:
             t = self_target if j == i else j
             c = comp[t]
             d = delta_by_comp.get(c)
@@ -549,7 +525,7 @@ class _StateBase:
         for level, _ in saved:
             level[i] = i
         base = self._scratch_loglik()
-        for (j, _, _), delta in zip(cands, deltas):
+        for (j, _), delta in zip(cands, deltas):
             for level, value in saved:
                 level[i] = value
             links[i] = j
@@ -572,7 +548,7 @@ class _StateBase:
     def joint_log_score(self):
         # the graph's components are the clusters of hddcrp and ddcrp_flat
         graph = self.graph
-        return self._links_log_prior() + self._groups_loglik(graph.groups.bags, graph.comp)
+        return self._links_log_prior() + self._groups_loglik(graph.bags, graph.comp)
 
     def clustering(self):
         return ClusterAssignment.from_index_partition(self.mention_ids, self._parts())
@@ -605,7 +581,7 @@ class HddcrpState(_StateBase):
         cands = self.cand_t[i]
         if self.cl[i] != i:
             # inactive link: the clustering ignores it, so prior only
-            choice = _draw(rng, [lw for _, _, lw in cands])
+            choice = _draw(rng, [lw for _, lw in cands])
             self.tl[i] = cands[choice][0]
             if self.debug:
                 self._check_core()
@@ -659,7 +635,7 @@ class TableCrpState(_StateBase):
         self.tables = {}  # label -> heads carrying it
         self.keys = {}  # (tables, lemma total) -> labels with that key
         for head in self._heads():
-            self._relabel(self.graph.members(head), self.graph.bag(head), self.next_label, True)
+            self._relabel(*self.graph.component(head), self.next_label, True)
             self.next_label += 1
 
     def _heads(self):
@@ -758,11 +734,11 @@ class TableCrpState(_StateBase):
         # every table but i's has a head with a label (_check_core says so),
         # so the components other than i's count the labelled tables; a
         # virtual split adds one component to those the graph holds
-        log_denom = math.log(len(self.graph.groups.members) - (side is None) + self.alpha_0)
+        log_denom = math.log(len(self.graph.members) - (side is None) + self.alpha_0)
         marg = _log_sum_exp(self._new_table_terms(shared, weights, log_denom))
         label_of = self.label_of
         log_weights = []
-        for j, _, lw in cands:
+        for j, lw in cands:
             d = marg if j == i else self._delta(label_of[j], total, shared)
             log_weights.append(lw + d)
         if self.debug:
@@ -799,20 +775,20 @@ class TableCrpState(_StateBase):
 
     def sample_table_label(self, head, rng):
         """CRP label move for one table: existing cluster k with weight
-        n_k times the merge ratio, a new cluster with weight alpha_0."""
+        n_k times the merge ratio, a new cluster with weight alpha_0.  The
+        table comes off its label and _place, the customer move's label
+        step, draws and sets the new one."""
         if self.cl[head] != head:
             raise ValueError(f"mention {head} does not head a table")
-        table = self.graph.members(head)
-        stats_t = self.graph.bag(head)
-        self._relabel(table, stats_t, None, True)
-        shared = self._shared_deltas(stats_t)
+        table, bag = self.graph.component(head)
+        self._relabel(table, bag, None, True)
+        shared = self._shared_deltas(bag)
         if self.debug:
-            self._debug_check_deltas(head, stats_t, shared)
-        label = self._draw_label(rng, shared, self._key_weights(stats_t[1]))
-        self._relabel(table, stats_t, label, True)
+            self._debug_check_deltas(head, bag, shared)
+        self._place(head, table, bag, head, (shared, self._key_weights(bag[1])), rng)
         if self.debug:
             self._check_core()
-        return label
+        return self.label_of[head]
 
     def sweep(self, rng):
         super().sweep(rng)
@@ -984,16 +960,16 @@ def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resour
 
     log_mass = {}
     for combo in itertools.product(*cust):
-        links = [j for j, _ in combo]
+        state.cl[:] = [j for j, _ in combo]
         prior_a = reduce(add, (lp for _, lp in combo), 0.0)
-        heads = [i for i in range(n) if links[i] == i]
+        heads = [i for i in range(n) if state.cl[i] == i]
         for tcombo in itertools.product(*(tab[h] for h in heads)):
-            table_links = list(range(n))
             prior_c = prior_a
             for h, (j, lp) in zip(heads, tcombo):
-                table_links[h] = j
+                state.tl[h] = j
                 prior_c += lp
-            parts = clusters_from_links(links, table_links)
+            # non-head table links are inactive, so stale ones change nothing
+            parts = state._parts()
             key = ClusterAssignment.from_index_partition(state.mention_ids, parts)
             w = prior_c + loglik(tuple(key.labels), parts)
             prev = log_mass.get(key)

@@ -722,6 +722,31 @@ class TestCorpusInput:
         assert "line 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", '{"doc_id": "d", "seminal_event_id": "ev", "mentions": []}\n'],
+        ids=["empty-file", "no-mentions"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["sample", "--model", m, "--uniform-distances", "--iterations", 2, "--chains", 1]
+              for m in ("hddcrp", "ddcrp", "hddcrp-star", "hdp-lex")),
+            ["baseline"],
+            ["oracle-posterior", "--uniform-distances"],
+        ],
+        ids=["sample-hddcrp", "sample-ddcrp", "sample-hddcrp-star", "sample-hdp-lex",
+             "baseline", "oracle-posterior"],
+    )
+    def test_a_corpus_without_mentions_exits_two(self, tmp_path, capsys, text, argv):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        where = ["--output-dir", out] if argv[0] == "sample" else ["-o", out]
+        assert run([*argv, "--corpus", corpus, *where]) == 2
+        assert "no mentions" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOraclePosterior:
     def test_posterior_file_sums_to_one_and_is_sorted(self, tmp_path):

@@ -1,9 +1,34 @@
 import numpy as np
 import pytest
 
+from hddcrp.corpus import Corpus, Document, Mention
 from hddcrp.errors import InputError
-from hddcrp.links import ClusterAssignment, canonical_order, clusters_from_links
+from hddcrp.likelihood import LikelihoodParams
+from hddcrp.links import ClusterAssignment, canonical_order
+from hddcrp.sampling import HddcrpState, SamplerConfig, build_priors
 from reference_impls import components_reference
+
+
+def link_state(doc_sizes):
+    """An hddcrp state over documents of the given sizes, in canonical order."""
+    documents = []
+    for d, size in enumerate(doc_sizes):
+        mentions = [
+            Mention(f"d{d}-m{k}", f"d{d}", k, "x", "NN", ("x",), (), {}) for k in range(size)
+        ]
+        documents.append(Document.build(f"d{d}", "ev", mentions))
+    corpus = Corpus(tuple(documents))
+    config = SamplerConfig()
+    priors = build_priors(corpus, config, uniform=True)
+    return HddcrpState(corpus, config, priors, LikelihoodParams.for_corpus(corpus, 1e-7))
+
+
+def clusters(doc_sizes, customer, table):
+    """The state's partition with the given customer and table links."""
+    state = link_state(doc_sizes)
+    state.cl[:] = customer
+    state.tl[:] = table
+    return state._parts()
 
 
 def random_link_state(rng, doc_sizes):
@@ -30,7 +55,7 @@ class TestConnectivity:
             sizes = [int(rng.integers(1, 5)) for _ in range(k)]
             doc_of, customer, table = random_link_state(rng, sizes)
             n = len(doc_of)
-            got = sorted(sorted(p) for p in clusters_from_links(customer, table))
+            got = sorted(sorted(p) for p in clusters(sizes, customer, table))
             edges = [(i, j) for i, j in enumerate(customer)]
             # only table links of table heads (self-customer mentions) are active
             edges += [(i, table[i]) for i in range(n) if customer[i] == i]
@@ -39,13 +64,13 @@ class TestConnectivity:
     def test_non_head_table_links_never_affect_clusters(self):
         # mention 1 links back to 0, so its table link must be inert
         customer = [0, 0, 2]
-        active = clusters_from_links(customer, [0, 1, 2])
-        assert active == clusters_from_links(customer, [0, 2, 2])
+        active = clusters([2, 1], customer, [0, 1, 2])
+        assert active == clusters([2, 1], customer, [0, 2, 2])
 
     def test_table_link_of_head_merges_across_documents(self):
         customer = [0, 0, 2, 2]
-        clusters = clusters_from_links(customer, [2, 1, 2, 3])
-        assert sorted(sorted(p) for p in clusters) == [[0, 1, 2, 3]]
+        got = clusters([2, 2], customer, [2, 1, 2, 3])
+        assert sorted(sorted(p) for p in got) == [[0, 1, 2, 3]]
 
 
 class TestClusterAssignment:

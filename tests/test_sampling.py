@@ -391,18 +391,18 @@ class TestLinkGraphCore:
                 # the graph's components, rebuilt from the edges
                 parts = sampling._StateBase._parts(state)
                 comp = list(graph.comp)
-                members = {k: (s, set(s)) for k, s in graph.groups.members.items()}
-                bags = {k: (b, (dict(b[0]), b[1])) for k, b in graph.groups.bags.items()}
+                members = {k: (s, set(s)) for k, s in graph.members.items()}
+                bags = {k: (b, (dict(b[0]), b[1])) for k, b in graph.bags.items()}
                 move(i, rng)
                 if sampling._StateBase._parts(state) != parts:
                     continue
                 kept += 1
                 assert graph.comp == comp
-                assert graph.groups.members.keys() == members.keys()
+                assert graph.members.keys() == members.keys()
                 for k, (s, copy) in members.items():
-                    assert graph.groups.members[k] is s and s == copy
+                    assert graph.members[k] is s and s == copy
                 for k, (b, copy) in bags.items():
-                    assert graph.groups.bags[k] is b and (b[0], b[1]) == copy
+                    assert graph.bags[k] is b and (b[0], b[1]) == copy
         assert kept > state.n // 2
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
@@ -569,7 +569,7 @@ class TestLinkGraphCore:
         move = LinkGraph.move
 
         def move_without_merging_bags(graph, *args):
-            bags = graph.groups.bags
+            bags = graph.bags
             before = {k: (dict(counts), total) for k, (counts, total) in bags.items()}
             move(graph, *args)
             for k in bags.keys() & before.keys():
@@ -588,21 +588,22 @@ class TestLinkGraphCore:
     def test_debug_mode_catches_zero_counts_left_in_a_bag(
         self, tiny_corpus, model, monkeypatch
     ):
-        def remove_keeping_zeros(groups, key, members, bag):
-            groups.members[key] -= members
-            if not groups.members[key]:
-                del groups.members[key], groups.bags[key]
-                return
-            counts, total = groups.bags[key]
-            for tok, c in bag[0].items():
-                counts[tok] -= c
-            groups.bags[key] = (counts, total - bag[1])
+        move = LinkGraph.move
+
+        def move_keeping_zeros(graph, *args):
+            # a lemma whose count a move takes to 0 stays in the bag with count 0
+            before = {k: set(counts) for k, (counts, _) in graph.bags.items()}
+            move(graph, *args)
+            for k in graph.bags.keys() & before.keys():
+                counts = graph.bags[k][0]
+                for tok in before[k] - counts.keys():
+                    counts[tok] = 0
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(sampling._Groups, "remove", remove_keeping_zeros)
+        monkeypatch.setattr(LinkGraph, "move", move_keeping_zeros)
         with pytest.raises(AssertionError, match="lemma bag of .* differs"):
             for _ in range(30):
                 state.sweep(rng)
@@ -662,7 +663,7 @@ class TestLinkGraphCore:
         state = init_state(tiny_corpus, config, rng, priors=priors)
         state.sweep(rng)
         state.joint_log_score()
-        bags = state.label_bags if hasattr(state, "label_bags") else state.graph.groups.bags
+        bags = state.label_bags if hasattr(state, "label_bags") else state.graph.bags
         key = next(iter(bags))
         counts, total = bags[key]
         bags[key] = (counts, total + 1)
