@@ -8,15 +8,17 @@ once sequential, once with --randomized-scan --map-estimate and once with
 --flat-likelihood --uniform-distances --randomized-scan, each with seed 3 and
 3 chains x 60 sweeps (36 clusterings).  It also runs the exact enumerator,
 oracle-posterior --uniform-distances, on the bundled tiny corpus, at the
-defaults and at --alpha-d 2 --alpha0 0.5 --concentration 0.3.  It compares
-the trained distance model (distance_model.json and
-distance_model.features.json), every chain-NN.clustering.json and both
-oracle-*.json posteriors on every field except the embedded config, and the
-joint-score traces value by value.  It prints whether the distance model and
-the enumerator output are identical, each clustering that differs, the
-number of trace files that differ and the largest relative trace drift, and
-exits 1 if the distance model, the enumerator output or any clustering
-differs.
+defaults and at --alpha-d 2 --alpha0 0.5 --concentration 0.3.  On the
+synthetic corpus it then runs both baselines, lemma and agglomerative (with
+the trained model), and scores all 36 chains and both baselines in one
+`score` call.  It compares the trained distance model (distance_model.json
+and distance_model.features.json), every chain-NN.clustering.json, both
+oracle-*.json posteriors, both baseline-*.json files and score.json on every
+field except the embedded config, and the joint-score traces value by value.
+It prints whether the distance model, the enumerator output, the baselines
+and the score are identical, each clustering that differs, the number of
+trace files that differ and the largest relative trace drift, and exits 1 if
+any of them but the traces differs.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ def run_matrix(root, work):
     for name, flags in ORACLE.items():
         cli("oracle-posterior", "--corpus", str(tiny), "--uniform-distances", *flags,
             "-o", str(work / f"oracle-{name}.json"))
+    baselines = ["baseline-lemma.json", "baseline-agglomerative.json"]
+    cli("baseline", "--corpus", str(corpus), "--method", "lemma", "-o", baselines[0])
+    cli("baseline", "--corpus", str(corpus), *resources, "--method", "agglomerative",
+        "--distance-model", str(model), "-o", baselines[1])
+    # relative paths, so that the report's list of predictions is the same for both trees
+    chains = sorted(str(p.relative_to(work)) for p in work.glob("*/chain-*.clustering.json"))
+    cli("score", "--corpus", str(corpus), *chains, *baselines, "-o", "score.json")
 
 
 def without_config(path):
@@ -96,6 +105,11 @@ def main(argv=None):
         same_model = all(without_config(p) == without_config(work_b / p.name) for p in models)
         oracles = sorted(work_a.glob("oracle-*.json"))
         same_oracle = all(without_config(p) == without_config(work_b / p.name) for p in oracles)
+        baselines = sorted(work_a.glob("baseline-*.json"))
+        same_baselines = all(
+            without_config(p) == without_config(work_b / p.name) for p in baselines
+        )
+        same_score = without_config(work_a / "score.json") == without_config(work_b / "score.json")
         clusterings = sorted(work_a.glob("*/chain-*.clustering.json"))
         differing = [
             p.relative_to(work_a) for p in clusterings
@@ -111,12 +125,15 @@ def main(argv=None):
     print(f"distance model {'identical' if same_model else 'differs'} ({len(models)} files)")
     print(f"enumerator output {'identical' if same_oracle else 'differs'} "
           f"({len(oracles)} files)")
+    print(f"baselines {'identical' if same_baselines else 'differ'} ({len(baselines)} files)")
+    print(f"score {'identical' if same_score else 'differs'}")
     for p in differing:
         print(f"clustering differs: {p}")
     print(f"{len(clusterings) - len(differing)} of {len(clusterings)} clusterings identical")
     print(f"{sum(d > 0 for d in drifts)} of {len(traces)} trace files differ; "
           f"largest relative drift {max(drifts):.3g}")
-    return 1 if differing or not (same_model and same_oracle) else 0
+    same = same_model and same_oracle and same_baselines and same_score
+    return 1 if differing or not same else 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .corpus import (
 from .errors import InputError, UniverseMismatchError
 from .features import FeatureExtractor
 from .likelihood import LikelihoodParams, corpus_log_likelihood, lemma_bags
-from .links import ClusterAssignment, canonical_order
+from .links import ClusterAssignment
 from .metrics import (
     ScoreReport,
     b_cubed,
@@ -75,7 +75,6 @@ __all__ = [
     "b_cubed",
     "build_priors",
     "build_training_pairs",
-    "canonical_order",
     "ceaf_e",
     "corpus_log_likelihood",
     "doc_similarity",

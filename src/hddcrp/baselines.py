@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
-from .links import ClusterAssignment, _components, canonical_order
+from .links import ClusterAssignment, _components
 
 
 @dataclass(frozen=True)
@@ -34,9 +32,9 @@ class AgglomerativeConfig:
 def lemma_baseline(corpus):
     """Group mentions corpus-wide by exact head lemma equality."""
     groups = {}
-    for m in corpus.mentions_in_order():
-        groups.setdefault(m.head_lemma, []).append(m.mention_id)
-    return ClusterAssignment.from_partition(canonical_order(corpus), groups.values())
+    for i, m in enumerate(corpus.mentions_in_order()):
+        groups.setdefault(m.head_lemma, []).append(i)
+    return ClusterAssignment.from_index_partition(corpus.mention_ids, groups.values())
 
 
 def agglomerative(corpus, model, resources, config=None):
@@ -51,9 +49,8 @@ def agglomerative(corpus, model, resources, config=None):
         config = AgglomerativeConfig()
     # every pair is scored once, in blocks; only pairs at or above a
     # threshold become edges
-    docs = sorted(corpus.documents, key=lambda d: d.doc_id)
-    order = [m for d in docs for m in d.mentions]  # the canonical order
-    doc_of = np.repeat(np.arange(len(docs)), [len(d.mentions) for d in docs])
+    order = corpus.mentions_in_order()
+    doc_of = corpus.doc_of()
     within, across = [], []
     for i, j, sim in model.upper_pairs(order, resources):
         same = doc_of[i] == doc_of[j]
@@ -68,5 +65,5 @@ def agglomerative(corpus, model, resources, config=None):
         for k in members:
             cluster_of[k] = c
     parts = _components(len(clusters), ((cluster_of[a], cluster_of[b]) for a, b in across))
-    partition = [[order[k].mention_id for c in part for k in clusters[c]] for part in parts]
-    return ClusterAssignment.from_partition(canonical_order(corpus), partition)
+    partition = [[k for c in part for k in clusters[c]] for part in parts]
+    return ClusterAssignment.from_index_partition(corpus.mention_ids, partition)

@@ -8,12 +8,15 @@ A corpus file is JSON lines, one document object per line:
 
 Gold coreference chains may appear as a footer line ``{"gold_chains":
 [[mention_id, ...], ...]}`` or in a sidecar file with the same object.
+Documents may come in any order: a Corpus lists them by doc_id and indexes
+mentions in the canonical (doc_id, order_index) order.
 
 All types are immutable after loading and safe to share across sampler chains.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -122,15 +125,30 @@ class GoldChains:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Documents in doc_id order, and the canonical mention layout over them.
+
+    The canonical order lists mentions by (doc_id, order_index); priors,
+    samplers, training pairs, baselines and clusterings index mentions by
+    their position in it.  mention_ids holds the ids in that order, and
+    bounds the index of each document's first mention, then n.
+    """
+
     documents: tuple[Document, ...]
     gold: GoldChains | None = None
 
     def __post_init__(self):
-        seen = set()
-        for d in self.documents:
-            if d.doc_id in seen:
+        documents = tuple(sorted(self.documents, key=lambda d: d.doc_id))
+        for d, e in zip(documents, documents[1:]):
+            if d.doc_id == e.doc_id:
                 raise InputError(f"duplicate doc_id {d.doc_id!r}")
-            seen.add(d.doc_id)
+        mentions = tuple(m for d in documents for m in d.mentions)
+        ids = tuple(m.mention_id for m in mentions)
+        object.__setattr__(self, "documents", documents)
+        object.__setattr__(self, "_mentions", mentions)
+        object.__setattr__(self, "mention_ids", ids)
+        object.__setattr__(self, "_by_id", dict(zip(ids, mentions)))
+        sizes = [len(d.mentions) for d in documents]
+        object.__setattr__(self, "bounds", tuple(itertools.accumulate(sizes, initial=0)))
 
     def validate(self):
         seen_mentions = set()
@@ -151,45 +169,28 @@ class Corpus:
                     covered.add(mid)
 
     def mention(self, mention_id) -> Mention:
-        return self._mention_index[mention_id]
-
-    @property
-    def _mention_index(self):
-        idx = getattr(self, "_mention_idx_cache", None)
-        if idx is None:
-            idx = {m.mention_id: m for d in self.documents for m in d.mentions}
-            object.__setattr__(self, "_mention_idx_cache", idx)
-        return idx
+        return self._by_id[mention_id]
 
     def mentions_in_order(self):
-        """All mentions sorted by (doc_id, order_index); the canonical order."""
-        return [
-            m
-            for d in sorted(self.documents, key=lambda d: d.doc_id)
-            for m in d.mentions
-        ]
+        """All mentions in the canonical order."""
+        return self._mentions
 
-    def n_mentions(self):
-        return sum(len(d.mentions) for d in self.documents)
+    def doc_of(self):
+        """Array of the document index of each mention, in the canonical order."""
+        return np.repeat(np.arange(len(self.documents)), np.diff(self.bounds))
 
     def span_vocabulary(self):
         """Distinct span lemmas across the corpus (the likelihood vocabulary)."""
-        return sorted({tok for d in self.documents for m in d.mentions for tok in m.span_lemmas})
+        return sorted({tok for m in self._mentions for tok in m.span_lemmas})
 
 
 def gold_partition(corpus: Corpus):
     """Gold clustering over all mentions: chains plus implicit singletons."""
     if corpus.gold is None:
         raise InputError("corpus has no gold chains")
-    covered = set()
-    parts = []
-    for chain in corpus.gold.chains:
-        parts.append(frozenset(chain))
-        covered |= chain
-    for d in corpus.documents:
-        for m in d.mentions:
-            if m.mention_id not in covered:
-                parts.append(frozenset([m.mention_id]))
+    parts = list(corpus.gold.chains)
+    covered = set().union(*parts)
+    parts += [frozenset([mid]) for mid in corpus.mention_ids if mid not in covered]
     return parts
 
 
@@ -316,7 +317,7 @@ def load_corpus(path, gold_path=None) -> Corpus:
     if gold_chains is not None:
         gold = GoldChains(_parse_gold_chains(gold_chains))
     corpus = Corpus(tuple(documents), gold)
-    if not corpus.n_mentions():
+    if not corpus.mention_ids:
         raise InputError(f"{path}: the corpus holds no mentions")
     corpus.validate()
     return corpus

@@ -15,7 +15,9 @@ not depend on the order of a bag's lemmas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum, lgamma
+from math import fsum, isfinite, lgamma
+
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,12 @@ class LikelihoodParams:
             raise ValueError("concentration must be positive")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be at least 1")
+        try:  # every table entry is finite if lgamma(V*c) is
+            finite = isfinite(lgamma(self.vocab_size * self.concentration))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InputError(f"concentration {self.concentration} overflows the likelihood")
 
     @staticmethod
     def for_corpus(corpus, concentration=1e-7):

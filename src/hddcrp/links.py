@@ -56,6 +56,7 @@ class ClusterAssignment:
 
     @staticmethod
     def from_index_partition(mention_ids, parts):
+        """Build from disjoint collections of indices into mention_ids."""
         raw = [0] * len(mention_ids)
         for k, members in enumerate(parts):
             for i in members:
@@ -73,17 +74,6 @@ class ClusterAssignment:
         if extra:
             raise InputError(f"clustering labels unknown mentions {sorted(extra)[:5]}")
         return ClusterAssignment(ids, _canonical([mapping[m] for m in ids]))
-
-    @staticmethod
-    def from_partition(mention_ids_in_order, parts):
-        """Build from an iterable of collections of mention ids."""
-        mapping = {}
-        for k, part in enumerate(parts):
-            for mid in part:
-                if mid in mapping:
-                    raise InputError(f"mention {mid!r} appears in two clusters")
-                mapping[mid] = k
-        return ClusterAssignment.from_mapping(mention_ids_in_order, mapping)
 
     def as_mapping(self):
         return dict(zip(self.mention_ids, self.labels))
@@ -107,8 +97,3 @@ def _canonical(labels):
             seen[l] = len(seen)
         out.append(seen[l])
     return tuple(out)
-
-
-def canonical_order(corpus):
-    """Mention ids in canonical (doc_id, order_index) order."""
-    return tuple(m.mention_id for m in corpus.mentions_in_order())

@@ -43,15 +43,13 @@ def build_training_pairs(corpus, sigma=0.4):
         raise InputError("training requires gold chains")
     if not np.isfinite(sigma):
         raise InputError(f"sigma must be finite, got {sigma}")
-    docs = sorted(corpus.documents, key=lambda d: d.doc_id)
-    bounds = np.cumsum([0] + [len(d.mentions) for d in docs])
-    spans = [np.arange(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    spans = [np.arange(lo, hi) for lo, hi in zip(corpus.bounds, corpus.bounds[1:])]
     a, b = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for span in spans:
         later, earlier = np.tril_indices(len(span), -1)
         a.append(span[later])
         b.append(span[earlier])
-    similar = np.triu(cosine_matrix([d.tf_vector for d in docs]) >= sigma, 1)
+    similar = np.triu(cosine_matrix([d.tf_vector for d in corpus.documents]) >= sigma, 1)
     for d, e in zip(*np.nonzero(similar)):
         a.append(np.repeat(spans[d], len(spans[e])))
         b.append(np.tile(spans[e], len(spans[d])))

@@ -165,10 +165,9 @@ def _trained_pairs(pairwise, mentions, resources):
     return [np.concatenate(x) for x in zip(*parts)]
 
 
-def _uniform_pairs(sizes, across):
+def _uniform_pairs(bounds, across):
     """(i, j, 1.0) arrays of the pairs i < j of the canonical order, over
-    documents of the given sizes; pairs across documents only if across."""
-    bounds = np.cumsum([0, *sizes]).tolist()
+    documents with the given bounds; pairs across documents only if across."""
     blocks = [(0, bounds[-1])] if across else zip(bounds, bounds[1:])
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp))]
     parts += [[lo + x for x in np.triu_indices(hi - lo, 1)] for lo, hi in blocks]
@@ -180,22 +179,19 @@ def build_priors(corpus, config, pairwise=None, resources=None, uniform=False):
     """Assemble link supports for a model from trained distances, or from a
     distance of 1.0 on every allowed link if uniform; hdp_lex is always
     uniform."""
-    order = corpus.mentions_in_order()
-    n = len(order)
-    documents = sorted(corpus.documents, key=lambda d: d.doc_id)
-    sizes = [len(d.mentions) for d in documents]
-    doc_of = np.repeat(np.arange(len(documents)), sizes)
+    n = len(corpus.mention_ids)
+    doc_of = corpus.doc_of()
     kind = config.model
     alpha_d, alpha_0 = config.alpha_d, config.resolved_alpha_0
 
     uniform = uniform or kind == "hdp_lex"
     if uniform:
         # only hddcrp tables and ddcrp_flat links leave the document
-        i, j, w = _uniform_pairs(sizes, kind in ("hddcrp", "ddcrp_flat"))
+        i, j, w = _uniform_pairs(corpus.bounds, kind in ("hddcrp", "ddcrp_flat"))
     elif pairwise is None or resources is None:
         raise InputError(f"model {kind!r} needs a trained distance model")
     else:
-        i, j, w = _trained_pairs(pairwise, order, resources)
+        i, j, w = _trained_pairs(pairwise, corpus.mentions_in_order(), resources)
 
     if kind == "ddcrp_flat":
         return Priors(_support(n, alpha_0, *_both_ways(i, j, w)))
@@ -207,7 +203,7 @@ def build_priors(corpus, config, pairwise=None, resources=None, uniform=False):
     if kind == "hddcrp":
         i, j, w = i[~same], j[~same], w[~same]
         if not uniform:
-            w = pairwise.cross_doc_factors(documents)[doc_of[i], doc_of[j]] * w
+            w = pairwise.cross_doc_factors(corpus.documents)[doc_of[i], doc_of[j]] * w
         table = _support(n, alpha_0, *_both_ways(i, j, w))
     return Priors(customer, table)
 
@@ -399,7 +395,7 @@ class _StateBase:
         self.config = config
         self.params = params
         self.n = len(order)
-        self.mention_ids = tuple(m.mention_id for m in order)
+        self.mention_ids = corpus.mention_ids
         # a flat likelihood is one over empty bags: every ratio and marginal is 0.0
         lemmas = (() if config.flat_likelihood else m.span_lemmas for m in order)
         self.span_counts, _, self._bag = lemma_bags(lemmas)
@@ -935,7 +931,7 @@ def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resour
     """
     if config.model != "hddcrp":
         raise InputError("exact enumeration covers only the hddcrp link structure")
-    n = sum(len(d.mentions) for d in corpus.documents)
+    n = len(corpus.mention_ids)
     if n > 8:
         raise InputError(f"exact enumeration supports at most 8 mentions, got {n}")
     if priors is None:
@@ -945,7 +941,8 @@ def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resour
 
     def normalized(cands):
         z = reduce(add, (w for _, w in cands), 0.0)
-        return [(j, math.log(w / z)) for j, w in cands]
+        # a weight far below the total has a quotient that underflows to 0
+        return [(j, math.log(w / z) if w / z else math.log(w) - math.log(z)) for j, w in cands]
 
     cust = [normalized(c) for c in priors.customer]
     tab = [normalized(c) for c in priors.table]

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -260,6 +261,7 @@ class TestSample:
             ["--alpha-d", "nan"],
             ["--alpha0=-inf"],
             ["--concentration", "inf"],
+            ["--concentration", "1e308"],
             ["--jobs", "0"],
             ["--jobs", "-2"],
             ["--seed", "-1"],
@@ -748,6 +750,50 @@ class TestCorpusInput:
         assert not out.exists()
 
 
+class TestDocumentOrder:
+    def run_pipeline(self, corpus, out):
+        """Every file the pipeline writes for corpus, read with config and
+        paths masked."""
+        out.mkdir()
+        resources = ["--embeddings", synthetic_embeddings_path(),
+                     "--synonyms", synthetic_synonyms_path()]
+        model = out / "model.json"
+        assert run(["train-distance", "--corpus", corpus, *resources, "-o", model]) == 0
+        for name in ("hddcrp", "hddcrp-star"):
+            assert run(["sample", "--corpus", corpus, *resources, "--model", name,
+                        "--distance-model", model, "--chains", 2, "--iterations", 10,
+                        "--output-dir", out / name]) == 0
+        baselines = [out / "lemma.json", out / "agglomerative.json"]
+        assert run(["baseline", "--corpus", corpus, "--method", "lemma", "-o", baselines[0]]) == 0
+        assert run(["baseline", "--corpus", corpus, *resources, "--method", "agglomerative",
+                    "--distance-model", model, "-o", baselines[1]]) == 0
+        chains = sorted(out.glob("*/chain-*.clustering.json"))
+        assert run(["score", "--corpus", corpus, *chains, *baselines, "-o", out / "score.json"]) == 0
+        files = {}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                obj = json.loads(text)
+                obj.pop("config", None)
+                obj.pop("predictions", None)
+                files[path.relative_to(out)] = obj
+            else:  # a trace: its first line is the config
+                files[path.relative_to(out)] = text.splitlines()[1:]
+        return files
+
+    def test_the_order_of_documents_in_the_corpus_file_does_not_matter(self, tmp_path):
+        lines = synthetic_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True)
+        documents = [line for line in lines if '"doc_id"' in line]
+        shuffled = list(documents)
+        random.Random(0).shuffle(shuffled)
+        assert shuffled != documents
+        corpus = tmp_path / "shuffled.jsonl"
+        corpus.write_text("".join(shuffled + lines[len(documents):]), encoding="utf-8")
+        bundled = self.run_pipeline(synthetic_corpus_path(), tmp_path / "bundled")
+        assert len(bundled) == 13
+        assert self.run_pipeline(corpus, tmp_path / "shuffled") == bundled
+
+
 class TestOraclePosterior:
     def test_posterior_file_sums_to_one_and_is_sorted(self, tmp_path):
         out = tmp_path / "posterior.json"
@@ -766,6 +812,23 @@ class TestOraclePosterior:
         assert abs(sum(probs) - 1.0) < 1e-9
         assert probs == sorted(probs, reverse=True)
         assert obj["config"]["alpha_0"] == 0.001
+
+    @pytest.mark.parametrize("flag", ["--alpha-d", "--alpha0"])
+    def test_a_subnormal_prior_weight_gives_a_posterior(self, flag, tmp_path):
+        out = tmp_path / "posterior.json"
+        argv = ["oracle-posterior", "--corpus", tiny_corpus_path(), "--uniform-distances"]
+        assert run([*argv, flag, "5e-324", "-o", out]) == 0
+        obj = json.loads(out.read_text(encoding="utf-8"))
+        probs = [row["probability"] for row in obj["posterior"]]
+        assert len(probs) == 203
+        assert abs(sum(probs) - 1.0) < 1e-9
+
+    def test_an_overflowing_concentration_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "posterior.json"
+        argv = ["oracle-posterior", "--corpus", tiny_corpus_path(), "--uniform-distances"]
+        assert run([*argv, "--concentration", "1e308", "-o", out]) == 2
+        assert "overflows the likelihood" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_top_exits_two(self, tmp_path, capsys):
         code = run(

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,25 @@ class TestCorpusAccess:
         keys = [(m.doc_id, m.order_index) for m in order]
         assert keys == sorted(keys)
         assert len(order) == 40
+
+    def test_documents_in_any_order_give_the_canonical_layout(self, synthetic_corpus):
+        shuffled = list(synthetic_corpus.documents)
+        random.Random(0).shuffle(shuffled)
+        assert shuffled != list(synthetic_corpus.documents)
+        corpus = Corpus(tuple(shuffled), synthetic_corpus.gold)
+        doc_ids = [d.doc_id for d in corpus.documents]
+        assert doc_ids == sorted(doc_ids)
+        keys = [(m.doc_id, m.order_index) for m in corpus.mentions_in_order()]
+        assert keys == sorted(keys)
+        assert corpus.mention_ids == tuple(m.mention_id for m in corpus.mentions_in_order())
+        assert corpus.mention_ids == synthetic_corpus.mention_ids
+        assert corpus.bounds == synthetic_corpus.bounds
+        assert corpus.bounds[0] == 0 and corpus.bounds[-1] == 40
+        bounds = zip(corpus.bounds, corpus.bounds[1:])
+        for k, (d, (lo, hi)) in enumerate(zip(corpus.documents, bounds)):
+            assert corpus.mention_ids[lo:hi] == tuple(m.mention_id for m in d.mentions)
+            assert (corpus.doc_of()[lo:hi] == k).all()
+        assert len(corpus.doc_of()) == 40
 
     def test_span_vocabulary_counts_distinct_span_lemmas(self, synthetic_corpus):
         vocab = synthetic_corpus.span_vocabulary()

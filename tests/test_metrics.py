@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hddcrp.errors import InputError, UniverseMismatchError
-from hddcrp.links import ClusterAssignment, canonical_order
+from hddcrp.links import ClusterAssignment
 from hddcrp.metrics import (
     PRF,
     ScoreReport,
@@ -28,6 +28,12 @@ from reference_impls import (
 
 def parts(*groups):
     return [frozenset(g) for g in groups]
+
+
+def from_parts(corpus, groups):
+    """The clustering of corpus whose clusters are the given sets of mention ids."""
+    mapping = {mid: k for k, group in enumerate(groups) for mid in group}
+    return ClusterAssignment.from_mapping(corpus.mention_ids, mapping)
 
 
 def random_partition(rng, mentions):
@@ -103,7 +109,7 @@ class TestConventions:
 class TestScoreSettings:
     def test_gold_scores_perfectly_in_both_settings(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
+        pred = from_parts(synthetic_corpus, gold)
         for setting in ("WD", "CD"):
             report = score(synthetic_corpus, gold, pred, setting)
             assert math.isclose(report.conll_f1, 1.0, rel_tol=1e-12)
@@ -119,7 +125,7 @@ class TestScoreSettings:
             for mid in part:
                 docs.setdefault(mid.split("-")[0], set()).add(mid)
             by_doc.extend(docs.values())
-        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), by_doc)
+        pred = from_parts(synthetic_corpus, by_doc)
         wd = score(synthetic_corpus, gold, pred, "WD")
         cd = score(synthetic_corpus, gold, pred, "CD")
         assert math.isclose(wd.conll_f1, 1.0, rel_tol=1e-12)
@@ -128,7 +134,7 @@ class TestScoreSettings:
     def test_cd_setting_pools_documents_of_one_seminal_event(self, synthetic_corpus):
         # a cross-doc merge inside one topic is invisible to WD scoring
         gold = gold_partition(synthetic_corpus)
-        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
+        pred = from_parts(synthetic_corpus, gold)
         report = score(synthetic_corpus, gold, pred, "CD")
         assert report.setting == "CD"
 
@@ -136,14 +142,14 @@ class TestScoreSettings:
         first, *rest = synthetic_corpus.documents
         corpus = Corpus((dataclasses.replace(first, seminal_event_id=""), *rest))
         gold = gold_partition(synthetic_corpus)
-        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
+        pred = from_parts(synthetic_corpus, gold)
         assert math.isclose(score(corpus, gold, pred, "WD").conll_f1, 1.0, rel_tol=1e-12)
         with pytest.raises(InputError, match="lacks a seminal_event_id"):
             score(corpus, gold, pred, "CD")
 
     def test_unknown_setting_rejected(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
+        pred = from_parts(synthetic_corpus, gold)
         with pytest.raises(ValueError):
             score(synthetic_corpus, gold, pred, "XX")
 
@@ -151,7 +157,7 @@ class TestScoreSettings:
 class TestAveraging:
     def test_mean_of_identical_reports_is_the_report(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
+        pred = from_parts(synthetic_corpus, gold)
         r = score(synthetic_corpus, gold, pred, "CD")
         avg = mean_reports([r] * 5)
         assert avg.conll_f1 == r.conll_f1
@@ -168,7 +174,7 @@ class TestAveraging:
 
     def test_mixed_settings_rejected(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
+        pred = from_parts(synthetic_corpus, gold)
         wd = score(synthetic_corpus, gold, pred, "WD")
         cd = score(synthetic_corpus, gold, pred, "CD")
         with pytest.raises(ValueError):
@@ -176,7 +182,7 @@ class TestAveraging:
 
     def test_table_lists_one_row_per_report(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
+        pred = from_parts(synthetic_corpus, gold)
         wd = score(synthetic_corpus, gold, pred, "WD")
         cd = score(synthetic_corpus, gold, pred, "CD")
         text = format_table([wd, cd])
@@ -187,7 +193,7 @@ class TestAveraging:
 
     def test_report_serialization_has_all_metrics(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = ClusterAssignment.from_partition(canonical_order(synthetic_corpus), gold)
+        pred = from_parts(synthetic_corpus, gold)
         d = score(synthetic_corpus, gold, pred, "WD").to_dict()
         assert set(d) == {"setting", "conll_f1", "muc", "b3", "ceaf_e"}
         assert set(d["muc"]) == {"precision", "recall", "f1"}
