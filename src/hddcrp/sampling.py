@@ -42,6 +42,10 @@ table's label summed out over the CRP conditional, and the label is drawn
 after the link, only if the mention really becomes a head.  Labels of all
 other tables never change during the move, and because the CRP over tables
 is exchangeable their probability is a common factor across candidates.
+
+Each scan loop takes the uniforms of the draws it is sure to make, one per
+move, from one batched call of the generator and any further ones singly:
+the same stream as scalar draws, so seeded chains do not change.
 """
 
 from __future__ import annotations
@@ -211,6 +215,21 @@ def build_priors(corpus, config, pairwise=None, resources=None, uniform=False):
 # Float sums that reach an output add left to right with reduce(add, ...):
 # sum() of floats is compensated from Python 3.12 on, so its last bits
 # depend on the interpreter.
+
+
+class _Uniforms:
+    """The uniform stream of rng for a loop sure to make m draws: the first
+    m come from one rng.random(m) call, later ones from rng.random().  It
+    yields the same values as scalar calls and leaves rng in the same state,
+    at a fraction of the per-draw cost."""
+
+    def __init__(self, rng, m):
+        self._rng = rng
+        self._batch = rng.random(m).tolist()[::-1]
+
+    def random(self):
+        batch = self._batch
+        return batch.pop() if batch else self._rng.random()
 
 
 def _draw(rng, log_weights):
@@ -553,8 +572,10 @@ class _StateBase:
         return self._link_move(i, self.cand_c[i], self.cl, rng)
 
     def sweep(self, rng):
-        for i in self._scan_order(rng):
-            self.sample_customer_link(i, rng)
+        order = self._scan_order(rng)
+        draws = _Uniforms(rng, self.n)  # every move draws at least its link
+        for i in order:
+            self.sample_customer_link(i, draws)
 
 
 class HddcrpState(_StateBase):
@@ -586,8 +607,10 @@ class HddcrpState(_StateBase):
 
     def sweep(self, rng):
         super().sweep(rng)
-        for i in self._scan_order(rng):
-            self.sample_table_link(i, rng)
+        order = self._scan_order(rng)
+        draws = _Uniforms(rng, self.n)
+        for i in order:
+            self.sample_table_link(i, draws)
 
 
 class TableCrpState(_StateBase):
@@ -604,9 +627,12 @@ class TableCrpState(_StateBase):
     A move scores every label against the moving table.  Only labels that
     share a lemma with it, found through a lemma -> mentions index, need the
     full merge ratio; for any other label the ratio is its normaliser, a
-    function of the two lemma totals kept in a memo.  Such a label's CRP
-    weight thus depends on its key alone: the summed-out label of a new table
-    takes one term per key, and the label draw weighs each key once.
+    function of the two lemma totals memoised per chain in one row per
+    moving-table total.  Such a label's CRP weight thus depends on its key
+    alone, which a label -> key map gives: the summed-out label of a new
+    table takes one term per key, and the label draw weighs each key once,
+    reads every label's weight off its key and then sets the weights of the
+    labels that share a lemma.
     """
 
     def __init__(self, corpus, config, priors, params):
@@ -619,7 +645,7 @@ class TableCrpState(_StateBase):
         for m, counts in enumerate(self.span_counts):
             for tok in counts:
                 self.lemma_holders.setdefault(tok, []).append(m)
-        self._normalisers = {}  # (total_a, total_b) -> merge normaliser
+        self._normalisers = {}  # table's total -> {label's total: merge normaliser}
         self.next_label = self.n
 
     def _start_graph(self):
@@ -630,6 +656,7 @@ class TableCrpState(_StateBase):
         self.label_bags = {}  # label -> lemma bag of its mentions
         self.tables = {}  # label -> heads carrying it
         self.keys = {}  # (tables, lemma total) -> labels with that key
+        self.key_of = {}  # label -> its (tables, lemma total) key
         for head in self._heads():
             self._relabel(*self.graph.component(head), self.next_label, True)
             self.next_label += 1
@@ -640,11 +667,11 @@ class TableCrpState(_StateBase):
 
     def _count_key(self, k, step):
         """Add step to the count of label k's (tables, lemma total) key, if
-        k has tables; callers take the key out before changing either count
-        and put it back after."""
+        k has tables, and record the key as k's; callers take the key out
+        before changing either count and put it back after."""
         t = self.tables.get(k)
         if t:
-            key = (t, self.label_bags[k][1])
+            key = self.key_of[k] = (t, self.label_bags[k][1])
             left = self.keys.get(key, 0) + step
             if left:
                 self.keys[key] = left
@@ -669,16 +696,8 @@ class TableCrpState(_StateBase):
                     self.tables[k] = t
                 else:
                     # every table carries its head's label, so k has no mentions left
-                    del self.tables[k], self.label_bags[k]
+                    del self.tables[k], self.label_bags[k], self.key_of[k]
             self._count_key(k, 1)
-
-    def _normaliser(self, total_a, total_b):
-        """Merge normaliser of two lemma totals, memoised per chain."""
-        key = (total_a, total_b)
-        d = self._normalisers.get(key)
-        if d is None:
-            d = self._normalisers[key] = merge_normaliser_raw(total_a, total_b, self.params)
-        return d
 
     def _shared_deltas(self, stats):
         """Merge ratio of the table with lemma bag stats against each label
@@ -692,27 +711,33 @@ class TableCrpState(_StateBase):
     def _key_weights(self, total):
         """log n + merge normaliser against a table of lemma total total, per
         (n tables, lemma total) key: the CRP weight of a label with that key
-        that shares no lemma with the table."""
+        that shares no lemma with the table.  Fills total's normaliser row
+        for every label's lemma total, which _delta then reads."""
+        row = self._normalisers.setdefault(total, {})
+        for _, t in self.keys:
+            if t not in row:
+                row[t] = merge_normaliser_raw(total, t, self.params)
         logs = self._logs
-        return {(n, t): logs[n] + self._normaliser(total, t) for n, t in self.keys}
+        return {key: logs[key[0]] + row[key[1]] for key in self.keys}
 
     def _delta(self, k, total, shared):
-        """Merge ratio of a table of lemma total total against label k."""
+        """Merge ratio of a table of lemma total total against label k, once
+        _key_weights(total) has filled the normaliser row."""
         d = shared.get(k)
-        return self._normaliser(total, self.label_bags[k][1]) if d is None else d
+        return self._normalisers[total][self.key_of[k][1]] if d is None else d
 
     def _new_table_terms(self, shared, weights, log_denom):
         """Log terms of the CRP conditional of a new table with its label
         summed out: alpha_0, each label sharing a lemma with the table, and
         one term per key for the m labels of that key that share none."""
-        logs, tables, bags = self._logs, self.tables, self.label_bags
+        logs, tables, key_of = self._logs, self.tables, self.key_of
         terms = [self._log_alpha_0 - log_denom]
-        left = dict(self.keys)
+        taken = {}  # key -> labels of that key that share a lemma
         for k, d in shared.items():
-            n_k = tables[k]
-            terms.append(logs[n_k] - log_denom + d)
-            left[n_k, bags[k][1]] -= 1
-        for key, m in left.items():
+            terms.append(logs[tables[k]] - log_denom + d)
+            taken[key_of[k]] = taken.get(key_of[k], 0) + 1
+        for key, m in self.keys.items():
+            m -= taken.get(key, 0)
             if m:
                 terms.append(logs[m] + weights[key] - log_denom)
         return terms
@@ -754,13 +779,13 @@ class TableCrpState(_StateBase):
 
     def _draw_label(self, rng, shared, weights):
         """Existing label k with weight n_k times its merge ratio, a new label
-        with weight alpha_0; a label sharing no lemma reads its key's weight."""
-        tables, bags, logs = self.tables, self.label_bags, self._logs
+        with weight alpha_0: every label reads its key's weight, then each
+        label sharing a lemma gets its own, in its slot of the sorted labels."""
+        tables, key_of, logs = self.tables, self.key_of, self._logs
         labels = sorted(tables)
-        log_weights = [
-            logs[tables[k]] + shared[k] if k in shared else weights[tables[k], bags[k][1]]
-            for k in labels
-        ]
+        log_weights = [weights[key_of[k]] for k in labels]
+        for k, d in shared.items():
+            log_weights[bisect_left(labels, k)] = logs[tables[k]] + d
         log_weights.append(self._log_alpha_0)
         choice = _draw(rng, log_weights)
         if choice == len(labels):
@@ -778,18 +803,20 @@ class TableCrpState(_StateBase):
             raise ValueError(f"mention {head} does not head a table")
         table, bag = self.graph.component(head)
         self._relabel(table, bag, None, True)
-        shared = self._shared_deltas(bag)
+        scored = (self._shared_deltas(bag), self._key_weights(bag[1]))
         if self.debug:
-            self._debug_check_deltas(head, bag, shared)
-        self._place(head, table, bag, head, (shared, self._key_weights(bag[1])), rng)
+            self._debug_check_deltas(head, bag, scored[0])
+        self._place(head, table, bag, head, scored, rng)
         if self.debug:
             self._check_core()
         return self.label_of[head]
 
     def sweep(self, rng):
         super().sweep(rng)
-        for head in self._heads():
-            self.sample_table_label(head, rng)
+        heads = self._heads()
+        draws = _Uniforms(rng, len(heads))
+        for head in heads:
+            self.sample_table_label(head, draws)
 
     def _label_parts(self):
         """Mentions of each label, from the tables rebuilt from scratch."""
@@ -816,8 +843,10 @@ class TableCrpState(_StateBase):
         tables = Counter(self.label_of[head] for head in self._heads())
         if self.tables != tables:
             raise AssertionError("maintained table counts of labels differ from a rebuild")
-        keys = Counter((t, self.label_bags[k][1]) for k, t in tables.items())
-        if self.keys != keys:
+        key_of = {k: (t, bags[k][1]) for k, t in tables.items()}
+        if self.key_of != key_of:
+            raise AssertionError("maintained label -> key map differs from a rebuild")
+        if self.keys != Counter(key_of.values()):
             raise AssertionError("maintained (tables, lemma total) keys differ from a rebuild")
 
     def joint_log_score(self):

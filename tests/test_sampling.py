@@ -28,11 +28,22 @@ from reference_impls import (
     dirichlet_marginal_reference,
     enumerate_flat_posterior,
     enumerate_star_posterior,
+    label_log_weights_reference,
     priors_reference,
     total_variation,
 )
 
 UNIFORM = dict(uniform=True)
+
+
+class FixedRng:
+    """A generator whose every uniform draw is r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
 
 
 def single_doc_corpus(n, head="w"):
@@ -190,13 +201,6 @@ class TestCrpMachinery:
             assert math.isclose(got, math.log(crp_eppf(sizes, alpha)), rel_tol=1e-10)
 
     def test_draw_takes_the_first_partial_sum_that_reaches_u(self):
-        class FixedRng:
-            def __init__(self, r):
-                self.r = r
-
-            def random(self):
-                return self.r
-
         rng = np.random.default_rng(62)
         for _ in range(300):
             log_weights = rng.normal(0.0, 3.0, int(rng.integers(1, 12))).tolist()
@@ -215,6 +219,16 @@ class TestCrpMachinery:
                     if u <= acc:
                         break
                 assert sampling._draw(FixedRng(r), log_weights) == want
+
+    @pytest.mark.parametrize("m", [0, 1, 7])
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_batched_uniforms_are_the_scalar_stream(self, m, extra):
+        rng = np.random.default_rng(63)
+        ref_rng = np.random.default_rng(63)
+        draws = sampling._Uniforms(rng, m)
+        got = [draws.random() for _ in range(m + extra)]
+        assert got == [ref_rng.random() for _ in range(m + extra)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_three_mention_reduction_recovers_crp_exactly(self):
         corpus = single_doc_corpus(3)
@@ -355,6 +369,8 @@ def assert_matches_rebuild_sampler(corpus, resources, trained_model, model, rand
     for _ in range(20):
         state.sweep(rng)
         ref.sweep(ref_rng)
+        # a batch of uniforms drawn ahead of its use would leave rng ahead
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert state.cl == ref.cl
         if model == "hddcrp":
             assert state.tl == ref.tl
@@ -478,6 +494,32 @@ class TestLinkGraphCore:
         # most labels share no lemma and fall into a few keys
         assert 2 * sum(s[0] for s in sizes) < sum(s[3] for s in sizes)
 
+    def test_label_draws_match_the_per_label_weights(self, replicated_corpus):
+        config = SamplerConfig(model="hdp_lex", seed=78)
+        priors = build_priors(replicated_corpus, config)
+        rng = np.random.default_rng(78)
+        state = init_state(replicated_corpus, config, rng, priors=priors)
+        state.sweep(rng)
+        grid = [0.0, *np.linspace(0.0, 1.0, 41)[1:-1].tolist(), 1.0 - 2.0**-53]
+        seen = Counter()
+        for head in state._heads():
+            table, bag = state.graph.component(head)
+            label = state.label_of[head]
+            state._relabel(table, bag, None, True)
+            shared = state._shared_deltas(bag)
+            weights = state._key_weights(bag[1])
+            labels, log_weights = label_log_weights_reference(state, shared, weights)
+            seen["shared"] += bool(shared)
+            seen["first shared"] += labels[0] in shared
+            seen["shared key"] += any(state.keys[state.key_of[k]] > 1 for k in shared)
+            for u in grid:
+                new = state.next_label
+                want = (labels + [new])[sampling._draw(FixedRng(u), log_weights)]
+                assert state._draw_label(FixedRng(u), shared, weights) == want
+                state.next_label = new
+            state._relabel(table, bag, label, True)
+        assert min(seen.values()) > 0 and max(state.keys.values()) > 1
+
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_grouped_marginals_match_the_per_label_sum_in_debug_mode(
         self, synthetic_corpus, model
@@ -539,6 +581,25 @@ class TestLinkGraphCore:
         monkeypatch.setattr(TableCrpState, "_relabel", relabel_leaving_keys_stale)
         with pytest.raises(AssertionError, match="keys differ"):
             state.sweep(rng)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_a_stale_label_key(self, tiny_corpus, model, monkeypatch):
+        relabel = TableCrpState._relabel
+
+        def relabel_leaving_a_stale_key(state, table, bag, label, headed):
+            before = dict(state.key_of)
+            relabel(state, table, bag, label, headed)
+            if label in before:
+                state.key_of[label] = before[label]
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(TableCrpState, "_relabel", relabel_leaving_a_stale_key)
+        with pytest.raises(AssertionError, match="label -> key map differs"):
+            for _ in range(10):
+                state.sweep(rng)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_debug_mode_catches_components_left_unmerged(
