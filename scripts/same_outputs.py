@@ -6,12 +6,18 @@ For each tree the script runs that tree's CLI (ROOT/src on PYTHONPATH) on its
 bundled synthetic corpus: train-distance, then `sample` for all four models,
 once sequential, once with --randomized-scan --map-estimate and once with
 --flat-likelihood --uniform-distances --randomized-scan, each with seed 3 and
-3 chains x 60 sweeps (36 clusterings).  It also runs the exact enumerator,
+3 chains x 60 sweeps (36 clusterings).  On a larger corpus from the
+perfbench generator of the script's own tree (perfbench/gen.py,
+Shape(10, 4, 10) at seed 1: 400 mentions, where a table-model chain holds
+dozens of labels and several keys hold more than one) it runs train-distance
+and then `sample` for hddcrp-star and hdp-lex, sequential and with
+--randomized-scan --map-estimate, with the same seed and sizes (12 more
+clusterings, 48 in all).  It also runs the exact enumerator,
 oracle-posterior --uniform-distances, on the bundled tiny corpus, at the
 defaults and at --alpha-d 2 --alpha0 0.5 --concentration 0.3.  On the
 synthetic corpus it then runs both baselines, lemma and agglomerative (with
 the trained model), and scores all 36 chains and both baselines in one
-`score` call.  It compares the trained distance model (distance_model.json
+`score` call.  It compares both trained distance models (distance_model.json
 and distance_model.features.json), every chain-NN.clustering.json, both
 oracle-*.json posteriors, both baseline-*.json files and score.json on every
 field except the embedded config, and the joint-score traces value by value.
@@ -31,6 +37,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from gen import Shape, write_inputs  # noqa: E402
+
 MODELS = ("hddcrp", "ddcrp", "hddcrp-star", "hdp-lex")
 SCANS = {
     "sequential": [],
@@ -38,6 +48,9 @@ SCANS = {
     "flat-uniform": ["--flat-likelihood", "--uniform-distances", "--randomized-scan"],
 }
 SAMPLE = ["--seed", "3", "--chains", "3", "--iterations", "60"]
+SCALE_SHAPE = Shape(10, 4, 10)
+SCALE_MODELS = ("hddcrp-star", "hdp-lex")
+SCALE_SCANS = ("sequential", "randomized-map")
 ORACLE = {
     "defaults": [],
     "tuned": ["--alpha-d", "2", "--alpha0", "0.5", "--concentration", "0.3"],
@@ -60,13 +73,24 @@ def run_matrix(root, work):
         if done.returncode != 0:
             sys.exit(f"{root}: {' '.join(args[:1])} exited {done.returncode}\n{done.stderr}")
 
-    model = work / "distance_model.json"
-    cli("train-distance", "--corpus", str(corpus), *resources, "-o", str(model))
-    for name in MODELS:
-        for scan, flags in SCANS.items():
-            out = work / f"{name}-{scan}"
+    def train_and_sample(corpus, resources, out, runs):
+        """Train a distance model into out, sample each (model, scan) of runs
+        with it into out/MODEL-SCAN, and return the model's path."""
+        model = out / "distance_model.json"
+        cli("train-distance", "--corpus", str(corpus), *resources, "-o", str(model))
+        for name, scan in runs:
             cli("sample", "--corpus", str(corpus), *resources, "--model", name,
-                "--distance-model", str(model), *SAMPLE, *flags, "--output-dir", str(out))
+                "--distance-model", str(model), *SAMPLE, *SCANS[scan],
+                "--output-dir", str(out / f"{name}-{scan}"))
+        return model
+
+    model = train_and_sample(corpus, resources, work, [(m, s) for m in MODELS for s in SCANS])
+    # scale/ sits one level down, so the synthetic corpus's score skips its chains
+    scale = write_inputs(SCALE_SHAPE, 1, work / "scale")
+    train_and_sample(
+        scale.corpus, ["--embeddings", str(scale.embeddings), "--synonyms", str(scale.synonyms)],
+        work / "scale", [(m, s) for m in SCALE_MODELS for s in SCALE_SCANS],
+    )
     tiny = corpus.with_name("tiny_corpus.jsonl")
     for name, flags in ORACLE.items():
         cli("oracle-posterior", "--corpus", str(tiny), "--uniform-distances", *flags,
@@ -101,8 +125,10 @@ def main(argv=None):
         for root, work in ((args.root_a, work_a), (args.root_b, work_b)):
             work.mkdir()
             run_matrix(root, work)
-        models = sorted(work_a.glob("distance_model*.json"))
-        same_model = all(without_config(p) == without_config(work_b / p.name) for p in models)
+        models = sorted(work_a.rglob("distance_model*.json"))
+        same_model = all(
+            without_config(p) == without_config(work_b / p.relative_to(work_a)) for p in models
+        )
         oracles = sorted(work_a.glob("oracle-*.json"))
         same_oracle = all(without_config(p) == without_config(work_b / p.name) for p in oracles)
         baselines = sorted(work_a.glob("baseline-*.json"))
@@ -110,12 +136,12 @@ def main(argv=None):
             without_config(p) == without_config(work_b / p.name) for p in baselines
         )
         same_score = without_config(work_a / "score.json") == without_config(work_b / "score.json")
-        clusterings = sorted(work_a.glob("*/chain-*.clustering.json"))
+        clusterings = sorted(work_a.rglob("chain-*.clustering.json"))
         differing = [
             p.relative_to(work_a) for p in clusterings
             if without_config(p) != without_config(work_b / p.relative_to(work_a))
         ]
-        traces = sorted(work_a.glob("*/chain-*.trace.csv"))
+        traces = sorted(work_a.rglob("chain-*.trace.csv"))
         drifts = []
         for p in traces:
             a, b = trace(p), trace(work_b / p.relative_to(work_a))

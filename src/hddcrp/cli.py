@@ -188,7 +188,8 @@ def _read_clustering(path):
     mapping = obj.get("assignment") if isinstance(obj, dict) and "assignment" in obj else obj
     if not isinstance(mapping, dict) or not mapping:
         raise InputError(f"{path}: expected a mention_id -> cluster label map")
-    if not all(isinstance(k, (str, int)) for k in mapping.values()):
+    # a JSON true or false is no integer: as one it would merge with 1 or 0
+    if not all(isinstance(k, (str, int)) and not isinstance(k, bool) for k in mapping.values()):
         raise InputError(f"{path}: cluster labels must be strings or integers")
     return ClusterAssignment.from_mapping(sorted(mapping), mapping)
 

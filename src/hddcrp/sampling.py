@@ -613,203 +613,217 @@ class HddcrpState(_StateBase):
             self.sample_table_link(i, draws)
 
 
-class TableCrpState(_StateBase):
-    """Within-document links plus CRP cluster labels on table heads.
+class Labels:
+    """The top level of a Chinese restaurant franchise (Teh, Jordan, Beal &
+    Blei 2006, Hierarchical Dirichlet Processes): a plain CRP that seats the
+    tables of hddcrp_star and hdp_lex at cluster labels.
 
-    Serves hddcrp_star and hdp_lex; they differ only in the customer priors.
-    The link-graph components are the tables.  Each mention's label, the
-    lemma bag and table count of each label and a multiset of the labels'
-    (tables, lemma total) keys are kept beside them; a table that joins or
-    leaves a label moves all of these in one step.  The customer move is the
-    shared link move: this class supplies only its label weights (_weigh) and
-    its label step (_place).
+    It keeps each mention's label (of), each label's lemma bag (bags) and
+    (tables, lemma total) key (key_of), the number of labels per key (keys)
+    and the next fresh label.  A label has a key exactly while it seats a table.
 
-    A move scores every label against the moving table.  Only labels that
-    share a lemma with it, found through a lemma -> mentions index, need the
-    full merge ratio; for any other label the ratio is its normaliser, a
-    function of the two lemma totals memoised per chain in one row per
-    moving-table total.  Such a label's CRP weight thus depends on its key
-    alone, which a label -> key map gives: the summed-out label of a new
-    table takes one term per key, and the label draw weighs each key once,
-    reads every label's weight off its key and then sets the weights of the
-    labels that share a lemma.
+    A table is scored against every label.  Only labels that share a lemma
+    with it, found through a lemma -> mentions index, need the full merge
+    ratio; for any other label the ratio is its normaliser, a function of
+    the two lemma totals memoised per chain in one row per moving-table
+    total.  Such a label's CRP weight thus depends on its key alone: the
+    summed-out label of a new table takes one term per key, and the label
+    draw weighs each key once, then sets the labels that share a lemma.
     """
 
-    def __init__(self, corpus, config, priors, params):
-        super().__init__(corpus, config, priors, params)
-        self.alpha_0 = config.resolved_alpha_0
-        self._log_alpha_0 = math.log(self.alpha_0)
+    def __init__(self, span_counts, params, alpha_0):
+        n = len(span_counts)
+        self.params = params
+        self.alpha_0 = alpha_0
+        self.log_alpha_0 = math.log(alpha_0)
         # logs[k] is math.log(k) for every table or label count k a state reaches
-        self._logs = [-math.inf] + [math.log(k) for k in range(1, self.n + 1)]
+        self._logs = [-math.inf] + [math.log(k) for k in range(1, n + 1)]
         self.lemma_holders = {}  # lemma -> mentions whose span holds it
-        for m, counts in enumerate(self.span_counts):
+        for m, counts in enumerate(span_counts):
             for tok in counts:
                 self.lemma_holders.setdefault(tok, []).append(m)
         self._normalisers = {}  # table's total -> {label's total: merge normaliser}
-        self.next_label = self.n
-
-    def _start_graph(self):
-        """Build the link graph and give every table a fresh label."""
-        super()._start_graph()
-        # label of each mention's table, None while its table is being moved
-        self.label_of = [None] * self.n
-        self.label_bags = {}  # label -> lemma bag of its mentions
-        self.tables = {}  # label -> heads carrying it
-        self.keys = {}  # (tables, lemma total) -> labels with that key
+        self.of = [None] * n  # label of each mention's table, None while it moves
+        self.bags = {}  # label -> lemma bag of its mentions
         self.key_of = {}  # label -> its (tables, lemma total) key
-        for head in self._heads():
-            self._relabel(*self.graph.component(head), self.next_label, True)
-            self.next_label += 1
+        self.keys = {}  # (tables, lemma total) -> labels with that key
+        self.next_label = n
 
-    def _heads(self):
-        """Mentions whose customer link is a self-loop, in ascending order."""
-        return [m for m in range(self.n) if self.cl[m] == m]
+    def fresh(self):
+        """A label no table has carried."""
+        self.next_label += 1
+        return self.next_label - 1
 
-    def _count_key(self, k, step):
-        """Add step to the count of label k's (tables, lemma total) key, if
-        k has tables, and record the key as k's; callers take the key out
-        before changing either count and put it back after."""
-        t = self.tables.get(k)
-        if t:
-            key = self.key_of[k] = (t, self.label_bags[k][1])
-            left = self.keys.get(key, 0) + step
-            if left:
-                self.keys[key] = left
-            else:
-                del self.keys[key]
-
-    def _relabel(self, table, bag, label, headed):
-        """Move the mentions of one table, its lemma bag bag and, if the
-        table has its head, its table count from their label to label; None
-        stands for no label."""
-        old = self.label_of[next(iter(table))]
+    def move(self, table, bag, k, step, headed):
+        """Seat (step 1) the mentions of one table and its lemma bag bag at
+        label k, or unseat them (step -1), counting the table itself only if
+        headed, that is if it holds its head.  k's key counts down, then up:
+        new_table_terms sums in the order that leaves in keys."""
+        of = self.of
+        label = k if step > 0 else None
         for m in table:
-            self.label_of[m] = label
-        for k, step in ((old, -1), (label, 1)):
-            if k is None:
-                continue
-            self._count_key(k, -1)
-            _shift_bag(self.label_bags, k, bag, step)
-            if headed:
-                t = self.tables.get(k, 0) + step
-                if t:
-                    self.tables[k] = t
-                else:
-                    # every table carries its head's label, so k has no mentions left
-                    del self.tables[k], self.label_bags[k], self.key_of[k]
-            self._count_key(k, 1)
+            of[m] = label
+        key_of, keys = self.key_of, self.keys
+        key = key_of.get(k)
+        if key:
+            left = keys[key] - 1
+            if left:
+                keys[key] = left
+            else:
+                del keys[key]
+        t = (key[0] if key else 0) + step * headed
+        _shift_bag(self.bags, k, bag, step)
+        if t:
+            key = key_of[k] = (t, self.bags[k][1])
+            keys[key] = keys.get(key, 0) + 1
+        else:
+            # every table carries its head's label, so k has no mentions left
+            del key_of[k], self.bags[k]
 
-    def _shared_deltas(self, stats):
-        """Merge ratio of the table with lemma bag stats against each label
-        that shares a lemma with it, in label order."""
-        label_of = self.label_of
-        shared = {label_of[m] for tok in stats[0] for m in self.lemma_holders[tok]}
+    def take(self, table, bag, headed):
+        """Unseat a table as move() does and score it against the labels:
+        the merge ratio with each label that shares a lemma with it, found
+        through the lemma index, in label order; and per (n tables, lemma
+        total) key, log n + merge normaliser, the CRP weight of a label with
+        that key that shares no lemma.  Fills the table total's normaliser
+        row for every label's lemma total, which delta then reads."""
+        self.move(table, bag, self.of[next(iter(table))], -1, headed)
+        of, bags, params = self.of, self.bags, self.params
+        shared = {of[m] for tok in bag[0] for m in self.lemma_holders[tok]}
         shared.discard(None)
-        bags = self.label_bags
-        return {k: self._merge_delta(stats, bags[k]) for k in sorted(shared)}
-
-    def _key_weights(self, total):
-        """log n + merge normaliser against a table of lemma total total, per
-        (n tables, lemma total) key: the CRP weight of a label with that key
-        that shares no lemma with the table.  Fills total's normaliser row
-        for every label's lemma total, which _delta then reads."""
-        row = self._normalisers.setdefault(total, {})
+        shared = {k: merge_ratio_raw(*bag, *bags[k], params) for k in sorted(shared)}
+        row = self._normalisers.setdefault(bag[1], {})
         for _, t in self.keys:
             if t not in row:
-                row[t] = merge_normaliser_raw(total, t, self.params)
+                row[t] = merge_normaliser_raw(bag[1], t, params)
         logs = self._logs
-        return {key: logs[key[0]] + row[key[1]] for key in self.keys}
+        return shared, {key: logs[key[0]] + row[key[1]] for key in self.keys}
 
-    def _delta(self, k, total, shared):
+    def delta(self, k, total, shared):
         """Merge ratio of a table of lemma total total against label k, once
-        _key_weights(total) has filled the normaliser row."""
+        take() has filled the normaliser row."""
         d = shared.get(k)
         return self._normalisers[total][self.key_of[k][1]] if d is None else d
 
-    def _new_table_terms(self, shared, weights, log_denom):
+    def new_table_terms(self, shared, weights, log_denom):
         """Log terms of the CRP conditional of a new table with its label
         summed out: alpha_0, each label sharing a lemma with the table, and
         one term per key for the m labels of that key that share none."""
-        logs, tables, key_of = self._logs, self.tables, self.key_of
-        terms = [self._log_alpha_0 - log_denom]
+        logs, key_of = self._logs, self.key_of
+        terms = [self.log_alpha_0 - log_denom]
         taken = {}  # key -> labels of that key that share a lemma
         for k, d in shared.items():
-            terms.append(logs[tables[k]] - log_denom + d)
-            taken[key_of[k]] = taken.get(key_of[k], 0) + 1
+            key = key_of[k]
+            terms.append(logs[key[0]] - log_denom + d)
+            taken[key] = taken.get(key, 0) + 1
         for key, m in self.keys.items():
             m -= taken.get(key, 0)
             if m:
                 terms.append(logs[m] + weights[key] - log_denom)
         return terms
 
+    def draw(self, rng, shared, weights):
+        """Existing label k with weight n_k times its merge ratio, a new label
+        with weight alpha_0: every label reads its key's weight, then each
+        label sharing a lemma gets its own, in its slot of the sorted labels."""
+        key_of, logs = self.key_of, self._logs
+        labels = sorted(key_of)
+        log_weights = [weights[key_of[k]] for k in labels]
+        for k, d in shared.items():
+            log_weights[bisect_left(labels, k)] = logs[key_of[k][0]] + d
+        log_weights.append(self.log_alpha_0)
+        choice = _draw(rng, log_weights)
+        return labels[choice] if choice < len(labels) else self.fresh()
+
+    def check(self, groups, heads, bag_of):
+        """Raise AssertionError unless the labels match a rebuild from groups,
+        the mentions of each label, and heads, the table heads."""
+        bags = {}
+        for k, members in groups.items():
+            if any(self.of[m] != k for m in members):
+                raise AssertionError(f"maintained labels of label {k}'s mentions are stale")
+            bags[k] = bag_of(members)
+        for k in bags.keys() | self.bags.keys():
+            if self.bags.get(k) != bags.get(k):
+                raise AssertionError(f"lemma bag of label {k} differs from a rebuild")
+        tables = Counter(self.of[head] for head in heads)
+        if {k: key[0] for k, key in self.key_of.items()} != tables:
+            raise AssertionError("maintained table counts of labels differ from a rebuild")
+        if self.key_of != {k: (t, bags[k][1]) for k, t in tables.items()}:
+            raise AssertionError("maintained label -> key map differs from a rebuild")
+        if self.keys != Counter(self.key_of.values()):
+            raise AssertionError("maintained (tables, lemma total) keys differ from a rebuild")
+
+
+class TableCrpState(_StateBase):
+    """Within-document links plus CRP cluster labels on table heads, for
+    hddcrp_star and hdp_lex, which differ only in the customer priors.  The
+    tables are the link-graph components, and Labels seats them; this class
+    gives the shared link move its label weights (_weigh) and step (_place).
+    """
+
+    def _start_graph(self):
+        """Build the link graph and seat every table at a fresh label."""
+        super()._start_graph()
+        alpha_0 = self.config.resolved_alpha_0
+        labels = self.labels = Labels(self.span_counts, self.params, alpha_0)
+        for head in self._heads():
+            labels.move(*self.graph.component(head), labels.fresh(), 1, True)
+
+    def _heads(self):
+        """Mentions whose customer link is a self-loop, in ascending order."""
+        return [m for m in range(self.n) if self.cl[m] == m]
+
     def _weigh(self, i, cands, links, table, bag, side):
         """Log weight of each customer candidate, its prior times the merge
-        ratio of i's table, unlabelled first, with the target's label, or for
+        ratio of i's table, unseated first, with the target's label, or for
         the self candidate the CRP conditional of a new table with its label
         summed out; returned with the label weights for _place.  Customer
         links close no cycle, so the table has its head iff no side splits."""
-        self._relabel(table, bag, None, side is None)
+        labels = self.labels
+        shared, weights = labels.take(table, bag, side is None)
         total = bag[1]
-        shared = self._shared_deltas(bag)
-        weights = self._key_weights(total)
         # every table but i's has a head with a label (_check_core says so),
         # so the components other than i's count the labelled tables; a
         # virtual split adds one component to those the graph holds
-        log_denom = math.log(len(self.graph.members) - (side is None) + self.alpha_0)
-        marg = _log_sum_exp(self._new_table_terms(shared, weights, log_denom))
-        label_of = self.label_of
+        log_denom = math.log(len(self.graph.members) - (side is None) + labels.alpha_0)
+        marg = _log_sum_exp(labels.new_table_terms(shared, weights, log_denom))
+        label_of = labels.of
         log_weights = []
         for j, lw in cands:
-            d = marg if j == i else self._delta(label_of[j], total, shared)
+            d = marg if j == i else labels.delta(label_of[j], total, shared)
             log_weights.append(lw + d)
         if self.debug:
             deltas = self._debug_check_deltas(i, bag, shared)
-            terms = [self._log_alpha_0 - log_denom]
-            terms += [math.log(self.tables[k]) - log_denom + d for k, d in deltas.items()]
+            terms = [labels.log_alpha_0 - log_denom]
+            terms += [math.log(labels.key_of[k][0]) - log_denom + d for k, d in deltas.items()]
             full = _log_sum_exp(terms)
             if abs(marg - full) > 1e-12 * max(1.0, abs(full)):
                 raise AssertionError(f"grouped marginal {marg} != per-label sum {full}")
         return log_weights, (shared, weights)
 
     def _place(self, i, table, bag, target, scored, rng):
-        """Give i's table the label of target's table, or draw it from the
-        label weights if i now heads a table."""
-        label = self._draw_label(rng, *scored) if target == i else self.label_of[target]
-        self._relabel(table, bag, label, target == i)
-
-    def _draw_label(self, rng, shared, weights):
-        """Existing label k with weight n_k times its merge ratio, a new label
-        with weight alpha_0: every label reads its key's weight, then each
-        label sharing a lemma gets its own, in its slot of the sorted labels."""
-        tables, key_of, logs = self.tables, self.key_of, self._logs
-        labels = sorted(tables)
-        log_weights = [weights[key_of[k]] for k in labels]
-        for k, d in shared.items():
-            log_weights[bisect_left(labels, k)] = logs[tables[k]] + d
-        log_weights.append(self._log_alpha_0)
-        choice = _draw(rng, log_weights)
-        if choice == len(labels):
-            label = self.next_label
-            self.next_label += 1
-            return label
-        return labels[choice]
+        """Seat i's table at the label of target's table, or at one drawn
+        from the label weights if i now heads a table."""
+        labels = self.labels
+        label = labels.draw(rng, *scored) if target == i else labels.of[target]
+        labels.move(table, bag, label, 1, target == i)
 
     def sample_table_label(self, head, rng):
         """CRP label move for one table: existing cluster k with weight
         n_k times the merge ratio, a new cluster with weight alpha_0.  The
-        table comes off its label and _place, the customer move's label
-        step, draws and sets the new one."""
+        table is unseated and _place, the customer move's label step, draws
+        and sets the new one."""
         if self.cl[head] != head:
             raise ValueError(f"mention {head} does not head a table")
         table, bag = self.graph.component(head)
-        self._relabel(table, bag, None, True)
-        scored = (self._shared_deltas(bag), self._key_weights(bag[1]))
+        scored = self.labels.take(table, bag, True)
         if self.debug:
             self._debug_check_deltas(head, bag, scored[0])
         self._place(head, table, bag, head, scored, rng)
         if self.debug:
             self._check_core()
-        return self.label_of[head]
+        return self.labels.of[head]
 
     def sweep(self, rng):
         super().sweep(rng)
@@ -823,7 +837,7 @@ class TableCrpState(_StateBase):
         groups = {}
         for table in super()._parts():
             head = next(m for m in table if self.cl[m] == m)
-            groups.setdefault(self.label_of[head], []).extend(table)
+            groups.setdefault(self.labels.of[head], []).extend(table)
         return groups
 
     def _parts(self):
@@ -832,48 +846,36 @@ class TableCrpState(_StateBase):
 
     def _check_core(self):
         super()._check_core()
-        bags = {}
-        for k, members in self._label_parts().items():
-            if any(self.label_of[m] != k for m in members):
-                raise AssertionError(f"maintained labels of label {k}'s mentions are stale")
-            bags[k] = self._bag(members)
-        for k in bags.keys() | self.label_bags.keys():
-            if self.label_bags.get(k) != bags.get(k):
-                raise AssertionError(f"lemma bag of label {k} differs from a rebuild")
-        tables = Counter(self.label_of[head] for head in self._heads())
-        if self.tables != tables:
-            raise AssertionError("maintained table counts of labels differ from a rebuild")
-        key_of = {k: (t, bags[k][1]) for k, t in tables.items()}
-        if self.key_of != key_of:
-            raise AssertionError("maintained label -> key map differs from a rebuild")
-        if self.keys != Counter(key_of.values()):
-            raise AssertionError("maintained (tables, lemma total) keys differ from a rebuild")
+        self.labels.check(self._label_parts(), self._heads(), self._bag)
 
     def joint_log_score(self):
+        labels = self.labels
         score = self._links_log_prior()
-        score += crp_partition_log_prob(sorted(self.tables.values()), self.alpha_0)
-        return score + self._groups_loglik(self.label_bags, self.label_of)
+        tables = sorted(t for t, _ in labels.key_of.values())
+        score += crp_partition_log_prob(tables, labels.alpha_0)
+        return score + self._groups_loglik(labels.bags, labels.of)
 
     def _debug_check_deltas(self, i, stats, shared):
         """Check every label's delta against the merge ratio of the full bags,
         and against the from-scratch likelihood gap between head i's
-        unlabelled table joining that label and starting a fresh one; return
+        unseated table joining that label and starting a fresh one; return
         the deltas by label."""
-        deltas = {k: self._delta(k, stats[1], shared) for k in self.tables}
+        labels = self.labels
+        deltas = {k: labels.delta(k, stats[1], shared) for k in labels.key_of}
         for k, d in deltas.items():
-            full = self._merge_delta(stats, self.label_bags[k])
+            full = self._merge_delta(stats, labels.bags[k])
             if d != full:
                 raise AssertionError(f"label {k}: delta {d} != merge ratio {full} of the full bags")
-        self.label_of[i] = self.next_label
+        labels.of[i] = labels.next_label
         base = self._scratch_loglik()
         for k, d in deltas.items():
-            self.label_of[i] = k
+            labels.of[i] = k
             gap = self._scratch_loglik() - base
             if abs(gap - d) > 1e-9:
                 raise AssertionError(
                     f"incremental ratio {d} != from-scratch {gap} (mention {i}, label {k})"
                 )
-        self.label_of[i] = None
+        labels.of[i] = None
         return deltas
 
 

@@ -686,20 +686,21 @@ class RebuildTableCrpState(_RebuildBase):
         return score + self._partition_loglik(lab, len(remap))
 
 
-def label_log_weights_reference(state, shared, weights):
-    """The sorted labels of a TableCrpState and the log weights its label
+def label_log_weights_reference(labels, shared, weights):
+    """The sorted labels of a sampling.Labels and the log weights its label
     draw gives them, built one label at a time from the table counts and
     label bags: n_k times the merge ratio for a label sharing a lemma with
     the moving table, else its (tables, lemma total) key's weight; alpha_0
     last, for a new label."""
-    tables, bags, logs = state.tables, state.label_bags, state._logs
-    labels = sorted(tables)
+    tables = {k: key[0] for k, key in labels.key_of.items()}
+    bags, logs = labels.bags, labels._logs
+    order = sorted(tables)
     log_weights = [
         logs[tables[k]] + shared[k] if k in shared else weights[tables[k], bags[k][1]]
-        for k in labels
+        for k in order
     ]
-    log_weights.append(state._log_alpha_0)
-    return labels, log_weights
+    log_weights.append(labels.log_alpha_0)
+    return order, log_weights
 
 
 REBUILD_STATES = {

@@ -598,7 +598,7 @@ class TestBaselineAndScore:
         assert run(["score", "--corpus", corpus, "--gold", gold, clustering]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("label", [[1], {"k": 1}, 1.5])
+    @pytest.mark.parametrize("label", [[1], {"k": 1}, 1.5, True, False])
     def test_cluster_labels_must_be_strings_or_integers(self, tmp_path, capsys, label):
         corpus = self.gold_equals_lemma_corpus(tmp_path)
         clustering = tmp_path / "bad.json"

@@ -13,6 +13,7 @@ from hddcrp.sampling import (
     DEFAULT_ALPHA_0,
     MAX_CHAINS,
     MODELS,
+    Labels,
     LinkGraph,
     SamplerConfig,
     TableCrpState,
@@ -375,7 +376,7 @@ def assert_matches_rebuild_sampler(corpus, resources, trained_model, model, rand
         if model == "hddcrp":
             assert state.tl == ref.tl
         elif model != "ddcrp_flat":
-            assert {h: state.label_of[h] for h in state._heads()} == ref.labels
+            assert {h: state.labels.of[h] for h in state._heads()} == ref.labels
         assert state.joint_log_score() == ref.joint_log_score()
 
 
@@ -442,26 +443,30 @@ class TestLinkGraphCore:
         ratio_calls = []
         moves = []  # (labels sharing a lemma with the moving table, labels, first call)
         merge_ratio_raw = sampling.merge_ratio_raw
-        shared_deltas = TableCrpState._shared_deltas
+        take = Labels.take
 
         def counting_ratio(counts_a, total_a, counts_b, total_b, params):
             ratio_calls.append((set(counts_a), id(counts_b), set(counts_b)))
             return merge_ratio_raw(counts_a, total_a, counts_b, total_b, params)
 
-        def recording_deltas(state, stats):
-            lemmas = stats[0].keys()
+        def recording_take(labels, table, bag, headed):
+            # unseating the table calls no merge ratio, so the table's calls come after first
+            first = len(ratio_calls)
+            scored = take(labels, table, bag, headed)
+            lemmas = bag[0].keys()
             groups = {}
-            for m, k in enumerate(state.label_of):
+            for m, k in enumerate(labels.of):
                 groups.setdefault(k, []).append(m)
-            labels = state.tables
             sharing = {
-                k for k in labels if any(lemmas & state.span_counts[m].keys() for m in groups[k])
+                k
+                for k in labels.key_of
+                if any(lemmas & state.span_counts[m].keys() for m in groups[k])
             }
-            moves.append((sharing, len(labels), len(ratio_calls)))
-            return shared_deltas(state, stats)
+            moves.append((sharing, len(labels.key_of), first))
+            return scored
 
         monkeypatch.setattr(sampling, "merge_ratio_raw", counting_ratio)
-        monkeypatch.setattr(TableCrpState, "_shared_deltas", recording_deltas)
+        monkeypatch.setattr(Labels, "take", recording_take)
         for _ in range(3):
             state.sweep(rng)
         starts = [first for _, _, first in moves] + [len(ratio_calls)]
@@ -479,14 +484,14 @@ class TestLinkGraphCore:
         rng = np.random.default_rng(75)
         state = init_state(replicated_corpus, config, rng, priors=priors)
         sizes = []  # (terms, labels sharing a lemma, keys, labels) per marginal
-        new_table_terms = TableCrpState._new_table_terms
+        new_table_terms = Labels.new_table_terms
 
-        def recording_terms(state, shared, weights, log_denom):
-            terms = new_table_terms(state, shared, weights, log_denom)
-            sizes.append((len(terms), len(shared), len(state.keys), len(state.tables)))
+        def recording_terms(labels, shared, weights, log_denom):
+            terms = new_table_terms(labels, shared, weights, log_denom)
+            sizes.append((len(terms), len(shared), len(labels.keys), len(labels.key_of)))
             return terms
 
-        monkeypatch.setattr(TableCrpState, "_new_table_terms", recording_terms)
+        monkeypatch.setattr(Labels, "new_table_terms", recording_terms)
         for _ in range(3):
             state.sweep(rng)
         assert len(sizes) == 3 * state.n
@@ -502,23 +507,22 @@ class TestLinkGraphCore:
         state.sweep(rng)
         grid = [0.0, *np.linspace(0.0, 1.0, 41)[1:-1].tolist(), 1.0 - 2.0**-53]
         seen = Counter()
+        labels = state.labels
         for head in state._heads():
             table, bag = state.graph.component(head)
-            label = state.label_of[head]
-            state._relabel(table, bag, None, True)
-            shared = state._shared_deltas(bag)
-            weights = state._key_weights(bag[1])
-            labels, log_weights = label_log_weights_reference(state, shared, weights)
+            label = labels.of[head]
+            shared, weights = labels.take(table, bag, True)
+            order, log_weights = label_log_weights_reference(labels, shared, weights)
             seen["shared"] += bool(shared)
-            seen["first shared"] += labels[0] in shared
-            seen["shared key"] += any(state.keys[state.key_of[k]] > 1 for k in shared)
+            seen["first shared"] += order[0] in shared
+            seen["shared key"] += any(labels.keys[labels.key_of[k]] > 1 for k in shared)
             for u in grid:
-                new = state.next_label
-                want = (labels + [new])[sampling._draw(FixedRng(u), log_weights)]
-                assert state._draw_label(FixedRng(u), shared, weights) == want
-                state.next_label = new
-            state._relabel(table, bag, label, True)
-        assert min(seen.values()) > 0 and max(state.keys.values()) > 1
+                new = labels.next_label
+                want = (order + [new])[sampling._draw(FixedRng(u), log_weights)]
+                assert labels.draw(FixedRng(u), shared, weights) == want
+                labels.next_label = new
+            labels.move(table, bag, label, 1, True)
+        assert min(seen.values()) > 0 and max(labels.keys.values()) > 1
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_grouped_marginals_match_the_per_label_sum_in_debug_mode(
@@ -530,73 +534,75 @@ class TestLinkGraphCore:
         state = init_state(synthetic_corpus, config, rng, priors=priors)
         for _ in range(2):
             state.sweep(rng)
-        assert any(m > 1 for m in state.keys.values())
+        assert any(m > 1 for m in state.labels.keys.values())
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_a_wrong_grouped_marginal(self, tiny_corpus, model, monkeypatch):
-        new_table_terms = TableCrpState._new_table_terms
+        new_table_terms = Labels.new_table_terms
 
-        def terms_off_by_a_billionth(state, *args):
-            return [t + 1e-9 for t in new_table_terms(state, *args)]
+        def terms_off_by_a_billionth(labels, *args):
+            return [t + 1e-9 for t in new_table_terms(labels, *args)]
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(TableCrpState, "_new_table_terms", terms_off_by_a_billionth)
+        monkeypatch.setattr(Labels, "new_table_terms", terms_off_by_a_billionth)
         with pytest.raises(AssertionError, match="grouped marginal"):
             state.sweep(rng)
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_miscounted_tables(self, tiny_corpus, model, monkeypatch):
-        relabel = TableCrpState._relabel
+        move = Labels.move
 
-        def relabel_and_miscount(state, table, bag, label, headed):
-            relabel(state, table, bag, label, headed)
-            if label is not None and headed:
-                state.tables[label] += 1
+        def move_and_miscount(labels, table, bag, k, step, headed):
+            move(labels, table, bag, k, step, headed)
+            if step > 0 and headed:
+                t, total = labels.key_of[k]
+                labels.key_of[k] = (t + 1, total)
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(TableCrpState, "_relabel", relabel_and_miscount)
+        monkeypatch.setattr(Labels, "move", move_and_miscount)
         with pytest.raises(AssertionError, match="table counts of labels differ"):
             state.sweep(rng)
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_stale_keys(self, tiny_corpus, model, monkeypatch):
-        relabel = TableCrpState._relabel
+        move = Labels.move
 
-        def relabel_leaving_keys_stale(state, table, bag, label, headed):
-            keys = dict(state.keys)
-            relabel(state, table, bag, label, headed)
-            if label is not None:
-                state.keys = keys
+        def move_leaving_keys_stale(labels, table, bag, k, step, headed):
+            keys = dict(labels.keys)
+            move(labels, table, bag, k, step, headed)
+            if step > 0:
+                labels.keys = keys
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(TableCrpState, "_relabel", relabel_leaving_keys_stale)
+        monkeypatch.setattr(Labels, "move", move_leaving_keys_stale)
         with pytest.raises(AssertionError, match="keys differ"):
             state.sweep(rng)
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_a_stale_label_key(self, tiny_corpus, model, monkeypatch):
-        relabel = TableCrpState._relabel
+        move = Labels.move
 
-        def relabel_leaving_a_stale_key(state, table, bag, label, headed):
-            before = dict(state.key_of)
-            relabel(state, table, bag, label, headed)
-            if label in before:
-                state.key_of[label] = before[label]
+        def move_leaving_a_stale_total(labels, table, bag, k, step, headed):
+            before = dict(labels.key_of)
+            move(labels, table, bag, k, step, headed)
+            # keep the table count right, so that only the lemma total goes stale
+            if step > 0 and k in before and before[k][0] == labels.key_of[k][0]:
+                labels.key_of[k] = before[k]
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(TableCrpState, "_relabel", relabel_leaving_a_stale_key)
+        monkeypatch.setattr(Labels, "move", move_leaving_a_stale_total)
         with pytest.raises(AssertionError, match="label -> key map differs"):
             for _ in range(10):
                 state.sweep(rng)
@@ -677,7 +683,7 @@ class TestLinkGraphCore:
             place(state, i, table, bag, target, scored, rng)
             non_heads = [m for m in table if state.cl[m] != m]
             if non_heads:
-                state.label_of[non_heads[0]] = state.next_label
+                state.labels.of[non_heads[0]] = state.labels.next_label
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
@@ -689,19 +695,19 @@ class TestLinkGraphCore:
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_stale_label_totals(self, tiny_corpus, model, monkeypatch):
-        relabel = TableCrpState._relabel
+        move = Labels.move
 
-        def relabel_and_miscount_totals(state, table, bag, label, headed):
-            relabel(state, table, bag, label, headed)
-            if label is not None:
-                counts, total = state.label_bags[label]
-                state.label_bags[label] = (counts, total + 1)
+        def move_and_miscount_totals(labels, table, bag, k, step, headed):
+            move(labels, table, bag, k, step, headed)
+            if step > 0:
+                counts, total = labels.bags[k]
+                labels.bags[k] = (counts, total + 1)
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        monkeypatch.setattr(TableCrpState, "_relabel", relabel_and_miscount_totals)
+        monkeypatch.setattr(Labels, "move", move_and_miscount_totals)
         with pytest.raises(AssertionError, match="lemma bag of label .* differs"):
             state.sweep(rng)
 
@@ -711,7 +717,8 @@ class TestLinkGraphCore:
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         rng = np.random.default_rng(72)
         state = init_state(tiny_corpus, config, rng, priors=priors)
-        state.lemma_holders = {tok: [] for tok in state.lemma_holders}
+        labels = state.labels
+        labels.lemma_holders = {tok: [] for tok in labels.lemma_holders}
         with pytest.raises(AssertionError, match="merge ratio"):
             for _ in range(10):
                 state.sweep(rng)
@@ -724,7 +731,7 @@ class TestLinkGraphCore:
         state = init_state(tiny_corpus, config, rng, priors=priors)
         state.sweep(rng)
         state.joint_log_score()
-        bags = state.label_bags if hasattr(state, "label_bags") else state.graph.bags
+        bags = state.labels.bags if hasattr(state, "labels") else state.graph.bags
         key = next(iter(bags))
         counts, total = bags[key]
         bags[key] = (counts, total + 1)
@@ -748,8 +755,8 @@ class TestSweepOperations:
             state.sweep(rng)
             prior = state._links_log_prior()
             if model in ("hddcrp_star", "hdp_lex"):
-                sizes = sorted(state.tables.values())
-                prior += crp_partition_log_prob(sizes, state.alpha_0)
+                sizes = sorted(t for t, _ in state.labels.key_of.values())
+                prior += crp_partition_log_prob(sizes, state.labels.alpha_0)
             assert state.joint_log_score() == prior
 
     def test_single_site_moves_respect_the_candidate_sets(self, tiny_corpus):
@@ -769,7 +776,7 @@ class TestSweepOperations:
         rng = np.random.default_rng(66)
         state = init_state(tiny_corpus, config, rng, priors=priors)
         for head in state._heads():
-            assert state.sample_table_label(head, rng) == state.label_of[head]
+            assert state.sample_table_label(head, rng) == state.labels.of[head]
         with pytest.raises(ValueError):
             state.sample_table_label(next(i for i, j in enumerate(state.cl) if j != i), rng)
 
@@ -839,8 +846,9 @@ class TestChains:
         b = run_chains(tiny_corpus, config, priors=priors)
         assert [r.estimate for r in a] == [r.estimate for r in b]
 
-    def test_parallel_jobs_reproduce_the_sequential_results(self, tiny_corpus):
-        config = SamplerConfig(model="hddcrp", iterations=30, chains=3, seed=8)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_parallel_jobs_reproduce_the_sequential_results(self, tiny_corpus, model):
+        config = SamplerConfig(model=model, iterations=30, chains=3, seed=8)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         seq = run_chains(tiny_corpus, config, priors=priors, jobs=1)
         par = run_chains(tiny_corpus, config, priors=priors, jobs=3)
