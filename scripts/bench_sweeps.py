@@ -7,7 +7,10 @@ with Shape(n // 40, 4, 10): 4 documents of 10 mentions per topic, seed 1.  A
 pairwise distance model is trained on it once.  Then, for each model, the
 script times build_priors, draws a chain state with init_state, runs one
 warm-up sweep and times the next 20 sweeps of the chain; it reports their
-median and quartiles in ms.  The speed of a shared CPU drifts too much for
+median and quartiles in ms.  It also reports lone_share, the share of
+customer and of table-link supports that hold only the self candidate (null
+for a model without table links): a move over such a support proposes
+nothing.  The speed of a shared CPU drifts too much for
 wall or CPU time to compare two runs, so the process pins itself to one CPU
 and times sweeps in reference ms of perfbench's calibrated clock
 (perfbench/clock.py).  Figures are comparable only between runs on the same
@@ -55,6 +58,10 @@ def bench_size(n):
         start = time.perf_counter()
         priors = build_priors(corpus, config, pairwise, resources)
         priors_s = time.perf_counter() - start
+        lone_share = {
+            level: None if supports is None else sum(len(c) == 1 for c in supports) / len(supports)
+            for level, supports in (("customer", priors.customer), ("table", priors.table))
+        }
         rng = np.random.default_rng(SEED)
         state = init_state(corpus, config, rng, priors=priors)
         for _ in range(WARMUP):
@@ -69,6 +76,7 @@ def bench_size(n):
         q1, median, q3 = statistics.quantiles(sweeps_ms, n=4)
         out["models"][model] = {
             "priors_s": priors_s,
+            "lone_share": lone_share,
             "sweep_ms": median,
             "sweep_ms_quartiles": [q1, q3],
             "sweeps_ms": sweeps_ms,

@@ -43,6 +43,11 @@ after the link, only if the mention really becomes a head.  Labels of all
 other tables never change during the move, and because the CRP over tables
 is exchangeable their probability is a common factor across candidates.
 
+A move over a lone self candidate spends the uniform a draw would and
+proposes nothing; in the table models only the label move is left.  An
+inactive hddcrp table link draws from its prior's partial sums, built once
+per state.  Both keep the floats and the uniform stream of the full move.
+
 Each scan loop takes the uniforms of the draws it is sure to make, one per
 move, from one batched call of the generator and any further ones singly:
 the same stream as scalar draws, so seeded chains do not change.
@@ -232,12 +237,16 @@ class _Uniforms:
         return batch.pop() if batch else self._rng.random()
 
 
-def _draw(rng, log_weights):
-    """Index sampled proportionally to exp(log_weights), max-shifted: the
-    first whose left-to-right partial sum reaches u, a uniform draw below
-    the total."""
+def _partial_sums(log_weights):
+    """Left-to-right partial sums of exp(log_weights), max-shifted."""
     top = max(log_weights)
-    acc = list(itertools.accumulate([math.exp(x - top) for x in log_weights]))
+    return list(itertools.accumulate([math.exp(x - top) for x in log_weights]))
+
+
+def _draw(rng, log_weights):
+    """Index sampled proportionally to exp(log_weights): the first whose
+    partial sum reaches u, a uniform draw below the total."""
+    acc = _partial_sums(log_weights)
     return bisect_left(acc, rng.random() * acc[-1])
 
 
@@ -257,20 +266,15 @@ def crp_partition_log_prob(sizes, alpha):
     return out
 
 
-def _link_log_prior(cands, log_norm, target):
-    for j, lw in cands:
-        if j == target:
-            return lw - log_norm
-
-
 def _with_logs(supports):
-    """Per-mention candidate tuples (target, log weight) and the log of each
-    mention's total weight, from the (target, weight) supports of Priors."""
+    """Per-mention candidate tuples (target, log weight) and maps target ->
+    log prior, the log weight less the log of the mention's total weight,
+    from the (target, weight) supports of Priors."""
     cands = tuple(tuple((j, math.log(w)) for j, w in c) for c in supports)
-    norms = tuple(math.log(reduce(add, (w for _, w in c), 0.0)) for c in supports)
+    norms = [math.log(reduce(add, (w for _, w in c), 0.0)) for c in supports]
     if not all(map(math.isfinite, norms)):
         raise InputError("link weights overflow: lower gamma or the concentrations")
-    return cands, norms
+    return cands, tuple({j: lw - z for j, lw in c} for c, z in zip(cands, norms))
 
 
 def _shift_bag(bags, key, bag, sign):
@@ -419,10 +423,10 @@ class _StateBase:
         lemmas = (() if config.flat_likelihood else m.span_lemmas for m in order)
         self.span_counts, _, self._bag = lemma_bags(lemmas)
         self.debug = config.debug
-        self.cand_c, self.log_norm_c = _with_logs(priors.customer)
+        self.cand_c, self.log_prior_c = _with_logs(priors.customer)
         self.cl = list(range(self.n))
-        # (candidates, log normalizers, links) of each link level, in draw order
-        self._levels = ((self.cand_c, self.log_norm_c, self.cl),)
+        # (candidates, log priors, links) of each link level, in draw order
+        self._levels = ((self.cand_c, self.log_prior_c, self.cl),)
 
     def init_links(self, rng):
         """Draw every link uniformly from its support and build the graph."""
@@ -483,7 +487,14 @@ class _StateBase:
         of i's part, the side dropping i's edge would split off or else i's
         whole component; after the draw, _place settles the part and
         LinkGraph.move commits the edge.  The self candidate's target is i's
-        edge with links[i] = i: for a customer link of hddcrp, its table link."""
+        edge with links[i] = i: for a customer link of hddcrp, its table link.
+
+        A lone candidate is the self candidate, and links[i] holds it already:
+        the move spends the one uniform _draw would and proposes nothing, and
+        _lone_move does what is left."""
+        if len(cands) == 1:
+            rng.random()
+            return self._lone_move(i, rng)
         graph = self.graph
         old = self._edge(i)
         side = graph.side(i, old)
@@ -499,6 +510,12 @@ class _StateBase:
         if self.debug:
             self._check_core()
         return links[i]
+
+    def _lone_move(self, i, rng):
+        """Finish a move over the lone self candidate: the edges say it all."""
+        if self.debug:
+            self._check_core()
+        return i
 
     def _weigh(self, i, cands, links, part, bag, side):
         """Log weight of each candidate, its prior times the merge ratio of
@@ -556,8 +573,8 @@ class _StateBase:
     def _links_log_prior(self):
         score = 0.0
         for i in range(self.n):
-            for cands, norms, links in self._levels:
-                score += _link_log_prior(cands[i], norms[i], links[i])
+            for _, log_priors, links in self._levels:
+                score += log_priors[i][links[i]]
         return score
 
     def joint_log_score(self):
@@ -585,9 +602,11 @@ class HddcrpState(_StateBase):
         super().__init__(corpus, config, priors, params)
         if priors.table is None:
             raise InputError("hddcrp needs table-link priors")
-        self.cand_t, self.log_norm_t = _with_logs(priors.table)
+        self.cand_t, self.log_prior_t = _with_logs(priors.table)
+        # partial sums of each prior-only table link draw, as _draw builds them
+        self._prior_sums_t = [_partial_sums([lw for _, lw in c]) for c in self.cand_t]
         self.tl = list(range(self.n))
-        self._levels += ((self.cand_t, self.log_norm_t, self.tl),)
+        self._levels += ((self.cand_t, self.log_prior_t, self.tl),)
 
     def _edge(self, m):
         # a table link is active only on a table head
@@ -598,8 +617,8 @@ class HddcrpState(_StateBase):
         cands = self.cand_t[i]
         if self.cl[i] != i:
             # inactive link: the clustering ignores it, so prior only
-            choice = _draw(rng, [lw for _, lw in cands])
-            self.tl[i] = cands[choice][0]
+            acc = self._prior_sums_t[i]
+            self.tl[i] = cands[bisect_left(acc, rng.random() * acc[-1])][0]
             if self.debug:
                 self._check_core()
             return self.tl[i]
@@ -801,6 +820,11 @@ class TableCrpState(_StateBase):
             if abs(marg - full) > 1e-12 * max(1.0, abs(full)):
                 raise AssertionError(f"grouped marginal {marg} != per-label sum {full}")
         return log_weights, (shared, weights)
+
+    def _lone_move(self, i, rng):
+        """i heads its table, so only the table's label moves."""
+        self.sample_table_label(i, rng)
+        return i
 
     def _place(self, i, table, bag, target, scored, rng):
         """Seat i's table at the label of target's table, or at one drawn

@@ -24,8 +24,13 @@ def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
     assert set(size) == {"n", "topics", "train_s", "models"}
     assert size["n"] == 40
     assert set(size["models"]) == set(MODELS)
-    for timing in size["models"].values():
-        assert set(timing) == {"priors_s", "sweep_ms", "sweep_ms_quartiles", "sweeps_ms"}
+    for model, timing in size["models"].items():
+        assert set(timing) == {
+            "priors_s", "lone_share", "sweep_ms", "sweep_ms_quartiles", "sweeps_ms"
+        }
+        assert set(timing["lone_share"]) == {"customer", "table"}
+        assert 0 < timing["lone_share"]["customer"] <= 1
+        assert (timing["lone_share"]["table"] is None) == (model != "hddcrp")
         assert len(timing["sweeps_ms"]) == REPEATS
         q1, q3 = timing["sweep_ms_quartiles"]
         assert 0 < q1 <= timing["sweep_ms"] <= q3

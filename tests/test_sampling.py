@@ -380,6 +380,25 @@ def assert_matches_rebuild_sampler(corpus, resources, trained_model, model, rand
         assert state.joint_log_score() == ref.joint_log_score()
 
 
+def graph_snapshot(graph):
+    """Each component's member set and bag object, with copies of their contents."""
+    return (
+        list(graph.comp),
+        {k: (s, set(s)) for k, s in graph.members.items()},
+        {k: (b, (dict(b[0]), b[1])) for k, b in graph.bags.items()},
+    )
+
+
+def assert_graph_untouched(graph, snapshot):
+    comp, members, bags = snapshot
+    assert graph.comp == comp
+    assert graph.members.keys() == members.keys() and graph.bags.keys() == bags.keys()
+    for k, (s, copy) in members.items():
+        assert graph.members[k] is s and s == copy
+    for k, (b, copy) in bags.items():
+        assert graph.bags[k] is b and (b[0], b[1]) == copy
+
+
 class TestLinkGraphCore:
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("randomized_scan", [False, True])
@@ -407,19 +426,12 @@ class TestLinkGraphCore:
             for i in range(state.n):
                 # the graph's components, rebuilt from the edges
                 parts = sampling._StateBase._parts(state)
-                comp = list(graph.comp)
-                members = {k: (s, set(s)) for k, s in graph.members.items()}
-                bags = {k: (b, (dict(b[0]), b[1])) for k, b in graph.bags.items()}
+                snapshot = graph_snapshot(graph)
                 move(i, rng)
                 if sampling._StateBase._parts(state) != parts:
                     continue
                 kept += 1
-                assert graph.comp == comp
-                assert graph.members.keys() == members.keys()
-                for k, (s, copy) in members.items():
-                    assert graph.members[k] is s and s == copy
-                for k, (b, copy) in bags.items():
-                    assert graph.bags[k] is b and (b[0], b[1]) == copy
+                assert_graph_untouched(graph, snapshot)
         assert kept > state.n // 2
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
@@ -494,7 +506,10 @@ class TestLinkGraphCore:
         monkeypatch.setattr(Labels, "new_table_terms", recording_terms)
         for _ in range(3):
             state.sweep(rng)
-        assert len(sizes) == 3 * state.n
+        # a move over the lone self candidate proposes nothing, so builds no terms
+        moves = sum(len(c) > 1 for c in state.cand_c)
+        assert moves < state.n
+        assert len(sizes) == 3 * moves
         assert all(terms <= 1 + shared + keys for terms, shared, keys, _ in sizes)
         # most labels share no lemma and fall into a few keys
         assert 2 * sum(s[0] for s in sizes) < sum(s[3] for s in sizes)
@@ -737,6 +752,129 @@ class TestLinkGraphCore:
         bags[key] = (counts, total + 1)
         with pytest.raises(AssertionError, match="joint score"):
             state.joint_log_score()
+
+
+def trained_state(corpus, resources, trained_model, model, seed, debug=False):
+    config = SamplerConfig(model=model, seed=seed, debug=debug)
+    priors = build_priors(corpus, config, trained_model, resources)
+    rng = np.random.default_rng(seed)
+    return init_state(corpus, config, rng, priors=priors), rng
+
+
+def lone_mentions(cands):
+    return [i for i, c in enumerate(cands) if len(c) == 1]
+
+
+class TestLoneMoves:
+    """A link over a support that holds only the self candidate."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_only_moves_over_several_candidates_propose(
+        self, synthetic_corpus, resources, trained_model, model, monkeypatch
+    ):
+        state, rng = trained_state(synthetic_corpus, resources, trained_model, model, 81)
+        state.sweep(rng)
+        calls = Counter()
+        side, weigh = LinkGraph.side, type(state)._weigh
+
+        def counting_side(*args):
+            calls["side"] += 1
+            return side(*args)
+
+        def counting_weigh(*args):
+            calls["weigh"] += 1
+            return weigh(*args)
+
+        monkeypatch.setattr(LinkGraph, "side", counting_side)
+        monkeypatch.setattr(type(state), "_weigh", counting_weigh)
+        state.sweep(rng)
+        proposals = sum(len(c) > 1 for c in state.cand_c)
+        moves = state.n
+        if model == "hddcrp":
+            # the table pass leaves the customer links, so these are its heads
+            heads = [i for i in range(state.n) if state.cl[i] == i]
+            proposals += sum(len(state.cand_t[i]) > 1 for i in heads)
+            moves += len(heads)
+        assert 0 < proposals < moves
+        assert calls == {"side": proposals, "weigh": proposals}
+
+    @pytest.mark.parametrize("model", ["hddcrp", "ddcrp_flat"])
+    def test_a_lone_link_move_spends_one_uniform_and_changes_nothing(
+        self, synthetic_corpus, resources, trained_model, model
+    ):
+        state, rng = trained_state(synthetic_corpus, resources, trained_model, model, 82)
+        state.sweep(rng)
+        twin = np.random.default_rng()
+        moves = [(state.sample_customer_link, i) for i in lone_mentions(state.cand_c)]
+        if model == "hddcrp":
+            heads = [i for i in lone_mentions(state.cand_t) if state.cl[i] == i]
+            assert heads
+            moves += [(state.sample_table_link, i) for i in heads]
+        assert moves
+        for move, i in moves:
+            links = (list(state.cl), list(getattr(state, "tl", ())))
+            snapshot = graph_snapshot(state.graph)
+            twin.bit_generator.state = rng.bit_generator.state
+            assert move(i, rng) == i
+            twin.random()
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert (state.cl, getattr(state, "tl", [])) == links
+            assert_graph_untouched(state.graph, snapshot)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_a_lone_customer_move_is_one_uniform_then_a_label_move(
+        self, synthetic_corpus, resources, trained_model, model
+    ):
+        state, rng = trained_state(synthetic_corpus, resources, trained_model, model, 83)
+        twin, twin_rng = trained_state(synthetic_corpus, resources, trained_model, model, 83)
+        state.sweep(rng)
+        twin.sweep(twin_rng)
+        lone = lone_mentions(state.cand_c)
+        assert lone
+        for i in lone:
+            assert state.sample_customer_link(i, rng) == i
+            twin_rng.random()
+            twin.sample_table_label(i, twin_rng)
+            assert rng.bit_generator.state == twin_rng.bit_generator.state
+            assert state.cl == twin.cl
+            labels, twin_labels = state.labels, twin.labels
+            assert labels.of == twin_labels.of and labels.bags == twin_labels.bags
+            assert labels.key_of == twin_labels.key_of and labels.keys == twin_labels.keys
+            assert labels.next_label == twin_labels.next_label
+
+    def test_prior_only_table_draws_pick_what_the_draw_picks(
+        self, synthetic_corpus, resources, trained_model
+    ):
+        state, rng = trained_state(synthetic_corpus, resources, trained_model, "hddcrp", 84)
+        grid = [0.0, *np.linspace(0.0, 1.0, 41)[1:-1].tolist(), 1.0 - 2.0**-53]
+        assert lone_mentions(state.cand_t)
+        for i, cands in enumerate(state.cand_t):
+            # any customer link but the self one leaves the table link inactive
+            linked, state.cl[i] = state.cl[i], (i + 1) % state.n
+            for u in grid:
+                want = cands[sampling._draw(FixedRng(u), [lw for _, lw in cands])][0]
+                assert state.sample_table_link(i, FixedRng(u)) == want
+            state.cl[i] = linked
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("corrupt", ["comp", "bag"])
+    def test_debug_mode_checks_the_core_after_a_lone_move(
+        self, synthetic_corpus, resources, trained_model, model, corrupt
+    ):
+        state, rng = trained_state(
+            synthetic_corpus, resources, trained_model, model, 85, debug=True
+        )
+        i = lone_mentions(state.cand_c)[0]
+        graph = state.graph
+        home = graph.comp[i]
+        other = next(k for k in graph.members if k != home)
+        if corrupt == "comp":
+            # one mention of another component takes i's component id
+            graph.comp[next(iter(graph.members[other]))] = home
+        else:
+            graph.bags[other][0]["stray-lemma"] = 1
+        with pytest.raises(AssertionError, match="component"):
+            state.sample_customer_link(i, rng)
 
 
 class TestSweepOperations:
