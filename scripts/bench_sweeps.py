@@ -4,17 +4,17 @@
 
 Each size n gets a corpus from the perfbench generator (perfbench/gen.py)
 with Shape(n // 40, 4, 10): 4 documents of 10 mentions per topic, seed 1.  A
-pairwise distance model is trained on it once.  Then, for each model, the
-script times build_priors, draws a chain state with init_state, runs one
-warm-up sweep and times the next 20 sweeps of the chain; it reports their
-median and quartiles in ms.  It also reports lone_share, the share of
-customer and of table-link supports that hold only the self candidate (null
-for a model without table links): a move over such a support proposes
-nothing.  The speed of a shared CPU drifts too much for
+pairwise distance model is trained on it once (train_s).  Then, for each
+model, the script times build_priors (priors_s), draws a chain state with
+init_state, runs one warm-up sweep and times the next 20 sweeps of the
+chain; it reports their median and quartiles in ms.  It also reports
+lone_share, the share of customer and of table-link supports that hold only
+the self candidate (null for a model without table links): a move over such
+a support proposes nothing.  The speed of a shared CPU drifts too much for
 wall or CPU time to compare two runs, so the process pins itself to one CPU
-and times sweeps in reference ms of perfbench's calibrated clock
-(perfbench/clock.py).  Figures are comparable only between runs on the same
-machine.
+and times training and prior builds in reference seconds, and sweeps in
+reference ms, of perfbench's calibrated clock (perfbench/clock.py).  Figures
+are comparable only between runs on the same machine.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
+# the program imports these on first use; importing them here keeps that
+# import out of the first size's train_s
+import scipy.optimize  # noqa: E402, F401
+import scipy.special  # noqa: E402, F401
 
 from clock import CalibratedClock, pin_to_one_cpu  # noqa: E402
 from gen import Shape, write_inputs  # noqa: E402
@@ -49,40 +53,45 @@ def bench_size(n):
         inputs = write_inputs(shape, SEED, tmp)
         corpus = load_corpus(inputs.corpus)
         resources = LexicalResources.load(inputs.embeddings, inputs.synonyms)
-    start = time.perf_counter()
-    pairwise = train(corpus, resources)
-    train_s = time.perf_counter() - start
-    out = {"n": shape.n_mentions, "topics": shape.topics, "train_s": train_s, "models": {}}
-    for model in MODELS:
-        config = SamplerConfig(model=model, seed=SEED)
-        start = time.perf_counter()
-        priors = build_priors(corpus, config, pairwise, resources)
-        priors_s = time.perf_counter() - start
-        lone_share = {
-            level: None if supports is None else sum(len(c) == 1 for c in supports) / len(supports)
-            for level, supports in (("customer", priors.customer), ("table", priors.table))
-        }
-        rng = np.random.default_rng(SEED)
-        state = init_state(corpus, config, rng, priors=priors)
-        for _ in range(WARMUP):
-            state.sweep(rng)
-        sweeps_ms = []
-        with CalibratedClock() as clock:
-            time.sleep(0.05)  # a few probe slices before the first sweep
+    with CalibratedClock() as clock:
+        time.sleep(0.05)  # a few probe slices before the first span
+
+        def reference_s(start):
+            return clock.reference_seconds(start, clock.now())[0]
+
+        start = clock.now()
+        pairwise = train(corpus, resources)
+        out = {"n": shape.n_mentions, "topics": shape.topics, "train_s": reference_s(start),
+               "models": {}}
+        for model in MODELS:
+            config = SamplerConfig(model=model, seed=SEED)
+            start = clock.now()
+            priors = build_priors(corpus, config, pairwise, resources)
+            priors_s = reference_s(start)
+            lone_share = {
+                level: None if supports is None
+                else sum(len(c) == 1 for c in supports) / len(supports)
+                for level, supports in (("customer", priors.customer), ("table", priors.table))
+            }
+            rng = np.random.default_rng(SEED)
+            state = init_state(corpus, config, rng, priors=priors)
+            for _ in range(WARMUP):
+                state.sweep(rng)
+            sweeps_ms = []
             for _ in range(REPEATS):
                 start = clock.now()
                 state.sweep(rng)
-                sweeps_ms.append(1000 * clock.reference_seconds(start, clock.now())[0])
-        q1, median, q3 = statistics.quantiles(sweeps_ms, n=4)
-        out["models"][model] = {
-            "priors_s": priors_s,
-            "lone_share": lone_share,
-            "sweep_ms": median,
-            "sweep_ms_quartiles": [q1, q3],
-            "sweeps_ms": sweeps_ms,
-        }
-        print(f"n={shape.n_mentions} {model}: priors {priors_s:.3f} s, "
-              f"sweep {median:.1f} ms [{q1:.1f}, {q3:.1f}]", flush=True)
+                sweeps_ms.append(1000 * reference_s(start))
+            q1, median, q3 = statistics.quantiles(sweeps_ms, n=4)
+            out["models"][model] = {
+                "priors_s": priors_s,
+                "lone_share": lone_share,
+                "sweep_ms": median,
+                "sweep_ms_quartiles": [q1, q3],
+                "sweeps_ms": sweeps_ms,
+            }
+            print(f"n={shape.n_mentions} {model}: priors {priors_s:.3f} s, "
+                  f"sweep {median:.1f} ms [{q1:.1f}, {q3:.1f}]", flush=True)
     return out
 
 
@@ -97,7 +106,8 @@ def main(argv=None):
         "seed": SEED,
         "warmup": WARMUP,
         "repeats": REPEATS,
-        "clock": "perfbench CalibratedClock, reference ms",
+        "clock": "perfbench CalibratedClock: reference s for train_s and priors_s, "
+                 "reference ms for sweeps",
         "python": sys.version.split()[0],
         "sizes": [bench_size(n) for n in args.sizes],
     }

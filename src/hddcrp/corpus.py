@@ -365,6 +365,11 @@ def load_embeddings(path):
             raise InputError(f"{path}: line {line_no}: bad vector entry") from exc
         if not np.isfinite(vec).all():
             raise InputError(f"{path}: line {line_no}: non-finite vector entry")
+        # the cosines divide by norms: an overflowing norm would make them NaN
+        with np.errstate(over="ignore"):
+            squared_norm = np.dot(vec, vec)
+        if not np.isfinite(squared_norm):
+            raise InputError(f"{path}: line {line_no}: vector norm overflows")
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:

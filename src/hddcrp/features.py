@@ -10,9 +10,14 @@ companion both-present indicator because a 0 cosine is ambiguous between
 `FeatureExtractor.extract` scores one pair and is the reference.
 `PairFeatures` computes the same values for a block of pairs at once: lemma
 and tag ids are compared as arrays, the embedding cosine and synonym Jaccard
-are computed once per distinct head lemma pair, and the tf-cosines come from
-integer count-matrix products.  Each value equals `extract`'s bit for bit, so
-a model trained on block features is the model trained on `extract`'s.
+are computed once per distinct head lemma pair, and the integer dot products
+of the tf-cosines and the Jaccard are one dense float64 matrix product per
+block.  The token lists are kept as CSR arrays of integer counts, and the
+product's inner dimension is only the distinct tokens the block's rows hold.
+Every product and partial sum is a small integer, so the dots are exact in
+any order of summation, and the divide, the clamp and the norms are
+`count_cosine`'s.  Each value therefore equals `extract`'s bit for bit, so a
+model trained on block features is the model trained on `extract`'s.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .corpus import ARGUMENT_ROLES, count_cosine
 _SIM_FEATURES = ("head_embedding_cosine", "span_tf_cosine", "synonym_jaccard", "context_tf_cosine")
 
 # Mention rows scored at a time against all n mentions: the block computations
-# then need O(BLOCK_ROWS * n) extra memory, never O(n * n).
+# then need O(BLOCK_ROWS * n * tokens per mention) extra memory, never O(n * n)
+# nor O(n * vocabulary).
 BLOCK_ROWS = 64
 
 
@@ -117,24 +123,57 @@ class FeatureExtractor:
         return out
 
 
-def _count_matrix(count_maps):
-    """Sparse integer (maps x tokens) count matrix and the Euclidean norm of
-    each row, computed as count_cosine computes it."""
-    from scipy import sparse
-
+def _count_matrix(bags, counts=None):
+    """Integer count vectors of the bags as CSR arrays (indptr, token ids,
+    counts, number of distinct tokens), and the Euclidean norm of each,
+    computed as count_cosine computes it.  A bag is a token sequence in which
+    each occurrence counts 1, unless counts gives each bag's counts in the
+    order of its tokens."""
+    lengths = np.fromiter(map(len, bags), np.intp, len(bags))
     vocab = {}
-    data, indices, indptr, squares = [], [], [0], []
-    for counts in count_maps:
-        for tok, c in counts.items():
-            indices.append(vocab.setdefault(tok, len(vocab)))
-            data.append(c)
-        indptr.append(len(indices))
-        squares.append(sum(c * c for c in counts.values()))
-    matrix = sparse.csr_matrix(
-        (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int64), indptr),
-        shape=(len(count_maps), len(vocab)),
+    tokens = np.fromiter(
+        (vocab.setdefault(tok, len(vocab)) for bag in bags for tok in bag), np.intp, lengths.sum()
     )
-    return matrix, np.sqrt(np.array(squares, dtype=np.float64))
+    if counts is not None:
+        counts = np.fromiter((c for bag in counts for c in bag), np.float64, len(tokens))
+    # one entry per (bag, token) pair, in bag order, holding its summed count
+    keys, entry = np.unique(
+        np.repeat(np.arange(len(bags)), lengths) * len(vocab) + tokens, return_inverse=True
+    )
+    values = np.bincount(entry, counts, len(keys))
+    rows, tokens = np.divmod(keys, max(len(vocab), 1))
+    indptr = np.searchsorted(rows, np.arange(len(bags) + 1))
+    # the squares and their sums are small integers, exact in any order
+    norms = np.sqrt(np.bincount(rows, values * values, len(bags)))
+    return (indptr, tokens, values, len(vocab)), norms
+
+
+def _selected(indptr, rows):
+    """Number of the rows an index slice or array selects, and the position
+    among them and the CSR position of each of their entries."""
+    rows = np.arange(len(indptr) - 1)[rows]
+    lengths = indptr[rows + 1] - indptr[rows]
+    at = np.repeat(np.arange(len(rows)), lengths)
+    return len(rows), at, np.arange(len(at)) + (indptr[rows] - np.cumsum(lengths) + lengths)[at]
+
+
+def _dots(matrix, rows, cols):
+    """Dot products of every (row, col) pair of count-matrix rows, as one
+    dense float64 product over the distinct tokens the rows hold.  Every
+    product and partial sum is a small integer, so each dot is exact."""
+    indptr, tokens, values, n_tokens = matrix
+    n_rows, row_at, row_entry = _selected(indptr, rows)
+    n_cols, col_at, col_entry = _selected(indptr, cols)
+    held, column = np.unique(tokens[row_entry], return_inverse=True)
+    left = np.zeros((n_rows, len(held)))
+    left[row_at, column] = values[row_entry]
+    slot = np.full(n_tokens, -1)
+    slot[held] = np.arange(len(held))
+    column = slot[tokens[col_entry]]
+    hit = column >= 0
+    right = np.zeros((len(held), n_cols))
+    right[column[hit], col_at[hit]] = values[col_entry[hit]]
+    return left @ right
 
 
 def _cosines(matrix, norms, rows, cols):
@@ -143,17 +182,22 @@ def _cosines(matrix, norms, rows, cols):
     The dot products are exact integers, so dot / (na * nb) rounds exactly
     as the scalar routine does.
     """
-    dots = (matrix[rows] @ matrix[cols].T).toarray()
+    dots = _dots(matrix, rows, cols)
     out = np.zeros(dots.shape)
     np.divide(dots, np.multiply.outer(norms[rows], norms[cols]), out=out, where=dots > 0)
     return np.minimum(out, 1.0, out=out)
 
 
 def cosine_matrix(count_maps):
-    """count_cosine of every pair of token -> count maps, as a dense matrix."""
-    matrix, norms = _count_matrix(count_maps)
-    everything = slice(None)
-    return _cosines(matrix, norms, everything, everything)
+    """count_cosine of every pair of token -> count maps, as a dense matrix,
+    computed BLOCK_ROWS rows at a time."""
+    matrix, norms = _count_matrix(count_maps, [m.values() for m in count_maps])
+    n = len(count_maps)
+    out = np.empty((n, n))
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        out[rows] = _cosines(matrix, norms, rows, slice(None))
+    return out
 
 
 class PairFeatures:
@@ -177,7 +221,7 @@ class PairFeatures:
         self.vectors = np.array([resources.vector(lemma) for lemma in lemmas], dtype=np.float64)
         self.vector_norms = np.array([np.linalg.norm(v) for v in self.vectors])
         synonyms = [resources.synonym_set(lemma) for lemma in lemmas]
-        self.synonyms, _ = _count_matrix([dict.fromkeys(s, 1) for s in synonyms])
+        self.synonyms, _ = _count_matrix(synonyms)
         self.synonym_sizes = np.array([len(s) for s in synonyms], dtype=np.int64)
         self.embedding_k = idx["head_embedding_cosine"]
         self.jaccard_k = idx["synonym_jaccard"]
@@ -202,7 +246,7 @@ class PairFeatures:
             self.present.append(
                 (idx[f"{role}_both_present"], np.array([bool(t) for t in tokens], dtype=bool))
             )
-        self.bags = [(k, *_count_matrix([Counter(t) for t in tokens])) for k, tokens in bags]
+        self.bags = [(k, *_count_matrix(tokens)) for k, tokens in bags]
 
     def pos_columns(self, rows, cols):
         """Index of the POS-pair one-hot feature set for each pair."""
@@ -225,7 +269,7 @@ class PairFeatures:
         cosine = np.zeros(scale.shape)
         np.divide(dots[:, :, 0, 0], scale, out=cosine, where=scale > 0)
         yield self.embedding_k, np.clip(cosine, 0.0, 1.0, out=cosine)[pick]
-        shared = (self.synonyms[ra] @ self.synonyms[rb].T).toarray()
+        shared = _dots(self.synonyms, ra, rb)
         union = np.add.outer(self.synonym_sizes[ra], self.synonym_sizes[rb]) - shared
         yield self.jaccard_k, (shared / union)[pick]
         for k, matrix, norms in self.bags:

@@ -62,29 +62,38 @@ def build_training_pairs(corpus, sigma=0.4):
 
 def penalized_loglik(theta, features, labels, l2):
     """sum log sigmoid(y * theta . x) - l2 * ||theta||^2."""
-    margins = labels * (features @ theta)
-    return float(-np.logaddexp(0.0, -margins).sum() - l2 * theta @ theta)
+    return _loglik(theta, labels * (features @ theta), l2)
 
 
 def penalized_grad(theta, features, labels, l2):
+    return _grad(theta, features, labels, labels * (features @ theta), l2)
+
+
+def _loglik(theta, margins, l2):
+    return float(-np.logaddexp(0.0, -margins).sum() - l2 * theta @ theta)
+
+
+def _grad(theta, features, labels, margins, l2):
     from scipy.special import expit
 
-    margins = labels * (features @ theta)
     return features.T @ (labels * expit(-margins)) - 2.0 * l2 * theta
+
+
+def _objective(theta, features, labels, l2):
+    """Negated penalized log likelihood and its gradient, from one
+    features @ theta product."""
+    margins = labels * (features @ theta)
+    return -_loglik(theta, margins, l2), -_grad(theta, features, labels, margins, l2)
 
 
 def fit_theta(features, labels, l2):
     """Maximize the penalized log likelihood from a zero start."""
     from scipy.optimize import minimize
 
-    def objective(theta):
-        return -penalized_loglik(theta, features, labels, l2), -penalized_grad(
-            theta, features, labels, l2
-        )
-
     result = minimize(
-        objective,
+        _objective,
         np.zeros(features.shape[1]),
+        args=(features, labels, l2),
         jac=True,
         method="L-BFGS-B",
         options={"gtol": GTOL, "ftol": 1e-14, "maxiter": MAX_ITER, "maxfun": 10 * MAX_ITER},

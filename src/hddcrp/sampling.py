@@ -45,8 +45,10 @@ is exchangeable their probability is a common factor across candidates.
 
 A move over a lone self candidate spends the uniform a draw would and
 proposes nothing; in the table models only the label move is left.  An
-inactive hddcrp table link draws from its prior's partial sums, built once
-per state.  Both keep the floats and the uniform stream of the full move.
+inactive hddcrp table link draws from its prior's partial sums.  `Priors`
+builds those, with the log candidates and log-prior maps, once for every
+chain state built from it.  Both short paths keep the floats and the
+uniform stream of the full move.
 
 Each scan loop takes the uniforms of the draws it is sure to make, one per
 move, from one batched call of the generator and any further ones singly:
@@ -61,7 +63,7 @@ from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 
 import numpy as np
@@ -138,10 +140,24 @@ class Priors:
 
     customer[i] is the support of mention i's customer link (or its only link
     for ddcrp_flat); table[i] is the support of its table link for hddcrp.
+    The log forms the chain states read are built on first use, once for
+    every chain that shares these priors.
     """
 
     customer: tuple
     table: tuple | None = None
+
+    @cached_property
+    def customer_logs(self):
+        """_with_logs of the customer supports."""
+        return _with_logs(self.customer)
+
+    @cached_property
+    def table_logs(self):
+        """_with_logs of the table supports, and the partial sums of each
+        prior-only table link draw, as _draw builds them."""
+        cands, log_priors = _with_logs(self.table)
+        return cands, log_priors, [_partial_sums([lw for _, lw in c]) for c in cands]
 
 
 def _support(n, self_weight, rows, targets, weights):
@@ -423,7 +439,7 @@ class _StateBase:
         lemmas = (() if config.flat_likelihood else m.span_lemmas for m in order)
         self.span_counts, _, self._bag = lemma_bags(lemmas)
         self.debug = config.debug
-        self.cand_c, self.log_prior_c = _with_logs(priors.customer)
+        self.cand_c, self.log_prior_c = priors.customer_logs
         self.cl = list(range(self.n))
         # (candidates, log priors, links) of each link level, in draw order
         self._levels = ((self.cand_c, self.log_prior_c, self.cl),)
@@ -602,9 +618,7 @@ class HddcrpState(_StateBase):
         super().__init__(corpus, config, priors, params)
         if priors.table is None:
             raise InputError("hddcrp needs table-link priors")
-        self.cand_t, self.log_prior_t = _with_logs(priors.table)
-        # partial sums of each prior-only table link draw, as _draw builds them
-        self._prior_sums_t = [_partial_sums([lw for _, lw in c]) for c in self.cand_t]
+        self.cand_t, self.log_prior_t, self._prior_sums_t = priors.table_logs
         self.tl = list(range(self.n))
         self._levels += ((self.cand_t, self.log_prior_t, self.tl),)
 

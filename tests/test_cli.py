@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -903,6 +904,29 @@ class TestInputFiles:
         assert run(argv) == 2
         assert list(tmp_path.iterdir()) == [bad]
         assert f"{bad}: line 1: non-finite vector entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-distance", "sample", "baseline"])
+    def test_embeddings_whose_norm_overflows_exit_two(self, command, model_file, tmp_path, capsys):
+        # finite entries whose squared norm overflows would turn the head
+        # embedding cosines into NaN
+        bad = tmp_path / "embeddings.txt"
+        first, rest = synthetic_embeddings_path().read_text(encoding="utf-8").split("\n", 1)
+        lemma, *entries = first.split()
+        bad.write_text(" ".join([lemma] + ["1e200"] * len(entries)) + "\n" + rest, "utf-8")
+        inputs = ["--corpus", synthetic_corpus_path(), "--embeddings", bad,
+                  "--synonyms", synthetic_synonyms_path()]
+        argv = {
+            "train-distance": ["train-distance", *inputs, "-o", tmp_path / "m.json"],
+            "sample": ["sample", *inputs, "--model", "hddcrp", "--distance-model", model_file,
+                       "--chains", 1, "--iterations", 2, "--output-dir", tmp_path / "run"],
+            "baseline": ["baseline", *inputs, "--method", "agglomerative",
+                         "--distance-model", model_file, "-o", tmp_path / "agg.json"],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        assert list(tmp_path.iterdir()) == [bad]
+        assert f"{bad}: line 1: vector norm overflows" in capsys.readouterr().err
 
     BAD = "<not utf-8>"
 

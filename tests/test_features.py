@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hddcrp import features
-from hddcrp.corpus import ARGUMENT_ROLES, LexicalResources, Mention, doc_similarity
+from hddcrp.corpus import (
+    ARGUMENT_ROLES, LexicalResources, Mention, count_cosine, doc_similarity
+)
 from hddcrp.features import FeatureExtractor, PairFeatures, cosine_matrix, pos_pair_key
 
 
@@ -150,9 +152,9 @@ class TestBlockFeatures:
         got = PairFeatures(extractor, mentions, resources).gather(a, b)
         want = np.array([extractor.extract(mentions[i], mentions[j], resources)
                          for i, j in zip(a, b)])
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("block_rows", [7, features.BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
     def test_every_ordered_pair_of_the_synthetic_corpus(
         self, synthetic_corpus, resources, block_rows, monkeypatch
     ):
@@ -160,9 +162,43 @@ class TestBlockFeatures:
         ex = FeatureExtractor.from_corpus(synthetic_corpus)
         self.assert_matches_extract(ex, synthetic_corpus.mentions_in_order(), resources)
 
-    def test_every_ordered_pair_of_the_edge_cases(self, resources):
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_every_ordered_pair_of_the_edge_cases(self, resources, block_rows, monkeypatch):
+        monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
         ex = FeatureExtractor(["NN|NN"])
         self.assert_matches_extract(ex, edge_case_mentions(), resources)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_bags_empty_in_every_mention(self, resources, block_rows, monkeypatch):
+        # no mention has a context or an argument: those bags hold no token at all
+        monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
+        ex = FeatureExtractor(["NN|NN"])
+        ms = [mention(h, k=k) for k, h in enumerate(["bombing", "blast", "zzz", "bombing"])]
+        self.assert_matches_extract(ex, ms, resources)
+        a, b = all_ordered_pairs(len(ms))
+        got = PairFeatures(ex, ms, resources).gather(a, b)
+        assert not got[:, ex.feature_index["context_tf_cosine"]].any()
+
+    def test_blocks_whose_rows_hold_no_token_of_a_bag(self, resources, monkeypatch):
+        # the first two blocks' rows have empty contexts and no arguments; the
+        # tokens of the later mentions are held only by the columns of those
+        # blocks, and "ruins" only by the columns of every block before the last
+        monkeypatch.setattr(features, "BLOCK_ROWS", 2)
+        crowd = {"participant": (("crowd",),)}
+        ms = [
+            mention("bombing", k=0), mention("blast", k=1),
+            mention("quake", k=2), mention("bombs", k=3),
+            mention("bombing", context=("city", "city"), arguments=crowd, k=4),
+            mention("blast", context=("city", "night"), arguments=crowd, k=5),
+            mention("quake", context=("ruins", "night", "night"), k=6),
+        ]
+        ex = FeatureExtractor(["NN|NN"])
+        self.assert_matches_extract(ex, ms, resources)
+        pf = PairFeatures(ex, ms, resources)
+        context = dict(pf.values(slice(0, 4), slice(None)))[ex.feature_index["context_tf_cosine"]]
+        assert context.shape == (4, 7) and not context.any()
+        later = dict(pf.values(slice(4, 6), slice(None)))[ex.feature_index["context_tf_cosine"]]
+        assert not later[:, :4].any() and later[1, 6] > 0
 
     def test_edge_cases_reach_the_special_values(self, resources):
         # guards the edge-case corpus itself: each special case really occurs
@@ -192,11 +228,29 @@ class TestBlockFeatures:
             pf.pos_columns(rows, cols), pf.pos_columns(slice(None), slice(None))[np.ix_(rows, cols)]
         )
 
-    def test_cosine_matrix_equals_doc_similarity(self, synthetic_corpus):
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_cosine_matrix_equals_doc_similarity(self, synthetic_corpus, block_rows, monkeypatch):
+        monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
         docs = synthetic_corpus.documents
         got = cosine_matrix([d.tf_vector for d in docs])
         want = [[doc_similarity(d, e) for e in docs] for d in docs]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "maps",
+        [
+            [{}, {"a": 2}, {}, {"a": 1, "b": 3}, {"c": 1}],
+            [{}, {}],
+            [{}],
+            [],
+        ],
+        ids=["some-empty", "all-empty", "one-empty", "none"],
+    )
+    def test_cosine_matrix_with_empty_tf_vectors(self, maps, monkeypatch):
+        monkeypatch.setattr(features, "BLOCK_ROWS", 2)
+        got = cosine_matrix(maps)
+        assert got.shape == (len(maps), len(maps))
+        assert got.tolist() == [[count_cosine(a, b) for b in maps] for a in maps]
 
     def test_training_rows_equal_extract_bit_for_bit(self):
         # the fitted weights depend on every last bit of the training rows

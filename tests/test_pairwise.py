@@ -10,7 +10,7 @@ from hddcrp.corpus import (
     Corpus, Document, GoldChains, LexicalResources, Mention, doc_similarity
 )
 from hddcrp.errors import InputError
-from hddcrp.features import PairFeatures
+from hddcrp.features import FeatureExtractor, PairFeatures
 from hddcrp.pairwise import (
     PairwiseModel,
     build_training_pairs,
@@ -133,6 +133,36 @@ class TestObjective:
         rng = np.random.default_rng(43)
         x, y = self.rand_problem(rng)
         assert np.array_equal(fit_theta(x, y, 1.0), fit_theta(x, y, 1.0))
+
+    def test_the_objective_equals_value_and_gradient_computed_apart(self):
+        rng = np.random.default_rng(44)
+        x, y = self.rand_problem(rng)
+        for _ in range(5):
+            theta = rng.normal(scale=0.8, size=x.shape[1])
+            value, grad = pairwise._objective(theta, x, y, 0.7)
+            assert value == -penalized_loglik(theta, x, y, 0.7)
+            assert np.array_equal(grad, -penalized_grad(theta, x, y, 0.7))
+
+    def test_fit_equals_a_fit_on_the_two_call_objective(self, synthetic_corpus, resources):
+        # each evaluation of the two-call objective computes features @ theta twice
+        from scipy.optimize import minimize
+
+        def two_calls(theta, features, labels, l2):
+            return (-penalized_loglik(theta, features, labels, l2),
+                    -penalized_grad(theta, features, labels, l2))
+
+        pairs = build_training_pairs(synthetic_corpus)
+        extractor = FeatureExtractor.from_corpus(synthetic_corpus)
+        problems = [self.rand_problem(np.random.default_rng(45))]
+        problems.append((pairwise.pair_features(synthetic_corpus, resources, extractor, pairs),
+                         np.where(pairs.coreferent, 1.0, -1.0)))
+        for x, y in problems:
+            want = minimize(
+                two_calls, np.zeros(x.shape[1]), args=(x, y, 1.0), jac=True, method="L-BFGS-B",
+                options={"gtol": pairwise.GTOL, "ftol": 1e-14, "maxiter": pairwise.MAX_ITER,
+                         "maxfun": 10 * pairwise.MAX_ITER},
+            ).x
+            assert np.array_equal(fit_theta(x, y, 1.0), want)
 
 
 class TestTrainedModel:
