@@ -30,9 +30,9 @@ from .corpus import ARGUMENT_ROLES, count_cosine
 
 _SIM_FEATURES = ("head_embedding_cosine", "span_tf_cosine", "synonym_jaccard", "context_tf_cosine")
 
-# Mention rows scored at a time against all n mentions: the block computations
-# then need O(BLOCK_ROWS * n * tokens per mention) extra memory, never O(n * n)
-# nor O(n * vocabulary).
+# Mention rows scored at a time against at most all n mentions: the block
+# computations then need O(BLOCK_ROWS * n * tokens per mention) extra memory,
+# never O(n * n) nor O(n * vocabulary).
 BLOCK_ROWS = 64
 
 
@@ -279,17 +279,18 @@ class PairFeatures:
 
     def gather(self, a, b):
         """Feature matrix of the pairs (a[p], b[p]), one row per pair, each
-        row equal to `extract` of that pair."""
+        row equal to `extract` of that pair.  Each block of rows is scored
+        only against the columns its pairs use."""
         out = np.zeros((len(a), self.n_features))
         out[:, self.bias] = 1.0
-        everything = slice(None)
         for start in range(0, self.n, BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
             sel = np.flatnonzero((a >= start) & (a < start + BLOCK_ROWS))
             if not len(sel):
                 continue
-            ra, cb = a[sel] - start, b[sel]
-            out[sel, self.pos_columns(rows, everything)[ra, cb]] = 1.0
-            for k, values in self.values(rows, everything):
+            ra = a[sel] - start
+            cols, cb = np.unique(b[sel], return_inverse=True)
+            out[sel, self.pos_columns(rows, cols)[ra, cb]] = 1.0
+            for k, values in self.values(rows, cols):
                 out[sel, k] = values[ra, cb]
         return out

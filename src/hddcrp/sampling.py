@@ -42,6 +42,8 @@ table's label summed out over the CRP conditional, and the label is drawn
 after the link, only if the mention really becomes a head.  Labels of all
 other tables never change during the move, and because the CRP over tables
 is exchangeable their probability is a common factor across candidates.
+A label draw takes one exponential per key and per label sharing a lemma
+(Labels); a clustering is read off the maintained component ids or labels.
 
 A move over a lone self candidate spends the uniform a draw would and
 proposes nothing; in the table models only the label move is left.  An
@@ -61,7 +63,6 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
@@ -77,7 +78,7 @@ from .likelihood import (
     merge_ratio_raw,
     split_ratio_raw,
 )
-from .links import ClusterAssignment, _components
+from .links import ClusterAssignment, _canonical, _components
 
 MODELS = ("hddcrp", "hddcrp_star", "ddcrp_flat", "hdp_lex")
 
@@ -593,13 +594,20 @@ class _StateBase:
                 score += log_priors[i][links[i]]
         return score
 
+    def _clusters(self):
+        """Bag of each maintained cluster id, and each mention's cluster id."""
+        return self.graph.bags, self.graph.comp
+
     def joint_log_score(self):
-        # the graph's components are the clusters of hddcrp and ddcrp_flat
-        graph = self.graph
-        return self._links_log_prior() + self._groups_loglik(graph.bags, graph.comp)
+        return self._links_log_prior() + self._groups_loglik(*self._clusters())
 
     def clustering(self):
-        return ClusterAssignment.from_index_partition(self.mention_ids, self._parts())
+        """The clustering, read off the maintained cluster ids."""
+        ids = self.mention_ids
+        out = ClusterAssignment(ids, _canonical(self._clusters()[1]))
+        if self.debug and out != ClusterAssignment.from_index_partition(ids, self._parts()):
+            raise AssertionError("clustering from the maintained ids differs from a rebuild")
+        return out
 
     def sample_customer_link(self, i, rng):
         return self._link_move(i, self.cand_c[i], self.cl, rng)
@@ -653,15 +661,16 @@ class Labels:
 
     It keeps each mention's label (of), each label's lemma bag (bags) and
     (tables, lemma total) key (key_of), the number of labels per key (keys)
-    and the next fresh label.  A label has a key exactly while it seats a table.
+    and the next fresh label.  A label has a key exactly while it seats a
+    table; labels come in increasing order and never come back, so key_of
+    holds them in ascending order.
 
     A table is scored against every label.  Only labels that share a lemma
     with it, found through a lemma -> mentions index, need the full merge
-    ratio; for any other label the ratio is its normaliser, a function of
-    the two lemma totals memoised per chain in one row per moving-table
-    total.  Such a label's CRP weight thus depends on its key alone: the
-    summed-out label of a new table takes one term per key, and the label
-    draw weighs each key once, then sets the labels that share a lemma.
+    ratio; any other label's CRP weight, log n + merge normaliser, depends
+    on its key alone and is memoised per chain and moving-table total.  So
+    the summed-out label of a new table takes one term per key, and the
+    label draw one exponential per key and per sharing label.
     """
 
     def __init__(self, span_counts, params, alpha_0):
@@ -676,10 +685,12 @@ class Labels:
             for tok in counts:
                 self.lemma_holders.setdefault(tok, []).append(m)
         self._normalisers = {}  # table's total -> {label's total: merge normaliser}
+        self._weights = {}  # table's total -> {key: log n + merge normaliser}
         self.of = [None] * n  # label of each mention's table, None while it moves
         self.bags = {}  # label -> lemma bag of its mentions
         self.key_of = {}  # label -> its (tables, lemma total) key
         self.keys = {}  # (tables, lemma total) -> labels with that key
+        self._keys_seen = {}  # key -> one tuple, so lookups by key match by identity
         self.next_label = n
 
     def fresh(self):
@@ -707,7 +718,8 @@ class Labels:
         t = (key[0] if key else 0) + step * headed
         _shift_bag(self.bags, k, bag, step)
         if t:
-            key = key_of[k] = (t, self.bags[k][1])
+            key = (t, self.bags[k][1])
+            key = key_of[k] = self._keys_seen.setdefault(key, key)
             keys[key] = keys.get(key, 0) + 1
         else:
             # every table carries its head's label, so k has no mentions left
@@ -716,21 +728,24 @@ class Labels:
     def take(self, table, bag, headed):
         """Unseat a table as move() does and score it against the labels:
         the merge ratio with each label that shares a lemma with it, found
-        through the lemma index, in label order; and per (n tables, lemma
-        total) key, log n + merge normaliser, the CRP weight of a label with
-        that key that shares no lemma.  Fills the table total's normaliser
-        row for every label's lemma total, which delta then reads."""
+        through the lemma index, in label order; and the table total's memo
+        of (n tables, lemma total) key -> log n + merge normaliser, the CRP
+        weight of a label with that key sharing no lemma.  The memo gains the
+        live keys it lacks, the normaliser row (read by delta) their totals."""
         self.move(table, bag, self.of[next(iter(table))], -1, headed)
         of, bags, params = self.of, self.bags, self.params
         shared = {of[m] for tok in bag[0] for m in self.lemma_holders[tok]}
         shared.discard(None)
         shared = {k: merge_ratio_raw(*bag, *bags[k], params) for k in sorted(shared)}
         row = self._normalisers.setdefault(bag[1], {})
-        for _, t in self.keys:
-            if t not in row:
-                row[t] = merge_normaliser_raw(bag[1], t, params)
-        logs = self._logs
-        return shared, {key: logs[key[0]] + row[key[1]] for key in self.keys}
+        weights = self._weights.setdefault(bag[1], {})
+        for key in self.keys:
+            if key not in weights:
+                t, total = key
+                if total not in row:
+                    row[total] = merge_normaliser_raw(bag[1], total, params)
+                weights[key] = self._logs[t] + row[total]
+        return shared, weights
 
     def delta(self, k, total, shared):
         """Merge ratio of a table of lemma total total against label k, once
@@ -757,15 +772,25 @@ class Labels:
 
     def draw(self, rng, shared, weights):
         """Existing label k with weight n_k times its merge ratio, a new label
-        with weight alpha_0: every label reads its key's weight, then each
-        label sharing a lemma gets its own, in its slot of the sorted labels."""
+        with weight alpha_0, drawn as _draw draws over the sorted labels, from
+        one exponential per key with a label sharing no lemma and per sharing label."""
         key_of, logs = self.key_of, self._logs
-        labels = sorted(key_of)
-        log_weights = [weights[key_of[k]] for k in labels]
+        own, left = {}, dict(self.keys)  # left: key -> its labels sharing no lemma
         for k, d in shared.items():
-            log_weights[bisect_left(labels, k)] = logs[key_of[k][0]] + d
-        log_weights.append(self.log_alpha_0)
-        choice = _draw(rng, log_weights)
+            key = key_of[k]
+            own[k] = logs[key[0]] + d
+            left[key] -= 1
+        exps = {key: weights[key] for key, m in left.items() if m}
+        top = max([self.log_alpha_0, *own.values(), *exps.values()])
+        for key, w in exps.items():
+            exps[key] = math.exp(w - top)
+        labels = list(key_of)
+        terms = list(map(exps.get, key_of.values()))
+        for k, x in own.items():
+            terms[bisect_left(labels, k)] = math.exp(x - top)
+        terms.append(math.exp(self.log_alpha_0 - top))
+        acc = list(itertools.accumulate(terms))
+        choice = bisect_left(acc, rng.random() * acc[-1])
         return labels[choice] if choice < len(labels) else self.fresh()
 
     def check(self, groups, heads, bag_of):
@@ -786,6 +811,12 @@ class Labels:
             raise AssertionError("maintained label -> key map differs from a rebuild")
         if self.keys != Counter(self.key_of.values()):
             raise AssertionError("maintained (tables, lemma total) keys differ from a rebuild")
+        if list(self.key_of) != sorted(self.key_of):
+            raise AssertionError("labels in key_of are out of ascending order")
+        for total, weights in self._weights.items():
+            row = self._normalisers[total]
+            if any(w != self._logs[t] + row[lt] for (t, lt), w in weights.items()):
+                raise AssertionError(f"memoised weight of a key for table total {total} is stale")
 
 
 class TableCrpState(_StateBase):
@@ -886,12 +917,15 @@ class TableCrpState(_StateBase):
         super()._check_core()
         self.labels.check(self._label_parts(), self._heads(), self._bag)
 
+    def _clusters(self):
+        return self.labels.bags, self.labels.of
+
     def joint_log_score(self):
         labels = self.labels
         score = self._links_log_prior()
         tables = sorted(t for t, _ in labels.key_of.values())
         score += crp_partition_log_prob(tables, labels.alpha_0)
-        return score + self._groups_loglik(labels.bags, labels.of)
+        return score + self._groups_loglik(*self._clusters())
 
     def _debug_check_deltas(self, i, stats, shared):
         """Check every label's delta against the merge ratio of the full bags,
@@ -984,6 +1018,8 @@ def run_chains(corpus, config, pairwise=None, resources=None, priors=None, jobs=
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     args = [(corpus, config, priors, params, k, seeds[k]) for k in range(config.chains)]
     if jobs > 1:
+        # imported here: multiprocessing costs every start-up that runs no pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, config.chains)) as pool:
             futures = [pool.submit(_run_chain, *a) for a in args]
             return [f.result() for f in futures]

@@ -14,6 +14,7 @@ from scipy.special import gammaln
 
 from hddcrp.corpus import doc_similarity
 from hddcrp.likelihood import log_marginal_raw, merge_ratio_raw
+from hddcrp.sampling import _draw
 
 
 def compensated_sum(values, start=0):
@@ -701,6 +702,15 @@ def label_log_weights_reference(labels, shared, weights):
     ]
     log_weights.append(labels.log_alpha_0)
     return order, log_weights
+
+
+def label_draw_reference(labels, rng, shared, weights):
+    """The label a per-label draw picks: _draw over the log weights of
+    label_log_weights_reference, one exponential per label in sorted order,
+    and the next fresh label for the index past the last label."""
+    order, log_weights = label_log_weights_reference(labels, shared, weights)
+    choice = _draw(rng, log_weights)
+    return order[choice] if choice < len(order) else labels.next_label
 
 
 REBUILD_STATES = {

@@ -1010,15 +1010,26 @@ class TestOutputPaths:
         assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
-def test_importing_the_cli_loads_no_scipy():
+def modules_loaded_by_importing_the_cli(package):
+    """Modules of package in sys.modules after import hddcrp.cli in a fresh
+    interpreter."""
     code = (
         "import sys, hddcrp.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert modules_loaded_by_importing_the_cli("scipy") == "[]"
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only run_chains with jobs > 1 needs a process pool
+    assert modules_loaded_by_importing_the_cli("multiprocessing") == "[]"
 
 
 _COMMON = {"corpus": (("--corpus",), str, None), "config": (("--config",), str, None)}

@@ -147,8 +147,8 @@ def all_ordered_pairs(n):
 
 
 class TestBlockFeatures:
-    def assert_matches_extract(self, extractor, mentions, resources):
-        a, b = all_ordered_pairs(len(mentions))
+    def assert_matches_extract(self, extractor, mentions, resources, pairs=None):
+        a, b = all_ordered_pairs(len(mentions)) if pairs is None else pairs
         got = PairFeatures(extractor, mentions, resources).gather(a, b)
         want = np.array([extractor.extract(mentions[i], mentions[j], resources)
                          for i, j in zip(a, b)])
@@ -161,6 +161,22 @@ class TestBlockFeatures:
         monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
         ex = FeatureExtractor.from_corpus(synthetic_corpus)
         self.assert_matches_extract(ex, synthetic_corpus.mentions_in_order(), resources)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_sparse_pairs_whose_blocks_use_few_columns(
+        self, synthetic_corpus, resources, block_rows, monkeypatch
+    ):
+        # three pairs per row, in shuffled order, some repeated, so that a
+        # block of rows uses few columns, out of order and more than once
+        monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
+        mentions = synthetic_corpus.mentions_in_order()
+        n = len(mentions)
+        a = np.repeat(np.arange(n), 3)
+        b = np.stack([(np.arange(n) * 7) % n, np.full(n, n - 1), np.arange(n) // 2], 1).ravel()
+        order = np.random.default_rng(5).permutation(len(a))
+        pairs = np.concatenate([a[order], a[:5]]), np.concatenate([b[order], b[:5]])
+        ex = FeatureExtractor.from_corpus(synthetic_corpus)
+        self.assert_matches_extract(ex, mentions, resources, pairs)
 
     @pytest.mark.parametrize("block_rows", [1, 7, 64])
     def test_every_ordered_pair_of_the_edge_cases(self, resources, block_rows, monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from collections import Counter
 from concurrent.futures import Future
@@ -8,7 +9,8 @@ import pytest
 from hddcrp.corpus import Corpus, Document, Mention
 from hddcrp.errors import InputError
 from hddcrp import sampling
-from hddcrp.likelihood import LikelihoodParams
+from hddcrp.likelihood import LikelihoodParams, lemma_bags
+from hddcrp.links import ClusterAssignment
 from hddcrp.sampling import (
     DEFAULT_ALPHA_0,
     MAX_CHAINS,
@@ -29,6 +31,7 @@ from reference_impls import (
     dirichlet_marginal_reference,
     enumerate_flat_posterior,
     enumerate_star_posterior,
+    label_draw_reference,
     label_log_weights_reference,
     priors_reference,
     total_variation,
@@ -85,6 +88,34 @@ def indices_to_ids(posterior, corpus):
         key = frozenset(frozenset(ids[k] for k in part) for part in clusters)
         out[key] = p
     return out
+
+
+# u = 0.0, 39 interior points and the largest double below 1
+UNIFORM_GRID = [0.0, *np.linspace(0.0, 1.0, 41)[1:-1].tolist(), 1.0 - 2.0**-53]
+
+
+def seated_labels(groups, moving, alpha_0=1.0, concentration=1e-3):
+    """A Labels seating one label per group, each group a list of one-mention
+    tables given by their lemmas, with a label dropped after the first
+    group, and take() of a table of one mention with the lemmas moving."""
+    lemma_lists = [t for group in groups for t in group] + [["dropped"], moving]
+    counts, _, bag_of = lemma_bags(lemma_lists)
+    vocab = {tok for lemmas in lemma_lists for tok in lemmas}
+    labels = Labels(counts, LikelihoodParams(concentration, len(vocab)), alpha_0)
+    tables = iter(range(len(lemma_lists)))
+    for g, group in enumerate(groups):
+        k = labels.fresh()
+        for _ in group:
+            table = {next(tables)}
+            labels.move(table, bag_of(table), k, 1, True)
+        if g == 0:
+            dropped = {len(lemma_lists) - 2}
+            k = labels.fresh()
+            labels.move(dropped, bag_of(dropped), k, 1, True)
+            labels.move(dropped, bag_of(dropped), k, -1, True)
+    table = {len(lemma_lists) - 1}
+    labels.move(table, bag_of(table), labels.fresh(), 1, True)
+    return labels, labels.take(table, bag_of(table), True)
 
 
 class TestConfig:
@@ -520,7 +551,7 @@ class TestLinkGraphCore:
         rng = np.random.default_rng(78)
         state = init_state(replicated_corpus, config, rng, priors=priors)
         state.sweep(rng)
-        grid = [0.0, *np.linspace(0.0, 1.0, 41)[1:-1].tolist(), 1.0 - 2.0**-53]
+        grid = UNIFORM_GRID
         seen = Counter()
         labels = state.labels
         for head in state._heads():
@@ -538,6 +569,88 @@ class TestLinkGraphCore:
                 labels.next_label = new
             labels.move(table, bag, label, 1, True)
         assert min(seen.values()) > 0 and max(labels.keys.values()) > 1
+
+    @pytest.mark.parametrize(
+        "case, groups, moving, alpha_0",
+        [
+            ("no shared label", [[["a"]], [["b"], ["b"]], [["c"]], [["d", "d"]]], ["z"], 1.0),
+            ("key all shared", [[["a"]], [["c"], ["c"]], [["a"]], [["b", "b"]]], ["a"], 1.0),
+            ("shared heaviest", [[["b"]], [["a", "a", "a"]], [["c"], ["c"]]], ["a", "a"], 0.01),
+            ("all shared", [[["a"]], [["a", "b"]], [["a"], ["a"]]], ["a"], 1.0),
+            ("single label", [[["a"]]], ["z"], 1.0),
+        ],
+    )
+    def test_label_draws_match_the_per_label_reference(self, case, groups, moving, alpha_0):
+        labels, (shared, weights) = seated_labels(groups, moving, alpha_0)
+        own = [labels._logs[labels.key_of[k][0]] + d for k, d in shared.items()]
+        unshared = [weights[labels.key_of[k]] for k in labels.key_of if k not in shared]
+        if case == "no shared label":
+            assert not shared and len(labels.keys) < len(labels.key_of)
+        elif case == "key all shared":
+            taken = Counter(labels.key_of[k] for k in shared)
+            assert unshared and any(taken[key] == m for key, m in labels.keys.items())
+        elif case == "shared heaviest":
+            assert max(own) > max(unshared + [labels.log_alpha_0])
+        elif case == "all shared":
+            assert len(shared) == len(labels.key_of) > 1
+        else:
+            assert len(labels.key_of) == 1
+        # the grid, and u on each side of every partial sum's share of the
+        # total, where a partial sum rounded otherwise would pick another label
+        _, log_weights = label_log_weights_reference(labels, shared, weights)
+        acc = sampling._partial_sums(log_weights)
+        edges = [x / acc[-1] for x in acc[:-1]]
+        grid = UNIFORM_GRID + [
+            v for e in edges for v in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)) if v < 1
+        ]
+        picks = set()
+        for u in grid:
+            new = labels.next_label
+            want = label_draw_reference(labels, FixedRng(u), shared, weights)
+            got = labels.draw(FixedRng(u), shared, weights)
+            assert got == want
+            picks.add(got)
+            labels.next_label = new
+        assert len(picks) == len(labels.key_of) + 1
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_labels_out_of_order(self, tiny_corpus, model, monkeypatch):
+        move = Labels.move
+
+        def move_reinserting_the_label(labels, table, bag, k, step, headed):
+            # a seated label goes to the end of key_of, out of ascending order
+            move(labels, table, bag, k, step, headed)
+            if step > 0:
+                labels.key_of[k] = labels.key_of.pop(k)
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(Labels, "move", move_reinserting_the_label)
+        with pytest.raises(AssertionError, match="ascending order"):
+            for _ in range(10):
+                state.sweep(rng)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_a_stale_memoised_weight(self, tiny_corpus, model):
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        for _ in range(3):
+            state.sweep(rng)
+        labels = state.labels
+        # a key no label has at the moment: no move reads its weight until it comes back
+        total, key = next(
+            (total, key)
+            for total, weights in labels._weights.items()
+            for key in weights
+            if key not in labels.keys
+        )
+        labels._weights[total][key] += 1e-9
+        with pytest.raises(AssertionError, match="memoised weight"):
+            state.sweep(rng)
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_grouped_marginals_match_the_per_label_sum_in_debug_mode(
@@ -927,6 +1040,48 @@ class TestSweepOperations:
             state.sweep(rng)
             assert state.clustering().n_clusters() >= 1
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_clusterings_read_the_maintained_ids(self, synthetic_corpus, model):
+        config = SamplerConfig(model=model, randomized_scan=True)
+        priors = build_priors(synthetic_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(79)
+        state = init_state(synthetic_corpus, config, rng, priors=priors)
+        for _ in range(5):
+            state.sweep(rng)
+            want = ClusterAssignment.from_index_partition(state.mention_ids, state._parts())
+            assert state.clustering() == want
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_map_estimates_read_the_maintained_ids(self, synthetic_corpus, model, monkeypatch):
+        clustering = sampling._StateBase.clustering
+        taken = []
+
+        def checked_clustering(state):
+            got = clustering(state)
+            assert got == ClusterAssignment.from_index_partition(state.mention_ids, state._parts())
+            taken.append(got)
+            return got
+
+        monkeypatch.setattr(sampling._StateBase, "clustering", checked_clustering)
+        config = SamplerConfig(model=model, iterations=8, chains=2, seed=4, map_estimate=True)
+        priors = build_priors(synthetic_corpus, config, **UNIFORM)
+        results = run_chains(synthetic_corpus, config, priors=priors)
+        # each chain takes its final clustering and at least its first best
+        assert len(taken) > 2 * len(results)
+        assert all(r.estimate in taken and r.final_clustering in taken for r in results)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_debug_mode_catches_a_clustering_from_stale_ids(self, synthetic_corpus, model):
+        config = SamplerConfig(model=model, debug=True)
+        priors = build_priors(synthetic_corpus, config, **UNIFORM)
+        state = init_state(synthetic_corpus, config, np.random.default_rng(80), priors=priors)
+        state.clustering()
+        ids = state._clusters()[1]
+        # a mention that shares its cluster gets an id of its own
+        ids[next(m for m in range(state.n) if ids.count(ids[m]) > 1)] = object()
+        with pytest.raises(AssertionError, match="clustering from the maintained ids"):
+            state.clustering()
+
 
 class TestChains:
     def test_identical_seeds_reproduce_traces_and_estimates(self, tiny_corpus):
@@ -1041,7 +1196,8 @@ class TestChains:
         config = SamplerConfig(model="hddcrp", iterations=5, chains=chains, seed=8)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
         seq = run_chains(tiny_corpus, config, priors=priors)
-        monkeypatch.setattr(sampling, "ProcessPoolExecutor", InlineExecutor)
+        # run_chains imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         par = run_chains(tiny_corpus, config, priors=priors, jobs=jobs)
         assert started == [workers]
         assert [r.loglik_trace for r in par] == [r.loglik_trace for r in seq]
