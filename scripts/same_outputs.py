@@ -20,17 +20,17 @@ the trained model), and scores all 36 chains and both baselines in one
 `score` call.  It compares both trained distance models (distance_model.json
 and distance_model.features.json), every chain-NN.clustering.json, both
 oracle-*.json posteriors, both baseline-*.json files and score.json on every
-field except the embedded config, and the joint-score traces value by value.
-It prints whether the distance model, the enumerator output, the baselines
-and the score are identical, each clustering that differs, the number of
-trace files that differ and the largest relative trace drift, and exits 1 if
-any of them but the traces differs.
+field except the embedded config, and the joint-score traces value by value
+(the config masks are scripts/golden.py's).  It prints whether the distance
+model, the enumerator output, the baselines and the score are identical, each
+clustering that differs, the number of trace files that differ and the
+largest relative trace drift, and exits 1 if any of them but the traces
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -40,6 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from gen import Shape, write_inputs  # noqa: E402
+from golden import masked, without_config  # noqa: E402
 
 MODELS = ("hddcrp", "ddcrp", "hddcrp-star", "hdp-lex")
 SCANS = {
@@ -104,14 +105,8 @@ def run_matrix(root, work):
     cli("score", "--corpus", str(corpus), *chains, *baselines, "-o", "score.json")
 
 
-def without_config(path):
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    obj.pop("config")
-    return obj
-
-
 def trace(path):
-    lines = path.read_text(encoding="utf-8").splitlines()[2:]  # config, header
+    lines = masked(path).decode().splitlines()[1:]  # header
     return [float(line.split(",")[1]) for line in lines]
 
 

@@ -49,18 +49,17 @@ def agglomerative(corpus, model, resources, config=None):
         config = AgglomerativeConfig()
     # every pair is scored once, in blocks; only pairs at or above a
     # threshold become edges
-    order = corpus.mentions_in_order()
     doc_of = corpus.doc_of()
     within, across = [], []
-    for i, j, sim in model.upper_pairs(order, resources):
+    for i, j, sim in model.scored_pairs(corpus, resources, across=True):
         same = doc_of[i] == doc_of[j]
         keep = same & (sim >= config.wd_threshold)
         within += zip(i[keep].tolist(), j[keep].tolist())
         keep = ~same & (model.truncate(sim) >= config.cd_threshold)
         across += zip(i[keep].tolist(), j[keep].tolist())
 
-    clusters = _components(len(order), within)
-    cluster_of = [0] * len(order)
+    clusters = _components(len(doc_of), within)
+    cluster_of = [0] * len(doc_of)
     for c, members in enumerate(clusters):
         for k in members:
             cluster_of[k] = c

@@ -8,6 +8,7 @@ companion both-present indicator because a 0 cosine is ambiguous between
 "dissimilar arguments" and "no arguments at all".
 
 `FeatureExtractor.extract` scores one pair and is the reference.
+`pair_blocks` walks the pairs that priors and the agglomerative baseline score.
 `PairFeatures` computes the same values for a block of pairs at once: lemma
 and tag ids are compared as arrays, the embedding cosine and synonym Jaccard
 are computed once per distinct head lemma pair, and the integer dot products
@@ -34,6 +35,22 @@ _SIM_FEATURES = ("head_embedding_cosine", "span_tf_cosine", "synonym_jaccard", "
 # computations then need O(BLOCK_ROWS * n * tokens per mention) extra memory,
 # never O(n * n) nor O(n * vocabulary).
 BLOCK_ROWS = 64
+
+
+def pair_blocks(bounds, across):
+    """Yield (rows, cols, r, c) per block of at most BLOCK_ROWS rows: its pairs
+    i < j are (rows.start + r, cols.start + c), all of them if across, else
+    only those within a document, with cols ending at the last row's document."""
+    n = bounds[-1]
+    doc = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        end = n if across else bounds[doc[stop - 1] + 1]
+        r, c = np.triu_indices(stop - start, 1, end - start)
+        if not across:
+            keep = doc[start + r] == doc[start + c]
+            r, c = r[keep], c[keep]
+        yield slice(start, stop), slice(start, end), r, c
 
 
 def _tf_cosine(a_tokens, b_tokens):

@@ -12,9 +12,9 @@ the optimum is unique and the fit deterministic from a zero start.
 
 The per-pair methods (`pair_similarity`, `within_doc_distance`, ...) are the
 reference.  Priors, training and the baselines score many pairs at once with
-`similarity_block` and `upper_pairs`, which use the block features of
-`features.PairFeatures`; their values agree with the per-pair ones up to the
-order in which the weighted feature sum is accumulated.
+`similarity_block` and `scored_pairs`, which score `features.pair_blocks`
+with `features.PairFeatures`; their values agree with the per-pair ones up
+to the order in which the weighted feature sum is accumulated.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import doc_similarity, read_text
 from .errors import InputError
-from .features import BLOCK_ROWS, FeatureExtractor, PairFeatures, cosine_matrix
+from .features import FeatureExtractor, PairFeatures, cosine_matrix, pair_blocks
 
 # L-BFGS-B stopping rule of the fit: projected gradient tolerance and iteration cap
 GTOL = 1e-6
@@ -169,16 +169,13 @@ class PairwiseModel:
         """truncated_similarity applied to an array of similarities."""
         return np.where(sims >= self.truncation_threshold, sims, 0.0)
 
-    def upper_pairs(self, mentions, resources):
-        """Yield (i, j, similarity) arrays that together hold every pair i < j
-        of the mention list once, BLOCK_ROWS values of i at a time."""
-        features = PairFeatures(self.extractor, mentions, resources)
-        n = len(mentions)
-        for start in range(0, n, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n)
-            sims = self.similarity_block(features, slice(start, stop), slice(start, n))
-            r, c = np.triu_indices(stop - start, 1, n - start)
-            yield r + start, c + start, sims[r, c]
+    def scored_pairs(self, corpus, resources, across):
+        """Yield (i, j, similarity) arrays of canonical mention indices, one
+        per block of features.pair_blocks, so each of its pairs comes once."""
+        features = PairFeatures(self.extractor, corpus.mentions_in_order(), resources)
+        for rows, cols, r, c in pair_blocks(corpus.bounds, across):
+            sims = self.similarity_block(features, rows, cols)
+            yield rows.start + r, cols.start + c, sims[r, c]
 
     def cross_doc_factors(self, documents):
         """exp(gamma * doc_similarity) of every pair of documents, as a matrix."""

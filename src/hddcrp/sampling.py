@@ -70,6 +70,7 @@ from operator import add
 import numpy as np
 
 from .errors import InputError
+from .features import pair_blocks
 from .likelihood import (
     LikelihoodParams,
     lemma_bags,
@@ -180,27 +181,6 @@ def _both_ways(i, j, w):
     return np.concatenate((i, j)), np.concatenate((j, i)), np.concatenate((w, w))
 
 
-def _trained_pairs(pairwise, mentions, resources):
-    """(i, j, truncated similarity) arrays of the pairs i < j whose truncated
-    similarity is positive; each unordered pair is scored once."""
-    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    for i, j, sim in pairwise.upper_pairs(mentions, resources):
-        w = pairwise.truncate(sim)
-        keep = w > 0
-        parts.append((i[keep], j[keep], w[keep]))
-    return [np.concatenate(x) for x in zip(*parts)]
-
-
-def _uniform_pairs(bounds, across):
-    """(i, j, 1.0) arrays of the pairs i < j of the canonical order, over
-    documents with the given bounds; pairs across documents only if across."""
-    blocks = [(0, bounds[-1])] if across else zip(bounds, bounds[1:])
-    parts = [(np.empty(0, np.intp), np.empty(0, np.intp))]
-    parts += [[lo + x for x in np.triu_indices(hi - lo, 1)] for lo, hi in blocks]
-    i, j = (np.concatenate(x) for x in zip(*parts))
-    return i, j, np.ones(len(i))
-
-
 def build_priors(corpus, config, pairwise=None, resources=None, uniform=False):
     """Assemble link supports for a model from trained distances, or from a
     distance of 1.0 on every allowed link if uniform; hdp_lex is always
@@ -210,14 +190,20 @@ def build_priors(corpus, config, pairwise=None, resources=None, uniform=False):
     kind = config.model
     alpha_d, alpha_0 = config.alpha_d, config.resolved_alpha_0
 
+    # only hddcrp tables and ddcrp_flat links leave the document
+    across = kind in ("hddcrp", "ddcrp_flat")
     uniform = uniform or kind == "hdp_lex"
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     if uniform:
-        # only hddcrp tables and ddcrp_flat links leave the document
-        i, j, w = _uniform_pairs(corpus.bounds, kind in ("hddcrp", "ddcrp_flat"))
+        for rows, cols, r, c in pair_blocks(corpus.bounds, across):
+            parts.append((rows.start + r, cols.start + c, np.ones(len(r))))
     elif pairwise is None or resources is None:
         raise InputError(f"model {kind!r} needs a trained distance model")
     else:
-        i, j, w = _trained_pairs(pairwise, corpus.mentions_in_order(), resources)
+        for i, j, sim in pairwise.scored_pairs(corpus, resources, across):
+            keep = pairwise.truncate(sim) > 0
+            parts.append((i[keep], j[keep], sim[keep]))
+    i, j, w = (np.concatenate(x) for x in zip(*parts))
 
     if kind == "ddcrp_flat":
         return Priors(_support(n, alpha_0, *_both_ways(i, j, w)))

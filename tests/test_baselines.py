@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from reference_impls import agglomerative_reference
 
-from hddcrp import features, pairwise
+from hddcrp import features
 from hddcrp.baselines import AgglomerativeConfig, agglomerative, lemma_baseline
 from hddcrp.corpus import gold_partition
 from hddcrp.errors import InputError
@@ -71,7 +71,6 @@ class TestAgglomerative:
         monkeypatch,
     ):
         monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
-        monkeypatch.setattr(pairwise, "BLOCK_ROWS", block_rows)
         model = dataclasses.replace(trained_model, truncation_threshold=truncation)
         got = agglomerative(synthetic_corpus, model, resources, AgglomerativeConfig(wd, cd))
         want = agglomerative_reference(synthetic_corpus, model, resources, wd, cd)

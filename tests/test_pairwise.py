@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -323,8 +324,37 @@ def block_rows(request, monkeypatch):
     """Run a test with the default block size and with blocks that split
     documents, so block boundaries are crossed."""
     monkeypatch.setattr(features, "BLOCK_ROWS", request.param)
-    monkeypatch.setattr(pairwise, "BLOCK_ROWS", request.param)
     return request.param
+
+
+@pytest.fixture(scope="module")
+def long_and_empty_corpus(replicated_corpus):
+    """The replicated corpus with its first twelve documents merged into one
+    of 80 mentions, longer than a default block, and an empty document
+    between that one and the rest."""
+    docs = replicated_corpus.documents
+    merged = [m for d in docs[:12] for m in d.mentions]
+    long_doc = Document.build("a-long", "e-long", [
+        dataclasses.replace(m, doc_id="a-long", order_index=k) for k, m in enumerate(merged)
+    ])
+    empty = Document.build("b-empty", "e-empty", [])
+    corpus = Corpus((long_doc, empty, *docs[12:]), replicated_corpus.gold)
+    corpus.validate()
+    assert len(long_doc.mentions) > features.BLOCK_ROWS
+    assert corpus.bounds[1] == corpus.bounds[2]
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def long_and_empty_similarities(long_and_empty_corpus, resources, trained_model):
+    """pair_similarity of every pair of long_and_empty_corpus, and the same
+    matrix as one unblocked similarity_block."""
+    order = long_and_empty_corpus.mentions_in_order()
+    want = np.array([
+        [trained_model.pair_similarity(a, b, resources) for b in order] for a in order
+    ])
+    pf = PairFeatures(trained_model.extractor, order, resources)
+    return want, trained_model.similarity_block(pf, slice(None), slice(None))
 
 
 class TestBlockScoring:
@@ -337,19 +367,27 @@ class TestBlockScoring:
         want = [[trained_model.pair_similarity(a, b, resources) for b in order] for a in order]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_upper_pairs_cover_each_unordered_pair_once(
-        self, synthetic_corpus, resources, trained_model, block_rows
+    @pytest.mark.parametrize("across", [True, False])
+    @pytest.mark.parametrize("block_rows", [1, 5, 64])
+    def test_scored_pairs_cover_each_pair_once(
+        self, long_and_empty_corpus, long_and_empty_similarities, resources, trained_model,
+        monkeypatch, across, block_rows,
     ):
-        order = synthetic_corpus.mentions_in_order()
+        monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
+        corpus = long_and_empty_corpus
+        want, unblocked = long_and_empty_similarities
         seen = []
-        for i, j, sim in trained_model.upper_pairs(order, resources):
+        for i, j, sim in trained_model.scored_pairs(corpus, resources, across):
             assert (i < j).all()
             seen += zip(i.tolist(), j.tolist())
-            for a, b, s in zip(i, j, sim):
-                want = trained_model.pair_similarity(order[a], order[b], resources)
-                assert abs(s - want) <= 1e-12
-        n = len(order)
-        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+            np.testing.assert_allclose(sim, want[i, j], rtol=0, atol=1e-12)
+            # a block's columns do not change its values
+            assert (sim == unblocked[i, j]).all()
+        doc_of = corpus.doc_of()
+        n = len(corpus.mention_ids)
+        assert sorted(seen) == [
+            (i, j) for i in range(n) for j in range(i + 1, n) if across or doc_of[i] == doc_of[j]
+        ]
 
     @pytest.mark.parametrize("model", ["hddcrp", "ddcrp_flat", "hdp_lex", "hddcrp_star"])
     def test_build_priors_equals_the_per_pair_reference(

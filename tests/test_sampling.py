@@ -8,7 +8,7 @@ import pytest
 
 from hddcrp.corpus import Corpus, Document, Mention
 from hddcrp.errors import InputError
-from hddcrp import sampling
+from hddcrp import features, pairwise, sampling
 from hddcrp.likelihood import LikelihoodParams, lemma_bags
 from hddcrp.links import ClusterAssignment
 from hddcrp.sampling import (
@@ -200,22 +200,35 @@ class TestPriors:
         priors = build_priors(corpus, config, uniform=True)
         assert (priors.customer, priors.table) == priors_reference(corpus, config, uniform=True)
 
-    @pytest.mark.parametrize("model", ["hdp_lex", "hddcrp_star"])
-    def test_uniform_within_document_priors_make_only_same_document_pairs(
-        self, synthetic_corpus, monkeypatch, model
+    @pytest.mark.parametrize(
+        "model, uniform",
+        [("hdp_lex", True), ("hddcrp_star", True), ("hddcrp_star", False),
+         ("hddcrp", False), ("ddcrp_flat", True)],
+    )
+    def test_priors_walk_each_linkable_pair_once(
+        self, synthetic_corpus, resources, trained_model, monkeypatch, model, uniform
     ):
         made = []
-        pairs = sampling._uniform_pairs
+        walk = features.pair_blocks
 
-        def counted(sizes, across):
-            i, j, w = pairs(sizes, across)
-            made.append(len(i))
-            return i, j, w
+        def counted(bounds, across):
+            for rows, cols, r, c in walk(bounds, across):
+                made.extend(zip((rows.start + r).tolist(), (cols.start + c).tolist()))
+                yield rows, cols, r, c
 
-        monkeypatch.setattr(sampling, "_uniform_pairs", counted)
-        build_priors(synthetic_corpus, SamplerConfig(model=model), uniform=True)
-        sizes = [len(d.mentions) for d in synthetic_corpus.documents]
-        assert made == [sum(k * (k - 1) // 2 for k in sizes)]
+        monkeypatch.setattr(sampling, "pair_blocks", counted)
+        monkeypatch.setattr(pairwise, "pair_blocks", counted)
+        build_priors(synthetic_corpus, SamplerConfig(model=model), trained_model, resources,
+                     uniform=uniform)
+        doc_of = synthetic_corpus.doc_of()
+        n = len(doc_of)
+        if model in ("hddcrp", "ddcrp_flat"):
+            assert len(made) == n * (n - 1) // 2
+        else:
+            sizes = [len(d.mentions) for d in synthetic_corpus.documents]
+            assert len(made) == sum(k * (k - 1) // 2 for k in sizes)
+            assert all(doc_of[i] == doc_of[j] for i, j in made)
+        assert len(set(made)) == len(made)
 
     def test_single_document_hddcrp_needs_no_distance_model(self):
         corpus = single_doc_corpus(3)
