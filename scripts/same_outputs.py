@@ -21,11 +21,11 @@ the trained model), and scores all 36 chains and both baselines in one
 and distance_model.features.json), every chain-NN.clustering.json, both
 oracle-*.json posteriors, both baseline-*.json files and score.json on every
 field except the embedded config, and the joint-score traces value by value
-(the config masks are scripts/golden.py's).  It prints whether the distance
-model, the enumerator output, the baselines and the score are identical, each
-clustering that differs, the number of trace files that differ and the
-largest relative trace drift, and exits 1 if any of them but the traces
-differs.
+(the config masks, the four models and the first two scans are
+scripts/golden.py's).  It prints whether the distance model, the enumerator
+output, the baselines and the score are identical, each clustering that
+differs, the number of trace files that differ and the largest relative
+trace drift, and exits 1 if any of them but the traces differs.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from gen import Shape, write_inputs  # noqa: E402
-from golden import masked, without_config  # noqa: E402
+from golden import MODELS, masked, without_config  # noqa: E402
+from golden import SCANS as GOLDEN_SCANS  # noqa: E402
 
-MODELS = ("hddcrp", "ddcrp", "hddcrp-star", "hdp-lex")
 SCANS = {
-    "sequential": [],
-    "randomized-map": ["--randomized-scan", "--map-estimate"],
+    **GOLDEN_SCANS,
     "flat-uniform": ["--flat-likelihood", "--uniform-distances", "--randomized-scan"],
 }
 SAMPLE = ["--seed", "3", "--chains", "3", "--iterations", "60"]

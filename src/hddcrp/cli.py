@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import AgglomerativeConfig, agglomerative, lemma_baseline
-from .corpus import LexicalResources, gold_partition, load_corpus, read_text
+from .corpus import (
+    LexicalResources,
+    gold_partition,
+    load_corpus,
+    read_json,
+    write_json,
+    write_text,
+)
 from .errors import InputError, UniverseMismatchError
 from .features import FeatureExtractor
 from .links import ClusterAssignment
@@ -69,21 +76,6 @@ def validate(options):
         existing = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
         if not existing.is_dir():
             raise InputError(f"--output-dir: {str(existing)!r} is not a directory")
-
-
-def _load_json(path):
-    try:
-        return json.loads(read_text(path))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # name -> (flags, type, help[, choices]); bool options are store_true flags
@@ -149,7 +141,7 @@ def resolve_config(args, defaults):
     """
     file_values = {}
     if args.config:
-        file_values = _load_json(args.config)
+        file_values = read_json(args.config)
         if not isinstance(file_values, dict):
             raise InputError(f"{args.config}: config must be a JSON object")
         unknown = set(file_values) - set(defaults)
@@ -184,7 +176,7 @@ def _resources(config):
 
 def _read_clustering(path):
     """Clustering file: either {"assignment": {...}} or a bare id->label map."""
-    obj = _load_json(path)
+    obj = read_json(path)
     mapping = obj.get("assignment") if isinstance(obj, dict) and "assignment" in obj else obj
     if not isinstance(mapping, dict) or not mapping:
         raise InputError(f"{path}: expected a mention_id -> cluster label map")
@@ -235,7 +227,7 @@ def cmd_train_distance(config, args):
     out = config["output"]
     save_model(model, out, config=config)
     sidecar = str(Path(out).with_suffix(".features.json"))
-    _write_json(
+    write_json(
         sidecar,
         {
             "config": config,
@@ -271,18 +263,19 @@ def cmd_sample(config, args):
 
     embed = dict(config, alpha_0=sampler_config.resolved_alpha_0)
     out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {out_dir}: {exc}") from exc
+    header = f"# config: {json.dumps(embed, sort_keys=True)}\niteration,joint_log_score\n"
     for r in results:
         stem = out_dir / f"chain-{r.chain_index:02d}"
-        _write_json(
+        write_json(
             f"{stem}.clustering.json",
             {"assignment": r.estimate.as_mapping(), "chain": r.chain_index, "config": embed},
         )
-        with open(f"{stem}.trace.csv", "w", encoding="utf-8") as fh:
-            fh.write(f"# config: {json.dumps(embed, sort_keys=True)}\n")
-            fh.write("iteration,joint_log_score\n")
-            for it, value in enumerate(r.loglik_trace, start=1):
-                fh.write(f"{it},{value!r}\n")
+        rows = (f"{it},{value!r}\n" for it, value in enumerate(r.loglik_trace, start=1))
+        write_text(f"{stem}.trace.csv", header + "".join(rows))
         print(
             f"chain {r.chain_index}: joint log score {r.loglik_trace[-1]:.4f}, "
             f"{r.estimate.n_clusters()} clusters"
@@ -302,7 +295,7 @@ def cmd_baseline(config, args):
         thresholds = AgglomerativeConfig(config["wd_threshold"], config["cd_threshold"])
         clustering = agglomerative(corpus, model, _resources(config), thresholds)
     out = config["output"]
-    _write_json(
+    write_json(
         out,
         {"assignment": clustering.as_mapping(), "config": config, "method": method},
     )
@@ -330,7 +323,7 @@ def cmd_score(config, args):
         "reports": {r.setting: r.to_dict() for r in averaged},
     }
     if config["output"]:
-        _write_json(config["output"], report)
+        write_json(config["output"], report)
         print(f"wrote {config['output']}")
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -351,7 +344,7 @@ def cmd_oracle_posterior(config, args):
         parts = " | ".join(",".join(sorted(p)) for p in assignment.partition())
         print(f"{prob:.6f}  {parts}")
     if config["output"]:
-        _write_json(
+        write_json(
             config["output"],
             {
                 "config": embed,

@@ -11,6 +11,10 @@ Gold coreference chains may appear as a footer line ``{"gold_chains":
 Documents may come in any order: a Corpus lists them by doc_id and indexes
 mentions in the canonical (doc_id, order_index) order.
 
+Every file the package opens goes through this module: `read_text`,
+`read_lines` and `read_json` read inputs, `write_text` and `write_json` write
+outputs, and each turns an OS error into an InputError that names the path.
+
 All types are immutable after loading and safe to share across sampler chains.
 """
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,23 +151,22 @@ class Corpus:
         object.__setattr__(self, "documents", documents)
         object.__setattr__(self, "_mentions", mentions)
         object.__setattr__(self, "mention_ids", ids)
-        object.__setattr__(self, "_by_id", dict(zip(ids, mentions)))
+        by_id = dict(zip(ids, mentions))
+        if len(by_id) < len(ids):
+            duplicate = next(mid for mid, n in Counter(ids).items() if n > 1)
+            raise InputError(f"duplicate mention_id {duplicate!r}")
+        object.__setattr__(self, "_by_id", by_id)
         sizes = [len(d.mentions) for d in documents]
         object.__setattr__(self, "bounds", tuple(itertools.accumulate(sizes, initial=0)))
 
     def validate(self):
-        seen_mentions = set()
         for d in self.documents:
             d.validate()
-            for m in d.mentions:
-                if m.mention_id in seen_mentions:
-                    raise InputError(f"duplicate mention_id {m.mention_id!r}")
-                seen_mentions.add(m.mention_id)
         if self.gold is not None:
             covered = set()
             for chain in self.gold.chains:
                 for mid in chain:
-                    if mid not in seen_mentions:
+                    if mid not in self._by_id:
                         raise InputError(f"gold chain references unknown mention {mid!r}")
                     if mid in covered:
                         raise InputError(f"mention {mid!r} appears in two gold chains")
@@ -251,26 +255,42 @@ def _parse_gold_chains(chains):
         raise InputError(f"gold_chains holds an invalid mention id ({exc})") from exc
 
 
-def _not_utf8(path, exc):
-    return InputError(f"{path}: not UTF-8 text ({exc.reason})")
+def read_lines(path):
+    """The lines of an input file, which must be UTF-8, read one at a time."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def read_text(path):
     """The whole text of an input file, which must be UTF-8."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from exc
+    return "".join(read_lines(path))
 
 
-def read_lines(path):
-    """The lines of an input file, which must be UTF-8, read one at a time."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from exc
+def read_json(path):
+    """The JSON value of a whole input file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def write_text(path, text):
+    """Write text to an output file as UTF-8, replacing what it held."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path, obj):
+    """Write obj as indented JSON with sorted keys and a final newline."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def load_corpus(path, gold_path=None) -> Corpus:
@@ -304,10 +324,7 @@ def load_corpus(path, gold_path=None) -> Corpus:
         else:
             raise InputError(f"line {line_no}: object is neither a document nor gold_chains")
     if gold_path is not None:
-        try:
-            obj = json.loads(read_text(gold_path))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{gold_path}: not valid JSON ({exc.msg})") from exc
+        obj = read_json(gold_path)
         if isinstance(obj, dict):
             if "gold_chains" not in obj:
                 raise InputError(f"{gold_path}: no gold_chains entry")
@@ -337,17 +354,17 @@ def _mention_to_obj(m: Mention):
 
 def save_corpus(corpus: Corpus, path):
     """Write a corpus in the canonical JSON-lines form (round-trip stable)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in corpus.documents:
-            obj = {
-                "doc_id": d.doc_id,
-                "seminal_event_id": d.seminal_event_id,
-                "mentions": [_mention_to_obj(m) for m in d.mentions],
-            }
-            fh.write(json.dumps(obj) + "\n")
-        if corpus.gold is not None:
-            chains = sorted(sorted(chain) for chain in corpus.gold.chains)
-            fh.write(json.dumps({"gold_chains": chains}) + "\n")
+    objs = [
+        {
+            "doc_id": d.doc_id,
+            "seminal_event_id": d.seminal_event_id,
+            "mentions": [_mention_to_obj(m) for m in d.mentions],
+        }
+        for d in corpus.documents
+    ]
+    if corpus.gold is not None:
+        objs.append({"gold_chains": sorted(sorted(chain) for chain in corpus.gold.chains)})
+    write_text(path, "".join(json.dumps(obj) + "\n" for obj in objs))
 
 
 def load_embeddings(path):

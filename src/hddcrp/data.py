@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-from .corpus import LexicalResources, load_corpus
-
 _DATA = Path(__file__).parent / "data"
 
 
@@ -21,15 +19,3 @@ def synthetic_embeddings_path():
 
 def synthetic_synonyms_path():
     return _DATA / "synthetic_synonyms.txt"
-
-
-def load_synthetic_corpus():
-    return load_corpus(synthetic_corpus_path())
-
-
-def load_tiny_corpus():
-    return load_corpus(tiny_corpus_path())
-
-
-def load_synthetic_resources():
-    return LexicalResources.load(synthetic_embeddings_path(), synthetic_synonyms_path())

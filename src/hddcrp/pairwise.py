@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import doc_similarity, read_text
+from .corpus import doc_similarity, read_text, write_json
 from .errors import InputError
 from .features import FeatureExtractor, PairFeatures, cosine_matrix, pair_blocks
 
@@ -60,16 +60,9 @@ def build_training_pairs(corpus, sigma=0.4):
     return np.rec.fromarrays((a, b, coreferent), names="a,b,coreferent")
 
 
-def penalized_loglik(theta, features, labels, l2):
-    """sum log sigmoid(y * theta . x) - l2 * ||theta||^2."""
-    return _loglik(theta, labels * (features @ theta), l2)
-
-
-def penalized_grad(theta, features, labels, l2):
-    return _grad(theta, features, labels, labels * (features @ theta), l2)
-
-
 def _loglik(theta, margins, l2):
+    """sum log sigmoid(margins) - l2 * ||theta||^2, where the margins are
+    y * theta . x of each labelled pair."""
     return float(-np.logaddexp(0.0, -margins).sum() - l2 * theta @ theta)
 
 
@@ -246,9 +239,7 @@ def save_model(model, path, config=None):
     }
     if config is not None:
         obj["config"] = config
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, obj)
 
 
 def load_model(path):

@@ -2,11 +2,12 @@ import dataclasses
 
 import pytest
 
-from hddcrp.corpus import Corpus, Document, GoldChains
+from hddcrp.corpus import Corpus, Document, GoldChains, LexicalResources, load_corpus
 from hddcrp.data import (
-    load_synthetic_corpus,
-    load_synthetic_resources,
-    load_tiny_corpus,
+    synthetic_corpus_path,
+    synthetic_embeddings_path,
+    synthetic_synonyms_path,
+    tiny_corpus_path,
 )
 from hddcrp.pairwise import train
 
@@ -16,7 +17,7 @@ _acceptance_outcomes = {}
 
 @pytest.fixture(scope="session")
 def synthetic_corpus():
-    return load_synthetic_corpus()
+    return load_corpus(synthetic_corpus_path())
 
 
 @pytest.fixture(scope="session")
@@ -51,12 +52,12 @@ def replicated_corpus(synthetic_corpus):
 
 @pytest.fixture(scope="session")
 def tiny_corpus():
-    return load_tiny_corpus()
+    return load_corpus(tiny_corpus_path())
 
 
 @pytest.fixture(scope="session")
 def resources():
-    return load_synthetic_resources()
+    return LexicalResources.load(synthetic_embeddings_path(), synthetic_synonyms_path())
 
 
 @pytest.fixture(scope="session")

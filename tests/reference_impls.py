@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
+from hddcrp import pairwise
 from hddcrp.corpus import doc_similarity
 from hddcrp.likelihood import log_marginal_raw, merge_ratio_raw
 from hddcrp.sampling import _draw
@@ -249,6 +250,23 @@ def enumerate_flat_posterior(n, weight, cluster_loglik):
 def total_variation(p, q):
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+# ---------------------------------------------------------------------------
+# Penalized logistic objective
+# ---------------------------------------------------------------------------
+# Not independent: these call the package's own terms, each computing its
+# margins apart, so that pairwise._objective, which shares one margin product
+# between value and gradient, must equal them exactly.
+
+
+def penalized_loglik(theta, features, labels, l2):
+    """sum log sigmoid(y * theta . x) - l2 * ||theta||^2."""
+    return pairwise._loglik(theta, labels * (features @ theta), l2)
+
+
+def penalized_grad(theta, features, labels, l2):
+    return pairwise._grad(theta, features, labels, labels * (features @ theta), l2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ from hddcrp.pairwise import (
     FeatureExtractor,
     build_training_pairs,
     pair_accuracy,
-    penalized_grad,
-    penalized_loglik,
     train,
 )
 from hddcrp.sampling import (
@@ -46,6 +44,8 @@ from reference_impls import (
     crp_eppf,
     dirichlet_marginal_reference,
     muc_reference,
+    penalized_grad,
+    penalized_loglik,
     total_variation,
 )
 

@@ -1,6 +1,9 @@
 import argparse
+import builtins
+import errno
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -882,6 +885,64 @@ class TestInputFiles:
         )
         assert code == 2
         assert "is not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("denied", [
+        "corpus", "gold", "embeddings", "synonyms", "distance_model", "config", "prediction",
+        "train_output", "train_sidecar", "baseline_output", "score_output", "oracle_output",
+        "chain_clustering", "chain_trace", "output_dir",
+    ])
+    def test_unreadable_inputs_and_unwritable_outputs_exit_two(
+        self, denied, model_file, tmp_path, monkeypatch, capsys
+    ):
+        corpus = load_corpus(synthetic_corpus_path())
+        gold = tmp_path / "gold.json"
+        gold.write_text(json.dumps({"gold_chains": sorted(map(sorted, corpus.gold.chains))}))
+        prediction = tmp_path / "prediction.json"
+        prediction.write_text(json.dumps({mid: k for k, mid in enumerate(corpus.mention_ids)}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"setting": "WD"}))
+        run_dir = tmp_path / "run"
+        paths = {
+            "corpus": synthetic_corpus_path(), "gold": gold,
+            "embeddings": synthetic_embeddings_path(), "synonyms": synthetic_synonyms_path(),
+            "distance_model": model_file, "config": config, "prediction": prediction,
+            "train_output": tmp_path / "m.json", "train_sidecar": tmp_path / "m.features.json",
+            "baseline_output": tmp_path / "agg.json", "score_output": tmp_path / "score.json",
+            "oracle_output": tmp_path / "oracle.json",
+            "chain_clustering": run_dir / "chain-00.clustering.json",
+            "chain_trace": run_dir / "chain-00.trace.csv", "output_dir": run_dir,
+        }
+        inputs = ["--corpus", synthetic_corpus_path(), "--embeddings", paths["embeddings"],
+                  "--synonyms", paths["synonyms"]]
+        train = ["train-distance", *inputs, "-o", paths["train_output"]]
+        baseline = ["baseline", *inputs, "--method", "agglomerative", "--distance-model",
+                    model_file, "-o", paths["baseline_output"]]
+        sample = ["sample", "--corpus", tiny_corpus_path(), "--model", "hddcrp",
+                  "--uniform-distances", "--chains", 1, "--iterations", 2, "--output-dir", run_dir]
+        argv = {
+            "embeddings": train, "synonyms": train, "train_output": train, "train_sidecar": train,
+            "distance_model": baseline, "baseline_output": baseline,
+            "oracle_output": ["oracle-posterior", "--corpus", tiny_corpus_path(),
+                              "--uniform-distances", "-o", paths["oracle_output"]],
+            "chain_clustering": sample, "chain_trace": sample, "output_dir": sample,
+        }.get(denied, ["score", "--config", config, "--corpus", synthetic_corpus_path(),
+                       "--gold", gold, prediction, "-o", paths["score_output"]])
+
+        # no file mode denies access to root, so open and Path.mkdir refuse
+        # the one path instead
+        def refuse(real):
+            def call(path, *args, **kwargs):
+                if str(path) == str(paths[denied]):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                return real(path, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(builtins, "open", refuse(builtins.open))
+        monkeypatch.setattr(pathlib.Path, "mkdir", refuse(pathlib.Path.mkdir))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(paths[denied]) in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["train-distance", "sample", "baseline"])

@@ -19,14 +19,17 @@ from hddcrp.pairwise import (
     load_model,
     pair_accuracy,
     pair_features,
-    penalized_grad,
-    penalized_loglik,
     save_model,
     train,
 )
 from hddcrp.sampling import SamplerConfig, build_priors
 
-from reference_impls import priors_reference, training_pairs_reference
+from reference_impls import (
+    penalized_grad,
+    penalized_loglik,
+    priors_reference,
+    training_pairs_reference,
+)
 
 
 class TestTrainingPairs:
