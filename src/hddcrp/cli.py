@@ -21,6 +21,7 @@ from .corpus import (
     LexicalResources,
     gold_partition,
     load_corpus,
+    located,
     read_json,
     write_json,
     write_text,
@@ -142,12 +143,13 @@ def resolve_config(args, defaults):
     file_values = {}
     if args.config:
         file_values = read_json(args.config)
-        if not isinstance(file_values, dict):
-            raise InputError(f"{args.config}: config must be a JSON object")
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            raise InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        file_values = {k: _cast(k, v) for k, v in file_values.items()}
+        with located(args.config):
+            if not isinstance(file_values, dict):
+                raise InputError("config must be a JSON object")
+            unknown = set(file_values) - set(defaults)
+            if unknown:
+                raise InputError(f"unknown config keys {sorted(unknown)}")
+            file_values = {k: _cast(k, v) for k, v in file_values.items()}
     options = {"command": args.command}
     for name, default in defaults.items():
         value = getattr(args, name)
@@ -178,12 +180,13 @@ def _read_clustering(path):
     """Clustering file: either {"assignment": {...}} or a bare id->label map."""
     obj = read_json(path)
     mapping = obj.get("assignment") if isinstance(obj, dict) and "assignment" in obj else obj
-    if not isinstance(mapping, dict) or not mapping:
-        raise InputError(f"{path}: expected a mention_id -> cluster label map")
-    # a JSON true or false is no integer: as one it would merge with 1 or 0
-    if not all(isinstance(k, (str, int)) and not isinstance(k, bool) for k in mapping.values()):
-        raise InputError(f"{path}: cluster labels must be strings or integers")
-    return ClusterAssignment.from_mapping(sorted(mapping), mapping)
+    with located(path):
+        if not isinstance(mapping, dict) or not mapping:
+            raise InputError("expected a mention_id -> cluster label map")
+        # a JSON true or false is no integer: as one it would merge with 1 or 0
+        if any(isinstance(k, bool) or not isinstance(k, (str, int)) for k in mapping.values()):
+            raise InputError("cluster labels must be strings or integers")
+        return ClusterAssignment.from_mapping(sorted(mapping), mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ Gold coreference chains may appear as a footer line ``{"gold_chains":
 Documents may come in any order: a Corpus lists them by doc_id and indexes
 mentions in the canonical (doc_id, order_index) order.
 
-Every file the package opens goes through this module: `read_text`,
-`read_lines` and `read_json` read inputs, `write_text` and `write_json` write
-outputs, and each turns an OS error into an InputError that names the path.
+Every file the package opens goes through this module: `read_lines` and
+`read_json` read inputs, `write_text` and `write_json` write outputs, and each
+turns an OS error into an InputError that names the path.  `located` names
+the source of every other input error: parsers state only the fault, and
+their callers run them inside `located(path)`, or `located(f"{path}: line
+{n}")` for one line of a line-based file.
 
 All types are immutable after loading and safe to share across sampler chains.
 """
@@ -24,6 +27,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,42 +221,46 @@ _SHAPES = {
 }
 
 
-def _field(obj, key, shape, line_no, default=None):
-    """obj[key], or default if given and key is absent; InputError unless the
-    value has the named shape."""
-    value = obj[key] if default is None else obj.get(key, default)
+def _field(obj, key, shape, default=None):
+    """obj[key], or default if given and key is absent; InputError if key is
+    absent without a default or the value lacks the named shape."""
+    if default is None and key not in obj:
+        raise InputError(f"{key} is missing")
+    value = obj.get(key, default)
     if not _SHAPES[shape](value):
-        raise InputError(f"line {line_no}: {key} must be {shape}, got {value!r:.60}")
+        raise InputError(f"{key} must be {shape}, got {value!r:.60}")
     return value
 
 
-def _parse_mention(obj, doc_id, fallback_order, line_no):
+def _parse_mention(obj, doc_id, fallback_order):
     if not isinstance(obj, dict):
-        raise InputError(f"line {line_no}: a mention must be an object, got {obj!r:.60}")
-    try:
-        arguments = _field(obj, "arguments", "an object", line_no, {})
-        spans = {r: _field(arguments, r, "a list of lists of strings", line_no) for r in arguments}
-        return Mention(
-            mention_id=_field(obj, "mention_id", "a string", line_no),
-            doc_id=doc_id,
-            order_index=_field(obj, "order_index", "an integer", line_no, fallback_order),
-            head_lemma=_field(obj, "head_lemma", "a string", line_no),
-            head_pos=_field(obj, "head_pos", "a string", line_no),
-            span_lemmas=tuple(_field(obj, "span_lemmas", "a list of strings", line_no)),
-            context_lemmas=tuple(_field(obj, "context_lemmas", "a list of strings", line_no, [])),
-            arguments={role: tuple(map(tuple, s)) for role, s in spans.items()},
-        )
-    except KeyError as exc:
-        raise InputError(f"line {line_no}: malformed mention object ({exc})") from exc
+        raise InputError(f"a mention must be an object, got {obj!r:.60}")
+    arguments = _field(obj, "arguments", "an object", {})
+    spans = {r: _field(arguments, r, "a list of lists of strings") for r in arguments}
+    return Mention(
+        mention_id=_field(obj, "mention_id", "a string"),
+        doc_id=doc_id,
+        order_index=_field(obj, "order_index", "an integer", fallback_order),
+        head_lemma=_field(obj, "head_lemma", "a string"),
+        head_pos=_field(obj, "head_pos", "a string"),
+        span_lemmas=tuple(_field(obj, "span_lemmas", "a list of strings")),
+        context_lemmas=tuple(_field(obj, "context_lemmas", "a list of strings", [])),
+        arguments={role: tuple(map(tuple, s)) for role, s in spans.items()},
+    )
 
 
-def _parse_gold_chains(chains):
-    if not isinstance(chains, list) or not all(isinstance(c, list) for c in chains):
-        raise InputError("gold_chains must be a list of lists of mention ids")
+def _parse_gold_chains(obj):
+    chains = _field(obj, "gold_chains", "a list of lists of strings")
+    return GoldChains(tuple(map(frozenset, chains)))
+
+
+@contextmanager
+def located(where):
+    """Name the source of any InputError raised inside: prefix `where: `."""
     try:
-        return tuple(frozenset(chain) for chain in chains)
-    except TypeError as exc:
-        raise InputError(f"gold_chains holds an invalid mention id ({exc})") from exc
+        yield
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def read_lines(path):
@@ -266,15 +274,10 @@ def read_lines(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def read_text(path):
-    """The whole text of an input file, which must be UTF-8."""
-    return "".join(read_lines(path))
-
-
 def read_json(path):
-    """The JSON value of a whole input file."""
+    """The JSON value of a whole input file, which must be UTF-8."""
     try:
-        return json.loads(read_text(path))
+        return json.loads("".join(read_lines(path)))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -296,47 +299,41 @@ def write_json(path, obj):
 def load_corpus(path, gold_path=None) -> Corpus:
     """Load a JSON-lines corpus file, validating all invariants."""
     documents = []
-    gold_chains = None
+    gold = None
     for line_no, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: line {line_no}: not valid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise InputError(f"line {line_no}: expected a JSON object, got {obj!r:.60}")
-        if "doc_id" in obj:
-            doc_id = _field(obj, "doc_id", "a string", line_no)
-            if "seminal_event_id" not in obj:
-                raise InputError(f"line {line_no}: document {doc_id!r} lacks seminal_event_id")
-            mentions = [
-                _parse_mention(mobj, doc_id, k, line_no)
-                for k, mobj in enumerate(_field(obj, "mentions", "a list", line_no, []))
-            ]
-            seminal = _field(obj, "seminal_event_id", "a string", line_no)
-            documents.append(Document.build(doc_id, seminal, mentions))
-        elif "gold_chains" in obj:
-            if gold_chains is not None:
-                raise InputError(f"line {line_no}: duplicate gold_chains entry")
-            gold_chains = obj["gold_chains"]
-        else:
-            raise InputError(f"line {line_no}: object is neither a document nor gold_chains")
+        with located(f"{path}: line {line_no}"):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"not valid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise InputError(f"expected a JSON object, got {obj!r:.60}")
+            if "doc_id" in obj:
+                doc_id = _field(obj, "doc_id", "a string")
+                seminal = _field(obj, "seminal_event_id", "a string")
+                mentions = [
+                    _parse_mention(mobj, doc_id, k)
+                    for k, mobj in enumerate(_field(obj, "mentions", "a list", []))
+                ]
+                documents.append(Document.build(doc_id, seminal, mentions))
+            elif "gold_chains" in obj:
+                if gold is not None:
+                    raise InputError("duplicate gold_chains entry")
+                gold = _parse_gold_chains(obj)
+            else:
+                raise InputError("object is neither a document nor gold_chains")
     if gold_path is not None:
         obj = read_json(gold_path)
-        if isinstance(obj, dict):
-            if "gold_chains" not in obj:
-                raise InputError(f"{gold_path}: no gold_chains entry")
-            obj = obj["gold_chains"]
-        gold_chains = obj
-    gold = None
-    if gold_chains is not None:
-        gold = GoldChains(_parse_gold_chains(gold_chains))
-    corpus = Corpus(tuple(documents), gold)
-    if not corpus.mention_ids:
-        raise InputError(f"{path}: the corpus holds no mentions")
-    corpus.validate()
+        with located(gold_path):
+            gold = _parse_gold_chains(obj if isinstance(obj, dict) else {"gold_chains": obj})
+    with located(path):
+        corpus = Corpus(tuple(documents), gold)
+        if not corpus.mention_ids:
+            raise InputError("the corpus holds no mentions")
+        corpus.validate()
     return corpus
 
 
@@ -375,37 +372,39 @@ def load_embeddings(path):
         parts = line.split()
         if not parts:
             continue
-        lemma, values = parts[0], parts[1:]
-        try:
-            vec = np.array([float(v) for v in values], dtype=np.float64)
-        except ValueError as exc:
-            raise InputError(f"{path}: line {line_no}: bad vector entry") from exc
-        if not np.isfinite(vec).all():
-            raise InputError(f"{path}: line {line_no}: non-finite vector entry")
-        # the cosines divide by norms: an overflowing norm would make them NaN
-        with np.errstate(over="ignore"):
-            squared_norm = np.dot(vec, vec)
-        if not np.isfinite(squared_norm):
-            raise InputError(f"{path}: line {line_no}: vector norm overflows")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise InputError(
-                f"{path}: line {line_no}: vector length {vec.shape[0]} != {dim}"
-            )
-        vectors[lemma] = vec
+        with located(f"{path}: line {line_no}"):
+            lemma, values = parts[0], parts[1:]
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise InputError("bad vector entry") from exc
+            if not np.isfinite(vec).all():
+                raise InputError("non-finite vector entry")
+            # the cosines divide by norms: an overflowing norm would make them NaN
+            with np.errstate(over="ignore"):
+                squared_norm = np.dot(vec, vec)
+            if not np.isfinite(squared_norm):
+                raise InputError("vector norm overflows")
+            if dim is None:
+                dim = vec.shape[0]
+            elif vec.shape[0] != dim:
+                raise InputError(f"vector length {vec.shape[0]} != {dim}")
+            vectors[lemma] = vec
     return vectors
 
 
 def load_synonyms(path):
     """Synonym sets, one line per lemma: lemma TAB comma-separated synonyms."""
     synonyms = {}
-    for line in read_lines(path):
+    for line_no, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
         if not line.strip():
             continue
-        lemma, _, rest = line.partition("\t")
-        synonyms[lemma] = frozenset(s for s in rest.split(",") if s)
+        with located(f"{path}: line {line_no}"):
+            lemma, tab, rest = line.partition("\t")
+            if not tab:
+                raise InputError("no TAB between the lemma and its synonyms")
+            synonyms[lemma] = frozenset(s for s in rest.split(",") if s)
     return synonyms
 
 
@@ -415,17 +414,20 @@ class LexicalResources:
 
     embeddings: dict[str, np.ndarray] = field(default_factory=dict)
     synonyms: dict[str, frozenset[str]] = field(default_factory=dict)
-    dimension: int = 300
+    dimension: int = field(init=False)  # the length of every vector; 300 without any
+
+    def __post_init__(self):
+        dims = {len(v) for v in self.embeddings.values()}
+        if len(dims) > 1:
+            raise InputError(f"embedding vectors have mixed dimensions {sorted(dims)}")
+        object.__setattr__(self, "dimension", dims.pop() if dims else 300)
 
     @staticmethod
     def load(embeddings_path=None, synonyms_path=None):
-        embeddings = load_embeddings(embeddings_path) if embeddings_path else {}
-        synonyms = load_synonyms(synonyms_path) if synonyms_path else {}
-        dims = {v.shape[0] for v in embeddings.values()}
-        if len(dims) > 1:
-            raise InputError(f"embedding vectors have mixed dimensions {sorted(dims)}")
-        dim = dims.pop() if dims else 300
-        return LexicalResources(embeddings, synonyms, dim)
+        return LexicalResources(
+            load_embeddings(embeddings_path) if embeddings_path else {},
+            load_synonyms(synonyms_path) if synonyms_path else {},
+        )
 
     def vector(self, lemma):
         """Embedding for a lemma; zero vector when the lemma is unknown."""

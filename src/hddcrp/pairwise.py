@@ -19,12 +19,11 @@ to the order in which the weighted feature sum is accumulated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import doc_similarity, read_text, write_json
+from .corpus import doc_similarity, located, read_json, write_json
 from .errors import InputError
 from .features import FeatureExtractor, PairFeatures, cosine_matrix, pair_blocks
 
@@ -243,20 +242,20 @@ def save_model(model, path, config=None):
 
 
 def load_model(path):
-    text = read_text(path)
-    try:
-        obj = json.loads(text)
-        index = obj["feature_index"]
-        if not isinstance(index, dict) or any(type(v) is not int for v in index.values()):
-            raise InputError(f"{path}: feature_index must map feature names to integers")
-        extractor = FeatureExtractor.from_feature_index(index)
-        theta = np.array([float(v) for v in obj["theta"]])
-        return PairwiseModel(
-            theta,
-            extractor,
-            float(obj.get("l2", 1.0)),
-            float(obj.get("truncation_threshold", 0.5)),
-            float(obj.get("gamma", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed model file ({exc})") from exc
+    obj = read_json(path)
+    with located(path):
+        try:
+            index = obj["feature_index"]
+            if not isinstance(index, dict) or any(type(v) is not int for v in index.values()):
+                raise InputError("feature_index must map feature names to integers")
+            extractor = FeatureExtractor.from_feature_index(index)
+            theta = np.array([float(v) for v in obj["theta"]])
+            return PairwiseModel(
+                theta,
+                extractor,
+                float(obj.get("l2", 1.0)),
+                float(obj.get("truncation_threshold", 0.5)),
+                float(obj.get("gamma", 1.0)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed model file ({exc})") from exc

@@ -664,6 +664,57 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    """Edit of a document object: the field at path deleted."""
+
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return doc
+
+    return edit
+
+
+def _tiny(line, edit):
+    """Text of the bundled tiny corpus with the object on one line (from 1) edited."""
+
+    def text():
+        lines = tiny_corpus_path().read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = json.dumps(edit(json.loads(lines[line - 1])))
+        return "\n".join(lines) + "\n"
+
+    return text
+
+
+# case -> (input file, its text, the line of the fault or None, the fault)
+PARSE_ERRORS = {
+    "mention-without-id": ("corpus", _tiny(1, _drop(("mentions", 0, "mention_id"))), 1,
+                           "mention_id is missing"),
+    "doc-id-number": ("corpus", _tiny(1, _set((), {"doc_id": 3})), 1,
+                      "doc_id must be a string, got 3"),
+    "no-seminal-event-id": ("corpus", _tiny(2, _drop(("seminal_event_id",))), 2,
+                            "seminal_event_id is missing"),
+    "duplicate-mention-id": ("corpus", _tiny(2, _set(("mentions", 0, "mention_id"), "tiny1-m0")),
+                             None, "duplicate mention_id 'tiny1-m0'"),
+    "head-not-in-span": ("corpus", _tiny(1, _set(("mentions", 0, "head_lemma"), "talk")), None,
+                         "does not occur in span_lemmas"),
+    "unknown-gold-mention": ("corpus", _tiny(3, _set(("gold_chains", 0, 0), "nobody")), None,
+                             "unknown mention 'nobody'"),
+    "gold-sidecar-list": ("gold", lambda: "[1, 2]", None,
+                          "gold_chains must be a list of lists of strings"),
+    "embeddings-nan": ("embeddings", lambda: "bomb 1.0 0.0\ntalk nan 0.5\n", 2,
+                       "non-finite vector entry"),
+    "config-string": ("config", lambda: '{"iterations": "5"}', None,
+                      "config key 'iterations' must be an integer, got '5'"),
+    "model-without-features": ("model", lambda: '{"theta": []}', None,
+                               "malformed model file ('feature_index')"),
+    "prediction-label-bool": ("prediction", lambda: '{"tiny1-m0": true}', None,
+                              "cluster labels must be strings or integers"),
+}
+
+
 class TestInterpreterIndependentSums:
     def run_and_read(self, model_file, out):
         corpus = synthetic_corpus_path()
@@ -868,7 +919,33 @@ class TestInputFiles:
             ]
         )
         assert code == 2
-        assert "malformed model file" in capsys.readouterr().err
+        assert f"{bad}: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(PARSE_ERRORS))
+    def test_every_parse_error_names_its_source(self, case, tmp_path, capsys):
+        kind, text, line, fault = PARSE_ERRORS[case]
+        bad = tmp_path / f"{kind}.txt"
+        bad.write_text(text(), encoding="utf-8")
+        corpus = bad if kind == "corpus" else tiny_corpus_path()
+        out = tmp_path / "out"
+        if kind == "prediction":
+            argv = ["score", "--corpus", corpus, bad]
+        elif kind in ("config", "model"):
+            source = {"config": ["--config", bad, "--uniform-distances"],
+                      "model": ["--distance-model", bad]}[kind]
+            argv = ["sample", "--corpus", corpus, *source, "--chains", 1, "--iterations", 2,
+                    "--output-dir", out]
+        else:
+            argv = ["train-distance", "--corpus", corpus,
+                    "--embeddings", bad if kind == "embeddings" else synthetic_embeddings_path(),
+                    "--synonyms", synthetic_synonyms_path(),
+                    *(["--gold", bad] if kind == "gold" else []), "-o", out]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        where = f"{bad}: line {line}" if line else str(bad)
+        assert err.startswith(f"error: {where}: ")
+        assert fault in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--corpus", "--distance-model"])
     def test_directory_paths_exit_two(self, option, model_file, tmp_path, capsys):

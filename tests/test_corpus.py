@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +194,24 @@ class TestResources:
         res = LexicalResources(synonyms=syn)
         assert res.synonym_set("bombing") == {"bombing", "blast", "explosion"}
         assert res.synonym_set("quiet") == {"quiet"}
+
+    def test_synonym_line_without_a_tab_is_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "syn.txt"
+        path.write_text("bombing\tblast\n\nattack assault,raid\n", encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"{path}: line 3: no TAB")):
+            load_synonyms(path)
+
+    def test_dimension_is_the_length_of_the_vectors(self):
+        res = LexicalResources(embeddings={"a": np.ones(8), "b": np.zeros(8)})
+        assert res.dimension == 8
+        assert res.vector("unknown").shape == (8,)
+        assert LexicalResources().dimension == 300
+        with pytest.raises(TypeError):
+            LexicalResources(embeddings={"a": np.ones(8)}, dimension=300)
+
+    def test_constructor_rejects_mixed_dimensions(self):
+        with pytest.raises(InputError, match="mixed dimensions"):
+            LexicalResources(embeddings={"a": np.ones(8), "b": np.ones(3)})
 
 
 class TestDocSimilarity:

@@ -115,7 +115,6 @@ class TestValues:
     def test_negative_embedding_cosine_clamps_to_zero(self):
         res = LexicalResources(
             embeddings={"up": np.array([1.0, 0.0]), "down": np.array([-1.0, 0.0])},
-            dimension=2,
         )
         ex = FeatureExtractor(["NN|NN"])
         v = ex.extract(mention("up"), mention("down", k=1), res)
@@ -272,9 +271,7 @@ class TestBlockFeatures:
         # the fitted weights depend on every last bit of the training rows
         rng = np.random.default_rng(5)
         heads = [f"h{k}" for k in range(12)]
-        res = LexicalResources(
-            embeddings={h: rng.normal(size=16) for h in heads[:10]}, dimension=16
-        )
+        res = LexicalResources(embeddings={h: rng.normal(size=16) for h in heads[:10]})
         ms = [mention(heads[k % 12], k=k) for k in range(30)]
         ex = FeatureExtractor(["NN|NN"])
         a, b = all_ordered_pairs(len(ms))

@@ -5,7 +5,8 @@ synonyms, a command's config, distance model or prediction), mutates it and
 runs one command that reads it through cli.main in this process.  The
 mutations are type swaps, deleted keys, truncated lines, non-finite numbers
 and bytes that are not UTF-8.  A case may exit 0 (harmless input), 2 (bad
-input) or 3 (universe mismatch), never 1 (an internal error).  Every sample
+input) or 3 (universe mismatch), never 1 (an internal error), and an exit-2
+error that cites a line also names the mutated file.  Every sample
 runs one chain of two sweeps with --jobs 1, given as flags, which beat any
 config value, so no case starts a worker process or runs long.
 """
@@ -216,5 +217,7 @@ def test_malformed_inputs_never_exit_one(valid_inputs, tmp_path, capsys, monkeyp
             err = capsys.readouterr().err
             if code not in (0, 2, 3):
                 failures.append(f"{reader} on {name} {data!r}: exit {code}: {err}")
+            elif code == 2 and "line " in err and str(mutated) not in err:
+                failures.append(f"{reader} on {name} {data!r}: a line without its file: {err}")
     assert not failures, "\n".join(failures)
     assert runs > 300
