@@ -10,11 +10,15 @@ init_state, runs one warm-up sweep and times the next 20 sweeps of the
 chain; it reports their median and quartiles in ms.  It also reports
 lone_share, the share of customer and of table-link supports that hold only
 the self candidate (null for a model without table links): a move over such
-a support proposes nothing.  The speed of a shared CPU drifts too much for
-wall or CPU time to compare two runs, so the process pins itself to one CPU
-and times training and prior builds in reference seconds, and sweeps in
-reference ms, of perfbench's calibrated clock (perfbench/clock.py).  Figures
-are comparable only between runs on the same machine.
+a support proposes nothing.  For hddcrp_star and hdp_lex it then runs one
+more, untimed sweep and reports the median number of live labels and of
+keys at its label draws (draw_labels, draw_keys; null for the link models),
+the L and K that a draw's pass runs over.  The speed of a shared CPU drifts
+too much for wall or CPU time to compare two runs, so the process pins
+itself to one CPU and times training and prior builds in reference seconds,
+and sweeps in reference ms, of perfbench's calibrated clock
+(perfbench/clock.py).  Figures are comparable only between runs on the same
+machine.
 """
 
 from __future__ import annotations
@@ -45,6 +49,23 @@ from hddcrp.sampling import MODELS, SamplerConfig, build_priors, init_state  # n
 SEED = 1
 WARMUP = 1
 REPEATS = 20
+
+
+def draw_sizes(state, rng):
+    """Medians of the live labels and of the keys at the label draws of one
+    sweep of a table-model state, which the sweep leaves in its new state."""
+    labels = state.labels
+    draw = labels.draw
+    sizes = []
+
+    def counting_draw(*args):
+        sizes.append((len(labels.key_of), len(labels.keys)))
+        return draw(*args)
+
+    labels.draw = counting_draw
+    state.sweep(rng)
+    del labels.draw
+    return [statistics.median(column) for column in zip(*sizes)]
 
 
 def bench_size(n):
@@ -83,12 +104,17 @@ def bench_size(n):
                 state.sweep(rng)
                 sweeps_ms.append(1000 * reference_s(start))
             q1, median, q3 = statistics.quantiles(sweeps_ms, n=4)
+            draw_labels = draw_keys = None
+            if hasattr(state, "labels"):
+                draw_labels, draw_keys = draw_sizes(state, rng)
             out["models"][model] = {
                 "priors_s": priors_s,
                 "lone_share": lone_share,
                 "sweep_ms": median,
                 "sweep_ms_quartiles": [q1, q3],
                 "sweeps_ms": sweeps_ms,
+                "draw_labels": draw_labels,
+                "draw_keys": draw_keys,
             }
             print(f"n={shape.n_mentions} {model}: priors {priors_s:.3f} s, "
                   f"sweep {median:.1f} ms [{q1:.1f}, {q3:.1f}]", flush=True)

@@ -166,15 +166,20 @@ class Corpus:
     def validate(self):
         for d in self.documents:
             d.validate()
-        if self.gold is not None:
-            covered = set()
-            for chain in self.gold.chains:
-                for mid in chain:
-                    if mid not in self._by_id:
-                        raise InputError(f"gold chain references unknown mention {mid!r}")
-                    if mid in covered:
-                        raise InputError(f"mention {mid!r} appears in two gold chains")
-                    covered.add(mid)
+        self.validate_gold()
+
+    def validate_gold(self):
+        """Check that the gold chains name known mentions, each at most once."""
+        if self.gold is None:
+            return
+        covered = set()
+        for chain in self.gold.chains:
+            for mid in chain:
+                if mid not in self._by_id:
+                    raise InputError(f"gold chain references unknown mention {mid!r}")
+                if mid in covered:
+                    raise InputError(f"mention {mid!r} appears in two gold chains")
+                covered.add(mid)
 
     def mention(self, mention_id) -> Mention:
         return self._by_id[mention_id]
@@ -319,6 +324,7 @@ def load_corpus(path, gold_path=None) -> Corpus:
                     for k, mobj in enumerate(_field(obj, "mentions", "a list", []))
                 ]
                 documents.append(Document.build(doc_id, seminal, mentions))
+                documents[-1].validate()
             elif "gold_chains" in obj:
                 if gold is not None:
                     raise InputError("duplicate gold_chains entry")
@@ -333,7 +339,10 @@ def load_corpus(path, gold_path=None) -> Corpus:
         corpus = Corpus(tuple(documents), gold)
         if not corpus.mention_ids:
             raise InputError("the corpus holds no mentions")
-        corpus.validate()
+    # the documents were validated at their lines; the gold chains name the
+    # file they came from
+    with located(path if gold_path is None else gold_path):
+        corpus.validate_gold()
     return corpus
 
 

@@ -112,9 +112,10 @@ def merge_normaliser_raw(total_a, total_b, params):
     """The normaliser term of merge_ratio_raw, which depends only on the two
     lemma totals; for bags that share no lemma it is the whole ratio."""
     g = params._total_terms
-    if total_a + total_b >= len(g):
-        params._grow(total_a + total_b)
-    return fsum((g[total_a], g[total_b], -g[0], -g[total_a + total_b]))
+    total = total_a + total_b
+    if total >= len(g):
+        params._grow(total)
+    return fsum((g[total_a], g[total_b], -g[0], -g[total]))
 
 
 def merge_ratio_raw(counts_a, total_a, counts_b, total_b, params):
@@ -123,7 +124,14 @@ def merge_ratio_raw(counts_a, total_a, counts_b, total_b, params):
     Computed without building the merged bag: only lemmas present in both
     halves contribute to the product term, the normalizer term always does.
     """
-    terms = [merge_normaliser_raw(total_a, total_b, params)]
+    normaliser = merge_normaliser_raw(total_a, total_b, params)
+    return merge_ratio_from(normaliser, counts_a, counts_b, params)
+
+
+def merge_ratio_from(normaliser, counts_a, counts_b, params):
+    """merge_ratio_raw of two clusters' lemma counts given their merge
+    normaliser, for a caller that holds it already: the same terms and sum."""
+    terms = [normaliser]
     if len(counts_b) < len(counts_a):
         counts_a, counts_b = counts_b, counts_a
     lg = params._count_terms

@@ -76,6 +76,7 @@ from .likelihood import (
     lemma_bags,
     log_marginal_raw,
     merge_normaliser_raw,
+    merge_ratio_from,
     merge_ratio_raw,
     split_ratio_raw,
 )
@@ -646,8 +647,10 @@ class Labels:
     tables of hddcrp_star and hdp_lex at cluster labels.
 
     It keeps each mention's label (of), each label's lemma bag (bags) and
-    (tables, lemma total) key (key_of), the number of labels per key (keys)
-    and the next fresh label.  A label has a key exactly while it seats a
+    key id (key_of), the number of labels per key id (keys) and the next
+    fresh label.  A key is a label's (tables, lemma total); move() gives each
+    key a small int id the first time the chain meets it (key_ids), and
+    key_table[id] is that key.  A label has a key exactly while it seats a
     table; labels come in increasing order and never come back, so key_of
     holds them in ascending order.
 
@@ -671,12 +674,13 @@ class Labels:
             for tok in counts:
                 self.lemma_holders.setdefault(tok, []).append(m)
         self._normalisers = {}  # table's total -> {label's total: merge normaliser}
-        self._weights = {}  # table's total -> {key: log n + merge normaliser}
+        self._weights = {}  # table's total -> {key id: log n + merge normaliser}
         self.of = [None] * n  # label of each mention's table, None while it moves
         self.bags = {}  # label -> lemma bag of its mentions
-        self.key_of = {}  # label -> its (tables, lemma total) key
-        self.keys = {}  # (tables, lemma total) -> labels with that key
-        self._keys_seen = {}  # key -> one tuple, so lookups by key match by identity
+        self.key_of = {}  # label -> its key id
+        self.keys = {}  # key id -> labels with that key
+        self.key_ids = {}  # (tables, lemma total) -> its key id
+        self.key_table = []  # key id -> its (tables, lemma total)
         self.next_label = n
 
     def fresh(self):
@@ -694,19 +698,23 @@ class Labels:
         for m in table:
             of[m] = label
         key_of, keys = self.key_of, self.keys
-        key = key_of.get(k)
-        if key:
-            left = keys[key] - 1
+        kid = key_of.get(k)
+        t = step * headed
+        if kid is not None:
+            t += self.key_table[kid][0]
+            left = keys[kid] - 1
             if left:
-                keys[key] = left
+                keys[kid] = left
             else:
-                del keys[key]
-        t = (key[0] if key else 0) + step * headed
+                del keys[kid]
         _shift_bag(self.bags, k, bag, step)
         if t:
             key = (t, self.bags[k][1])
-            key = key_of[k] = self._keys_seen.setdefault(key, key)
-            keys[key] = keys.get(key, 0) + 1
+            kid = self.key_ids.setdefault(key, len(self.key_table))
+            if kid == len(self.key_table):
+                self.key_table.append(key)
+            key_of[k] = kid
+            keys[kid] = keys.get(kid, 0) + 1
         else:
             # every table carries its head's label, so k has no mentions left
             del key_of[k], self.bags[k]
@@ -715,61 +723,67 @@ class Labels:
         """Unseat a table as move() does and score it against the labels:
         the merge ratio with each label that shares a lemma with it, found
         through the lemma index, in label order; and the table total's memo
-        of (n tables, lemma total) key -> log n + merge normaliser, the CRP
-        weight of a label with that key sharing no lemma.  The memo gains the
-        live keys it lacks, the normaliser row (read by delta) their totals."""
+        of key id -> log n + merge normaliser, the CRP weight of a label with
+        that key sharing no lemma.  The memo gains the live keys it lacks, and
+        the table total's row of merge normalisers their totals, so the row
+        then holds every label's: delta reads it, and each merge ratio adds
+        to it only the terms of the shared lemmas."""
         self.move(table, bag, self.of[next(iter(table))], -1, headed)
         of, bags, params = self.of, self.bags, self.params
+        total = bag[1]
+        row = self._normalisers.setdefault(total, {})
+        weights = self._weights.setdefault(total, {})
+        for kid in self.keys:
+            if kid not in weights:
+                t, label_total = self.key_table[kid]
+                if label_total not in row:
+                    row[label_total] = merge_normaliser_raw(total, label_total, params)
+                weights[kid] = self._logs[t] + row[label_total]
         shared = {of[m] for tok in bag[0] for m in self.lemma_holders[tok]}
         shared.discard(None)
-        shared = {k: merge_ratio_raw(*bag, *bags[k], params) for k in sorted(shared)}
-        row = self._normalisers.setdefault(bag[1], {})
-        weights = self._weights.setdefault(bag[1], {})
-        for key in self.keys:
-            if key not in weights:
-                t, total = key
-                if total not in row:
-                    row[total] = merge_normaliser_raw(bag[1], total, params)
-                weights[key] = self._logs[t] + row[total]
+        shared = {
+            k: merge_ratio_from(row[bags[k][1]], bag[0], bags[k][0], params)
+            for k in sorted(shared)
+        }
         return shared, weights
 
     def delta(self, k, total, shared):
         """Merge ratio of a table of lemma total total against label k, once
         take() has filled the normaliser row."""
         d = shared.get(k)
-        return self._normalisers[total][self.key_of[k][1]] if d is None else d
+        return self._normalisers[total][self.bags[k][1]] if d is None else d
 
     def new_table_terms(self, shared, weights, log_denom):
         """Log terms of the CRP conditional of a new table with its label
         summed out: alpha_0, each label sharing a lemma with the table, and
         one term per key for the m labels of that key that share none."""
-        logs, key_of = self._logs, self.key_of
+        logs, key_of, key_table = self._logs, self.key_of, self.key_table
         terms = [self.log_alpha_0 - log_denom]
-        taken = {}  # key -> labels of that key that share a lemma
+        taken = {}  # key id -> labels of that key that share a lemma
         for k, d in shared.items():
-            key = key_of[k]
-            terms.append(logs[key[0]] - log_denom + d)
-            taken[key] = taken.get(key, 0) + 1
-        for key, m in self.keys.items():
-            m -= taken.get(key, 0)
+            kid = key_of[k]
+            terms.append(logs[key_table[kid][0]] - log_denom + d)
+            taken[kid] = taken.get(kid, 0) + 1
+        for kid, m in self.keys.items():
+            m -= taken.get(kid, 0)
             if m:
-                terms.append(logs[m] + weights[key] - log_denom)
+                terms.append(logs[m] + weights[kid] - log_denom)
         return terms
 
     def draw(self, rng, shared, weights):
         """Existing label k with weight n_k times its merge ratio, a new label
         with weight alpha_0, drawn as _draw draws over the sorted labels, from
         one exponential per key with a label sharing no lemma and per sharing label."""
-        key_of, logs = self.key_of, self._logs
-        own, left = {}, dict(self.keys)  # left: key -> its labels sharing no lemma
+        key_of, logs, key_table = self.key_of, self._logs, self.key_table
+        own, left = {}, dict(self.keys)  # left: key id -> its labels sharing no lemma
         for k, d in shared.items():
-            key = key_of[k]
-            own[k] = logs[key[0]] + d
-            left[key] -= 1
-        exps = {key: weights[key] for key, m in left.items() if m}
+            kid = key_of[k]
+            own[k] = logs[key_table[kid][0]] + d
+            left[kid] -= 1
+        exps = {kid: weights[kid] for kid, m in left.items() if m}
         top = max([self.log_alpha_0, *own.values(), *exps.values()])
-        for key, w in exps.items():
-            exps[key] = math.exp(w - top)
+        for kid, w in exps.items():
+            exps[kid] = math.exp(w - top)
         labels = list(key_of)
         terms = list(map(exps.get, key_of.values()))
         for k, x in own.items():
@@ -790,10 +804,14 @@ class Labels:
         for k in bags.keys() | self.bags.keys():
             if self.bags.get(k) != bags.get(k):
                 raise AssertionError(f"lemma bag of label {k} differs from a rebuild")
+        if self.key_ids != {key: kid for kid, key in enumerate(self.key_table)}:
+            raise AssertionError("key ids and the id -> key table disagree")
+        key_table = self.key_table
+        label_keys = {k: key_table[kid] for k, kid in self.key_of.items()}
         tables = Counter(self.of[head] for head in heads)
-        if {k: key[0] for k, key in self.key_of.items()} != tables:
+        if {k: key[0] for k, key in label_keys.items()} != tables:
             raise AssertionError("maintained table counts of labels differ from a rebuild")
-        if self.key_of != {k: (t, bags[k][1]) for k, t in tables.items()}:
+        if label_keys != {k: (t, bags[k][1]) for k, t in tables.items()}:
             raise AssertionError("maintained label -> key map differs from a rebuild")
         if self.keys != Counter(self.key_of.values()):
             raise AssertionError("maintained (tables, lemma total) keys differ from a rebuild")
@@ -801,8 +819,12 @@ class Labels:
             raise AssertionError("labels in key_of are out of ascending order")
         for total, weights in self._weights.items():
             row = self._normalisers[total]
-            if any(w != self._logs[t] + row[lt] for (t, lt), w in weights.items()):
-                raise AssertionError(f"memoised weight of a key for table total {total} is stale")
+            for kid, w in weights.items():
+                t, label_total = key_table[kid]
+                if w != self._logs[t] + row[label_total]:
+                    raise AssertionError(
+                        f"memoised weight of a key for table total {total} is stale"
+                    )
 
 
 class TableCrpState(_StateBase):
@@ -846,7 +868,10 @@ class TableCrpState(_StateBase):
         if self.debug:
             deltas = self._debug_check_deltas(i, bag, shared)
             terms = [labels.log_alpha_0 - log_denom]
-            terms += [math.log(labels.key_of[k][0]) - log_denom + d for k, d in deltas.items()]
+            terms += [
+                math.log(labels.key_table[labels.key_of[k]][0]) - log_denom + d
+                for k, d in deltas.items()
+            ]
             full = _log_sum_exp(terms)
             if abs(marg - full) > 1e-12 * max(1.0, abs(full)):
                 raise AssertionError(f"grouped marginal {marg} != per-label sum {full}")
@@ -909,7 +934,7 @@ class TableCrpState(_StateBase):
     def joint_log_score(self):
         labels = self.labels
         score = self._links_log_prior()
-        tables = sorted(t for t, _ in labels.key_of.values())
+        tables = sorted(labels.key_table[kid][0] for kid in labels.key_of.values())
         score += crp_partition_log_prob(tables, labels.alpha_0)
         return score + self._groups_loglik(*self._clusters())
 

@@ -711,11 +711,11 @@ def label_log_weights_reference(labels, shared, weights):
     label bags: n_k times the merge ratio for a label sharing a lemma with
     the moving table, else its (tables, lemma total) key's weight; alpha_0
     last, for a new label."""
-    tables = {k: key[0] for k, key in labels.key_of.items()}
-    bags, logs = labels.bags, labels._logs
+    tables = {k: labels.key_table[kid][0] for k, kid in labels.key_of.items()}
+    bags, logs, key_ids = labels.bags, labels._logs, labels.key_ids
     order = sorted(tables)
     log_weights = [
-        logs[tables[k]] + shared[k] if k in shared else weights[tables[k], bags[k][1]]
+        logs[tables[k]] + shared[k] if k in shared else weights[key_ids[tables[k], bags[k][1]]]
         for k in order
     ]
     log_weights.append(labels.log_alpha_0)

@@ -26,7 +26,8 @@ def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
     assert set(size["models"]) == set(MODELS)
     for model, timing in size["models"].items():
         assert set(timing) == {
-            "priors_s", "lone_share", "sweep_ms", "sweep_ms_quartiles", "sweeps_ms"
+            "priors_s", "lone_share", "sweep_ms", "sweep_ms_quartiles", "sweeps_ms",
+            "draw_labels", "draw_keys",
         }
         assert set(timing["lone_share"]) == {"customer", "table"}
         assert 0 < timing["lone_share"]["customer"] <= 1
@@ -34,3 +35,7 @@ def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
         assert len(timing["sweeps_ms"]) == REPEATS
         q1, q3 = timing["sweep_ms_quartiles"]
         assert 0 < q1 <= timing["sweep_ms"] <= q3
+        if model in ("hddcrp_star", "hdp_lex"):
+            assert 1 <= timing["draw_keys"] <= timing["draw_labels"]
+        else:
+            assert timing["draw_labels"] is None and timing["draw_keys"] is None

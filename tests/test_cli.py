@@ -698,7 +698,7 @@ PARSE_ERRORS = {
                             "seminal_event_id is missing"),
     "duplicate-mention-id": ("corpus", _tiny(2, _set(("mentions", 0, "mention_id"), "tiny1-m0")),
                              None, "duplicate mention_id 'tiny1-m0'"),
-    "head-not-in-span": ("corpus", _tiny(1, _set(("mentions", 0, "head_lemma"), "talk")), None,
+    "head-not-in-span": ("corpus", _tiny(1, _set(("mentions", 0, "head_lemma"), "talk")), 1,
                          "does not occur in span_lemmas"),
     "unknown-gold-mention": ("corpus", _tiny(3, _set(("gold_chains", 0, 0), "nobody")), None,
                              "unknown mention 'nobody'"),
@@ -946,6 +946,27 @@ class TestInputFiles:
         assert err.startswith(f"error: {where}: ")
         assert fault in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "chains, fault",
+        [
+            ([["nobody"]], "gold chain references unknown mention 'nobody'"),
+            ([["tiny1-m0"], ["tiny2-m0", "tiny1-m0"]], "'tiny1-m0' appears in two gold chains"),
+        ],
+        ids=["unknown-mention", "mention-in-two-chains"],
+    )
+    def test_gold_sidecar_faults_name_the_sidecar(self, chains, fault, tmp_path, capsys):
+        side = tmp_path / "side.json"
+        side.write_text(json.dumps({"gold_chains": chains}), encoding="utf-8")
+        prediction = tmp_path / "prediction.json"
+        ids = [f"tiny{d}-m{k}" for d in (1, 2) for k in range(3)]
+        prediction.write_text(json.dumps(dict.fromkeys(ids, "a")), encoding="utf-8")
+        argv = ["score", "--corpus", tiny_corpus_path(), "--gold", side, prediction]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {side}: ")
+        assert fault in err
+        assert str(tiny_corpus_path()) not in err
 
     @pytest.mark.parametrize("option", ["--corpus", "--distance-model"])
     def test_directory_paths_exit_two(self, option, model_file, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from hddcrp.corpus import Corpus, Document, Mention
 from hddcrp.errors import InputError
-from hddcrp import features, pairwise, sampling
+from hddcrp import features, likelihood, pairwise, sampling
 from hddcrp.likelihood import LikelihoodParams, lemma_bags
 from hddcrp.links import ClusterAssignment
 from hddcrp.sampling import (
@@ -370,9 +370,11 @@ class TestDebugMode:
 
     @pytest.fixture
     def ratios_off_by_a_millionth(self, monkeypatch):
-        for name in ("merge_ratio_raw", "merge_normaliser_raw", "split_ratio_raw"):
-            exact = getattr(sampling, name)
-            monkeypatch.setattr(sampling, name, lambda *args, f=exact: f(*args) + 1e-6)
+        # every merge and split ratio adds the merge normaliser, whether the
+        # likelihood module computes it or the labels' memo row holds it
+        exact = likelihood.merge_normaliser_raw
+        for module in (likelihood, sampling):
+            monkeypatch.setattr(module, "merge_normaliser_raw", lambda *args: exact(*args) + 1e-6)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_from_scratch_check_catches_wrong_ratios_in_sweeps(
@@ -495,15 +497,15 @@ class TestLinkGraphCore:
         rng = np.random.default_rng(73)
         state = init_state(replicated_corpus, config, rng, priors=priors)
         # (moving table's lemmas, label's bag object, label's lemmas) per
-        # merge_ratio_raw call, copied at call time: the live bags change later
+        # merge_ratio_from call, copied at call time: the live bags change later
         ratio_calls = []
         moves = []  # (labels sharing a lemma with the moving table, labels, first call)
-        merge_ratio_raw = sampling.merge_ratio_raw
+        merge_ratio_from = sampling.merge_ratio_from
         take = Labels.take
 
-        def counting_ratio(counts_a, total_a, counts_b, total_b, params):
+        def counting_ratio(normaliser, counts_a, counts_b, params):
             ratio_calls.append((set(counts_a), id(counts_b), set(counts_b)))
-            return merge_ratio_raw(counts_a, total_a, counts_b, total_b, params)
+            return merge_ratio_from(normaliser, counts_a, counts_b, params)
 
         def recording_take(labels, table, bag, headed):
             # unseating the table calls no merge ratio, so the table's calls come after first
@@ -521,7 +523,7 @@ class TestLinkGraphCore:
             moves.append((sharing, len(labels.key_of), first))
             return scored
 
-        monkeypatch.setattr(sampling, "merge_ratio_raw", counting_ratio)
+        monkeypatch.setattr(sampling, "merge_ratio_from", counting_ratio)
         monkeypatch.setattr(Labels, "take", recording_take)
         for _ in range(3):
             state.sweep(rng)
@@ -595,7 +597,7 @@ class TestLinkGraphCore:
     )
     def test_label_draws_match_the_per_label_reference(self, case, groups, moving, alpha_0):
         labels, (shared, weights) = seated_labels(groups, moving, alpha_0)
-        own = [labels._logs[labels.key_of[k][0]] + d for k, d in shared.items()]
+        own = [labels._logs[labels.key_table[labels.key_of[k]][0]] + d for k, d in shared.items()]
         unshared = [weights[labels.key_of[k]] for k in labels.key_of if k not in shared]
         if case == "no shared label":
             assert not shared and len(labels.keys) < len(labels.key_of)
@@ -625,6 +627,18 @@ class TestLinkGraphCore:
             picks.add(got)
             labels.next_label = new
         assert len(picks) == len(labels.key_of) + 1
+
+    def test_a_zero_uniform_picks_a_leading_label_of_zero_weight_as_the_reference_does(self):
+        labels, (shared, weights) = seated_labels([[["a", "a"]], [["b"], ["b"]], [["c"]]], ["z"])
+        first = min(labels.key_of)
+        assert not shared and list(labels.keys.values()) == [1, 1, 1]
+        # the first label's key alone weighs exp(-1000 - top), which underflows to 0.0
+        weights = {**weights, labels.key_of[first]: -1000.0}
+        for u, want in ((0.0, first), (2.0**-1074, sorted(labels.key_of)[1])):
+            new = labels.next_label
+            assert label_draw_reference(labels, FixedRng(u), shared, weights) == want
+            assert labels.draw(FixedRng(u), shared, weights) == want
+            labels.next_label = new
 
     @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
     def test_debug_mode_catches_labels_out_of_order(self, tiny_corpus, model, monkeypatch):
@@ -699,8 +713,10 @@ class TestLinkGraphCore:
         def move_and_miscount(labels, table, bag, k, step, headed):
             move(labels, table, bag, k, step, headed)
             if step > 0 and headed:
-                t, total = labels.key_of[k]
-                labels.key_of[k] = (t + 1, total)
+                t, total = labels.key_table[labels.key_of[k]]
+                labels.key_of[k] = labels.key_ids.setdefault((t + 1, total), len(labels.key_table))
+                if labels.key_of[k] == len(labels.key_table):
+                    labels.key_table.append((t + 1, total))
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
@@ -736,8 +752,10 @@ class TestLinkGraphCore:
             before = dict(labels.key_of)
             move(labels, table, bag, k, step, headed)
             # keep the table count right, so that only the lemma total goes stale
-            if step > 0 and k in before and before[k][0] == labels.key_of[k][0]:
-                labels.key_of[k] = before[k]
+            if step > 0 and k in before:
+                old, new = labels.key_table[before[k]], labels.key_table[labels.key_of[k]]
+                if old[0] == new[0]:
+                    labels.key_of[k] = before[k]
 
         config = SamplerConfig(model=model, concentration=0.5, debug=True)
         priors = build_priors(tiny_corpus, config, **UNIFORM)
@@ -747,6 +765,24 @@ class TestLinkGraphCore:
         with pytest.raises(AssertionError, match="label -> key map differs"):
             for _ in range(10):
                 state.sweep(rng)
+
+    @pytest.mark.parametrize("model", ["hddcrp_star", "hdp_lex"])
+    def test_debug_mode_catches_a_stale_key_id(self, tiny_corpus, model, monkeypatch):
+        move = Labels.move
+
+        def move_forgetting_the_key_ids(labels, table, bag, k, step, headed):
+            # each key seated from here on gets a fresh id, so a label seated
+            # earlier with the same key keeps a stale one
+            labels.key_ids.clear()
+            move(labels, table, bag, k, step, headed)
+
+        config = SamplerConfig(model=model, concentration=0.5, debug=True)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        rng = np.random.default_rng(72)
+        state = init_state(tiny_corpus, config, rng, priors=priors)
+        monkeypatch.setattr(Labels, "move", move_forgetting_the_key_ids)
+        with pytest.raises(AssertionError, match="key ids and the id -> key table disagree"):
+            state.sweep(rng)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_debug_mode_catches_components_left_unmerged(
@@ -1019,7 +1055,7 @@ class TestSweepOperations:
             state.sweep(rng)
             prior = state._links_log_prior()
             if model in ("hddcrp_star", "hdp_lex"):
-                sizes = sorted(t for t, _ in state.labels.key_of.values())
+                sizes = sorted(state.labels.key_table[kid][0] for kid in state.labels.key_of.values())
                 prior += crp_partition_log_prob(sizes, state.labels.alpha_0)
             assert state.joint_log_score() == prior
 
