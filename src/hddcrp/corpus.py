@@ -304,7 +304,7 @@ def write_json(path, obj):
 def load_corpus(path, gold_path=None) -> Corpus:
     """Load a JSON-lines corpus file, validating all invariants."""
     documents = []
-    gold = None
+    gold, gold_source = None, path
     for line_no, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
@@ -329,10 +329,12 @@ def load_corpus(path, gold_path=None) -> Corpus:
                 if gold is not None:
                     raise InputError("duplicate gold_chains entry")
                 gold = _parse_gold_chains(obj)
+                gold_source = f"{path}: line {line_no}"
             else:
                 raise InputError("object is neither a document nor gold_chains")
     if gold_path is not None:
         obj = read_json(gold_path)
+        gold_source = gold_path
         with located(gold_path):
             gold = _parse_gold_chains(obj if isinstance(obj, dict) else {"gold_chains": obj})
     with located(path):
@@ -340,8 +342,8 @@ def load_corpus(path, gold_path=None) -> Corpus:
         if not corpus.mention_ids:
             raise InputError("the corpus holds no mentions")
     # the documents were validated at their lines; the gold chains name the
-    # file they came from
-    with located(path if gold_path is None else gold_path):
+    # footer line or the sidecar they came from
+    with located(gold_source):
         corpus.validate_gold()
     return corpus
 

@@ -95,6 +95,76 @@ def ceaf_e_reference(gold, pred):
     return prf(total, len(pred), total, len(gold))
 
 
+# Per-unit counts and score from set intersections over partitions restricted
+# to each unit, with CEAF_e aligned by scipy.optimize.linear_sum_assignment:
+# the package's results must equal these bit for bit.
+
+
+def muc_counts_by_sets(gold, pred):
+    def side(chains, against):
+        num = den = 0
+        cluster_of = {m: k for k, part in enumerate(against) for m in part}
+        for chain in chains:
+            num += len(chain) - len({cluster_of[m] for m in chain})
+            den += len(chain) - 1
+        return num, den
+
+    return (*side(gold, pred), *side(pred, gold))
+
+
+def b_cubed_counts_by_sets(gold, pred):
+    gold_of = {m: part for part in gold for m in part}
+    pred_of = {m: part for part in pred for m in part}
+    overlap = {m: len(gold_of[m] & pred_of[m]) for m in gold_of}
+    r_num = math.fsum(overlap[m] / len(gold_of[m]) for m in gold_of)
+    p_num = math.fsum(overlap[m] / len(pred_of[m]) for m in gold_of)
+    return r_num, len(gold_of), p_num, len(gold_of)
+
+
+def ceaf_e_counts_scipy(gold, pred):
+    from scipy.optimize import linear_sum_assignment
+
+    gold, pred = list(gold), list(pred)
+    if not gold or not pred:
+        return 0.0, len(gold), 0.0, len(pred)
+    phi = np.zeros((len(gold), len(pred)))
+    for i, g in enumerate(gold):
+        for j, s in enumerate(pred):
+            inter = len(g & s)
+            if inter:
+                phi[i, j] = 2.0 * inter / (len(g) + len(s))
+    rows, cols = linear_sum_assignment(phi, maximize=True)
+    mass = float(phi[rows, cols].sum())
+    return mass, len(gold), mass, len(pred)
+
+
+def score_reference(corpus, gold, pred, setting):
+    """metrics.score with each part intersected with every unit, in sorted
+    unit order."""
+    from hddcrp.links import ClusterAssignment
+    from hddcrp.metrics import ScoreReport, _prf
+
+    def sets(clustering):
+        if isinstance(clustering, ClusterAssignment):
+            return clustering.partition()
+        return [frozenset(part) for part in clustering]
+
+    gold, pred = sets(gold), sets(pred)
+    units = {}
+    for d in corpus.documents:
+        key = d.doc_id if setting == "WD" else d.seminal_event_id
+        units.setdefault(key, set()).update(m.mention_id for m in d.mentions)
+    counts = (muc_counts_by_sets, b_cubed_counts_by_sets, ceaf_e_counts_scipy)
+    totals = [[0.0] * 4 for _ in counts]
+    for key in sorted(units):
+        g = [part & units[key] for part in gold if part & units[key]]
+        p = [part & units[key] for part in pred if part & units[key]]
+        for total, fn in zip(totals, counts):
+            for k, v in enumerate(fn(g, p)):
+                total[k] += v
+    return ScoreReport(setting, *map(_prf, totals))
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet-multinomial marginal and CRP partition probability
 # ---------------------------------------------------------------------------

@@ -700,7 +700,7 @@ PARSE_ERRORS = {
                              None, "duplicate mention_id 'tiny1-m0'"),
     "head-not-in-span": ("corpus", _tiny(1, _set(("mentions", 0, "head_lemma"), "talk")), 1,
                          "does not occur in span_lemmas"),
-    "unknown-gold-mention": ("corpus", _tiny(3, _set(("gold_chains", 0, 0), "nobody")), None,
+    "unknown-gold-mention": ("corpus", _tiny(3, _set(("gold_chains", 0, 0), "nobody")), 3,
                              "unknown mention 'nobody'"),
     "gold-sidecar-list": ("gold", lambda: "[1, 2]", None,
                           "gold_chains must be a list of lists of strings"),
@@ -1169,26 +1169,45 @@ class TestOutputPaths:
         assert taken.read_text(encoding="utf-8") == "kept\n"
 
 
-def modules_loaded_by_importing_the_cli(package):
-    """Modules of package in sys.modules after import hddcrp.cli in a fresh
-    interpreter."""
+def modules_loaded_by_the_cli(package, *commands):
+    """The sorted names of package's modules in sys.modules of a fresh
+    interpreter, after import hddcrp.cli and then each of commands (argv
+    lists, each of which must exit 0)."""
     code = (
-        "import sys, hddcrp.cli; "
+        "import sys, hddcrp.cli\n"
+        f"for argv in {[[str(a) for a in argv] for argv in commands]!r}:\n"
+        "    assert hddcrp.cli.main(argv) == 0, argv\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    return proc.stdout.strip()
+    return proc.stdout.splitlines()[-1]  # after what the commands print
 
 
 def test_importing_the_cli_loads_no_scipy():
-    assert modules_loaded_by_importing_the_cli("scipy") == "[]"
+    assert modules_loaded_by_the_cli("scipy") == "[]"
+
+
+def test_commands_without_a_distance_model_load_no_scipy(tmp_path):
+    # scipy serves train-distance and the distance-model paths only
+    corpus = ["--corpus", synthetic_corpus_path()]
+    chains = tmp_path / "chains"
+    commands = [
+        ["sample", *corpus, "--model", "hdp-lex", "--chains", 2, "--iterations", 3,
+         "--output-dir", chains],
+        ["baseline", *corpus, "--method", "lemma", "-o", tmp_path / "lemma.json"],
+        ["score", *corpus, chains / "chain-00.clustering.json",
+         chains / "chain-01.clustering.json", tmp_path / "lemma.json",
+         "-o", tmp_path / "scores.json"],
+    ]
+    assert modules_loaded_by_the_cli("scipy", *commands) == "[]"
+    assert (tmp_path / "scores.json").exists()
 
 
 def test_importing_the_cli_loads_no_multiprocessing():
     # only run_chains with jobs > 1 needs a process pool
-    assert modules_loaded_by_importing_the_cli("multiprocessing") == "[]"
+    assert modules_loaded_by_the_cli("multiprocessing") == "[]"
 
 
 _COMMON = {"corpus": (("--corpus",), str, None), "config": (("--config",), str, None)}

@@ -19,10 +19,14 @@ from hddcrp.metrics import (
 from hddcrp.corpus import Corpus, gold_partition
 from hddcrp import metrics
 from reference_impls import (
+    b_cubed_counts_by_sets,
     b_cubed_reference,
+    ceaf_e_counts_scipy,
     ceaf_e_reference,
     compensated_sum,
+    muc_counts_by_sets,
     muc_reference,
+    score_reference,
 )
 
 
@@ -86,6 +90,76 @@ class TestAgainstBruteForce:
                 assert math.isclose(got.precision, p, abs_tol=1e-12)
                 assert math.isclose(got.recall, r, abs_tol=1e-12)
                 assert math.isclose(got.f1, f, abs_tol=1e-12)
+
+
+def phi_of(gold, pred):
+    return np.array(
+        [[2.0 * len(g & s) / (len(g) + len(s)) for s in pred] for g in gold]
+    )
+
+
+def seeded_matrices(seed, per_kind):
+    """(kind, phi) pairs up to 40 x 40: random floats, phi matrices of random
+    partitions (heavy ties), all-zero, constant and quarter-step matrices."""
+    rng = np.random.default_rng(seed)
+    for _ in range(per_kind):
+        nr, nc = (int(x) for x in rng.integers(1, 41, size=2))
+        yield "random", rng.random((nr, nc))
+        yield "zero", np.zeros((nr, nc))
+        yield "constant", np.full((nr, nc), float(rng.integers(1, 5)) / 4)
+        yield "quarters", rng.integers(0, 5, size=(nr, nc)) / 4.0
+        n = int(rng.integers(1, 41))
+        mentions = [f"m{k}" for k in range(n)]
+        yield "partitions", phi_of(
+            random_partition(rng, mentions), random_partition(rng, mentions)
+        )
+
+
+class TestAlignment:
+    """metrics._max_assignment is scipy's linear_sum_assignment, ties and all."""
+
+    def test_rows_and_cols_equal_scipy_on_seeded_matrices(self):
+        from scipy.optimize import linear_sum_assignment
+
+        shapes, differ = set(), []
+        for kind, phi in seeded_matrices(seed=25, per_kind=1_200):
+            rows, cols = linear_sum_assignment(phi, maximize=True)
+            got = metrics._max_assignment(phi.tolist())
+            if got != (rows.tolist(), cols.tolist()):
+                differ.append((kind, phi.shape))
+            nr, nc = phi.shape
+            shapes.add((kind, "tall" if nr > nc else "wide" if nr < nc else "square"))
+        assert differ == []
+        # every kind came in every shape
+        assert len(shapes) == 15
+
+    def test_metrics_equal_the_set_and_scipy_references_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        for _ in range(400):
+            n = int(rng.integers(1, 60))
+            mentions = [f"m{k}" for k in range(n)]
+            gold = random_partition(rng, mentions)
+            pred = random_partition(rng, mentions)
+            for ours, ref in (
+                (muc, muc_counts_by_sets),
+                (b_cubed, b_cubed_counts_by_sets),
+                (ceaf_e, ceaf_e_counts_scipy),
+            ):
+                assert ours(gold, pred) == metrics._prf(ref(gold, pred))
+
+    @pytest.mark.parametrize("setting", ["WD", "CD"])
+    def test_score_equals_the_scipy_reference_bit_for_bit(
+        self, setting, synthetic_corpus, replicated_corpus
+    ):
+        rng = np.random.default_rng(27)
+        for corpus in (synthetic_corpus, replicated_corpus):
+            mentions = list(corpus.mention_ids)
+            gold = gold_partition(corpus)
+            for _ in range(40):
+                pred = random_partition(rng, mentions)
+                other = from_parts(corpus, random_partition(rng, mentions))
+                for g, p in ((gold, pred), (gold, other), (pred, other)):
+                    assert score(corpus, g, p, setting) == score_reference(corpus, g, p, setting)
 
 
 class TestConventions:
@@ -171,6 +245,10 @@ class TestAveraging:
         want = (0.1 + 0.2 + 0.3) / 3
         assert compensated_sum([0.1, 0.2, 0.3]) / 3 != want
         assert mean.muc == mean.b3 == mean.ceafe == PRF(want, want, want)
+
+    def test_no_reports_rejected_as_such(self):
+        with pytest.raises(ValueError, match="no reports to average"):
+            mean_reports([])
 
     def test_mixed_settings_rejected(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
