@@ -137,11 +137,9 @@ def build_synthetic():
             mentions.append(
                 Mention(mid, doc_id, k, head, "NN", span, context, arguments)
             )
-        documents.append(Document.build(doc_id, topic, mentions))
+        documents.append(Document(doc_id, topic, mentions))
     gold = GoldChains(tuple(frozenset(c) for _, c in sorted(chains.items())))
-    corpus = Corpus(tuple(documents), gold)
-    corpus.validate()
-    return corpus
+    return Corpus(tuple(documents), gold)
 
 
 def build_tiny():
@@ -158,11 +156,9 @@ def build_tiny():
             if chain is not None:
                 chains.setdefault(chain, []).append(mid)
             mentions.append(Mention(mid, doc_id, k, head, "NN", (head,), (), {}))
-        documents.append(Document.build(doc_id, "ev-tiny", mentions))
+        documents.append(Document(doc_id, "ev-tiny", mentions))
     gold = GoldChains(tuple(frozenset(c) for _, c in sorted(chains.items())))
-    corpus = Corpus(tuple(documents), gold)
-    corpus.validate()
-    return corpus
+    return Corpus(tuple(documents), gold)
 
 
 def unit(x, dim_a, dim_b, dims=8):

@@ -18,7 +18,10 @@ the source of every other input error: parsers state only the fault, and
 their callers run them inside `located(path)`, or `located(f"{path}: line
 {n}")` for one line of a line-based file.
 
-All types are immutable after loading and safe to share across sampler chains.
+Each type checks its invariants and derives its fields when it is built, so
+its constructor is the one way to make it: a Document sorts its mentions by
+order_index and derives its tf_vector, and a Corpus lays out its mentions.
+All types are immutable and safe to share across sampler chains.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class Mention:
     # role -> tuple of argument mentions, each a tuple of lemmas
     arguments: dict[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
 
-    def validate(self):
+    def __post_init__(self):
         if not self.span_lemmas:
             raise InputError(f"mention {self.mention_id!r}: span_lemmas is empty")
         if self.head_lemma not in self.span_lemmas:
@@ -74,35 +77,30 @@ class Mention:
 
 @dataclass(frozen=True)
 class Document:
-    """An ordered sequence of event mentions from one source document."""
+    """The event mentions of one source document, sorted by order_index."""
 
     doc_id: str
     seminal_event_id: str
     mentions: tuple[Mention, ...]
     # token -> count over all mention spans and argument spans in the document
-    tf_vector: dict[str, int] = field(default_factory=dict, compare=False)
+    tf_vector: dict[str, int] = field(init=False, compare=False)
 
-    @staticmethod
-    def build(doc_id, seminal_event_id, mentions):
-        mentions = tuple(sorted(mentions, key=lambda m: m.order_index))
-        return Document(doc_id, seminal_event_id, mentions, _doc_tf(mentions))
-
-    def validate(self):
-        orders = [m.order_index for m in self.mentions]
-        if orders != list(range(len(self.mentions))):
+    def __post_init__(self):
+        mentions = tuple(sorted(self.mentions, key=lambda m: m.order_index))
+        orders = [m.order_index for m in mentions]
+        if orders != list(range(len(mentions))):
             raise InputError(
                 f"document {self.doc_id!r}: mention order_index values must be "
-                f"0..{len(self.mentions) - 1} without gaps, got {orders}"
+                f"0..{len(mentions) - 1} without gaps, got {orders}"
             )
-        for m in self.mentions:
+        for m in mentions:
             if m.doc_id != self.doc_id:
                 raise InputError(
                     f"mention {m.mention_id!r} carries doc_id {m.doc_id!r} "
                     f"inside document {self.doc_id!r}"
                 )
-            m.validate()
-        if self.tf_vector != _doc_tf(self.mentions):
-            raise InputError(f"document {self.doc_id!r}: stale tf_vector")
+        object.__setattr__(self, "mentions", mentions)
+        object.__setattr__(self, "tf_vector", _doc_tf(mentions))
 
 
 def _doc_tf(mentions):
@@ -139,7 +137,9 @@ class Corpus:
     The canonical order lists mentions by (doc_id, order_index); priors,
     samplers, training pairs, baselines and clusterings index mentions by
     their position in it.  mention_ids holds the ids in that order, and
-    bounds the index of each document's first mention, then n.
+    bounds the index of each document's first mention, then n.  Doc and
+    mention ids are unique, and the gold chains name known mentions, each at
+    most once.
     """
 
     documents: tuple[Document, ...]
@@ -162,24 +162,13 @@ class Corpus:
         object.__setattr__(self, "_by_id", by_id)
         sizes = [len(d.mentions) for d in documents]
         object.__setattr__(self, "bounds", tuple(itertools.accumulate(sizes, initial=0)))
-
-    def validate(self):
-        for d in self.documents:
-            d.validate()
-        self.validate_gold()
-
-    def validate_gold(self):
-        """Check that the gold chains name known mentions, each at most once."""
-        if self.gold is None:
-            return
         covered = set()
-        for chain in self.gold.chains:
-            for mid in chain:
-                if mid not in self._by_id:
-                    raise InputError(f"gold chain references unknown mention {mid!r}")
-                if mid in covered:
-                    raise InputError(f"mention {mid!r} appears in two gold chains")
-                covered.add(mid)
+        for mid in itertools.chain.from_iterable(self.gold.chains if self.gold else ()):
+            if mid not in by_id:
+                raise InputError(f"gold chain references unknown mention {mid!r}")
+            if mid in covered:
+                raise InputError(f"mention {mid!r} appears in two gold chains")
+            covered.add(mid)
 
     def mention(self, mention_id) -> Mention:
         return self._by_id[mention_id]
@@ -323,8 +312,7 @@ def load_corpus(path, gold_path=None) -> Corpus:
                     _parse_mention(mobj, doc_id, k)
                     for k, mobj in enumerate(_field(obj, "mentions", "a list", []))
                 ]
-                documents.append(Document.build(doc_id, seminal, mentions))
-                documents[-1].validate()
+                documents.append(Document(doc_id, seminal, mentions))
             elif "gold_chains" in obj:
                 if gold is not None:
                     raise InputError("duplicate gold_chains entry")
@@ -338,14 +326,13 @@ def load_corpus(path, gold_path=None) -> Corpus:
         with located(gold_path):
             gold = _parse_gold_chains(obj if isinstance(obj, dict) else {"gold_chains": obj})
     with located(path):
-        corpus = Corpus(tuple(documents), gold)
+        corpus = Corpus(tuple(documents))
         if not corpus.mention_ids:
             raise InputError("the corpus holds no mentions")
     # the documents were validated at their lines; the gold chains name the
     # footer line or the sidecar they came from
     with located(gold_source):
-        corpus.validate_gold()
-    return corpus
+        return Corpus(corpus.documents, gold)
 
 
 def _mention_to_obj(m: Mention):

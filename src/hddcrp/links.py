@@ -2,9 +2,10 @@
 
 _components is the one routine that turns edges into a partition: the
 samplers' link graphs and the agglomerative baseline call it.  A
-ClusterAssignment is a partition with canonical labels, the form every
-sampler, baseline and scorer hands on.  Which links are active and what
-their components stand for is defined by the samplers in sampling.py.
+ClusterAssignment is a partition whose labels are canonical by
+construction, the form every sampler, baseline and scorer hands on.  Which
+links are active and what their components stand for is defined by the
+samplers in sampling.py.
 """
 
 from __future__ import annotations
@@ -47,12 +48,19 @@ class ClusterAssignment:
 
     Labels form a restricted growth string over the canonical mention order:
     the first mention gets cluster 0, and each later mention gets either an
-    existing label or the smallest unused one.  Two assignments over the same
-    mentions are equal iff they induce the same partition.
+    existing label or the smallest unused one.  Any labels given are
+    relabelled so, and so two assignments over the same mentions are equal
+    iff they induce the same partition.
     """
 
     mention_ids: tuple[str, ...]
     labels: tuple[int, ...]
+
+    def __post_init__(self):
+        seen = {}
+        labels = tuple(seen.setdefault(k, len(seen)) for k in self.labels)
+        object.__setattr__(self, "mention_ids", tuple(self.mention_ids))
+        object.__setattr__(self, "labels", labels)
 
     @staticmethod
     def from_index_partition(mention_ids, parts):
@@ -61,7 +69,7 @@ class ClusterAssignment:
         for k, members in enumerate(parts):
             for i in members:
                 raw[i] = k
-        return ClusterAssignment(tuple(mention_ids), _canonical(raw))
+        return ClusterAssignment(mention_ids, raw)
 
     @staticmethod
     def from_mapping(mention_ids_in_order, mapping):
@@ -73,7 +81,7 @@ class ClusterAssignment:
         extra = set(mapping) - set(ids)
         if extra:
             raise InputError(f"clustering labels unknown mentions {sorted(extra)[:5]}")
-        return ClusterAssignment(ids, _canonical([mapping[m] for m in ids]))
+        return ClusterAssignment(ids, [mapping[m] for m in ids])
 
     def as_mapping(self):
         return dict(zip(self.mention_ids, self.labels))
@@ -87,13 +95,3 @@ class ClusterAssignment:
 
     def n_clusters(self):
         return max(self.labels) + 1 if self.labels else 0
-
-
-def _canonical(labels):
-    seen = {}
-    out = []
-    for l in labels:
-        if l not in seen:
-            seen[l] = len(seen)
-        out.append(seen[l])
-    return tuple(out)

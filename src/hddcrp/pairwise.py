@@ -250,12 +250,7 @@ def load_model(path):
                 raise InputError("feature_index must map feature names to integers")
             extractor = FeatureExtractor.from_feature_index(index)
             theta = np.array([float(v) for v in obj["theta"]])
-            return PairwiseModel(
-                theta,
-                extractor,
-                float(obj.get("l2", 1.0)),
-                float(obj.get("truncation_threshold", 0.5)),
-                float(obj.get("gamma", 1.0)),
-            )
+            hyper = (float(obj[k]) for k in ("l2", "truncation_threshold", "gamma"))
+            return PairwiseModel(theta, extractor, *hyper)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed model file ({exc})") from exc

@@ -80,7 +80,7 @@ from .likelihood import (
     merge_ratio_raw,
     split_ratio_raw,
 )
-from .links import ClusterAssignment, _canonical, _components
+from .links import ClusterAssignment, _components
 
 MODELS = ("hddcrp", "hddcrp_star", "ddcrp_flat", "hdp_lex")
 
@@ -591,7 +591,7 @@ class _StateBase:
     def clustering(self):
         """The clustering, read off the maintained cluster ids."""
         ids = self.mention_ids
-        out = ClusterAssignment(ids, _canonical(self._clusters()[1]))
+        out = ClusterAssignment(ids, self._clusters()[1])
         if self.debug and out != ClusterAssignment.from_index_partition(ids, self._parts()):
             raise AssertionError("clustering from the maintained ids differs from a rebuild")
         return out
@@ -974,10 +974,8 @@ _STATE_CLASSES = {
 }
 
 
-def init_state(corpus, config, rng, priors=None, pairwise=None, resources=None, params=None):
+def init_state(corpus, config, rng, priors, params=None):
     """Build a chain state with links drawn uniformly from their supports."""
-    if priors is None:
-        priors = build_priors(corpus, config, pairwise, resources)
     if params is None:
         params = LikelihoodParams.for_corpus(corpus, config.concentration)
     state = _STATE_CLASSES[config.model](corpus, config, priors, params)
@@ -1019,12 +1017,10 @@ def _run_chain(corpus, config, priors, params, index, seed_seq):
     return ChainResult(index, final, estimate, tuple(trace))
 
 
-def run_chains(corpus, config, pairwise=None, resources=None, priors=None, jobs=1):
+def run_chains(corpus, config, priors, jobs=1):
     """Run config.chains independent chains with seeds derived from config.seed."""
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
-    if priors is None:
-        priors = build_priors(corpus, config, pairwise, resources)
     params = LikelihoodParams.for_corpus(corpus, config.concentration)
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     args = [(corpus, config, priors, params, k, seeds[k]) for k in range(config.chains)]
@@ -1037,7 +1033,7 @@ def run_chains(corpus, config, pairwise=None, resources=None, priors=None, jobs=
     return [_run_chain(*a) for a in args]
 
 
-def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resources=None):
+def enumerate_exact_posterior(corpus, config, priors):
     """Exact clustering posterior for the two-level link model by brute force.
 
     Enumerates every sequential customer-link configuration and, for each, the
@@ -1050,8 +1046,6 @@ def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resour
     n = len(corpus.mention_ids)
     if n > 8:
         raise InputError(f"exact enumeration supports at most 8 mentions, got {n}")
-    if priors is None:
-        priors = build_priors(corpus, config, pairwise, resources)
     params = LikelihoodParams.for_corpus(corpus, config.concentration)
     state = HddcrpState(corpus, config, priors, params)
 
@@ -1084,7 +1078,7 @@ def enumerate_exact_posterior(corpus, config, priors=None, pairwise=None, resour
             # non-head table links are inactive, so stale ones change nothing
             parts = state._parts()
             key = ClusterAssignment.from_index_partition(state.mention_ids, parts)
-            w = prior_c + loglik(tuple(key.labels), parts)
+            w = prior_c + loglik(key.labels, parts)
             prev = log_mass.get(key)
             log_mass[key] = w if prev is None else np.logaddexp(prev, w)
     top = max(log_mass.values())

@@ -39,15 +39,13 @@ def replicated_corpus(synthetic_corpus):
                 )
                 for m in doc.mentions
             ]
-            documents.append(Document.build(doc_id, f"c{k}-{doc.seminal_event_id}", mentions))
+            documents.append(Document(doc_id, f"c{k}-{doc.seminal_event_id}", mentions))
     chains = tuple(
         frozenset(f"c{k}-{mid}" for mid in chain)
         for k in range(copies)
         for chain in synthetic_corpus.gold.chains
     )
-    corpus = Corpus(tuple(documents), GoldChains(chains))
-    corpus.validate()
-    return corpus
+    return Corpus(tuple(documents), GoldChains(chains))
 
 
 @pytest.fixture(scope="session")

@@ -87,7 +87,7 @@ def test_uniform_distances_reduce_to_the_chinese_restaurant_process():
         mentions = [
             Mention(f"d-m{k}", "d", k, "w", "NN", ("w",), (), {}) for k in range(n)
         ]
-        corpus = Corpus((Document.build("d", "ev", mentions),))
+        corpus = Corpus((Document("d", "ev", mentions),))
         for alpha in (0.5, 1.0, 2.7):
             config = SamplerConfig(model="hddcrp", alpha_d=alpha, flat_likelihood=True)
             priors = build_priors(corpus, config, **UNIFORM)

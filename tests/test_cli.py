@@ -20,6 +20,7 @@ from hddcrp.data import (
     synthetic_synonyms_path,
     tiny_corpus_path,
 )
+from hddcrp.features import FeatureExtractor
 from hddcrp.pairwise import load_model
 from reference_impls import compensated_sum
 
@@ -77,7 +78,7 @@ class TestTrainDistance:
 
     def test_missing_gold_exits_with_input_error(self, tmp_path, capsys):
         mentions = [Mention("d-m0", "d", 0, "x", "NN", ("x",), (), {})]
-        corpus = Corpus((Document.build("d", "ev", mentions),))
+        corpus = Corpus((Document("d", "ev", mentions),))
         path = tmp_path / "nogold.jsonl"
         save_corpus(corpus, path)
         code = run(["train-distance", "--corpus", path, "-o", tmp_path / "m.json"])
@@ -496,7 +497,7 @@ class TestBaselineAndScore:
                 mid = f"{d}-m{k}"
                 mentions.append(Mention(mid, d, k, head, "NN", (head,), (), {}))
                 chains[head].append(mid)
-            docs.append(Document.build(d, "ev", mentions))
+            docs.append(Document(d, "ev", mentions))
         corpus = Corpus(
             tuple(docs), GoldChains(tuple(frozenset(c) for c in chains.values()))
         )
@@ -700,6 +701,8 @@ PARSE_ERRORS = {
                              None, "duplicate mention_id 'tiny1-m0'"),
     "head-not-in-span": ("corpus", _tiny(1, _set(("mentions", 0, "head_lemma"), "talk")), 1,
                          "does not occur in span_lemmas"),
+    "negative-order-index": ("corpus", _tiny(1, _set(("mentions", 0, "order_index"), -1)), 1,
+                             "negative order_index"),
     "unknown-gold-mention": ("corpus", _tiny(3, _set(("gold_chains", 0, 0), "nobody")), 3,
                              "unknown mention 'nobody'"),
     "gold-sidecar-list": ("gold", lambda: "[1, 2]", None,
@@ -710,6 +713,10 @@ PARSE_ERRORS = {
                       "config key 'iterations' must be an integer, got '5'"),
     "model-without-features": ("model", lambda: '{"theta": []}', None,
                                "malformed model file ('feature_index')"),
+    "model-without-gamma": ("model", lambda: json.dumps({
+        "theta": [0.0] * len(FeatureExtractor([])), "l2": 1.0, "truncation_threshold": 0.5,
+        "feature_index": FeatureExtractor([]).feature_index,
+    }), None, "malformed model file ('gamma')"),
     "prediction-label-bool": ("prediction", lambda: '{"tiny1-m0": true}', None,
                               "cluster labels must be strings or integers"),
 }

@@ -24,6 +24,7 @@ from hddcrp.corpus import (
 )
 from hddcrp.data import synthetic_corpus_path
 from hddcrp.errors import InputError
+from hddcrp.pairwise import build_training_pairs
 
 
 def mention(mid, doc, k, head="w", span=None, context=(), arguments=None):
@@ -32,45 +33,38 @@ def mention(mid, doc, k, head="w", span=None, context=(), arguments=None):
 
 class TestValidation:
     def test_head_must_occur_in_span(self):
-        m = Mention("m", "d", 0, "x", "NN", ("y",), (), {})
         with pytest.raises(InputError):
-            m.validate()
+            Mention("m", "d", 0, "x", "NN", ("y",), (), {})
 
     def test_unknown_argument_role_rejected(self):
-        m = Mention("m", "d", 0, "x", "NN", ("x",), (), {"verb": (("v",),)})
         with pytest.raises(InputError):
-            m.validate()
+            Mention("m", "d", 0, "x", "NN", ("x",), (), {"verb": (("v",),)})
 
     def test_order_indices_must_be_contiguous(self):
-        d = Document.build("d", "ev", [mention("a", "d", 0), mention("b", "d", 2)])
         with pytest.raises(InputError):
-            d.validate()
+            Document("d", "ev", [mention("a", "d", 0), mention("b", "d", 2)])
 
     def test_duplicate_doc_id_rejected(self):
-        d = Document.build("d", "ev", [mention("a", "d", 0)])
-        d2 = Document.build("d", "ev", [mention("b", "d", 0)])
+        d = Document("d", "ev", [mention("a", "d", 0)])
+        d2 = Document("d", "ev", [mention("b", "d", 0)])
         with pytest.raises(InputError):
             Corpus((d, d2))
 
     def test_duplicate_mention_id_rejected(self):
-        d1 = Document.build("d1", "ev", [mention("a", "d1", 0)])
-        d2 = Document.build("d2", "ev", [mention("a", "d2", 0)])
+        d1 = Document("d1", "ev", [mention("a", "d1", 0)])
+        d2 = Document("d2", "ev", [mention("a", "d2", 0)])
         with pytest.raises(InputError):
-            Corpus((d1, d2)).validate()
+            Corpus((d1, d2))
 
     def test_gold_chain_must_reference_known_mentions(self):
-        d = Document.build("d", "ev", [mention("a", "d", 0)])
-        corpus = Corpus((d,), GoldChains((frozenset({"a", "ghost"}),)))
+        d = Document("d", "ev", [mention("a", "d", 0)])
         with pytest.raises(InputError):
-            corpus.validate()
+            Corpus((d,), GoldChains((frozenset({"a", "ghost"}),)))
 
     def test_gold_chains_must_be_disjoint(self):
-        d = Document.build("d", "ev", [mention(f"m{k}", "d", k) for k in range(3)])
-        corpus = Corpus(
-            (d,), GoldChains((frozenset({"m0", "m1"}), frozenset({"m1", "m2"})))
-        )
+        d = Document("d", "ev", [mention(f"m{k}", "d", k) for k in range(3)])
         with pytest.raises(InputError):
-            corpus.validate()
+            Corpus((d,), GoldChains((frozenset({"m0", "m1"}), frozenset({"m1", "m2"}))))
 
 
 class TestCorpusAccess:
@@ -99,6 +93,21 @@ class TestCorpusAccess:
             assert (corpus.doc_of()[lo:hi] == k).all()
         assert len(corpus.doc_of()) == 40
 
+    def test_plain_documents_built_from_reversed_mentions_equal_the_loaded_ones(
+        self, synthetic_corpus
+    ):
+        corpus = Corpus(tuple(
+            Document(d.doc_id, d.seminal_event_id, d.mentions[::-1])
+            for d in synthetic_corpus.documents
+        ), synthetic_corpus.gold)
+        assert corpus.mention_ids == synthetic_corpus.mention_ids
+        for d, loaded in zip(corpus.documents, synthetic_corpus.documents):
+            assert d == loaded
+            assert d.tf_vector == loaded.tf_vector and d.tf_vector
+        pairs = build_training_pairs(corpus, sigma=0.4)
+        assert len(pairs) == 247
+        assert np.array_equal(pairs, build_training_pairs(synthetic_corpus, sigma=0.4))
+
     def test_span_vocabulary_counts_distinct_span_lemmas(self, synthetic_corpus):
         vocab = synthetic_corpus.span_vocabulary()
         direct = set()
@@ -115,7 +124,7 @@ class TestCorpusAccess:
         assert sizes == [1] * 10 + [4, 4, 5, 5, 6, 6]
 
     def test_gold_partition_requires_gold(self):
-        d = Document.build("d", "ev", [mention("a", "d", 0)])
+        d = Document("d", "ev", [mention("a", "d", 0)])
         with pytest.raises(InputError):
             gold_partition(Corpus((d,)))
 
@@ -216,8 +225,8 @@ class TestResources:
 
 class TestDocSimilarity:
     def test_hand_computed_cosine(self):
-        d1 = Document.build("d1", "ev", [mention("a", "d1", 0, "x", ("x", "y"))])
-        d2 = Document.build("d2", "ev", [mention("b", "d2", 0, "x", ("x", "z"))])
+        d1 = Document("d1", "ev", [mention("a", "d1", 0, "x", ("x", "y"))])
+        d2 = Document("d2", "ev", [mention("b", "d2", 0, "x", ("x", "z"))])
         # tf vectors {x:1, y:1} and {x:1, z:1}: cosine 1/2
         assert math.isclose(doc_similarity(d1, d2), 0.5, rel_tol=1e-12)
 
@@ -226,8 +235,8 @@ class TestDocSimilarity:
         assert doc_similarity(d, d) == 1.0
 
     def test_disjoint_vocabulary_scores_zero(self):
-        d1 = Document.build("d1", "ev", [mention("a", "d1", 0, "x")])
-        d2 = Document.build("d2", "ev", [mention("b", "d2", 0, "y")])
+        d1 = Document("d1", "ev", [mention("a", "d1", 0, "x")])
+        d2 = Document("d2", "ev", [mention("b", "d2", 0, "y")])
         assert doc_similarity(d1, d2) == 0.0
 
     def test_same_topic_documents_are_closer(self, synthetic_corpus):

@@ -16,7 +16,7 @@ def link_state(doc_sizes):
         mentions = [
             Mention(f"d{d}-m{k}", f"d{d}", k, "x", "NN", ("x",), (), {}) for k in range(size)
         ]
-        documents.append(Document.build(f"d{d}", "ev", mentions))
+        documents.append(Document(f"d{d}", "ev", mentions))
     corpus = Corpus(tuple(documents))
     config = SamplerConfig()
     priors = build_priors(corpus, config, uniform=True)
@@ -92,6 +92,12 @@ class TestClusterAssignment:
         assert a.partition() == [frozenset(p) for p in parts]
         assert a.n_clusters() == 3
         assert ClusterAssignment.from_mapping(ids, a.as_mapping()) == a
+
+    def test_plain_construction_canonicalizes_the_labels(self):
+        a = ClusterAssignment(("a", "b"), (5, 5))
+        assert a == ClusterAssignment.from_index_partition(("a", "b"), [[0, 1]])
+        assert a.labels == (0, 0) and a.n_clusters() == 1
+        assert ClusterAssignment(["a", "b"], [7, 5]).mention_ids == ("a", "b")
 
     def test_missing_mention_rejected(self):
         with pytest.raises(InputError):

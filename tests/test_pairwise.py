@@ -72,7 +72,7 @@ class TestTrainingPairs:
 
     def test_rows_equal_the_per_pair_reference_on_edge_cases(self):
         def doc(doc_id, *spans):
-            return Document.build(doc_id, "ev", [
+            return Document(doc_id, "ev", [
                 Mention(f"{doc_id}{k}", doc_id, k, span[0], "NN", span, (), {})
                 for k, span in enumerate(spans)
             ])
@@ -291,7 +291,7 @@ class TestTrainValidation:
             Mention("d-m0", "d", 0, "x", "NN", ("x",), (), {}),
             Mention("d-m1", "d", 1, "x", "NN", ("x",), (), {}),
         ]
-        doc = Document.build("d", "ev", mentions)
+        doc = Document("d", "ev", mentions)
         from hddcrp.corpus import GoldChains, LexicalResources
 
         corpus = Corpus((doc,), GoldChains((frozenset({"d-m0", "d-m1"}),)))
@@ -299,7 +299,7 @@ class TestTrainValidation:
             train(corpus, LexicalResources())
 
     def test_an_empty_pair_set_is_rejected(self):
-        doc = Document.build("d", "ev", [Mention("d-m0", "d", 0, "x", "NN", ("x",), (), {})])
+        doc = Document("d", "ev", [Mention("d-m0", "d", 0, "x", "NN", ("x",), (), {})])
         corpus = Corpus((doc,), GoldChains(()))
         with pytest.raises(InputError, match="no training pairs"):
             train(corpus, LexicalResources())
@@ -337,12 +337,11 @@ def long_and_empty_corpus(replicated_corpus):
     between that one and the rest."""
     docs = replicated_corpus.documents
     merged = [m for d in docs[:12] for m in d.mentions]
-    long_doc = Document.build("a-long", "e-long", [
+    long_doc = Document("a-long", "e-long", [
         dataclasses.replace(m, doc_id="a-long", order_index=k) for k, m in enumerate(merged)
     ])
-    empty = Document.build("b-empty", "e-empty", [])
+    empty = Document("b-empty", "e-empty", [])
     corpus = Corpus((long_doc, empty, *docs[12:]), replicated_corpus.gold)
-    corpus.validate()
     assert len(long_doc.mentions) > features.BLOCK_ROWS
     assert corpus.bounds[1] == corpus.bounds[2]
     return corpus

@@ -52,7 +52,7 @@ class FixedRng:
 
 def single_doc_corpus(n, head="w"):
     mentions = [Mention(f"d-m{k}", "d", k, head, "NN", (head,), (), {}) for k in range(n)]
-    return Corpus((Document.build("d", "ev", mentions),))
+    return Corpus((Document("d", "ev", mentions),))
 
 
 def empirical_distribution(corpus, config, priors, sweeps, discard, seed):
@@ -312,8 +312,10 @@ class TestExactPosterior:
             enumerate_exact_posterior(synthetic_corpus, config, priors=None)
 
     def test_only_the_two_level_link_model_is_supported(self, tiny_corpus):
+        config = SamplerConfig(model="hdp_lex")
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
         with pytest.raises(InputError):
-            enumerate_exact_posterior(tiny_corpus, SamplerConfig(model="hdp_lex"))
+            enumerate_exact_posterior(tiny_corpus, config, priors=priors)
 
 
 class TestSamplerAgreement:
@@ -1256,7 +1258,6 @@ class TestChains:
     ):
         for model in MODELS:
             config = SamplerConfig(model=model, iterations=3, chains=1, seed=1)
-            results = run_chains(
-                synthetic_corpus, config, pairwise=trained_model, resources=resources
-            )
+            priors = build_priors(synthetic_corpus, config, trained_model, resources)
+            results = run_chains(synthetic_corpus, config, priors=priors)
             assert results[0].estimate.n_clusters() >= 1
