@@ -21,7 +21,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hddcrp.corpus import Corpus, Document, GoldChains, Mention, save_corpus
+from hddcrp.corpus import Corpus, Document, Mention, save_corpus
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "hddcrp" / "data"
 
@@ -138,8 +138,7 @@ def build_synthetic():
                 Mention(mid, doc_id, k, head, "NN", span, context, arguments)
             )
         documents.append(Document(doc_id, topic, mentions))
-    gold = GoldChains(tuple(frozenset(c) for _, c in sorted(chains.items())))
-    return Corpus(tuple(documents), gold)
+    return Corpus(tuple(documents), [c for _, c in sorted(chains.items())])
 
 
 def build_tiny():
@@ -157,8 +156,7 @@ def build_tiny():
                 chains.setdefault(chain, []).append(mid)
             mentions.append(Mention(mid, doc_id, k, head, "NN", (head,), (), {}))
         documents.append(Document(doc_id, "ev-tiny", mentions))
-    gold = GoldChains(tuple(frozenset(c) for _, c in sorted(chains.items())))
-    return Corpus(tuple(documents), gold)
+    return Corpus(tuple(documents), [c for _, c in sorted(chains.items())])
 
 
 def unit(x, dim_a, dim_b, dims=8):

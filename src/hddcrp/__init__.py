@@ -10,7 +10,6 @@ from .corpus import (
     ARGUMENT_ROLES,
     Corpus,
     Document,
-    GoldChains,
     LexicalResources,
     Mention,
     doc_similarity,
@@ -61,7 +60,6 @@ __all__ = [
     "DEFAULT_ALPHA_0",
     "Document",
     "FeatureExtractor",
-    "GoldChains",
     "InputError",
     "LexicalResources",
     "LikelihoodParams",

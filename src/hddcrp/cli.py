@@ -125,7 +125,10 @@ def _cast(name, value):
     if value is None:
         return value
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise InputError(f"config key {name!r} is too large for a number") from exc
     if type(value) is not kind:
         raise InputError(f"config key {name!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     if choices and value not in choices[0]:
@@ -186,7 +189,8 @@ def _read_clustering(path):
         # a JSON true or false is no integer: as one it would merge with 1 or 0
         if any(isinstance(k, bool) or not isinstance(k, (str, int)) for k in mapping.values()):
             raise InputError("cluster labels must be strings or integers")
-        return ClusterAssignment.from_mapping(sorted(mapping), mapping)
+        ids = sorted(mapping)
+        return ClusterAssignment(ids, [mapping[m] for m in ids])
 
 
 # ---------------------------------------------------------------------------

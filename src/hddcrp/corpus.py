@@ -7,7 +7,9 @@ A corpus file is JSON lines, one document object per line:
      "context_lemmas": [...], "arguments": {"participant": [["..."], ...]}}, ...]}
 
 Gold coreference chains may appear as a footer line ``{"gold_chains":
-[[mention_id, ...], ...]}`` or in a sidecar file with the same object.
+[[mention_id, ...], ...]}`` or in a sidecar file with the same object.  A
+mention outside every chain is a singleton of the gold partition, just as a
+one-mention chain is.
 Documents may come in any order: a Corpus lists them by doc_id and indexes
 mentions in the canonical (doc_id, order_index) order.
 
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .links import ClusterAssignment
 
 ARGUMENT_ROLES = ("participant", "time", "location", "srl_arg0", "srl_arg1", "srl_arg2")
 
@@ -116,21 +119,6 @@ def _doc_tf(mentions):
 
 
 @dataclass(frozen=True)
-class GoldChains:
-    """Gold coreference chains: disjoint sets of mention ids."""
-
-    chains: tuple[frozenset[str], ...]
-
-    def chain_of(self):
-        """Map mention_id -> chain index for all mentions inside a chain."""
-        out = {}
-        for k, chain in enumerate(self.chains):
-            for mid in chain:
-                out[mid] = k
-        return out
-
-
-@dataclass(frozen=True)
 class Corpus:
     """Documents in doc_id order, and the canonical mention layout over them.
 
@@ -138,12 +126,12 @@ class Corpus:
     samplers, training pairs, baselines and clusterings index mentions by
     their position in it.  mention_ids holds the ids in that order, and
     bounds the index of each document's first mention, then n.  Doc and
-    mention ids are unique, and the gold chains name known mentions, each at
-    most once.
+    mention ids are unique.  gold holds the gold chains as frozensets of
+    known mention ids, each id in at most one chain, or is None without gold.
     """
 
     documents: tuple[Document, ...]
-    gold: GoldChains | None = None
+    gold: tuple[frozenset[str], ...] | None = None
 
     def __post_init__(self):
         documents = tuple(sorted(self.documents, key=lambda d: d.doc_id))
@@ -162,8 +150,10 @@ class Corpus:
         object.__setattr__(self, "_by_id", by_id)
         sizes = [len(d.mentions) for d in documents]
         object.__setattr__(self, "bounds", tuple(itertools.accumulate(sizes, initial=0)))
+        if self.gold is not None:
+            object.__setattr__(self, "gold", tuple(map(frozenset, self.gold)))
         covered = set()
-        for mid in itertools.chain.from_iterable(self.gold.chains if self.gold else ()):
+        for mid in itertools.chain.from_iterable(self.gold or ()):
             if mid not in by_id:
                 raise InputError(f"gold chain references unknown mention {mid!r}")
             if mid in covered:
@@ -186,14 +176,14 @@ class Corpus:
         return sorted({tok for m in self._mentions for tok in m.span_lemmas})
 
 
-def gold_partition(corpus: Corpus):
-    """Gold clustering over all mentions: chains plus implicit singletons."""
+def gold_partition(corpus: Corpus) -> ClusterAssignment:
+    """The gold clustering of corpus.mention_ids: its chains, and a singleton
+    for each mention outside every chain."""
     if corpus.gold is None:
         raise InputError("corpus has no gold chains")
-    parts = list(corpus.gold.chains)
-    covered = set().union(*parts)
-    parts += [frozenset([mid]) for mid in corpus.mention_ids if mid not in covered]
-    return parts
+    label = {mid: k for k, chain in enumerate(corpus.gold) for mid in chain}
+    # a mention outside every chain is labelled by its own id
+    return ClusterAssignment(corpus.mention_ids, [label.get(m, m) for m in corpus.mention_ids])
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +233,6 @@ def _parse_mention(obj, doc_id, fallback_order):
     )
 
 
-def _parse_gold_chains(obj):
-    chains = _field(obj, "gold_chains", "a list of lists of strings")
-    return GoldChains(tuple(map(frozenset, chains)))
-
-
 @contextmanager
 def located(where):
     """Name the source of any InputError raised inside: prefix `where: `."""
@@ -270,9 +255,10 @@ def read_lines(path):
 
 def read_json(path):
     """The JSON value of a whole input file, which must be UTF-8."""
+    text = "".join(read_lines(path))
     try:
-        return json.loads("".join(read_lines(path)))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:  # malformed, or an integer of over 4,300 digits
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -301,8 +287,8 @@ def load_corpus(path, gold_path=None) -> Corpus:
         with located(f"{path}: line {line_no}"):
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"not valid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # malformed, or an integer of over 4,300 digits
+                raise InputError(f"not valid JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(obj, dict):
                 raise InputError(f"expected a JSON object, got {obj!r:.60}")
             if "doc_id" in obj:
@@ -316,7 +302,7 @@ def load_corpus(path, gold_path=None) -> Corpus:
             elif "gold_chains" in obj:
                 if gold is not None:
                     raise InputError("duplicate gold_chains entry")
-                gold = _parse_gold_chains(obj)
+                gold = _field(obj, "gold_chains", "a list of lists of strings")
                 gold_source = f"{path}: line {line_no}"
             else:
                 raise InputError("object is neither a document nor gold_chains")
@@ -324,7 +310,8 @@ def load_corpus(path, gold_path=None) -> Corpus:
         obj = read_json(gold_path)
         gold_source = gold_path
         with located(gold_path):
-            gold = _parse_gold_chains(obj if isinstance(obj, dict) else {"gold_chains": obj})
+            obj = obj if isinstance(obj, dict) else {"gold_chains": obj}
+            gold = _field(obj, "gold_chains", "a list of lists of strings")
     with located(path):
         corpus = Corpus(tuple(documents))
         if not corpus.mention_ids:
@@ -358,7 +345,7 @@ def save_corpus(corpus: Corpus, path):
         for d in corpus.documents
     ]
     if corpus.gold is not None:
-        objs.append({"gold_chains": sorted(sorted(chain) for chain in corpus.gold.chains)})
+        objs.append({"gold_chains": sorted(sorted(chain) for chain in corpus.gold)})
     write_text(path, "".join(json.dumps(obj) + "\n" for obj in objs))
 
 

@@ -3,9 +3,10 @@
 _components is the one routine that turns edges into a partition: the
 samplers' link graphs and the agglomerative baseline call it.  A
 ClusterAssignment is a partition whose labels are canonical by
-construction, the form every sampler, baseline and scorer hands on.  Which
-links are active and what their components stand for is defined by the
-samplers in sampling.py.
+construction: the one clustering type, in which the gold partition, every
+sampler and baseline, and the scorer hand clusterings on.  Which links are
+active and what their components stand for is defined by the samplers in
+sampling.py.
 """
 
 from __future__ import annotations
@@ -48,18 +49,22 @@ class ClusterAssignment:
 
     Labels form a restricted growth string over the canonical mention order:
     the first mention gets cluster 0, and each later mention gets either an
-    existing label or the smallest unused one.  Any labels given are
-    relabelled so, and so two assignments over the same mentions are equal
-    iff they induce the same partition.
+    existing label or the smallest unused one.  Any labels given, one per
+    mention and of any hashable type, are relabelled so, and so two
+    assignments over the same mentions are equal iff they induce the same
+    partition.
     """
 
     mention_ids: tuple[str, ...]
     labels: tuple[int, ...]
 
     def __post_init__(self):
+        ids, raw = tuple(self.mention_ids), tuple(self.labels)
+        if len(ids) != len(raw):
+            raise InputError(f"{len(raw)} labels for {len(ids)} mentions")
         seen = {}
-        labels = tuple(seen.setdefault(k, len(seen)) for k in self.labels)
-        object.__setattr__(self, "mention_ids", tuple(self.mention_ids))
+        labels = tuple(seen.setdefault(k, len(seen)) for k in raw)
+        object.__setattr__(self, "mention_ids", ids)
         object.__setattr__(self, "labels", labels)
 
     @staticmethod
@@ -70,18 +75,6 @@ class ClusterAssignment:
             for i in members:
                 raw[i] = k
         return ClusterAssignment(mention_ids, raw)
-
-    @staticmethod
-    def from_mapping(mention_ids_in_order, mapping):
-        """Build from a mention_id -> label mapping (labels of any type)."""
-        ids = tuple(mention_ids_in_order)
-        missing = [m for m in ids if m not in mapping]
-        if missing:
-            raise InputError(f"clustering lacks labels for mentions {missing[:5]}")
-        extra = set(mapping) - set(ids)
-        if extra:
-            raise InputError(f"clustering labels unknown mentions {sorted(extra)[:5]}")
-        return ClusterAssignment(ids, [mapping[m] for m in ids])
 
     def as_mapping(self):
         return dict(zip(self.mention_ids, self.labels))

@@ -1,12 +1,13 @@
 """Coreference metrics: MUC, B3, CEAF_e, and their CoNLL average.
 
-All three metrics compare a predicted partition against a gold partition over
-the same mention universe.  Evaluation has two settings: within-document (WD)
-restricts both partitions to one source document at a time, cross-document
-(CD) restricts them to units that pool every document describing the same
-seminal event.  Either way the per-unit counts are micro-aggregated:
-numerators and denominators are summed over units before any division, which
-matches the reference scorer behavior for multi-document inputs.
+All three metrics compare a predicted ClusterAssignment against a gold one
+over the same mention universe.  Evaluation has two settings:
+within-document (WD) restricts both partitions to one source document at a
+time, cross-document (CD) restricts them to units that pool every document
+describing the same seminal event.  Either way the per-unit counts are
+micro-aggregated: numerators and denominators are summed over units before
+any division, which matches the reference scorer behavior for multi-document
+inputs.
 
 CEAF_e aligns clusters by Crouse 2016's shortest augmenting path method ("On
 implementing 2D rectangular assignment algorithms", IEEE TAES 52(4)), ported
@@ -27,7 +28,6 @@ from operator import add
 import numpy as np
 
 from .errors import InputError, UniverseMismatchError
-from .links import ClusterAssignment
 
 
 def _ratio(num, den):
@@ -39,19 +39,16 @@ def _f1(p, r):
     return 2 * p * r / (p + r) if p + r else 0.0
 
 
-def _ids(clustering):
-    """mention id -> cluster id, the ids increasing in partition order."""
-    if isinstance(clustering, ClusterAssignment):
-        return clustering.as_mapping()
-    return {m: k for k, part in enumerate(clustering) for m in part}
-
-
-def _check_universe(gold_of, pred_of):
+def _cluster_ids(gold, pred):
+    """The mention id -> cluster label maps of two ClusterAssignments over one
+    set of mentions."""
+    gold_of, pred_of = gold.as_mapping(), pred.as_mapping()
     if gold_of.keys() != pred_of.keys():
         missing = sorted(gold_of.keys() ^ pred_of.keys())
         raise UniverseMismatchError(
             f"gold and predicted clusterings cover different mentions, e.g. {missing[:5]}"
         )
+    return gold_of, pred_of
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +174,7 @@ class PRF:
 
 
 def _metric(counts, gold, pred):
-    gold_of, pred_of = _ids(gold), _ids(pred)
-    _check_universe(gold_of, pred_of)
+    gold_of, pred_of = _cluster_ids(gold, pred)
     pairs = [(g, pred_of[m]) for m, g in gold_of.items()]
     return _prf(counts(pairs, *_overlaps(pairs)))
 
@@ -222,8 +218,7 @@ def score(corpus, gold, pred, setting="WD"):
     (CD), taken in order of their ids."""
     if setting not in ("WD", "CD"):
         raise ValueError(f"unknown setting {setting!r}")
-    gold_of, pred_of = _ids(gold), _ids(pred)
-    _check_universe(gold_of, pred_of)
+    gold_of, pred_of = _cluster_ids(gold, pred)
     units = {}
     for d in corpus.documents:
         if setting == "CD" and not d.seminal_event_id:

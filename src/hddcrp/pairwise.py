@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import doc_similarity, located, read_json, write_json
+from .corpus import doc_similarity, gold_partition, located, read_json, write_json
 from .errors import InputError
 from .features import FeatureExtractor, PairFeatures, cosine_matrix, pair_blocks
 
@@ -53,10 +53,8 @@ def build_training_pairs(corpus, sigma=0.4):
         a.append(np.repeat(spans[d], len(spans[e])))
         b.append(np.tile(spans[e], len(spans[d])))
     a, b = np.concatenate(a), np.concatenate(b)
-    chain_of = corpus.gold.chain_of()
-    chain = np.array([chain_of.get(m.mention_id, -1) for m in corpus.mentions_in_order()])
-    coreferent = (chain[a] == chain[b]) & (chain[a] >= 0)
-    return np.rec.fromarrays((a, b, coreferent), names="a,b,coreferent")
+    labels = np.array(gold_partition(corpus).labels)
+    return np.rec.fromarrays((a, b, labels[a] == labels[b]), names="a,b,coreferent")
 
 
 def _loglik(theta, margins, l2):
@@ -252,5 +250,5 @@ def load_model(path):
             theta = np.array([float(v) for v in obj["theta"]])
             hyper = (float(obj[k]) for k in ("l2", "truncation_threshold", "gamma"))
             return PairwiseModel(theta, extractor, *hyper)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"malformed model file ({exc})") from exc

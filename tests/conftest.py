@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from hddcrp.corpus import Corpus, Document, GoldChains, LexicalResources, load_corpus
+from hddcrp.corpus import Corpus, Document, LexicalResources, load_corpus
 from hddcrp.data import (
     synthetic_corpus_path,
     synthetic_embeddings_path,
@@ -43,9 +43,9 @@ def replicated_corpus(synthetic_corpus):
     chains = tuple(
         frozenset(f"c{k}-{mid}" for mid in chain)
         for k in range(copies)
-        for chain in synthetic_corpus.gold.chains
+        for chain in synthetic_corpus.gold
     )
-    return Corpus(tuple(documents), GoldChains(chains))
+    return Corpus(tuple(documents), chains)
 
 
 @pytest.fixture(scope="session")

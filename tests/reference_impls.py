@@ -138,18 +138,24 @@ def ceaf_e_counts_scipy(gold, pred):
     return mass, len(gold), mass, len(pred)
 
 
+def clustering_of(groups, mention_ids=None):
+    """The ClusterAssignment over mention_ids (by default every id in groups,
+    sorted) whose clusters are the given sets of mention ids.  When the
+    groups list their clusters in order of first mention in mention_ids,
+    partition() lists them in the same order."""
+    from hddcrp.links import ClusterAssignment
+
+    label = {m: k for k, group in enumerate(groups) for m in group}
+    ids = sorted(label) if mention_ids is None else list(mention_ids)
+    return ClusterAssignment(ids, [label[m] for m in ids])
+
+
 def score_reference(corpus, gold, pred, setting):
     """metrics.score with each part intersected with every unit, in sorted
     unit order."""
-    from hddcrp.links import ClusterAssignment
     from hddcrp.metrics import ScoreReport, _prf
 
-    def sets(clustering):
-        if isinstance(clustering, ClusterAssignment):
-            return clustering.partition()
-        return [frozenset(part) for part in clustering]
-
-    gold, pred = sets(gold), sets(pred)
+    gold, pred = gold.partition(), pred.partition()
     units = {}
     for d in corpus.documents:
         key = d.doc_id if setting == "WD" else d.seminal_event_id
@@ -350,7 +356,7 @@ def training_pairs_reference(corpus, sigma):
     one b, documents by doc_id, then every cross-document pair once for each
     document pair with doc_similarity at least sigma."""
     index = {m.mention_id: k for k, m in enumerate(corpus.mentions_in_order())}
-    chain_of = corpus.gold.chain_of()
+    chain_of = {mid: k for k, chain in enumerate(corpus.gold) for mid in chain}
 
     def pair(a, b):
         ka = chain_of.get(a.mention_id)

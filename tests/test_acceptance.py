@@ -41,6 +41,7 @@ from hddcrp.sampling import (
 from reference_impls import (
     b_cubed_reference,
     ceaf_e_reference,
+    clustering_of,
     crp_eppf,
     dirichlet_marginal_reference,
     muc_reference,
@@ -178,14 +179,14 @@ def test_metrics_match_brute_force_and_the_worked_example():
             (b_cubed, b_cubed_reference),
             (ceaf_e, ceaf_e_reference),
         ):
-            got = ours(gold, pred)
+            got = ours(clustering_of(gold, mentions), clustering_of(pred, mentions))
             p, r, f = ref(gold, pred)
             assert math.isclose(got.precision, p, abs_tol=1e-12)
             assert math.isclose(got.recall, r, abs_tol=1e-12)
             assert math.isclose(got.f1, f, abs_tol=1e-12)
 
-    gold = [frozenset({"a", "b", "c"})]
-    pred = [frozenset({"a", "b"}), frozenset({"c"})]
+    gold = clustering_of([{"a", "b", "c"}])
+    pred = clustering_of([{"a", "b"}, {"c"}])
     assert math.isclose(muc(gold, pred).f1, 2 / 3, rel_tol=1e-12)
     assert math.isclose(b_cubed(gold, pred).f1, 5 / 7, rel_tol=1e-12)
     assert math.isclose(ceaf_e(gold, pred).f1, 8 / 15, rel_tol=1e-12)

@@ -13,7 +13,7 @@ import pytest
 
 from hddcrp import metrics, pairwise, sampling
 from hddcrp.cli import build_parser, main
-from hddcrp.corpus import Corpus, Document, GoldChains, Mention, load_corpus, save_corpus
+from hddcrp.corpus import Corpus, Document, Mention, load_corpus, save_corpus
 from hddcrp.data import (
     synthetic_corpus_path,
     synthetic_embeddings_path,
@@ -468,6 +468,20 @@ class TestConfigPrecedence:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key", [("sample", "alpha_d"), ("baseline", "wd_threshold")])
+    def test_config_integers_too_large_for_a_float_exit_two(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": 1{"0" * 400}}}', encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--corpus", tiny_corpus_path(), "--config", cfg]
+        if command == "sample":
+            argv += ["--uniform-distances", "--iterations", 2, "--chains", 1, "--output-dir", out]
+        else:
+            argv += ["-o", out]
+        assert run(argv) == 2
+        assert f"error: {cfg}: config key '{key}' is too large for a number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_integers_are_accepted_as_numbers(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha_0": 2, "model": "hdp-lex"}), encoding="utf-8")
@@ -498,9 +512,7 @@ class TestBaselineAndScore:
                 mentions.append(Mention(mid, d, k, head, "NN", (head,), (), {}))
                 chains[head].append(mid)
             docs.append(Document(d, "ev", mentions))
-        corpus = Corpus(
-            tuple(docs), GoldChains(tuple(frozenset(c) for c in chains.values()))
-        )
+        corpus = Corpus(tuple(docs), tuple(chains.values()))
         path = tmp_path / "lemma_gold.jsonl"
         save_corpus(corpus, path)
         return path
@@ -719,6 +731,16 @@ PARSE_ERRORS = {
     }), None, "malformed model file ('gamma')"),
     "prediction-label-bool": ("prediction", lambda: '{"tiny1-m0": true}', None,
                               "cluster labels must be strings or integers"),
+    "model-huge-gamma": ("model", lambda: json.dumps({
+        "theta": [0.0] * len(FeatureExtractor([])), "l2": 1.0, "truncation_threshold": 0.5,
+        "gamma": 10**400, "feature_index": FeatureExtractor([]).feature_index,
+    }), None, "malformed model file (int too large to convert to float)"),
+    # json refuses to convert an integer of over 4,300 digits
+    "config-integer-over-4300-digits": ("config", lambda: '{"alpha_d": 1' + "0" * 5000 + "}",
+                                        None, "not valid JSON (Exceeds the limit"),
+    "corpus-integer-over-4300-digits": (
+        "corpus", lambda: '{"doc_id": 1' + "0" * 5000 + "}\n", 1,
+        "not valid JSON (Exceeds the limit"),
 }
 
 
@@ -1001,7 +1023,7 @@ class TestInputFiles:
     ):
         corpus = load_corpus(synthetic_corpus_path())
         gold = tmp_path / "gold.json"
-        gold.write_text(json.dumps({"gold_chains": sorted(map(sorted, corpus.gold.chains))}))
+        gold.write_text(json.dumps({"gold_chains": sorted(map(sorted, corpus.gold))}))
         prediction = tmp_path / "prediction.json"
         prediction.write_text(json.dumps({mid: k for k, mid in enumerate(corpus.mention_ids)}))
         config = tmp_path / "config.json"

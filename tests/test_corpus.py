@@ -12,7 +12,6 @@ import pytest
 from hddcrp.corpus import (
     Corpus,
     Document,
-    GoldChains,
     LexicalResources,
     Mention,
     doc_similarity,
@@ -24,6 +23,7 @@ from hddcrp.corpus import (
 )
 from hddcrp.data import synthetic_corpus_path
 from hddcrp.errors import InputError
+from hddcrp.links import ClusterAssignment
 from hddcrp.pairwise import build_training_pairs
 
 
@@ -59,12 +59,12 @@ class TestValidation:
     def test_gold_chain_must_reference_known_mentions(self):
         d = Document("d", "ev", [mention("a", "d", 0)])
         with pytest.raises(InputError):
-            Corpus((d,), GoldChains((frozenset({"a", "ghost"}),)))
+            Corpus((d,), ({"a", "ghost"},))
 
     def test_gold_chains_must_be_disjoint(self):
         d = Document("d", "ev", [mention(f"m{k}", "d", k) for k in range(3)])
         with pytest.raises(InputError):
-            Corpus((d,), GoldChains((frozenset({"m0", "m1"}), frozenset({"m1", "m2"}))))
+            Corpus((d,), ({"m0", "m1"}, {"m1", "m2"}))
 
 
 class TestCorpusAccess:
@@ -118,10 +118,19 @@ class TestCorpusAccess:
         assert len(vocab) == 30
 
     def test_gold_partition_adds_singletons(self, synthetic_corpus):
-        parts = gold_partition(synthetic_corpus)
+        parts = gold_partition(synthetic_corpus).partition()
         assert sum(len(p) for p in parts) == 40
         sizes = sorted(len(p) for p in parts)
         assert sizes == [1] * 10 + [4, 4, 5, 5, 6, 6]
+
+    def test_gold_partition_is_a_clustering_of_every_mention(self):
+        d = Document("d", "ev", [mention(f"m{k}", "d", k) for k in range(4)])
+        with_one = Corpus((d,), [["m2", "m0"], ["m3"]])
+        assert with_one.gold == (frozenset({"m0", "m2"}), frozenset({"m3"}))
+        gold = gold_partition(with_one)
+        assert gold == ClusterAssignment(("m0", "m1", "m2", "m3"), (0, 1, 0, 2))
+        # a one-mention chain and a mention outside every chain are alike
+        assert gold == gold_partition(Corpus((d,), [{"m0", "m2"}]))
 
     def test_gold_partition_requires_gold(self):
         d = Document("d", "ev", [mention("a", "d", 0)])
@@ -140,7 +149,7 @@ class TestRoundTrip:
         for d, d2 in zip(synthetic_corpus.documents, again.documents):
             assert d.seminal_event_id == d2.seminal_event_id
             assert d.mentions == d2.mentions
-        assert set(again.gold.chains) == set(synthetic_corpus.gold.chains)
+        assert set(again.gold) == set(synthetic_corpus.gold)
 
     def test_save_is_byte_stable(self, synthetic_corpus, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -160,11 +169,11 @@ class TestRoundTrip:
         save_corpus(Corpus(synthetic_corpus.documents), body)
         gold = tmp_path / "gold.json"
         gold.write_text(
-            json.dumps({"gold_chains": [sorted(c) for c in synthetic_corpus.gold.chains]}),
+            json.dumps({"gold_chains": [sorted(c) for c in synthetic_corpus.gold]}),
             encoding="utf-8",
         )
         again = load_corpus(body, gold)
-        assert set(again.gold.chains) == set(synthetic_corpus.gold.chains)
+        assert set(again.gold) == set(synthetic_corpus.gold)
 
 
     def test_fixture_script_regenerates_the_bundled_files(self, tmp_path):

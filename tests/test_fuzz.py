@@ -9,6 +9,10 @@ input) or 3 (universe mismatch), never 1 (an internal error), and an exit-2
 error that cites a line also names the mutated file.  Every sample
 runs one chain of two sweeps with --jobs 1, given as flags, which beat any
 config value, so no case starts a worker process or runs long.
+
+A deterministic pass puts HUGE, an integer too large for a float, in place of
+each number of every config and of the model file, and runs every command
+that reads the file.
 """
 
 import copy
@@ -27,6 +31,8 @@ RANDOM_CASES = 24  # seeded random mutations per input file
 # what a type swap puts in: every JSON type, out-of-range and non-finite numbers
 SWAPS = (None, True, 0, -1, 10**30, 2.5, math.nan, math.inf, -math.inf, "", "x", [], [1, 2],
          {}, {"x": 1})
+# an integer that no float can hold: float(HUGE) raises OverflowError
+HUGE = 10**400
 # what a text-file mutation puts in place of a token
 TOKENS = ("nan", "inf", "-inf", "1e999", "x", "", ",", "\t", "bomb")
 # files read line by line; the corpus holds a JSON object per line, the
@@ -221,3 +227,44 @@ def test_malformed_inputs_never_exit_one(valid_inputs, tmp_path, capsys, monkeyp
                 failures.append(f"{reader} on {name} {data!r}: a line without its file: {err}")
     assert not failures, "\n".join(failures)
     assert runs > 300
+
+
+def huge_number_cases(text):
+    """(path, value, text) of each number of a JSON input replaced by HUGE,
+    except in the model file's embedded config, which no command reads."""
+    obj = json.loads(text)
+    return [
+        (path, value, json.dumps(_edit(obj, path, HUGE)))
+        for path, value in _nodes(obj)
+        if type(value) in (int, float) and path[:1] != ("config",)
+    ]
+
+
+@pytest.mark.parametrize("name", [
+    *(name for name, obj in CONFIGS.items() if any(type(v) in (int, float) for v in obj.values())),
+    "model",
+])
+def test_numbers_too_large_for_a_float_exit_two(valid_inputs, tmp_path, capsys, monkeypatch,
+                                                name):
+    """Exit 2 wherever the number is read as a float or must match the
+    feature layout; the integer options seed and top take any size, so
+    there the command succeeds."""
+    monkeypatch.delenv("HDDCRP_SEED", raising=False)
+    paths = {key: path for key, (path, _) in valid_inputs.items()}
+    out = tmp_path / "out"
+    out.mkdir()
+    mutated = tmp_path / f"huge-{name}.txt"
+    cases = huge_number_cases(valid_inputs[name][1])
+    assert cases
+    failures = []
+    for path, value, text in cases:
+        mutated.write_text(text, encoding="utf-8")
+        want = 0 if name in CONFIGS and type(value) is int else 2
+        for reader in READERS[name]:
+            code = main(command(reader, {**paths, name: mutated}, out))
+            err = capsys.readouterr().err
+            if code != want:
+                failures.append(f"{reader} with {path} = 10**400: exit {code}, want {want}: {err}")
+            elif want == 2 and str(mutated) not in err:
+                failures.append(f"{reader} with {path} = 10**400: the file is not named: {err}")
+    assert not failures, "\n".join(failures)

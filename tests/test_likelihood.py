@@ -205,9 +205,7 @@ class TestCorpusLogLikelihood:
     def test_sums_per_cluster_marginals(self, tiny_corpus):
         params = LikelihoodParams.for_corpus(tiny_corpus, 0.5)
         order = [m.mention_id for m in tiny_corpus.mentions_in_order()]
-        assignment = ClusterAssignment.from_mapping(
-            order, {m: (0 if "m0" in m else 1) for m in order}
-        )
+        assignment = ClusterAssignment(order, [0 if "m0" in m else 1 for m in order])
         want = 0.0
         by_mid = {m.mention_id: m for m in tiny_corpus.mentions_in_order()}
         for part in assignment.partition():

@@ -75,13 +75,13 @@ class TestConnectivity:
 
 class TestClusterAssignment:
     def test_labels_are_canonicalized_by_first_appearance(self):
-        a = ClusterAssignment.from_mapping(["x", "y", "z"], {"x": 9, "y": 4, "z": 9})
+        a = ClusterAssignment(["x", "y", "z"], [9, 4, 9])
         assert a.labels == (0, 1, 0)
 
     def test_same_partition_compares_equal_regardless_of_label_names(self):
         ids = ["a", "b", "c", "d"]
-        one = ClusterAssignment.from_mapping(ids, {"a": 0, "b": 1, "c": 0, "d": 2})
-        two = ClusterAssignment.from_mapping(ids, {"a": "p", "b": "q", "c": "p", "d": "r"})
+        one = ClusterAssignment(ids, [0, 1, 0, 2])
+        two = ClusterAssignment(ids, ["p", "q", "p", "r"])
         assert one == two
         assert hash(one) == hash(two)
 
@@ -91,7 +91,7 @@ class TestClusterAssignment:
         a = ClusterAssignment.from_index_partition(ids, [[ids.index(m) for m in p] for p in parts])
         assert a.partition() == [frozenset(p) for p in parts]
         assert a.n_clusters() == 3
-        assert ClusterAssignment.from_mapping(ids, a.as_mapping()) == a
+        assert ClusterAssignment(ids, [a.as_mapping()[m] for m in ids]) == a
 
     def test_plain_construction_canonicalizes_the_labels(self):
         a = ClusterAssignment(("a", "b"), (5, 5))
@@ -99,13 +99,12 @@ class TestClusterAssignment:
         assert a.labels == (0, 0) and a.n_clusters() == 1
         assert ClusterAssignment(["a", "b"], [7, 5]).mention_ids == ("a", "b")
 
-    def test_missing_mention_rejected(self):
-        with pytest.raises(InputError):
-            ClusterAssignment.from_mapping(["a", "b"], {"a": 0})
-
-    def test_unknown_mention_rejected(self):
-        with pytest.raises(InputError):
-            ClusterAssignment.from_mapping(["a"], {"a": 0, "b": 0})
+    def test_labels_and_mention_ids_of_different_lengths_are_rejected(self):
+        # zip would drop the unlabelled mentions, or the surplus labels
+        with pytest.raises(InputError, match="1 labels for 3 mentions"):
+            ClusterAssignment(("a", "b", "c"), (0,))
+        with pytest.raises(InputError, match="2 labels for 1 mentions"):
+            ClusterAssignment(["a"], [0, 0])
 
     def test_canonical_order_is_doc_then_index(self, synthetic_corpus):
         order = synthetic_corpus.mention_ids

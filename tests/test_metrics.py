@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hddcrp.errors import InputError, UniverseMismatchError
-from hddcrp.links import ClusterAssignment
 from hddcrp.metrics import (
     PRF,
     ScoreReport,
@@ -23,6 +22,7 @@ from reference_impls import (
     b_cubed_reference,
     ceaf_e_counts_scipy,
     ceaf_e_reference,
+    clustering_of,
     compensated_sum,
     muc_counts_by_sets,
     muc_reference,
@@ -31,13 +31,13 @@ from reference_impls import (
 
 
 def parts(*groups):
-    return [frozenset(g) for g in groups]
+    """The clustering whose clusters are the given sets of mention ids."""
+    return clustering_of(groups)
 
 
 def from_parts(corpus, groups):
     """The clustering of corpus whose clusters are the given sets of mention ids."""
-    mapping = {mid: k for k, group in enumerate(groups) for mid in group}
-    return ClusterAssignment.from_mapping(corpus.mention_ids, mapping)
+    return clustering_of(groups, corpus.mention_ids)
 
 
 def random_partition(rng, mentions):
@@ -85,7 +85,7 @@ class TestAgainstBruteForce:
                 (b_cubed, b_cubed_reference),
                 (ceaf_e, ceaf_e_reference),
             ):
-                got = ours(gold, pred)
+                got = ours(clustering_of(gold, mentions), clustering_of(pred, mentions))
                 p, r, f = ref(gold, pred)
                 assert math.isclose(got.precision, p, abs_tol=1e-12)
                 assert math.isclose(got.recall, r, abs_tol=1e-12)
@@ -145,7 +145,8 @@ class TestAlignment:
                 (b_cubed, b_cubed_counts_by_sets),
                 (ceaf_e, ceaf_e_counts_scipy),
             ):
-                assert ours(gold, pred) == metrics._prf(ref(gold, pred))
+                got = ours(clustering_of(gold, mentions), clustering_of(pred, mentions))
+                assert got == metrics._prf(ref(gold, pred))
 
     @pytest.mark.parametrize("setting", ["WD", "CD"])
     def test_score_equals_the_scipy_reference_bit_for_bit(
@@ -156,7 +157,7 @@ class TestAlignment:
             mentions = list(corpus.mention_ids)
             gold = gold_partition(corpus)
             for _ in range(40):
-                pred = random_partition(rng, mentions)
+                pred = from_parts(corpus, random_partition(rng, mentions))
                 other = from_parts(corpus, random_partition(rng, mentions))
                 for g, p in ((gold, pred), (gold, other), (pred, other)):
                     assert score(corpus, g, p, setting) == score_reference(corpus, g, p, setting)
@@ -183,7 +184,7 @@ class TestConventions:
 class TestScoreSettings:
     def test_gold_scores_perfectly_in_both_settings(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = from_parts(synthetic_corpus, gold)
+        pred = from_parts(synthetic_corpus, gold.partition())
         for setting in ("WD", "CD"):
             report = score(synthetic_corpus, gold, pred, setting)
             assert math.isclose(report.conll_f1, 1.0, rel_tol=1e-12)
@@ -194,7 +195,7 @@ class TestScoreSettings:
     ):
         gold = gold_partition(synthetic_corpus)
         by_doc = []
-        for part in gold:
+        for part in gold.partition():
             docs = {}
             for mid in part:
                 docs.setdefault(mid.split("-")[0], set()).add(mid)
@@ -208,7 +209,7 @@ class TestScoreSettings:
     def test_cd_setting_pools_documents_of_one_seminal_event(self, synthetic_corpus):
         # a cross-doc merge inside one topic is invisible to WD scoring
         gold = gold_partition(synthetic_corpus)
-        pred = from_parts(synthetic_corpus, gold)
+        pred = from_parts(synthetic_corpus, gold.partition())
         report = score(synthetic_corpus, gold, pred, "CD")
         assert report.setting == "CD"
 
@@ -216,14 +217,14 @@ class TestScoreSettings:
         first, *rest = synthetic_corpus.documents
         corpus = Corpus((dataclasses.replace(first, seminal_event_id=""), *rest))
         gold = gold_partition(synthetic_corpus)
-        pred = from_parts(synthetic_corpus, gold)
+        pred = from_parts(synthetic_corpus, gold.partition())
         assert math.isclose(score(corpus, gold, pred, "WD").conll_f1, 1.0, rel_tol=1e-12)
         with pytest.raises(InputError, match="lacks a seminal_event_id"):
             score(corpus, gold, pred, "CD")
 
     def test_unknown_setting_rejected(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = from_parts(synthetic_corpus, gold)
+        pred = from_parts(synthetic_corpus, gold.partition())
         with pytest.raises(ValueError):
             score(synthetic_corpus, gold, pred, "XX")
 
@@ -231,7 +232,7 @@ class TestScoreSettings:
 class TestAveraging:
     def test_mean_of_identical_reports_is_the_report(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = from_parts(synthetic_corpus, gold)
+        pred = from_parts(synthetic_corpus, gold.partition())
         r = score(synthetic_corpus, gold, pred, "CD")
         avg = mean_reports([r] * 5)
         assert avg.conll_f1 == r.conll_f1
@@ -252,7 +253,7 @@ class TestAveraging:
 
     def test_mixed_settings_rejected(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = from_parts(synthetic_corpus, gold)
+        pred = from_parts(synthetic_corpus, gold.partition())
         wd = score(synthetic_corpus, gold, pred, "WD")
         cd = score(synthetic_corpus, gold, pred, "CD")
         with pytest.raises(ValueError):
@@ -260,7 +261,7 @@ class TestAveraging:
 
     def test_table_lists_one_row_per_report(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = from_parts(synthetic_corpus, gold)
+        pred = from_parts(synthetic_corpus, gold.partition())
         wd = score(synthetic_corpus, gold, pred, "WD")
         cd = score(synthetic_corpus, gold, pred, "CD")
         text = format_table([wd, cd])
@@ -271,7 +272,7 @@ class TestAveraging:
 
     def test_report_serialization_has_all_metrics(self, synthetic_corpus):
         gold = gold_partition(synthetic_corpus)
-        pred = from_parts(synthetic_corpus, gold)
+        pred = from_parts(synthetic_corpus, gold.partition())
         d = score(synthetic_corpus, gold, pred, "WD").to_dict()
         assert set(d) == {"setting", "conll_f1", "muc", "b3", "ceaf_e"}
         assert set(d["muc"]) == {"precision", "recall", "f1"}

@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from hddcrp import features, pairwise
 from hddcrp.corpus import (
-    Corpus, Document, GoldChains, LexicalResources, Mention, doc_similarity
+    Corpus, Document, LexicalResources, Mention, doc_similarity
 )
 from hddcrp.errors import InputError
 from hddcrp.features import FeatureExtractor, PairFeatures
@@ -82,7 +82,7 @@ class TestTrainingPairs:
         docs = (
             doc("a", ("x",)), doc("b", ("x", "y"), ("z", "w")), doc("c", ("y",), ("q",), ("q",))
         )
-        corpus = Corpus(docs, GoldChains((frozenset({"a0", "b0"}), frozenset({"b1", "c1"}))))
+        corpus = Corpus(docs, ({"a0", "b0"}, {"b1", "c1"}))
         assert doc_similarity(docs[0], docs[1]) == 0.5
         pairs = build_training_pairs(corpus, 0.5)
         got = list(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.coreferent.tolist()))
@@ -292,15 +292,15 @@ class TestTrainValidation:
             Mention("d-m1", "d", 1, "x", "NN", ("x",), (), {}),
         ]
         doc = Document("d", "ev", mentions)
-        from hddcrp.corpus import GoldChains, LexicalResources
+        from hddcrp.corpus import LexicalResources
 
-        corpus = Corpus((doc,), GoldChains((frozenset({"d-m0", "d-m1"}),)))
+        corpus = Corpus((doc,), ({"d-m0", "d-m1"},))
         with pytest.raises(InputError):
             train(corpus, LexicalResources())
 
     def test_an_empty_pair_set_is_rejected(self):
         doc = Document("d", "ev", [Mention("d-m0", "d", 0, "x", "NN", ("x",), (), {})])
-        corpus = Corpus((doc,), GoldChains(()))
+        corpus = Corpus((doc,), ())
         with pytest.raises(InputError, match="no training pairs"):
             train(corpus, LexicalResources())
 

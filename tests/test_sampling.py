@@ -304,7 +304,7 @@ class TestExactPosterior:
         best = max(posterior, key=posterior.get)
         from hddcrp.corpus import gold_partition
 
-        assert frozenset(best.partition()) == frozenset(gold_partition(tiny_corpus))
+        assert frozenset(best.partition()) == frozenset(gold_partition(tiny_corpus).partition())
 
     def test_large_corpora_are_rejected(self, synthetic_corpus):
         config = SamplerConfig(model="hddcrp")
