@@ -1,10 +1,12 @@
-"""Time the prior build and one Gibbs sweep per model as the corpus grows.
+"""Time input loads, prior builds and Gibbs sweeps as the corpus grows.
 
     python3 scripts/bench_sweeps.py [--sizes 1000 2000] [-o BENCH_sweeps.json]
 
 Each size n gets a corpus from the perfbench generator (perfbench/gen.py)
-with Shape(n // 40, 4, 10): 4 documents of 10 mentions per topic, seed 1.  A
-pairwise distance model is trained on it once (train_s).  Then, for each
+with Shape(n // 40, 4, 10): 4 documents of 10 mentions per topic, seed 1.
+load_s is the median of 5 loads of the written inputs, each load_corpus
+plus LexicalResources.load, the fixed cost of a command.  A pairwise
+distance model is trained on the corpus once (train_s).  Then, for each
 model, the script times build_priors (priors_s), draws a chain state with
 init_state, runs one warm-up sweep and times the next 20 sweeps of the
 chain; it reports their median and quartiles in ms.  It also reports
@@ -15,8 +17,8 @@ more, untimed sweep and reports the median number of live labels and of
 keys at its label draws (draw_labels, draw_keys; null for the link models),
 the L and K that a draw's pass runs over.  The speed of a shared CPU drifts
 too much for wall or CPU time to compare two runs, so the process pins
-itself to one CPU and times training and prior builds in reference seconds,
-and sweeps in reference ms, of perfbench's calibrated clock
+itself to one CPU and times loads, training and prior builds in reference
+seconds, and sweeps in reference ms, of perfbench's calibrated clock
 (perfbench/clock.py).  Figures are comparable only between runs on the same
 machine.
 """
@@ -47,6 +49,7 @@ from hddcrp.pairwise import train  # noqa: E402
 from hddcrp.sampling import MODELS, SamplerConfig, build_priors, init_state  # noqa: E402
 
 SEED = 1
+LOADS = 5
 WARMUP = 1
 REPEATS = 20
 
@@ -70,20 +73,25 @@ def draw_sizes(state, rng):
 
 def bench_size(n):
     shape = Shape(max(1, n // 40), 4, 10)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, CalibratedClock() as clock:
         inputs = write_inputs(shape, SEED, tmp)
-        corpus = load_corpus(inputs.corpus)
-        resources = LexicalResources.load(inputs.embeddings, inputs.synonyms)
-    with CalibratedClock() as clock:
         time.sleep(0.05)  # a few probe slices before the first span
 
         def reference_s(start):
             return clock.reference_seconds(start, clock.now())[0]
 
+        loads_s = []
+        for _ in range(LOADS):
+            start = clock.now()
+            corpus = load_corpus(inputs.corpus)
+            resources = LexicalResources.load(inputs.embeddings, inputs.synonyms)
+            loads_s.append(reference_s(start))
         start = clock.now()
         pairwise = train(corpus, resources)
-        out = {"n": shape.n_mentions, "topics": shape.topics, "train_s": reference_s(start),
+        out = {"n": shape.n_mentions, "topics": shape.topics,
+               "load_s": statistics.median(loads_s), "train_s": reference_s(start),
                "models": {}}
+        print(f"n={shape.n_mentions}: load {out['load_s']:.4f} s", flush=True)
         for model in MODELS:
             config = SamplerConfig(model=model, seed=SEED)
             start = clock.now()
@@ -132,7 +140,8 @@ def main(argv=None):
         "seed": SEED,
         "warmup": WARMUP,
         "repeats": REPEATS,
-        "clock": "perfbench CalibratedClock: reference s for train_s and priors_s, "
+        "loads": LOADS,
+        "clock": "perfbench CalibratedClock: reference s for load_s, train_s and priors_s, "
                  "reference ms for sweeps",
         "python": sys.version.split()[0],
         "sizes": [bench_size(n) for n in args.sizes],

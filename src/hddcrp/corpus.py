@@ -20,10 +20,18 @@ the source of every other input error: parsers state only the fault, and
 their callers run them inside `located(path)`, or `located(f"{path}: line
 {n}")` for one line of a line-based file.
 
+`load_corpus` checks each mention object in one pass: its fields' JSON
+types in a fixed order, then the Mention's own invariants as it is built.
+It builds one Corpus from the documents and the gold chains; a fault in
+the documents names their line or the file, and a fault in the gold chains
+names the footer line or the sidecar they came from.
+
 Each type checks its invariants and derives its fields when it is built, so
 its constructor is the one way to make it: a Document sorts its mentions by
-order_index and derives its tf_vector, and a Corpus lays out its mentions.
-All types are immutable and safe to share across sampler chains.
+order_index, and a Corpus lays out its mentions.  A Document derives its
+tf_vector on first use (pair training and document similarity), since
+scoring, the lemma baseline and the table models never read it.  All types
+are immutable and safe to share across sampler chains.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ import itertools
 import json
 import math
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -85,11 +94,9 @@ class Document:
     doc_id: str
     seminal_event_id: str
     mentions: tuple[Mention, ...]
-    # token -> count over all mention spans and argument spans in the document
-    tf_vector: dict[str, int] = field(init=False, compare=False)
 
     def __post_init__(self):
-        mentions = tuple(sorted(self.mentions, key=lambda m: m.order_index))
+        mentions = tuple(sorted(self.mentions, key=attrgetter("order_index")))
         orders = [m.order_index for m in mentions]
         if orders != list(range(len(mentions))):
             raise InputError(
@@ -103,19 +110,23 @@ class Document:
                     f"inside document {self.doc_id!r}"
                 )
         object.__setattr__(self, "mentions", mentions)
-        object.__setattr__(self, "tf_vector", _doc_tf(mentions))
+
+    @cached_property
+    def tf_vector(self) -> dict[str, int]:
+        """token -> count over all mention spans and argument spans in the document"""
+        tf = {}
+        for m in self.mentions:
+            for tok in m.span_lemmas:
+                tf[tok] = tf.get(tok, 0) + 1
+            for role in m.arguments:
+                for span in m.arguments[role]:
+                    for tok in span:
+                        tf[tok] = tf.get(tok, 0) + 1
+        return tf
 
 
-def _doc_tf(mentions):
-    tf = {}
-    for m in mentions:
-        for tok in m.span_lemmas:
-            tf[tok] = tf.get(tok, 0) + 1
-        for role in m.arguments:
-            for span in m.arguments[role]:
-                for tok in span:
-                    tf[tok] = tf.get(tok, 0) + 1
-    return tf
+class GoldError(InputError):
+    """A gold chain names an unknown mention, or one that another chain holds."""
 
 
 @dataclass(frozen=True)
@@ -126,8 +137,9 @@ class Corpus:
     samplers, training pairs, baselines and clusterings index mentions by
     their position in it.  mention_ids holds the ids in that order, and
     bounds the index of each document's first mention, then n.  Doc and
-    mention ids are unique.  gold holds the gold chains as frozensets of
-    known mention ids, each id in at most one chain, or is None without gold.
+    mention ids are unique, and there is at least one mention.  gold holds
+    the gold chains as frozensets of known mention ids, each id in at most
+    one chain, or is None without gold; a fault in them is a GoldError.
     """
 
     documents: tuple[Document, ...]
@@ -148,6 +160,8 @@ class Corpus:
             duplicate = next(mid for mid, n in Counter(ids).items() if n > 1)
             raise InputError(f"duplicate mention_id {duplicate!r}")
         object.__setattr__(self, "_by_id", by_id)
+        if not ids:
+            raise InputError("the corpus holds no mentions")
         sizes = [len(d.mentions) for d in documents]
         object.__setattr__(self, "bounds", tuple(itertools.accumulate(sizes, initial=0)))
         if self.gold is not None:
@@ -155,9 +169,9 @@ class Corpus:
         covered = set()
         for mid in itertools.chain.from_iterable(self.gold or ()):
             if mid not in by_id:
-                raise InputError(f"gold chain references unknown mention {mid!r}")
+                raise GoldError(f"gold chain references unknown mention {mid!r}")
             if mid in covered:
-                raise InputError(f"mention {mid!r} appears in two gold chains")
+                raise GoldError(f"mention {mid!r} appears in two gold chains")
             covered.add(mid)
 
     def mention(self, mention_id) -> Mention:
@@ -191,55 +205,80 @@ def gold_partition(corpus: Corpus) -> ClusterAssignment:
 # ---------------------------------------------------------------------------
 
 
+_is_str = str.__instancecheck__  # isinstance(v, str), mapped without a lambda
+
+
 def _is_strings(value):
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, list) and all(map(_is_str, value))
 
 
-_SHAPES = {
-    "a string": lambda v: isinstance(v, str),
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "an object": lambda v: isinstance(v, dict),
-    "a list": lambda v: isinstance(v, list),
-    "a list of strings": _is_strings,
-    "a list of lists of strings": lambda v: isinstance(v, list) and all(map(_is_strings, v)),
-}
+def _is_spans(value):
+    return isinstance(value, list) and all(map(_is_strings, value))
 
 
-def _field(obj, key, shape, default=None):
-    """obj[key], or default if given and key is absent; InputError if key is
-    absent without a default or the value lacks the named shape."""
-    if default is None and key not in obj:
-        raise InputError(f"{key} is missing")
-    value = obj.get(key, default)
-    if not _SHAPES[shape](value):
-        raise InputError(f"{key} must be {shape}, got {value!r:.60}")
-    return value
+def _fault(obj, key, shape):
+    """The InputError for obj[key] being absent or lacking the named shape."""
+    if key not in obj:
+        return InputError(f"{key} is missing")
+    return InputError(f"{key} must be {shape}, got {obj[key]!r:.60}")
 
 
 def _parse_mention(obj, doc_id, fallback_order):
+    """One mention object, its fields checked in the order their faults are
+    reported: arguments, then the fields in Mention's order."""
     if not isinstance(obj, dict):
         raise InputError(f"a mention must be an object, got {obj!r:.60}")
-    arguments = _field(obj, "arguments", "an object", {})
-    spans = {r: _field(arguments, r, "a list of lists of strings") for r in arguments}
+    get = obj.get
+    arguments = get("arguments", {})
+    if not isinstance(arguments, dict):
+        raise _fault(obj, "arguments", "an object")
+    spans_of = {}
+    for role, spans in arguments.items():
+        if not _is_spans(spans):
+            raise _fault(arguments, role, "a list of lists of strings")
+        spans_of[role] = tuple(map(tuple, spans))
+    mention_id = get("mention_id")
+    if not isinstance(mention_id, str):
+        raise _fault(obj, "mention_id", "a string")
+    order_index = get("order_index", fallback_order)
+    if type(order_index) is not int:  # a JSON true or false is no integer
+        raise _fault(obj, "order_index", "an integer")
+    head_lemma = get("head_lemma")
+    if not isinstance(head_lemma, str):
+        raise _fault(obj, "head_lemma", "a string")
+    head_pos = get("head_pos")
+    if not isinstance(head_pos, str):
+        raise _fault(obj, "head_pos", "a string")
+    span_lemmas = get("span_lemmas")
+    if not _is_strings(span_lemmas):
+        raise _fault(obj, "span_lemmas", "a list of strings")
+    context_lemmas = get("context_lemmas", [])
+    if not _is_strings(context_lemmas):
+        raise _fault(obj, "context_lemmas", "a list of strings")
     return Mention(
-        mention_id=_field(obj, "mention_id", "a string"),
-        doc_id=doc_id,
-        order_index=_field(obj, "order_index", "an integer", fallback_order),
-        head_lemma=_field(obj, "head_lemma", "a string"),
-        head_pos=_field(obj, "head_pos", "a string"),
-        span_lemmas=tuple(_field(obj, "span_lemmas", "a list of strings")),
-        context_lemmas=tuple(_field(obj, "context_lemmas", "a list of strings", [])),
-        arguments={role: tuple(map(tuple, s)) for role, s in spans.items()},
+        mention_id, doc_id, order_index, head_lemma, head_pos, tuple(span_lemmas),
+        tuple(context_lemmas), spans_of,
     )
 
 
-@contextmanager
-def located(where):
-    """Name the source of any InputError raised inside: prefix `where: `."""
-    try:
-        yield
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+class located:
+    """Name the source of any InputError raised inside: prefix `where: `.
+
+    A plain class is cheaper to enter than a generator context manager, and
+    the readers enter one per input line.
+    """
+
+    __slots__ = ("where",)
+
+    def __init__(self, where):
+        self.where = where
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, InputError):
+            raise InputError(f"{self.where}: {exc}") from exc
 
 
 def read_lines(path):
@@ -292,34 +331,41 @@ def load_corpus(path, gold_path=None) -> Corpus:
             if not isinstance(obj, dict):
                 raise InputError(f"expected a JSON object, got {obj!r:.60}")
             if "doc_id" in obj:
-                doc_id = _field(obj, "doc_id", "a string")
-                seminal = _field(obj, "seminal_event_id", "a string")
-                mentions = [
-                    _parse_mention(mobj, doc_id, k)
-                    for k, mobj in enumerate(_field(obj, "mentions", "a list", []))
-                ]
+                doc_id = obj["doc_id"]
+                if not isinstance(doc_id, str):
+                    raise _fault(obj, "doc_id", "a string")
+                seminal = obj.get("seminal_event_id")
+                if not isinstance(seminal, str):
+                    raise _fault(obj, "seminal_event_id", "a string")
+                mentions = obj.get("mentions", [])
+                if not isinstance(mentions, list):
+                    raise _fault(obj, "mentions", "a list")
+                mentions = [_parse_mention(m, doc_id, k) for k, m in enumerate(mentions)]
                 documents.append(Document(doc_id, seminal, mentions))
             elif "gold_chains" in obj:
                 if gold is not None:
                     raise InputError("duplicate gold_chains entry")
-                gold = _field(obj, "gold_chains", "a list of lists of strings")
+                gold = obj["gold_chains"]
+                if not _is_spans(gold):
+                    raise _fault(obj, "gold_chains", "a list of lists of strings")
                 gold_source = f"{path}: line {line_no}"
             else:
                 raise InputError("object is neither a document nor gold_chains")
     if gold_path is not None:
         obj = read_json(gold_path)
         gold_source = gold_path
-        with located(gold_path):
-            obj = obj if isinstance(obj, dict) else {"gold_chains": obj}
-            gold = _field(obj, "gold_chains", "a list of lists of strings")
-    with located(path):
-        corpus = Corpus(tuple(documents))
-        if not corpus.mention_ids:
-            raise InputError("the corpus holds no mentions")
-    # the documents were validated at their lines; the gold chains name the
-    # footer line or the sidecar they came from
-    with located(gold_source):
-        return Corpus(corpus.documents, gold)
+        obj = obj if isinstance(obj, dict) else {"gold_chains": obj}
+        gold = obj.get("gold_chains")
+        if not _is_spans(gold):
+            with located(gold_path):
+                raise _fault(obj, "gold_chains", "a list of lists of strings")
+    # the documents were validated at their lines; a fault in the gold chains
+    # names the footer line or the sidecar they came from, any other the file
+    try:
+        return Corpus(tuple(documents), gold)
+    except InputError as exc:
+        where = gold_source if isinstance(exc, GoldError) else path
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def _mention_to_obj(m: Mention):
@@ -353,28 +399,27 @@ def load_embeddings(path):
     """Word vectors, one line per lemma: lemma followed by the vector entries."""
     vectors = {}
     dim = None
-    for line_no, line in enumerate(read_lines(path), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        with located(f"{path}: line {line_no}"):
-            lemma, values = parts[0], parts[1:]
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise InputError("bad vector entry") from exc
-            if not np.isfinite(vec).all():
-                raise InputError("non-finite vector entry")
-            # the cosines divide by norms: an overflowing norm would make them NaN
-            with np.errstate(over="ignore"):
-                squared_norm = np.dot(vec, vec)
-            if not np.isfinite(squared_norm):
-                raise InputError("vector norm overflows")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise InputError(f"vector length {vec.shape[0]} != {dim}")
-            vectors[lemma] = vec
+    # the cosines divide by norms: an overflowing norm would make them NaN
+    with np.errstate(over="ignore"):
+        for line_no, line in enumerate(read_lines(path), start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            with located(f"{path}: line {line_no}"):
+                try:
+                    values = list(map(float, parts[1:]))
+                except ValueError as exc:
+                    raise InputError("bad vector entry") from exc
+                if not all(map(math.isfinite, values)):
+                    raise InputError("non-finite vector entry")
+                vec = np.array(values, dtype=np.float64)
+                if not math.isfinite(np.dot(vec, vec)):
+                    raise InputError("vector norm overflows")
+                if dim is None:
+                    dim = len(values)
+                elif len(values) != dim:
+                    raise InputError(f"vector length {len(values)} != {dim}")
+                vectors[parts[0]] = vec
     return vectors
 
 

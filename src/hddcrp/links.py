@@ -11,6 +11,7 @@ sampling.py.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -45,7 +46,7 @@ def _components(n, edges):
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """A clustering of mentions with canonical labels.
+    """A clustering of distinct mentions with canonical labels.
 
     Labels form a restricted growth string over the canonical mention order:
     the first mention gets cluster 0, and each later mention gets either an
@@ -62,6 +63,9 @@ class ClusterAssignment:
         ids, raw = tuple(self.mention_ids), tuple(self.labels)
         if len(ids) != len(raw):
             raise InputError(f"{len(raw)} labels for {len(ids)} mentions")
+        if len(set(ids)) < len(ids):
+            repeated = next(mid for mid, n in Counter(ids).items() if n > 1)
+            raise InputError(f"mention id {repeated!r} is repeated")
         seen = {}
         labels = tuple(seen.setdefault(k, len(seen)) for k in raw)
         object.__setattr__(self, "mention_ids", ids)

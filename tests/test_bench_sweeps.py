@@ -19,10 +19,11 @@ def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
         capture_output=True,
     )
     got = json.loads(out.read_text(encoding="utf-8"))
-    assert set(got) == {"shape", "seed", "warmup", "repeats", "clock", "python", "sizes"}
+    assert set(got) == {"shape", "seed", "loads", "warmup", "repeats", "clock", "python", "sizes"}
     (size,) = got["sizes"]
-    assert set(size) == {"n", "topics", "train_s", "models"}
+    assert set(size) == {"n", "topics", "load_s", "train_s", "models"}
     assert size["n"] == 40
+    assert size["load_s"] > 0
     assert set(size["models"]) == set(MODELS)
     for model, timing in size["models"].items():
         assert set(timing) == {

@@ -11,8 +11,8 @@ import warnings
 
 import pytest
 
-from hddcrp import metrics, pairwise, sampling
-from hddcrp.cli import build_parser, main
+from hddcrp import cli, metrics, pairwise, sampling
+from hddcrp.cli import COMMANDS, build_parser, main
 from hddcrp.corpus import Corpus, Document, Mention, load_corpus, save_corpus
 from hddcrp.data import (
     synthetic_corpus_path,
@@ -741,6 +741,28 @@ PARSE_ERRORS = {
     "corpus-integer-over-4300-digits": (
         "corpus", lambda: '{"doc_id": 1' + "0" * 5000 + "}\n", 1,
         "not valid JSON (Exceeds the limit"),
+    "order-index-true": ("corpus", _tiny(1, _set(("mentions", 0, "order_index"), True)), 1,
+                         "order_index must be an integer, got True"),
+    "order-index-float": ("corpus", _tiny(2, _set(("mentions", 1, "order_index"), 1.0)), 2,
+                          "order_index must be an integer, got 1.0"),
+    "span-lemma-number": ("corpus", _tiny(1, _set(("mentions", 0, "span_lemmas"), ["a", 3])),
+                          1, "span_lemmas must be a list of strings, got ['a', 3]"),
+    "context-lemmas-null": ("corpus", _tiny(2, _set(("mentions", 0, "context_lemmas"), None)),
+                            2, "context_lemmas must be a list of strings, got None"),
+    "arguments-list": ("corpus", _tiny(1, _set(("mentions", 2, "arguments"), [])), 1,
+                       "arguments must be an object, got []"),
+    "role-span-string": ("corpus", _tiny(1, _set(("mentions", 0, "arguments"), {"time": "x"})),
+                         1, "time must be a list of lists of strings, got 'x'"),
+    "role-span-flat": ("corpus", _tiny(1, _set(("mentions", 0, "arguments"), {"time": ["x"]})),
+                       1, "time must be a list of lists of strings, got ['x']"),
+    "mention-string": ("corpus", _tiny(2, _set(("mentions", 0), "x")), 2,
+                       "a mention must be an object, got 'x'"),
+    "mentions-object": ("corpus", _tiny(1, _set(("mentions",), {})), 1,
+                        "mentions must be a list, got {}"),
+    # the arguments are checked before every other field of a mention
+    "arguments-before-mention-id": ("corpus", _tiny(1, _set(("mentions", 0), {
+        "arguments": [], "head_lemma": "bomb", "head_pos": "NN", "span_lemmas": ["bomb"],
+    })), 1, "arguments must be an object, got []"),
 }
 
 
@@ -1314,3 +1336,48 @@ def test_every_subcommand_keeps_its_parser_surface():
         assert got == PARSER_SURFACE[name], name
     (predictions,) = [a for a in sub.choices["score"]._actions if a.dest == "predictions"]
     assert predictions.nargs == "+"
+
+
+# command -> an argv that sets some of each kind of option
+PARSED_ARGV = {
+    "train-distance": ["train-distance", "--corpus", "c.jsonl", "--l2", "0.5", "-o", "m.json"],
+    "sample": ["sample", "--corpus", "c.jsonl", "--model", "ddcrp", "--randomized-scan",
+               "--seed", "3", "--alpha0", "0.1", "--config", "k.json"],
+    "baseline": ["baseline", "--corpus", "c.jsonl", "--method", "agglomerative",
+                 "--wd-threshold", "0.3"],
+    "score": ["score", "--corpus", "c.jsonl", "a.json", "b.json", "--setting", "WD"],
+    "oracle-posterior": ["oracle-posterior", "--corpus", "c.jsonl", "--uniform-distances",
+                         "--top", "4"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_main_builds_the_parser_of_the_invoked_command_only(command, monkeypatch, capsys):
+    full = build_parser()
+    with pytest.raises(SystemExit):
+        full.parse_args([command, "--help"])
+    full_help = capsys.readouterr().out
+    built = []
+
+    def recording_build_parser(*args):
+        built.append(args)
+        return build_parser(*args)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == full_help
+    assert built == [(command,)]
+    argv = PARSED_ARGV[command]
+    assert build_parser(command).parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)], ids=["help", "unknown"])
+def test_the_top_level_lists_every_command(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    listing = captured.out if code == 0 else captured.err
+    assert all(command in listing for command in COMMANDS)

@@ -66,6 +66,14 @@ class TestValidation:
         with pytest.raises(InputError):
             Corpus((d,), ({"m0", "m1"}, {"m1", "m2"}))
 
+    def test_a_corpus_without_mentions_is_rejected(self):
+        empty = Document("d", "ev", [])
+        with pytest.raises(InputError, match="the corpus holds no mentions"):
+            Corpus((empty,), ())
+        # a duplicate doc_id is named before the missing mentions
+        with pytest.raises(InputError, match="duplicate doc_id 'd'"):
+            Corpus((empty, empty))
+
 
 class TestCorpusAccess:
     def test_mentions_in_order_sorts_by_doc_then_index(self, synthetic_corpus):

@@ -106,6 +106,13 @@ class TestClusterAssignment:
         with pytest.raises(InputError, match="2 labels for 1 mentions"):
             ClusterAssignment(["a"], [0, 0])
 
+    def test_repeated_mention_ids_are_rejected(self):
+        # a repeated id would sit in two clusters, and as_mapping would keep one
+        with pytest.raises(InputError, match="mention id 'a' is repeated"):
+            ClusterAssignment(("a", "a", "b"), (0, 1, 1))
+        with pytest.raises(InputError, match="mention id 'b' is repeated"):
+            ClusterAssignment(("c", "b", "a", "b", "a"), (0, 0, 0, 0, 0))
+
     def test_canonical_order_is_doc_then_index(self, synthetic_corpus):
         order = synthetic_corpus.mention_ids
         assert order[0] == "doc01-m0"
