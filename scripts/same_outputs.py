@@ -9,23 +9,25 @@ once sequential, once with --randomized-scan --map-estimate and once with
 3 chains x 60 sweeps (36 clusterings).  On a larger corpus from the
 perfbench generator of the script's own tree (perfbench/gen.py,
 Shape(10, 4, 10) at seed 1: 400 mentions, where a table-model chain holds
-dozens of labels and several keys hold more than one) it runs train-distance
-and then `sample` for hddcrp-star and hdp-lex, sequential and with
---randomized-scan --map-estimate, with the same seed and sizes (12 more
-clusterings, 48 in all).  It also runs the exact enumerator,
-oracle-posterior --uniform-distances, on the bundled tiny corpus, at the
-defaults and at --alpha-d 2 --alpha0 0.5 --concentration 0.3.  On the
-synthetic corpus it then runs both baselines, lemma and agglomerative (with
-the trained model), and scores all 36 chains and both baselines in one
-`score` call.  It compares both trained distance models (distance_model.json
-and distance_model.features.json), every chain-NN.clustering.json, both
-oracle-*.json posteriors, both baseline-*.json files and score.json on every
-field except the embedded config, and the joint-score traces value by value
-(the config masks, the four models and the first two scans are
-scripts/golden.py's).  It prints whether the distance model, the enumerator
-output, the baselines and the score are identical, each clustering that
-differs, the number of trace files that differ and the largest relative
-trace drift, and exits 1 if any of them but the traces differs.
+dozens of labels and several keys hold more than one, and where trained
+priors and the agglomerative baseline keep few of the pairs) it runs
+train-distance, then `sample` for all four models, sequential and with
+--randomized-scan --map-estimate, with the same seed and sizes (24 more
+clusterings, 60 in all), and the agglomerative baseline.  It also runs the
+exact enumerator, oracle-posterior --uniform-distances, on the bundled tiny
+corpus, at the defaults and at --alpha-d 2 --alpha0 0.5 --concentration
+0.3.  On the synthetic corpus it then runs both baselines, lemma and
+agglomerative (with the trained model), and scores all 36 chains and both
+baselines in one `score` call.  It compares the trained distance models of
+both corpora (distance_model.json and distance_model.features.json), every
+chain-NN.clustering.json, both oracle-*.json posteriors, all three
+baseline-*.json files and score.json on every field except the embedded
+config, and the joint-score traces value by value (the config masks, the
+four models and the first two scans are scripts/golden.py's).  It prints
+whether the distance model, the enumerator output, the baselines and the
+score are identical, each clustering that differs, the number of trace files
+that differ and the largest relative trace drift, and exits 1 if any of them
+but the traces differs.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ SCANS = {
 }
 SAMPLE = ["--seed", "3", "--chains", "3", "--iterations", "60"]
 SCALE_SHAPE = Shape(10, 4, 10)
-SCALE_MODELS = ("hddcrp-star", "hdp-lex")
 SCALE_SCANS = ("sequential", "randomized-map")
 ORACLE = {
     "defaults": [],
@@ -87,10 +88,13 @@ def run_matrix(root, work):
     model = train_and_sample(corpus, resources, work, [(m, s) for m in MODELS for s in SCANS])
     # scale/ sits one level down, so the synthetic corpus's score skips its chains
     scale = write_inputs(SCALE_SHAPE, 1, work / "scale")
-    train_and_sample(
-        scale.corpus, ["--embeddings", str(scale.embeddings), "--synonyms", str(scale.synonyms)],
-        work / "scale", [(m, s) for m in SCALE_MODELS for s in SCALE_SCANS],
+    scale_resources = ["--embeddings", str(scale.embeddings), "--synonyms", str(scale.synonyms)]
+    scale_model = train_and_sample(
+        scale.corpus, scale_resources, work / "scale",
+        [(m, s) for m in MODELS for s in SCALE_SCANS],
     )
+    cli("baseline", "--corpus", str(scale.corpus), *scale_resources, "--method", "agglomerative",
+        "--distance-model", str(scale_model), "-o", "scale/baseline-agglomerative.json")
     tiny = corpus.with_name("tiny_corpus.jsonl")
     for name, flags in ORACLE.items():
         cli("oracle-posterior", "--corpus", str(tiny), "--uniform-distances", *flags,
@@ -125,9 +129,10 @@ def main(argv=None):
         )
         oracles = sorted(work_a.glob("oracle-*.json"))
         same_oracle = all(without_config(p) == without_config(work_b / p.name) for p in oracles)
-        baselines = sorted(work_a.glob("baseline-*.json"))
+        baselines = sorted(work_a.rglob("baseline-*.json"))
         same_baselines = all(
-            without_config(p) == without_config(work_b / p.name) for p in baselines
+            without_config(p) == without_config(work_b / p.relative_to(work_a))
+            for p in baselines
         )
         same_score = without_config(work_a / "score.json") == without_config(work_b / "score.json")
         clusterings = sorted(work_a.rglob("chain-*.clustering.json"))
