@@ -6,8 +6,12 @@ Each size n gets a corpus from the perfbench generator (perfbench/gen.py)
 with Shape(n // 40, 4, 10): 4 documents of 10 mentions per topic, seed 1.
 load_s is the median of 5 loads of the written inputs, each load_corpus
 plus LexicalResources.load, the fixed cost of a command.  A pairwise
-distance model is trained on the corpus once (train_s).  Then, for each
-model, the script times build_priors (priors_s), draws a chain state with
+distance model is trained on the corpus once (train_s), and one call of the
+agglomerative baseline with it is timed (agglomerative_s).  Then, for each
+model, the script times build_priors (priors_s).  For the models with
+trained priors it builds them once more, untimed, and counts the pairs that
+the candidate walk scored and kept (pairs_scored, pairs_kept; null for
+hdp_lex, whose priors are uniform).  It draws a chain state with
 init_state, runs one warm-up sweep and times the next 20 sweeps of the
 chain; it reports their median and quartiles in ms.  It also reports
 lone_share, the share of customer and of table-link supports that hold only
@@ -17,9 +21,9 @@ more, untimed sweep and reports the median number of live labels and of
 keys at its label draws (draw_labels, draw_keys; null for the link models),
 the L and K that a draw's pass runs over.  The speed of a shared CPU drifts
 too much for wall or CPU time to compare two runs, so the process pins
-itself to one CPU and times loads, training and prior builds in reference
-seconds, and sweeps in reference ms, of perfbench's calibrated clock
-(perfbench/clock.py).  Figures are comparable only between runs on the same
+itself to one CPU and times loads, training, the agglomerative call and
+prior builds in reference seconds, and sweeps in reference ms, of
+perfbench's calibrated clock (perfbench/clock.py).  Figures are comparable only between runs on the same
 machine.
 """
 
@@ -44,8 +48,10 @@ import scipy.special  # noqa: E402, F401
 
 from clock import CalibratedClock, pin_to_one_cpu  # noqa: E402
 from gen import Shape, write_inputs  # noqa: E402
+from hddcrp.baselines import agglomerative  # noqa: E402
 from hddcrp.corpus import LexicalResources, load_corpus  # noqa: E402
-from hddcrp.pairwise import train  # noqa: E402
+from hddcrp.features import PairFeatures  # noqa: E402
+from hddcrp.pairwise import PairwiseModel, train  # noqa: E402
 from hddcrp.sampling import MODELS, SamplerConfig, build_priors, init_state  # noqa: E402
 
 SEED = 1
@@ -71,6 +77,30 @@ def draw_sizes(state, rng):
     return [statistics.median(column) for column in zip(*sizes)]
 
 
+def walk_counts(corpus, config, pairwise, resources):
+    """The pairs that build_priors' candidate walk scores and keeps, from one
+    more build with counting wrappers in place."""
+    counts = {"pairs_scored": 0, "pairs_kept": 0}
+    candidates, walk = PairFeatures.candidates, PairwiseModel.scored_pairs
+
+    def counting_candidates(self, *args):
+        found = candidates(self, *args)
+        counts["pairs_scored"] += len(found[0])
+        return found
+
+    def counting_walk(self, *args):
+        for i, j, sim in walk(self, *args):
+            counts["pairs_kept"] += len(i)
+            yield i, j, sim
+
+    PairFeatures.candidates, PairwiseModel.scored_pairs = counting_candidates, counting_walk
+    try:
+        build_priors(corpus, config, pairwise, resources)
+    finally:
+        PairFeatures.candidates, PairwiseModel.scored_pairs = candidates, walk
+    return counts
+
+
 def bench_size(n):
     shape = Shape(max(1, n // 40), 4, 10)
     with tempfile.TemporaryDirectory() as tmp, CalibratedClock() as clock:
@@ -88,10 +118,14 @@ def bench_size(n):
             loads_s.append(reference_s(start))
         start = clock.now()
         pairwise = train(corpus, resources)
+        train_s = reference_s(start)
+        start = clock.now()
+        agglomerative(corpus, pairwise, resources)
         out = {"n": shape.n_mentions, "topics": shape.topics,
-               "load_s": statistics.median(loads_s), "train_s": reference_s(start),
-               "models": {}}
-        print(f"n={shape.n_mentions}: load {out['load_s']:.4f} s", flush=True)
+               "load_s": statistics.median(loads_s), "train_s": train_s,
+               "agglomerative_s": reference_s(start), "models": {}}
+        print(f"n={shape.n_mentions}: load {out['load_s']:.4f} s, "
+              f"agglomerative {out['agglomerative_s']:.3f} s", flush=True)
         for model in MODELS:
             config = SamplerConfig(model=model, seed=SEED)
             start = clock.now()
@@ -102,6 +136,9 @@ def bench_size(n):
                 else sum(len(c) == 1 for c in supports) / len(supports)
                 for level, supports in (("customer", priors.customer), ("table", priors.table))
             }
+            counts = {"pairs_scored": None, "pairs_kept": None}
+            if model != "hdp_lex":
+                counts = walk_counts(corpus, config, pairwise, resources)
             rng = np.random.default_rng(SEED)
             state = init_state(corpus, config, rng, priors=priors)
             for _ in range(WARMUP):
@@ -117,6 +154,7 @@ def bench_size(n):
                 draw_labels, draw_keys = draw_sizes(state, rng)
             out["models"][model] = {
                 "priors_s": priors_s,
+                **counts,
                 "lone_share": lone_share,
                 "sweep_ms": median,
                 "sweep_ms_quartiles": [q1, q3],
@@ -141,8 +179,8 @@ def main(argv=None):
         "warmup": WARMUP,
         "repeats": REPEATS,
         "loads": LOADS,
-        "clock": "perfbench CalibratedClock: reference s for load_s, train_s and priors_s, "
-                 "reference ms for sweeps",
+        "clock": "perfbench CalibratedClock: reference s for load_s, train_s, "
+                 "agglomerative_s and priors_s, reference ms for sweeps",
         "python": sys.version.split()[0],
         "sizes": [bench_size(n) for n in args.sizes],
     }

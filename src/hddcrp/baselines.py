@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
 from .links import ClusterAssignment, _components
 
@@ -51,13 +49,12 @@ def agglomerative(corpus, model, resources, config=None):
     """
     if config is None:
         config = AgglomerativeConfig()
-    # every pair is scored once, in blocks; only pairs at or above their
-    # threshold become edges
-    doc_of = corpus.doc_of()
+    # a truncated similarity reaches a positive cd_threshold only if the
+    # similarity reaches the truncation threshold as well
+    cd = config.cd_threshold
+    across = max(cd, model.truncation_threshold) if cd > 0 else 0.0
     edges = []
-    for i, j, sim in model.scored_pairs(corpus, resources, across=True):
-        keep = np.where(doc_of[i] == doc_of[j], sim >= config.wd_threshold,
-                        model.truncate(sim) >= config.cd_threshold)
-        edges += zip(i[keep].tolist(), j[keep].tolist())
-    clusters = _components(len(doc_of), edges)
+    for i, j, _ in model.scored_pairs(corpus, resources, config.wd_threshold, across):
+        edges += zip(i.tolist(), j.tolist())
+    clusters = _components(len(corpus.mention_ids), edges)
     return ClusterAssignment.from_index_partition(corpus.mention_ids, clusters)

@@ -8,22 +8,30 @@ companion both-present indicator because a 0 cosine is ambiguous between
 "dissimilar arguments" and "no arguments at all".
 
 `FeatureExtractor.extract` scores one pair and is the reference.
-`pair_blocks` walks the pairs that priors and the agglomerative baseline score.
-`PairFeatures` computes the same values for a block of pairs at once: lemma
-and tag ids are compared as arrays, the embedding cosine and synonym Jaccard
-are computed once per distinct head lemma pair, and the integer dot products
-of the tf-cosines and the Jaccard are one dense float64 matrix product per
-block.  The token lists are kept as CSR arrays of integer counts, and the
-product's inner dimension is only the distinct tokens the block's rows hold.
-Every product and partial sum is a small integer, so the dots are exact in
-any order of summation, and the divide, the clamp and the norms are
-`count_cosine`'s.  Each value therefore equals `extract`'s bit for bit, so a
-model trained on block features is the model trained on `extract`'s.
+`PairFeatures` computes the same values for many pairs at once.  Lemma and
+tag ids are compared as arrays, and the embedding cosine and synonym Jaccard
+are computed once per distinct head lemma pair (`lemma_values`).  The token
+lists are kept as CSR arrays of integer counts.  `values` scores a rectangle
+of rows x columns; the integer dot products of its tf-cosines are one dense
+float64 matrix product per block, whose inner dimension is only the distinct
+tokens the block's rows hold.  `candidates` and `pair_values` serve the walk
+of trained priors and the agglomerative baseline
+(`PairwiseModel.scored_pairs`) over `row_blocks`.  Inverted indexes of head
+lemmas and of tokens yield the pairs of a block whose head lemma pair can
+reach a floor or that share a token, with the dot products over the tokens
+they share; `batched` gathers them over blocks, and `pair_values` gives
+their features.  Every product and partial sum of a dot product is a small
+integer, so the dots are exact in any order of summation, and the divide,
+the clamp and the norms are `count_cosine`'s.  Each value therefore equals
+`extract`'s bit for bit, so a model trained on block features is the model
+trained on `extract`'s.  `pair_blocks` walks every pair of `row_blocks`, for
+uniform priors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 
@@ -31,26 +39,59 @@ from .corpus import ARGUMENT_ROLES, count_cosine
 
 _SIM_FEATURES = ("head_embedding_cosine", "span_tf_cosine", "synonym_jaccard", "context_tf_cosine")
 
-# Mention rows scored at a time against at most all n mentions: the block
-# computations then need O(BLOCK_ROWS * n * tokens per mention) extra memory,
-# never O(n * n) nor O(n * vocabulary).
+# Mention rows walked at a time.  A block of the candidate walk joins its
+# rows' tokens and head lemmas against the postings of the later mentions,
+# and a scored batch holds about BLOCK_ROWS * n candidates; a rectangle of
+# `values` scores its rows against at most all n mentions.  Each needs
+# O(BLOCK_ROWS * n * tokens per mention) extra memory, never O(n * n) nor
+# O(n * vocabulary).
 BLOCK_ROWS = 64
 
 
-def pair_blocks(bounds, across):
-    """Yield (rows, cols, r, c) per block of at most BLOCK_ROWS rows: its pairs
-    i < j are (rows.start + r, cols.start + c), all of them if across, else
-    only those within a document, with cols ending at the last row's document."""
+def row_blocks(bounds, across):
+    """Yield (rows, hi) per block of at most BLOCK_ROWS rows: the pairs i < j
+    of row i are those with j < hi[i - rows.start], every later mention if
+    across, else the later mentions of i's document."""
     n = bounds[-1]
-    doc = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    hi = np.full(n, n) if across else np.repeat(bounds[1:], np.diff(bounds))
     for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        end = n if across else bounds[doc[stop - 1] + 1]
-        r, c = np.triu_indices(stop - start, 1, end - start)
+        yield slice(start, min(start + BLOCK_ROWS, n)), hi[start:start + BLOCK_ROWS]
+
+
+def pair_blocks(bounds, across):
+    """Yield (rows, cols, r, c) per block of row_blocks: its pairs i < j are
+    (rows.start + r, cols.start + c), all of them if across, else only those
+    within a document, with cols ending at the last row's document."""
+    for rows, hi in row_blocks(bounds, across):
+        r, c = np.triu_indices(rows.stop - rows.start, 1, hi[-1] - rows.start)
         if not across:
-            keep = doc[start + r] == doc[start + c]
+            keep = rows.start + c < hi[r]
             r, c = r[keep], c[keep]
-        yield slice(start, stop), slice(start, end), r, c
+        yield rows, slice(rows.start, hi[-1]), r, c
+
+
+def batched(parts, n):
+    """Concatenate consecutive (i, j, dots) candidate arrays of row blocks
+    into batches of at least BLOCK_ROWS * n pairs, the last one possibly
+    smaller: a batch is scored at once, and holds no more than about a block
+    of every pair."""
+    held, size = [], 0
+    for part in parts:
+        held.append(part)
+        size += len(part[0])
+        if size >= BLOCK_ROWS * n:
+            yield _joined(held)
+            size = 0
+    if held:
+        yield _joined(held)
+
+
+def _joined(held):
+    """The parts' arrays concatenated, emptying held so that the parts can
+    be freed while the batch is scored."""
+    batch = held[0] if len(held) == 1 else tuple(np.concatenate(x) for x in zip(*held))
+    held.clear()
+    return batch
 
 
 def _tf_cosine(a_tokens, b_tokens):
@@ -165,13 +206,42 @@ def _count_matrix(bags, counts=None):
     return (indptr, tokens, values, len(vocab)), norms
 
 
+def _ranges(lo, hi):
+    """Owner q and value of every integer of the ranges [lo[q], hi[q]), range
+    by range."""
+    lengths = hi - lo
+    owner = np.repeat(np.arange(len(lo)), lengths)
+    return owner, np.arange(len(owner)) + (lo - np.cumsum(lengths) + lengths)[owner]
+
+
 def _selected(indptr, rows):
     """Number of the rows an index slice or array selects, and the position
     among them and the CSR position of each of their entries."""
     rows = np.arange(len(indptr) - 1)[rows]
-    lengths = indptr[rows + 1] - indptr[rows]
-    at = np.repeat(np.arange(len(rows)), lengths)
-    return len(rows), at, np.arange(len(at)) + (indptr[rows] - np.cumsum(lengths) + lengths)[at]
+    return len(rows), *_ranges(indptr[rows], indptr[rows + 1])
+
+
+class _Postings:
+    """Inverted index of (id, mention) entries, each with a count: the
+    mentions that hold each id, ascending."""
+
+    def __init__(self, ids, mentions, n, counts):
+        keys = ids * n + mentions
+        order = np.argsort(keys)
+        self.n = n
+        self.keys, self.mentions, self.counts = keys[order], mentions[order], counts[order]
+
+    def within(self, ids, lo, hi):
+        """Query q and posting position of every mention of ids[q] in the
+        range [lo[q], hi[q]), query by query, mentions ascending."""
+        base = ids * self.n
+        return _ranges(np.searchsorted(self.keys, base + lo), np.searchsorted(self.keys, base + hi))
+
+    def count(self, ids, mentions):
+        """Count of each entry (ids[p], mentions[p]), 0 for an absent one."""
+        query = ids * self.n + mentions
+        at = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
+        return np.where(self.keys[at] == query, self.counts[at], 0.0)
 
 
 def _dots(matrix, rows, cols):
@@ -223,6 +293,8 @@ class PairFeatures:
     Per-mention tables are built once; `values` and `pos_columns` then give
     the features of all pairs rows x cols (index slices or arrays into the
     mention list) as arrays equal to `FeatureExtractor.extract`, pair by pair.
+    `candidates` lists the pairs of a row block that an index join finds,
+    and `pair_values` gives the same values for a list of pairs.
     """
 
     def __init__(self, extractor, mentions, resources):
@@ -269,15 +341,11 @@ class PairFeatures:
         """Index of the POS-pair one-hot feature set for each pair."""
         return self.pos_table[np.ix_(self.tag[rows], self.tag[cols])]
 
-    def values(self, rows, cols):
-        """Yield (feature index, values over rows x cols) for every feature
-        except the POS-pair one-hot and the bias, one feature at a time."""
-        la, lb = self.lemma[rows], self.lemma[cols]
-        yield self.head_match, np.equal.outer(la, lb).astype(np.float64)
-        # computed once per distinct head lemma pair, then gathered to mentions
-        ra, ia = np.unique(la, return_inverse=True)
-        rb, ib = np.unique(lb, return_inverse=True)
-        pick = np.ix_(ia, ib)
+    def lemma_tables(self, ra, rb):
+        """Yield (feature index, table over ra x rb) of the head match, the
+        embedding cosine and the synonym Jaccard of every pair of head lemma
+        ids ra x rb."""
+        yield self.head_match, np.equal.outer(ra, rb).astype(np.float64)
         # a stack of vector-vector products runs np.dot's routine on each pair,
         # so the dot products equal extract's bit for bit (a matrix product
         # would round differently)
@@ -285,14 +353,134 @@ class PairFeatures:
         scale = np.multiply.outer(self.vector_norms[ra], self.vector_norms[rb])
         cosine = np.zeros(scale.shape)
         np.divide(dots[:, :, 0, 0], scale, out=cosine, where=scale > 0)
-        yield self.embedding_k, np.clip(cosine, 0.0, 1.0, out=cosine)[pick]
+        yield self.embedding_k, np.clip(cosine, 0.0, 1.0, out=cosine)
         shared = _dots(self.synonyms, ra, rb)
         union = np.add.outer(self.synonym_sizes[ra], self.synonym_sizes[rb]) - shared
-        yield self.jaccard_k, (shared / union)[pick]
+        yield self.jaccard_k, shared / union
+
+    def lemma_values(self, a, b):
+        """The values of `lemma_tables` for the head lemma id pairs (a[p],
+        b[p]) only, by the same elementwise operations: a list of pairs
+        needs no table over all their lemmas."""
+        yield self.head_match, (a == b).astype(np.float64)
+        dots = np.matmul(self.vectors[a][:, None, :], self.vectors[b][:, :, None])[:, 0, 0]
+        scale = self.vector_norms[a] * self.vector_norms[b]
+        cosine = np.zeros(len(a))
+        np.divide(dots, scale, out=cosine, where=scale > 0)
+        yield self.embedding_k, np.clip(cosine, 0.0, 1.0, out=cosine)
+        indptr, tokens, _, _ = self.synonyms
+        at, entry = _ranges(indptr[a], indptr[a + 1])
+        shared = np.bincount(at, self._synonym_postings.count(tokens[entry], b[at]), len(a))
+        yield self.jaccard_k, shared / (self.synonym_sizes[a] + self.synonym_sizes[b] - shared)
+
+    def values(self, rows, cols):
+        """Yield (feature index, values over rows x cols) for every feature
+        except the POS-pair one-hot and the bias, one feature at a time."""
+        # computed once per distinct head lemma pair, then gathered to mentions
+        ra, ia = np.unique(self.lemma[rows], return_inverse=True)
+        rb, ib = np.unique(self.lemma[cols], return_inverse=True)
+        pick = np.ix_(ia, ib)
+        for k, table in self.lemma_tables(ra, rb):
+            yield k, table[pick]
         for k, matrix, norms in self.bags:
             yield k, _cosines(matrix, norms, rows, cols)
         for k, present in self.present:
             yield k, np.logical_and.outer(present[rows], present[cols]).astype(np.float64)
+
+    @cached_property
+    def _synonym_postings(self):
+        indptr, tokens, counts, _ = self.synonyms
+        n_lemmas = len(self.vectors)
+        return _Postings(tokens, np.repeat(np.arange(n_lemmas), np.diff(indptr)), n_lemmas, counts)
+
+    @cached_property
+    def _lemma_postings(self):
+        return _Postings(self.lemma, np.arange(self.n), self.n, np.ones(self.n))
+
+    @cached_property
+    def _bag_index(self):
+        """The bags as one index: token ids offset bag by bag, so that no
+        token of one bag matches one of another; the CSR pointer, tokens and
+        counts of the mentions' entries; each token's bag; and the postings."""
+        offset = np.cumsum([0] + [matrix[3] for _, matrix, _ in self.bags])
+        token_bag = np.repeat(np.arange(len(self.bags)), np.diff(offset))
+        entries = [
+            (np.repeat(np.arange(self.n), np.diff(indptr)), tokens + start, counts)
+            for (_, (indptr, tokens, counts, _), _), start in zip(self.bags, offset)
+        ]
+        mention, token, count = (np.concatenate(x) for x in zip(*entries))
+        by_mention = np.argsort(mention, kind="stable")
+        mention, token, count = mention[by_mention], token[by_mention], count[by_mention]
+        indptr = np.searchsorted(mention, np.arange(self.n + 1))
+        return indptr, token, count, token_bag, _Postings(token, mention, self.n, count)
+
+    def candidates(self, rows, hi, reach, joined):
+        """The candidate pairs of a block of rows and their bag dot products:
+        sorted canonical pairs (i, j), with i < j < hi[i - rows.start], that
+        share a token in a bag marked in joined (a boolean per bag of
+        self.bags) or, unless reach is None, whose head lemma pair is marked
+        in reach, a triple (ra, rb, boolean table over head lemma ids ra x
+        rb) with ra holding every row's lemma and rb every lemma of the
+        columns; and the pairs x bags dot products of their count vectors.
+        The dots sum a product of counts per token the pair shares, read
+        off the postings: small integers, exact in any order."""
+        rows = np.arange(self.n)[rows]
+        lo = rows + 1
+        indptr, token, count, token_bag, postings = self._bag_index
+        q, entry = _ranges(indptr[rows], indptr[rows + 1])
+        at, post = postings.within(token[entry], lo[q], hi[q])
+        shared = rows[q[at]] * self.n + postings.mentions[post]
+        bag = token_bag[token[entry[at]]]
+        products = count[entry[at]] * postings.counts[post]
+        found = [shared[joined[bag]]]
+        if reach is not None:
+            ra, rb, table = reach
+            a, b = np.nonzero(table)
+            ia = np.searchsorted(ra, self.lemma[rows])
+            q, p = _ranges(np.searchsorted(a, ia), np.searchsorted(a, ia, "right"))
+            at, post = self._lemma_postings.within(rb[b[p]], lo[q], hi[q])
+            found.append(rows[q[at]] * self.n + self._lemma_postings.mentions[post])
+        # distinct pairs, sorted: np.unique costs more on arrays this small
+        pairs = np.sort(np.concatenate(found))
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        at = np.searchsorted(pairs, shared)
+        hit = at < len(pairs)
+        hit[hit] = pairs[at[hit]] == shared[hit]
+        n_bags = len(self.bags)
+        dots = np.bincount(at[hit] * n_bags + bag[hit], products[hit], len(pairs) * n_bags)
+        # float even when there is nothing to count, where bincount gives ints
+        dots = dots.astype(np.float64, copy=False).reshape(len(pairs), n_bags)
+        return *np.divmod(pairs, self.n), dots
+
+    def pair_values(self, i, j, dots):
+        """Yield (feature index, values) of the pairs (i[p], j[p]) for every
+        feature except the POS-pair one-hot and the bias, in the order of
+        `values`, each value equal to `values`' for that pair, given the
+        pairs x bags dot products of their count vectors."""
+        n_lemmas = len(self.vectors)
+        lemma_pairs, inverse = np.unique(
+            self.lemma[i] * n_lemmas + self.lemma[j], return_inverse=True
+        )
+        for k, values in self.lemma_values(*np.divmod(lemma_pairs, n_lemmas)):
+            yield k, values[inverse]
+        # the cosines overwrite the dots, which are 0 where they stay 0
+        scale = self._bag_norms[i]
+        scale *= self._bag_norms[j]
+        cosine = np.divide(dots, scale, out=dots, where=dots > 0)
+        np.minimum(cosine, 1.0, out=cosine)
+        for b, (k, _, _) in enumerate(self.bags):
+            yield k, cosine[:, b]
+        both = (self._present[i] & self._present[j]).astype(np.float64)
+        for r, (k, _) in enumerate(self.present):
+            yield k, both[:, r]
+
+    @cached_property
+    def _bag_norms(self):
+        return np.column_stack([norms for _, _, norms in self.bags])
+
+    @cached_property
+    def _present(self):
+        return np.column_stack([present for _, present in self.present])
 
     def gather(self, a, b):
         """Feature matrix of the pairs (a[p], b[p]), one row per pair, each

@@ -11,10 +11,14 @@ over labeled pairs with y in {+1, -1}; the objective is strictly concave, so
 the optimum is unique and the fit deterministic from a zero start.
 
 The per-pair methods (`pair_similarity`, `within_doc_distance`, ...) are the
-reference.  Priors, training and the baselines score many pairs at once with
-`similarity_block` and `scored_pairs`, which score `features.pair_blocks`
-with `features.PairFeatures`; their values agree with the per-pair ones up
-to the order in which the weighted feature sum is accumulated.
+reference.  Training scores its pairs with `features.PairFeatures.gather`.
+Priors and the agglomerative baseline keep only the pairs whose similarity
+reaches a floor that their thresholds imply, and `scored_pairs` scores only
+the candidates that can reach it: the pairs that share a token in a bag of
+positive weight, and the pairs whose head lemma pair reaches the floor under
+an upper bound of the logit that takes the per-mention terms at their
+largest.  Their values agree with the per-pair ones up to the order in which
+the weighted feature sum is accumulated.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .corpus import doc_similarity, gold_partition, located, read_json, write_json
 from .errors import InputError
-from .features import FeatureExtractor, PairFeatures, cosine_matrix, pair_blocks
+from .features import FeatureExtractor, PairFeatures, batched, cosine_matrix, row_blocks
 
 # L-BFGS-B stopping rule of the fit: projected gradient tolerance and iteration cap
 GTOL = 1e-6
@@ -107,12 +111,18 @@ class PairwiseModel:
                 f"weight vector has {self.theta.shape[0]} entries, "
                 f"feature map has {len(self.extractor)}"
             )
-        if not np.isfinite(self.theta).all():
-            raise InputError("weight vector contains non-finite values")
-        values = (self.l2_strength, self.truncation_threshold, self.gamma)
-        if not np.isfinite(values).all() or self.l2_strength < 0:
-            raise InputError(f"l2, truncation threshold and gamma must be finite and l2 "
-                             f"nonnegative, got {values}")
+        # a finite sum of |theta| keeps every logit, partial sum and bound of
+        # it finite, as every feature lies in [0, 1]
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(self.theta).sum()):
+                raise InputError("weight vector has a non-finite absolute sum")
+            values = (self.l2_strength, self.truncation_threshold, self.gamma)
+            if not np.isfinite(values).all() or self.l2_strength < 0:
+                raise InputError(f"l2, truncation threshold and gamma must be finite and l2 "
+                                 f"nonnegative, got {values}")
+            # exp(gamma * document cosine) scales cross-document priors
+            if not np.isfinite(np.exp(self.gamma)):
+                raise InputError(f"exp(gamma) must be finite, got gamma = {self.gamma}")
         if not 0 <= self.truncation_threshold <= 1:
             raise InputError(f"truncation threshold must lie in [0, 1], "
                              f"got {self.truncation_threshold}")
@@ -144,28 +154,61 @@ class PairwiseModel:
             return 0.0
         return float(np.exp(self.gamma * doc_similarity(doc_a, doc_b))) * sim
 
-    def similarity_block(self, features, rows, cols):
-        """pair_similarity of every pair rows x cols of a PairFeatures list,
-        as an array; the logit adds theta_k * feature_k one feature at a time."""
+    def scored_pairs(self, corpus, resources, within, across):
+        """Yield (i, j, similarity) arrays of canonical mention indices i < j,
+        in ascending order, one per batch of scored candidates: every pair of
+        one document whose similarity is at least the floor within, and,
+        unless across is None, every pair of two documents whose similarity
+        is at least the floor across.
+
+        Only candidates are scored.  A pair that shares no token in a bag of
+        positive weight has a logit of at most its head lemma pair's terms
+        plus the bias, the largest POS-pair weight and the positive
+        both-present weights; a pair is a candidate if it shares such a token
+        or if that bound reaches the lower floor.  The candidates of each
+        block of features.row_blocks come from inverted indexes of tokens and
+        head lemmas (`PairFeatures.candidates`).  Each candidate's logit adds
+        theta_k * feature_k one feature at a time, in the order of
+        `PairFeatures.values`, so its similarity is the one the full walk
+        over every pair gives.
+        """
         from scipy.special import expit
 
-        logit = self.theta[features.pos_columns(rows, cols)]
-        logit += self.theta[features.bias]
-        for k, values in features.values(rows, cols):
-            logit += self.theta[k] * values
-        return expit(logit, out=logit)
-
-    def truncate(self, sims):
-        """truncated_similarity applied to an array of similarities."""
-        return np.where(sims >= self.truncation_threshold, sims, 0.0)
-
-    def scored_pairs(self, corpus, resources, across):
-        """Yield (i, j, similarity) arrays of canonical mention indices, one
-        per block of features.pair_blocks, so each of its pairs comes once."""
         features = PairFeatures(self.extractor, corpus.mentions_in_order(), resources)
-        for rows, cols, r, c in pair_blocks(corpus.bounds, across):
-            sims = self.similarity_block(features, rows, cols)
-            yield rows.start + r, cols.start + c, sims[r, c]
+        theta = self.theta
+        floor = within if across is None else min(within, across)
+        top = theta[features.pos_table].max(initial=-np.inf) + theta[features.bias]
+        top += sum(max(theta[k], 0.0) for k, _ in features.present)
+        # every feature lies in [0, 1], so a logit and its bound each round
+        # off by less than len(theta) half-ulps of the sum of |theta|
+        slack = 2 * len(theta) * np.finfo(float).eps * np.abs(theta).sum()
+        lemma_terms = (features.head_match, features.embedding_k, features.jaccard_k)
+        # no head lemma pair reaches the floor if its terms at their largest do not
+        reachable = expit(top + sum(max(theta[k], 0.0) for k in lemma_terms) + slack) >= floor
+        joined = np.array([theta[k] > 0 for k, _, _ in features.bags])
+
+        def found():
+            for rows, hi in row_blocks(corpus.bounds, across is not None):
+                reach = None
+                if reachable:
+                    ra = np.unique(features.lemma[rows])
+                    rb = np.unique(features.lemma[rows.start:hi[-1]])
+                    bound = top
+                    for k, table in features.lemma_tables(ra, rb):
+                        bound = bound + theta[k] * table
+                    reach = ra, rb, expit(bound + slack) >= floor
+                yield features.candidates(rows, hi, reach, joined)
+
+        doc_of = corpus.doc_of()
+        for i, j, dots in batched(found(), features.n):
+            logit = theta[features.pos_table[features.tag[i], features.tag[j]]]
+            logit += theta[features.bias]
+            for k, values in features.pair_values(i, j, dots):
+                logit += theta[k] * values
+            sims = expit(logit, out=logit)
+            floors = within if across is None else np.where(doc_of[i] == doc_of[j], within, across)
+            keep = sims >= floors
+            yield i[keep], j[keep], sims[keep]
 
     def cross_doc_factors(self, documents):
         """exp(gamma * doc_similarity) of every pair of documents, as a matrix."""

@@ -201,9 +201,8 @@ def build_priors(corpus, config, pairwise=None, resources=None, uniform=False):
     elif pairwise is None or resources is None:
         raise InputError(f"model {kind!r} needs a trained distance model")
     else:
-        for i, j, sim in pairwise.scored_pairs(corpus, resources, across):
-            keep = pairwise.truncate(sim) > 0
-            parts.append((i[keep], j[keep], sim[keep]))
+        floor = pairwise.truncation_threshold
+        parts += pairwise.scored_pairs(corpus, resources, floor, floor if across else None)
     i, j, w = (np.concatenate(x) for x in zip(*parts))
 
     if kind == "ddcrp_flat":

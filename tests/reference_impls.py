@@ -10,10 +10,11 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 
 from hddcrp import pairwise
 from hddcrp.corpus import doc_similarity
+from hddcrp.features import PairFeatures, pair_blocks
 from hddcrp.likelihood import log_marginal_raw, merge_ratio_raw
 from hddcrp.sampling import _draw
 
@@ -370,6 +371,30 @@ def training_pairs_reference(corpus, sigma):
             if doc_similarity(d, d2) >= sigma:
                 pairs += [pair(a, b) for a in d.mentions for b in d2.mentions]
     return pairs
+
+
+def similarity_block(model, features, rows, cols):
+    """pair_similarity of every pair rows x cols of a PairFeatures list, as
+    an array; the logit adds theta_k * feature_k one feature at a time."""
+    logit = model.theta[features.pos_columns(rows, cols)]
+    logit += model.theta[features.bias]
+    for k, values in features.values(rows, cols):
+        logit += model.theta[k] * values
+    return expit(logit, out=logit)
+
+
+def scored_pairs_reference(model, corpus, resources, within, across):
+    """PairwiseModel.scored_pairs by the full rectangle walk: every pair of
+    features.pair_blocks is scored with similarity_block, and the pairs at or
+    above their floor are yielded, one block at a time."""
+    features = PairFeatures(model.extractor, corpus.mentions_in_order(), resources)
+    doc_of = corpus.doc_of()
+    for rows, cols, r, c in pair_blocks(corpus.bounds, across is not None):
+        i, j = rows.start + r, cols.start + c
+        sims = similarity_block(model, features, rows, cols)[r, c]
+        floors = within if across is None else np.where(doc_of[i] == doc_of[j], within, across)
+        keep = sims >= floors
+        yield i[keep], j[keep], sims[keep]
 
 
 def priors_reference(corpus, config, pairwise=None, resources=None, uniform=False):

@@ -65,13 +65,18 @@ class TestAgglomerative:
         "wd, cd", [(0.5, 0.5), (0.3, 0.7), (0.9, 0.0), (0.0, 1.0), (0.7, 0.55), (0.5, 0.3)]
     )
     @pytest.mark.parametrize("truncation", [0.5, 0.99])
-    @pytest.mark.parametrize("block_rows", [5, features.BLOCK_ROWS])
+    @pytest.mark.parametrize(
+        "corpus_name, block_rows",
+        [("synthetic_corpus", 5), ("synthetic_corpus", features.BLOCK_ROWS),
+         ("replicated_corpus", features.BLOCK_ROWS)],
+    )
     def test_matches_the_per_pair_reference(
-        self, synthetic_corpus, resources, trained_model, wd, cd, truncation, block_rows,
+        self, request, resources, trained_model, wd, cd, truncation, block_rows, corpus_name,
         monkeypatch,
     ):
         monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
+        corpus = request.getfixturevalue(corpus_name)
         model = dataclasses.replace(trained_model, truncation_threshold=truncation)
-        got = agglomerative(synthetic_corpus, model, resources, AgglomerativeConfig(wd, cd))
-        want = agglomerative_reference(synthetic_corpus, model, resources, wd, cd)
+        got = agglomerative(corpus, model, resources, AgglomerativeConfig(wd, cd))
+        want = agglomerative_reference(corpus, model, resources, wd, cd)
         assert set(got.partition()) == want

@@ -21,15 +21,19 @@ def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
     got = json.loads(out.read_text(encoding="utf-8"))
     assert set(got) == {"shape", "seed", "loads", "warmup", "repeats", "clock", "python", "sizes"}
     (size,) = got["sizes"]
-    assert set(size) == {"n", "topics", "load_s", "train_s", "models"}
+    assert set(size) == {"n", "topics", "load_s", "train_s", "agglomerative_s", "models"}
     assert size["n"] == 40
-    assert size["load_s"] > 0
+    assert size["load_s"] > 0 and size["agglomerative_s"] > 0
     assert set(size["models"]) == set(MODELS)
     for model, timing in size["models"].items():
         assert set(timing) == {
-            "priors_s", "lone_share", "sweep_ms", "sweep_ms_quartiles", "sweeps_ms",
-            "draw_labels", "draw_keys",
+            "priors_s", "pairs_scored", "pairs_kept", "lone_share", "sweep_ms",
+            "sweep_ms_quartiles", "sweeps_ms", "draw_labels", "draw_keys",
         }
+        if model == "hdp_lex":
+            assert timing["pairs_scored"] is None and timing["pairs_kept"] is None
+        else:
+            assert 0 < timing["pairs_kept"] <= timing["pairs_scored"]
         assert set(timing["lone_share"]) == {"customer", "table"}
         assert 0 < timing["lone_share"]["customer"] <= 1
         assert (timing["lone_share"]["table"] is None) == (model != "hddcrp")

@@ -1138,6 +1138,32 @@ class TestInputFiles:
         assert list(tmp_path.iterdir()) == [bad]
         assert f"{bad}: line 1: vector norm overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["theta", "gamma"])
+    @pytest.mark.parametrize("command", ["sample", "baseline"])
+    def test_model_files_whose_arithmetic_overflows_exit_two(
+        self, key, command, model_file, tmp_path, capsys
+    ):
+        # finite weights whose logit sum overflows, or a gamma whose
+        # exponential does, would turn similarities and priors into inf
+        obj = json.loads(model_file.read_text(encoding="utf-8"))
+        obj[key] = [1e308] * len(obj["theta"]) if key == "theta" else 1e308
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(obj), encoding="utf-8")
+        inputs = ["--corpus", synthetic_corpus_path(), "--embeddings", synthetic_embeddings_path(),
+                  "--synonyms", synthetic_synonyms_path(), "--distance-model", edited]
+        argv = {
+            "sample": ["sample", *inputs, "--model", "hddcrp", "--chains", 1, "--iterations", 2,
+                       "--output-dir", tmp_path / "run"],
+            "baseline": ["baseline", *inputs, "--method", "agglomerative",
+                         "-o", tmp_path / "agg.json"],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        assert list(tmp_path.iterdir()) == [edited]
+        err = capsys.readouterr().err
+        assert ("absolute sum" if key == "theta" else "exp(gamma)") in err
+
     BAD = "<not utf-8>"
 
     @pytest.mark.parametrize(

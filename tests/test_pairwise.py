@@ -7,8 +7,9 @@ import pytest
 from scipy.special import expit
 
 from hddcrp import features, pairwise
+from hddcrp.baselines import AgglomerativeConfig, agglomerative
 from hddcrp.corpus import (
-    Corpus, Document, LexicalResources, Mention, doc_similarity
+    ARGUMENT_ROLES, Corpus, Document, LexicalResources, Mention, doc_similarity
 )
 from hddcrp.errors import InputError
 from hddcrp.features import FeatureExtractor, PairFeatures
@@ -28,6 +29,8 @@ from reference_impls import (
     penalized_grad,
     penalized_loglik,
     priors_reference,
+    scored_pairs_reference,
+    similarity_block,
     training_pairs_reference,
 )
 
@@ -270,7 +273,7 @@ class TestPersistence:
         [
             ("gamma", math.nan), ("l2", math.inf), ("l2", -1.0), ("truncation_threshold", math.nan),
             ("truncation_threshold", 2.0), ("truncation_threshold", -0.1),
-            ("feature_index", [1, 2]),
+            ("feature_index", [1, 2]), ("gamma", 1e308), ("theta", [1e308] * 21),
         ],
     )
     def test_hand_edited_hyperparameters_are_checked_on_load(
@@ -356,7 +359,7 @@ def long_and_empty_similarities(long_and_empty_corpus, resources, trained_model)
         [trained_model.pair_similarity(a, b, resources) for b in order] for a in order
     ])
     pf = PairFeatures(trained_model.extractor, order, resources)
-    return want, trained_model.similarity_block(pf, slice(None), slice(None))
+    return want, similarity_block(trained_model, pf, slice(None), slice(None))
 
 
 class TestBlockScoring:
@@ -365,21 +368,24 @@ class TestBlockScoring:
     ):
         order = synthetic_corpus.mentions_in_order()
         pf = PairFeatures(trained_model.extractor, order, resources)
-        got = trained_model.similarity_block(pf, slice(None), slice(None))
+        got = similarity_block(trained_model, pf, slice(None), slice(None))
         want = [[trained_model.pair_similarity(a, b, resources) for b in order] for a in order]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("across", [True, False])
     @pytest.mark.parametrize("block_rows", [1, 5, 64])
+    @pytest.mark.parametrize("floor", [0.0, 0.5])
     def test_scored_pairs_cover_each_pair_once(
         self, long_and_empty_corpus, long_and_empty_similarities, resources, trained_model,
-        monkeypatch, across, block_rows,
+        monkeypatch, across, block_rows, floor,
     ):
         monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)
         corpus = long_and_empty_corpus
         want, unblocked = long_and_empty_similarities
         seen = []
-        for i, j, sim in trained_model.scored_pairs(corpus, resources, across):
+        for i, j, sim in trained_model.scored_pairs(
+            corpus, resources, floor, floor if across else None
+        ):
             assert (i < j).all()
             seen += zip(i.tolist(), j.tolist())
             np.testing.assert_allclose(sim, want[i, j], rtol=0, atol=1e-12)
@@ -387,17 +393,22 @@ class TestBlockScoring:
             assert (sim == unblocked[i, j]).all()
         doc_of = corpus.doc_of()
         n = len(corpus.mention_ids)
-        assert sorted(seen) == [
-            (i, j) for i in range(n) for j in range(i + 1, n) if across or doc_of[i] == doc_of[j]
+        # the kept pairs are those of the reference walk at or above the floor
+        assert seen == sorted(seen)
+        assert seen == [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if (across or doc_of[i] == doc_of[j]) and unblocked[i, j] >= floor
         ]
 
     @pytest.mark.parametrize("model", ["hddcrp", "ddcrp_flat", "hdp_lex", "hddcrp_star"])
+    @pytest.mark.parametrize("corpus_name", ["synthetic_corpus", "replicated_corpus"])
     def test_build_priors_equals_the_per_pair_reference(
-        self, synthetic_corpus, resources, trained_model, model, block_rows
+        self, request, resources, trained_model, model, block_rows, corpus_name
     ):
+        corpus = request.getfixturevalue(corpus_name)
         config = SamplerConfig(model=model)
-        priors = build_priors(synthetic_corpus, config, trained_model, resources)
-        customer, table = priors_reference(synthetic_corpus, config, trained_model, resources)
+        priors = build_priors(corpus, config, trained_model, resources)
+        customer, table = priors_reference(corpus, config, trained_model, resources)
         layers = [(priors.customer, customer)]
         if model == "hddcrp":
             layers.append((priors.table, table))
@@ -434,3 +445,120 @@ class TestBlockScoring:
         assert pair_accuracy(trained_model, synthetic_corpus, resources, pairs, features=x) == (
             pair_accuracy(trained_model, synthetic_corpus, resources, pairs)
         ) == per_pair
+
+
+def walked(pairs):
+    """The (i, j, similarity) arrays of a walk, concatenated over its blocks."""
+    return [np.concatenate(x) for x in zip(*pairs)]
+
+
+# the candidate walk, as defined, whatever a test patches in its place
+WALK = PairwiseModel.scored_pairs
+
+
+def assert_walks_agree(model, corpus, resources, within, across):
+    """The candidate walk keeps exactly the pairs and similarities (==) that
+    the full rectangle walk keeps; returns the kept pairs."""
+    got = walked(WALK(model, corpus, resources, within, across))
+    want = walked(scored_pairs_reference(model, corpus, resources, within, across))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return got
+
+
+@pytest.fixture(scope="module")
+def at_threshold_corpus():
+    """Two documents whose heads have embeddings and synonyms, mixing a POS
+    tag the trained extractor knows with one it does not."""
+    def doc(doc_id, *mentions):
+        return Document(doc_id, "ev", [
+            Mention(f"{doc_id}-m{k}", doc_id, k, head, pos, span, context, args)
+            for k, (head, pos, span, context, args) in enumerate(mentions)
+        ])
+
+    return Corpus((
+        doc("d0", ("quake", "NN", ("quake",), ("ground",), {"location": (("city",),)}),
+            ("blast", "VB", ("blast", "loud"), ("smoke",), {})),
+        doc("d1", ("tremor", "NN", ("tremor",), ("shaking",), {"location": (("town",),)}),
+            ("explosion", "VB", ("explosion", "loud"), ("smoke", "fire"), {}),
+            ("rally", "NN", ("rally",), (), {})),
+    ), ())
+
+
+class TestCandidateWalk:
+    @pytest.fixture
+    def checked_walk(self, monkeypatch):
+        """Make every scored_pairs call assert that the candidate walk agrees
+        with the full walk, and record the floors the consumers pass."""
+        floors = []
+
+        def checked(model, corpus, resources, within, across):
+            floors.append((within, across))
+            assert_walks_agree(model, corpus, resources, within, across)
+            return WALK(model, corpus, resources, within, across)
+
+        monkeypatch.setattr(PairwiseModel, "scored_pairs", checked)
+        return floors
+
+    def run_consumers(self, corpus, resources, model, wd, cd):
+        for kind in ("hddcrp", "hddcrp_star", "ddcrp_flat"):
+            build_priors(corpus, SamplerConfig(model=kind), model, resources)
+        agglomerative(corpus, model, resources, AgglomerativeConfig(wd, cd))
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "corpus_name", ["synthetic_corpus", "replicated_corpus", "long_and_empty_corpus"]
+    )
+    def test_consumers_see_the_pairs_the_full_walk_keeps(
+        self, request, resources, trained_model, checked_walk, threshold, corpus_name
+    ):
+        corpus = request.getfixturevalue(corpus_name)
+        model = dataclasses.replace(trained_model, truncation_threshold=threshold)
+        self.run_consumers(corpus, resources, model, threshold, 1.0 - threshold)
+        t = threshold
+        assert checked_walk == [(t, t), (t, None), (t, t), (t, max(1.0 - t, t) if t < 1 else 0.0)]
+
+    def test_a_pair_exactly_at_the_threshold_is_kept(
+        self, at_threshold_corpus, resources, trained_model, checked_walk
+    ):
+        # weights under which the logit of quake and tremor, which share no
+        # token, equals its bound: their POS pair has the largest POS weight,
+        # and the one both-present weight that is positive is theirs
+        names = trained_model.extractor.feature_names
+        theta = trained_model.theta.copy()
+        theta[names.index("pos_pair=other")] = theta[names.index("pos_pair=NN|NN")]
+        for role in ARGUMENT_ROLES:
+            k = names.index(f"{role}_both_present")
+            theta[k] = abs(theta[k]) + 0.5 if role == "location" else -abs(theta[k])
+        tight = dataclasses.replace(trained_model, theta=theta)
+        corpus = at_threshold_corpus
+        i, j, sims = walked(scored_pairs_reference(tight, corpus, resources, 0.0, 0.0))
+        (at,) = np.flatnonzero((i == 0) & (j == 2))
+        model = dataclasses.replace(tight, truncation_threshold=float(sims[at]))
+        self.run_consumers(corpus, resources, model, model.truncation_threshold,
+                           model.truncation_threshold)
+        assert len(checked_walk) == 4
+        kept_i, kept_j, _ = assert_walks_agree(model, corpus, resources, sims[at], sims[at])
+        kept = set(zip(kept_i.tolist(), kept_j.tolist()))
+        assert (0, 2) in kept
+        # some pair falls below the threshold
+        assert len(kept) < len(i)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_weights_keep_what_the_full_walk_keeps(
+        self, replicated_corpus, at_threshold_corpus, resources, trained_model, seed
+    ):
+        rng = np.random.default_rng(seed)
+        names = trained_model.extractor.feature_names
+        theta = rng.normal(0.0, 3.0, len(names))
+        theta[names.index("bias")] = abs(theta[names.index("bias")]) + 1.0
+        tf = [k for k, name in enumerate(names) if name.endswith("tf_cosine")]
+        theta[tf] = -np.abs(theta[tf])
+        model = dataclasses.replace(trained_model, theta=theta)
+        for corpus in (replicated_corpus, at_threshold_corpus):
+            _, _, sims = walked(scored_pairs_reference(model, corpus, resources, 0.0, 0.0))
+            # floors that are similarities of the corpus, so that some pairs lie on them
+            low, high = np.quantile(sims, [0.3, 0.8], method="lower")
+            assert_walks_agree(model, corpus, resources, low, high)
+            assert_walks_agree(model, corpus, resources, high, low)
+            assert_walks_agree(model, corpus, resources, high, None)

@@ -34,6 +34,7 @@ from reference_impls import (
     label_draw_reference,
     label_log_weights_reference,
     priors_reference,
+    scored_pairs_reference,
     total_variation,
 )
 
@@ -210,24 +211,38 @@ class TestPriors:
     ):
         made = []
         walk = features.pair_blocks
+        scored = pairwise.PairwiseModel.scored_pairs
 
         def counted(bounds, across):
             for rows, cols, r, c in walk(bounds, across):
                 made.extend(zip((rows.start + r).tolist(), (cols.start + c).tolist()))
                 yield rows, cols, r, c
 
+        def kept(self, *args):
+            for i, j, sim in scored(self, *args):
+                made.extend(zip(i.tolist(), j.tolist()))
+                yield i, j, sim
+
         monkeypatch.setattr(sampling, "pair_blocks", counted)
-        monkeypatch.setattr(pairwise, "pair_blocks", counted)
+        monkeypatch.setattr(pairwise.PairwiseModel, "scored_pairs", kept)
         build_priors(synthetic_corpus, SamplerConfig(model=model), trained_model, resources,
                      uniform=uniform)
         doc_of = synthetic_corpus.doc_of()
         n = len(doc_of)
-        if model in ("hddcrp", "ddcrp_flat"):
+        across = model in ("hddcrp", "ddcrp_flat")
+        if not uniform:
+            # trained priors walk only the pairs the reference walk keeps
+            floor = trained_model.truncation_threshold
+            want = scored_pairs_reference(
+                trained_model, synthetic_corpus, resources, floor, floor if across else None
+            )
+            assert made == [(a, b) for i, j, _ in want for a, b in zip(i.tolist(), j.tolist())]
+        elif across:
             assert len(made) == n * (n - 1) // 2
         else:
             sizes = [len(d.mentions) for d in synthetic_corpus.documents]
             assert len(made) == sum(k * (k - 1) // 2 for k in sizes)
-            assert all(doc_of[i] == doc_of[j] for i, j in made)
+        assert all(across or doc_of[i] == doc_of[j] for i, j in made)
         assert len(set(made)) == len(made)
 
     def test_single_document_hddcrp_needs_no_distance_model(self):
