@@ -5,7 +5,9 @@
 Each size n gets a corpus from the perfbench generator (perfbench/gen.py)
 with Shape(n // 40, 4, 10): 4 documents of 10 mentions per topic, seed 1.
 load_s is the median of 5 loads of the written inputs, each load_corpus
-plus LexicalResources.load, the fixed cost of a command.  A pairwise
+plus LexicalResources.load, the fixed cost of a command.  features_s is
+the median of 3 builds of the training pairs' feature matrix, each a
+PairFeatures construction plus its gather of the pairs.  A pairwise
 distance model is trained on the corpus once (train_s), and one call of the
 agglomerative baseline with it is timed (agglomerative_s).  Then, for each
 model, the script times build_priors (priors_s).  For the models with
@@ -50,12 +52,13 @@ from clock import CalibratedClock, pin_to_one_cpu  # noqa: E402
 from gen import Shape, write_inputs  # noqa: E402
 from hddcrp.baselines import agglomerative  # noqa: E402
 from hddcrp.corpus import LexicalResources, load_corpus  # noqa: E402
-from hddcrp.features import PairFeatures  # noqa: E402
-from hddcrp.pairwise import PairwiseModel, train  # noqa: E402
+from hddcrp.features import FeatureExtractor, PairFeatures  # noqa: E402
+from hddcrp.pairwise import PairwiseModel, build_training_pairs, pair_features, train  # noqa: E402
 from hddcrp.sampling import MODELS, SamplerConfig, build_priors, init_state  # noqa: E402
 
 SEED = 1
 LOADS = 5
+FEATURES = 3
 WARMUP = 1
 REPEATS = 20
 
@@ -116,15 +119,24 @@ def bench_size(n):
             corpus = load_corpus(inputs.corpus)
             resources = LexicalResources.load(inputs.embeddings, inputs.synonyms)
             loads_s.append(reference_s(start))
+        extractor = FeatureExtractor.from_corpus(corpus)
+        pairs = build_training_pairs(corpus)
+        features_s = []
+        for _ in range(FEATURES):
+            start = clock.now()
+            pair_features(corpus, resources, extractor, pairs)
+            features_s.append(reference_s(start))
         start = clock.now()
         pairwise = train(corpus, resources)
         train_s = reference_s(start)
         start = clock.now()
         agglomerative(corpus, pairwise, resources)
         out = {"n": shape.n_mentions, "topics": shape.topics,
-               "load_s": statistics.median(loads_s), "train_s": train_s,
+               "load_s": statistics.median(loads_s),
+               "features_s": statistics.median(features_s), "train_s": train_s,
                "agglomerative_s": reference_s(start), "models": {}}
         print(f"n={shape.n_mentions}: load {out['load_s']:.4f} s, "
+              f"features {out['features_s']:.4f} s, "
               f"agglomerative {out['agglomerative_s']:.3f} s", flush=True)
         for model in MODELS:
             config = SamplerConfig(model=model, seed=SEED)
@@ -179,7 +191,8 @@ def main(argv=None):
         "warmup": WARMUP,
         "repeats": REPEATS,
         "loads": LOADS,
-        "clock": "perfbench CalibratedClock: reference s for load_s, train_s, "
+        "features": FEATURES,
+        "clock": "perfbench CalibratedClock: reference s for load_s, features_s, train_s, "
                  "agglomerative_s and priors_s, reference ms for sweeps",
         "python": sys.version.split()[0],
         "sizes": [bench_size(n) for n in args.sizes],

@@ -19,11 +19,11 @@ def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
         capture_output=True,
     )
     got = json.loads(out.read_text(encoding="utf-8"))
-    assert set(got) == {"shape", "seed", "loads", "warmup", "repeats", "clock", "python", "sizes"}
+    assert set(got) == {"shape", "seed", "loads", "features", "warmup", "repeats", "clock", "python", "sizes"}
     (size,) = got["sizes"]
-    assert set(size) == {"n", "topics", "load_s", "train_s", "agglomerative_s", "models"}
+    assert set(size) == {"n", "topics", "load_s", "features_s", "train_s", "agglomerative_s", "models"}
     assert size["n"] == 40
-    assert size["load_s"] > 0 and size["agglomerative_s"] > 0
+    assert size["load_s"] > 0 and size["features_s"] > 0 and size["agglomerative_s"] > 0
     assert set(size["models"]) == set(MODELS)
     for model, timing in size["models"].items():
         assert set(timing) == {
