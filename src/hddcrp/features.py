@@ -8,24 +8,25 @@ companion both-present indicator because a 0 cosine is ambiguous between
 "dissimilar arguments" and "no arguments at all".
 
 `FeatureExtractor.extract` scores one pair and is the reference.
-`PairFeatures` computes the same values for many pairs at once.  Lemma and
-tag ids are compared as arrays, and the embedding cosine and synonym Jaccard
-are computed once per distinct head lemma pair (`lemma_values`).  The token
-lists are kept as CSR arrays of integer counts.  `values` scores a rectangle
-of rows x columns; the integer dot products of its tf-cosines are one dense
-float64 matrix product per block, whose inner dimension is only the distinct
-tokens the block's rows hold.  `candidates` and `pair_values` serve the walk
-of trained priors and the agglomerative baseline
-(`PairwiseModel.scored_pairs`) over `row_blocks`.  Inverted indexes of head
-lemmas and of tokens yield the pairs of a block whose head lemma pair can
-reach a floor or that share a token, with the dot products over the tokens
-they share; `batched` gathers them over blocks, and `pair_values` gives
-their features.  Every product and partial sum of a dot product is a small
-integer, so the dots are exact in any order of summation, and the divide,
-the clamp and the norms are `count_cosine`'s.  Each value therefore equals
-`extract`'s bit for bit, so a model trained on block features is the model
-trained on `extract`'s.  `pair_blocks` walks every pair of `row_blocks`, for
-uniform priors.
+`PairFeatures` computes the same values for a list of pairs (i[p], j[p]),
+one way for every consumer: `pair_values`.  Lemma and tag ids are compared
+as arrays, and the embedding cosine and synonym Jaccard are computed once
+per distinct head lemma pair (`lemma_values`).  The token lists are kept as
+CSR arrays of integer counts and as one inverted index (postings) of
+tokens.  A pair's tf-cosine dot products sum a product of counts per token
+that it shares: `dots` looks each token of i[p] up in the postings of
+j[p], and `candidates` joins a block of rows against the postings of the
+later mentions, which also finds the pairs that share a token.  Every
+product and partial sum of a dot product is a small integer, so the dots
+are exact in any order of summation, and the divide, the clamp and the
+norms are `count_cosine`'s.  Each value therefore equals `extract`'s bit
+for bit, so a model trained on these features is the model trained on
+`extract`'s.  `gather` scores the training pairs BLOCK_ROWS rows at a time;
+the walk of trained priors and the agglomerative baseline
+(`PairwiseModel.scored_pairs`) scores the candidates of `row_blocks`,
+which `batched` gathers over blocks.  `pair_blocks` walks every pair of
+`row_blocks`, for uniform priors.  `cosine_matrix` joins blocks of token
+-> count maps against their postings in the same way.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ _SIM_FEATURES = ("head_embedding_cosine", "span_tf_cosine", "synonym_jaccard", "
 
 # Mention rows walked at a time.  A block of the candidate walk joins its
 # rows' tokens and head lemmas against the postings of the later mentions,
-# and a scored batch holds about BLOCK_ROWS * n candidates; a rectangle of
-# `values` scores its rows against at most all n mentions.  Each needs
-# O(BLOCK_ROWS * n * tokens per mention) extra memory, never O(n * n) nor
-# O(n * vocabulary).
+# and a scored batch holds about BLOCK_ROWS * n candidates; a block of
+# `gather` or `cosine_matrix` holds at most its rows' pairs with all n
+# mentions.  Each needs O(BLOCK_ROWS * n * tokens per mention) extra memory,
+# never O(n * n) nor O(n * vocabulary).
 BLOCK_ROWS = 64
 
 
@@ -214,13 +215,6 @@ def _ranges(lo, hi):
     return owner, np.arange(len(owner)) + (lo - np.cumsum(lengths) + lengths)[owner]
 
 
-def _selected(indptr, rows):
-    """Number of the rows an index slice or array selects, and the position
-    among them and the CSR position of each of their entries."""
-    rows = np.arange(len(indptr) - 1)[rows]
-    return len(rows), *_ranges(indptr[rows], indptr[rows + 1])
-
-
 class _Postings:
     """Inverted index of (id, mention) entries, each with a count: the
     mentions that hold each id, ascending."""
@@ -244,57 +238,36 @@ class _Postings:
         return np.where(self.keys[at] == query, self.counts[at], 0.0)
 
 
-def _dots(matrix, rows, cols):
-    """Dot products of every (row, col) pair of count-matrix rows, as one
-    dense float64 product over the distinct tokens the rows hold.  Every
-    product and partial sum is a small integer, so each dot is exact."""
-    indptr, tokens, values, n_tokens = matrix
-    n_rows, row_at, row_entry = _selected(indptr, rows)
-    n_cols, col_at, col_entry = _selected(indptr, cols)
-    held, column = np.unique(tokens[row_entry], return_inverse=True)
-    left = np.zeros((n_rows, len(held)))
-    left[row_at, column] = values[row_entry]
-    slot = np.full(n_tokens, -1)
-    slot[held] = np.arange(len(held))
-    column = slot[tokens[col_entry]]
-    hit = column >= 0
-    right = np.zeros((len(held), n_cols))
-    right[column[hit], col_at[hit]] = values[col_entry[hit]]
-    return left @ right
-
-
-def _cosines(matrix, norms, rows, cols):
-    """count_cosine of every (row, col) pair of count-matrix rows.
-
-    The dot products are exact integers, so dot / (na * nb) rounds exactly
-    as the scalar routine does.
-    """
-    dots = _dots(matrix, rows, cols)
-    out = np.zeros(dots.shape)
-    np.divide(dots, np.multiply.outer(norms[rows], norms[cols]), out=out, where=dots > 0)
-    return np.minimum(out, 1.0, out=out)
-
-
 def cosine_matrix(count_maps):
     """count_cosine of every pair of token -> count maps, as a dense matrix,
-    computed BLOCK_ROWS rows at a time."""
-    matrix, norms = _count_matrix(count_maps, [m.values() for m in count_maps])
+    computed BLOCK_ROWS rows at a time.  A block's dot products sum a product
+    of counts per token that a pair shares, read off the postings: small
+    integers, exact in any order."""
+    (indptr, tokens, counts, _), norms = _count_matrix(count_maps, [m.values() for m in count_maps])
     n = len(count_maps)
+    postings = _Postings(tokens, np.repeat(np.arange(n), np.diff(indptr)), n, counts)
     out = np.empty((n, n))
     for start in range(0, n, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        out[rows] = _cosines(matrix, norms, rows, slice(None))
+        rows = np.arange(start, min(start + BLOCK_ROWS, n))
+        q, entry = _ranges(indptr[rows], indptr[rows + 1])
+        at, post = postings.within(tokens[entry], 0, n)
+        products = counts[entry[at]] * postings.counts[post]
+        dots = np.bincount(q[at] * n + postings.mentions[post], products, len(rows) * n)
+        dots = dots.reshape(len(rows), n)
+        block = np.zeros(dots.shape)
+        np.divide(dots, np.multiply.outer(norms[rows], norms), out=block, where=dots > 0)
+        out[rows] = np.minimum(block, 1.0, out=block)
     return out
 
 
 class PairFeatures:
-    """The features of every pair of a fixed list of mentions, by blocks.
+    """The features of pairs of a fixed list of mentions, for lists of pairs.
 
-    Per-mention tables are built once; `values` and `pos_columns` then give
-    the features of all pairs rows x cols (index slices or arrays into the
-    mention list) as arrays equal to `FeatureExtractor.extract`, pair by pair.
-    `candidates` lists the pairs of a row block that an index join finds,
-    and `pair_values` gives the same values for a list of pairs.
+    Per-mention tables are built once; `pair_values` then gives the features
+    of the pairs (i[p], j[p]) (indexes into the mention list) as arrays equal
+    to `FeatureExtractor.extract`, pair by pair, and `gather` as a feature
+    matrix.  `candidates` lists the pairs of a row block that an index join
+    finds.
     """
 
     def __init__(self, extractor, mentions, resources):
@@ -337,32 +310,14 @@ class PairFeatures:
             )
         self.bags = [(k, *_count_matrix(tokens)) for k, tokens in bags]
 
-    def pos_columns(self, rows, cols):
-        """Index of the POS-pair one-hot feature set for each pair."""
-        return self.pos_table[np.ix_(self.tag[rows], self.tag[cols])]
-
-    def lemma_tables(self, ra, rb):
-        """Yield (feature index, table over ra x rb) of the head match, the
-        embedding cosine and the synonym Jaccard of every pair of head lemma
-        ids ra x rb."""
-        yield self.head_match, np.equal.outer(ra, rb).astype(np.float64)
+    def lemma_values(self, a, b):
+        """Yield (feature index, values) of the head match, the embedding
+        cosine and the synonym Jaccard of the head lemma id pairs (a[p],
+        b[p])."""
+        yield self.head_match, (a == b).astype(np.float64)
         # a stack of vector-vector products runs np.dot's routine on each pair,
         # so the dot products equal extract's bit for bit (a matrix product
         # would round differently)
-        dots = np.matmul(self.vectors[ra][:, None, None, :], self.vectors[rb][None, :, :, None])
-        scale = np.multiply.outer(self.vector_norms[ra], self.vector_norms[rb])
-        cosine = np.zeros(scale.shape)
-        np.divide(dots[:, :, 0, 0], scale, out=cosine, where=scale > 0)
-        yield self.embedding_k, np.clip(cosine, 0.0, 1.0, out=cosine)
-        shared = _dots(self.synonyms, ra, rb)
-        union = np.add.outer(self.synonym_sizes[ra], self.synonym_sizes[rb]) - shared
-        yield self.jaccard_k, shared / union
-
-    def lemma_values(self, a, b):
-        """The values of `lemma_tables` for the head lemma id pairs (a[p],
-        b[p]) only, by the same elementwise operations: a list of pairs
-        needs no table over all their lemmas."""
-        yield self.head_match, (a == b).astype(np.float64)
         dots = np.matmul(self.vectors[a][:, None, :], self.vectors[b][:, :, None])[:, 0, 0]
         scale = self.vector_norms[a] * self.vector_norms[b]
         cosine = np.zeros(len(a))
@@ -372,20 +327,6 @@ class PairFeatures:
         at, entry = _ranges(indptr[a], indptr[a + 1])
         shared = np.bincount(at, self._synonym_postings.count(tokens[entry], b[at]), len(a))
         yield self.jaccard_k, shared / (self.synonym_sizes[a] + self.synonym_sizes[b] - shared)
-
-    def values(self, rows, cols):
-        """Yield (feature index, values over rows x cols) for every feature
-        except the POS-pair one-hot and the bias, one feature at a time."""
-        # computed once per distinct head lemma pair, then gathered to mentions
-        ra, ia = np.unique(self.lemma[rows], return_inverse=True)
-        rb, ib = np.unique(self.lemma[cols], return_inverse=True)
-        pick = np.ix_(ia, ib)
-        for k, table in self.lemma_tables(ra, rb):
-            yield k, table[pick]
-        for k, matrix, norms in self.bags:
-            yield k, _cosines(matrix, norms, rows, cols)
-        for k, present in self.present:
-            yield k, np.logical_and.outer(present[rows], present[cols]).astype(np.float64)
 
     @cached_property
     def _synonym_postings(self):
@@ -454,9 +395,11 @@ class PairFeatures:
 
     def pair_values(self, i, j, dots):
         """Yield (feature index, values) of the pairs (i[p], j[p]) for every
-        feature except the POS-pair one-hot and the bias, in the order of
-        `values`, each value equal to `values`' for that pair, given the
-        pairs x bags dot products of their count vectors."""
+        feature except the POS-pair one-hot and the bias, one feature at a
+        time, each value equal to `extract`'s for that pair, given the pairs
+        x bags dot products of their count vectors (`dots`, or those of
+        `candidates`): the head lemma features, the bags' tf-cosines, then
+        the roles' both-present indicators."""
         n_lemmas = len(self.vectors)
         lemma_pairs, inverse = np.unique(
             self.lemma[i] * n_lemmas + self.lemma[j], return_inverse=True
@@ -482,20 +425,28 @@ class PairFeatures:
     def _present(self):
         return np.column_stack([present for _, present in self.present])
 
+    def dots(self, i, j):
+        """The pairs x bags dot products of the count vectors of the pairs
+        (i[p], j[p]): a product of counts per token of i[p] that j[p] also
+        holds, read off the postings; small integers, exact in any order."""
+        indptr, token, count, token_bag, postings = self._bag_index
+        at, entry = _ranges(indptr[i], indptr[i + 1])
+        products = count[entry] * postings.count(token[entry], j[at])
+        n_bags = len(self.bags)
+        dots = np.bincount(at * n_bags + token_bag[token[entry]], products, len(i) * n_bags)
+        # float even when there is nothing to count, where bincount gives ints
+        return dots.astype(np.float64, copy=False).reshape(len(i), n_bags)
+
     def gather(self, a, b):
         """Feature matrix of the pairs (a[p], b[p]), one row per pair, each
-        row equal to `extract` of that pair.  Each block of rows is scored
-        only against the columns its pairs use."""
+        row equal to `extract` of that pair, scored BLOCK_ROWS rows of a at
+        a time."""
         out = np.zeros((len(a), self.n_features))
         out[:, self.bias] = 1.0
         for start in range(0, self.n, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
             sel = np.flatnonzero((a >= start) & (a < start + BLOCK_ROWS))
-            if not len(sel):
-                continue
-            ra = a[sel] - start
-            cols, cb = np.unique(b[sel], return_inverse=True)
-            out[sel, self.pos_columns(rows, cols)[ra, cb]] = 1.0
-            for k, values in self.values(rows, cols):
-                out[sel, k] = values[ra, cb]
+            i, j = a[sel], b[sel]
+            out[sel, self.pos_table[self.tag[i], self.tag[j]]] = 1.0
+            for k, values in self.pair_values(i, j, self.dots(i, j)):
+                out[sel, k] = values
         return out

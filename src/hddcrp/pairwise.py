@@ -167,10 +167,11 @@ class PairwiseModel:
         both-present weights; a pair is a candidate if it shares such a token
         or if that bound reaches the lower floor.  The candidates of each
         block of features.row_blocks come from inverted indexes of tokens and
-        head lemmas (`PairFeatures.candidates`).  Each candidate's logit adds
-        theta_k * feature_k one feature at a time, in the order of
-        `PairFeatures.values`, so its similarity is the one the full walk
-        over every pair gives.
+        head lemmas (`PairFeatures.candidates`), the head lemma bound over
+        the grid of the block's row lemmas x column lemmas.  Each
+        candidate's logit adds theta_k * feature_k one feature at a time, in
+        the order of `PairFeatures.pair_values`, so its similarity is the
+        one that scoring every pair the same way gives.
         """
         from scipy.special import expit
 
@@ -193,10 +194,11 @@ class PairwiseModel:
                 if reachable:
                     ra = np.unique(features.lemma[rows])
                     rb = np.unique(features.lemma[rows.start:hi[-1]])
+                    grid = np.repeat(ra, len(rb)), np.tile(rb, len(ra))
                     bound = top
-                    for k, table in features.lemma_tables(ra, rb):
-                        bound = bound + theta[k] * table
-                    reach = ra, rb, expit(bound + slack) >= floor
+                    for k, values in features.lemma_values(*grid):
+                        bound = bound + theta[k] * values
+                    reach = ra, rb, (expit(bound + slack) >= floor).reshape(len(ra), len(rb))
                 yield features.candidates(rows, hi, reach, joined)
 
         doc_of = corpus.doc_of()

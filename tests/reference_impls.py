@@ -373,25 +373,26 @@ def training_pairs_reference(corpus, sigma):
     return pairs
 
 
-def similarity_block(model, features, rows, cols):
-    """pair_similarity of every pair rows x cols of a PairFeatures list, as
-    an array; the logit adds theta_k * feature_k one feature at a time."""
-    logit = model.theta[features.pos_columns(rows, cols)]
+def similarity_block(model, features, i, j):
+    """pair_similarity of the pairs (i[p], j[p]) of a PairFeatures list, as
+    an array, every pair scored: the logit adds theta_k * feature_k one
+    feature at a time, in the order of pair_values."""
+    logit = model.theta[features.pos_table[features.tag[i], features.tag[j]]]
     logit += model.theta[features.bias]
-    for k, values in features.values(rows, cols):
+    for k, values in features.pair_values(i, j, features.dots(i, j)):
         logit += model.theta[k] * values
     return expit(logit, out=logit)
 
 
 def scored_pairs_reference(model, corpus, resources, within, across):
-    """PairwiseModel.scored_pairs by the full rectangle walk: every pair of
+    """PairwiseModel.scored_pairs by the full walk: every pair of
     features.pair_blocks is scored with similarity_block, and the pairs at or
     above their floor are yielded, one block at a time."""
     features = PairFeatures(model.extractor, corpus.mentions_in_order(), resources)
     doc_of = corpus.doc_of()
     for rows, cols, r, c in pair_blocks(corpus.bounds, across is not None):
         i, j = rows.start + r, cols.start + c
-        sims = similarity_block(model, features, rows, cols)[r, c]
+        sims = similarity_block(model, features, i, j)
         floors = within if across is None else np.where(doc_of[i] == doc_of[j], within, across)
         keep = sims >= floors
         yield i[keep], j[keep], sims[keep]

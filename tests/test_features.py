@@ -1,7 +1,10 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hddcrp import features
 from hddcrp.corpus import (
@@ -209,11 +212,6 @@ class TestBlockFeatures:
         ]
         ex = FeatureExtractor(["NN|NN"])
         self.assert_matches_extract(ex, ms, resources)
-        pf = PairFeatures(ex, ms, resources)
-        context = dict(pf.values(slice(0, 4), slice(None)))[ex.feature_index["context_tf_cosine"]]
-        assert context.shape == (4, 7) and not context.any()
-        later = dict(pf.values(slice(4, 6), slice(None)))[ex.feature_index["context_tf_cosine"]]
-        assert not later[:, :4].any() and later[1, 6] > 0
 
     def test_edge_cases_reach_the_special_values(self, resources):
         # guards the edge-case corpus itself: each special case really occurs
@@ -230,18 +228,6 @@ class TestBlockFeatures:
         assert not got[:, idx["location_both_present"]].any()
         zzz = got.reshape(len(ms), len(ms), -1)[2]
         assert not zzz[:, idx["head_embedding_cosine"]].any()
-
-    def test_index_arrays_select_the_same_pairs_as_slices(self, synthetic_corpus, resources):
-        ex = FeatureExtractor.from_corpus(synthetic_corpus)
-        pf = PairFeatures(ex, synthetic_corpus.mentions_in_order(), resources)
-        rows, cols = np.array([3, 0, 17]), np.arange(5, 40, 2)
-        by_array = dict(pf.values(rows, cols))
-        by_slice = dict(pf.values(slice(None), slice(None)))
-        for k, values in by_array.items():
-            assert np.array_equal(values, by_slice[k][np.ix_(rows, cols)])
-        assert np.array_equal(
-            pf.pos_columns(rows, cols), pf.pos_columns(slice(None), slice(None))[np.ix_(rows, cols)]
-        )
 
     @pytest.mark.parametrize("block_rows", [1, 7, 64])
     def test_cosine_matrix_equals_doc_similarity(self, synthetic_corpus, block_rows, monkeypatch):
@@ -278,3 +264,69 @@ class TestBlockFeatures:
         got = PairFeatures(ex, ms, res).gather(a, b)
         want = np.array([ex.extract(ms[i], ms[j], res) for i, j in zip(a, b)])
         assert np.array_equal(got, want)
+
+
+TOKENS = ("a", "b", "c", "d")
+HEADS = ("h0", "h1", "h2", "h3")
+
+
+@st.composite
+def mention_lists(draw):
+    """Small mention lists over a few heads and tokens, in one document or
+    several: empty contexts and roles, repeated tokens, POS pairs the
+    extractor never saw, and head lemmas with no vector or no synonyms."""
+    bag = st.lists(st.sampled_from(TOKENS), max_size=4)
+    roles = st.dictionaries(
+        st.sampled_from(ARGUMENT_ROLES), st.lists(bag.map(tuple), max_size=2).map(tuple),
+        max_size=3,
+    )
+    ms = []
+    for k in range(draw(st.integers(1, 9))):
+        head = draw(st.sampled_from(HEADS))
+        ms.append(mention(
+            head, pos=draw(st.sampled_from(("NN", "VB"))), span=(head, *draw(bag)),
+            context=draw(bag), arguments=draw(roles), doc=f"d{draw(st.integers(0, 2))}", k=k,
+        ))
+    vector = st.lists(st.integers(-3, 3).map(float), min_size=3, max_size=3).map(np.array)
+    res = LexicalResources(
+        embeddings=draw(st.dictionaries(st.sampled_from(HEADS), vector)),
+        synonyms=draw(st.dictionaries(
+            st.sampled_from(HEADS), st.frozensets(st.sampled_from(HEADS + TOKENS), max_size=3)
+        )),
+    )
+    ex = FeatureExtractor(draw(st.lists(st.sampled_from(("NN|NN", "NN|VB", "VB|VB")))))
+    return ex, ms, res
+
+
+@contextmanager
+def block_rows_set(block_rows):
+    saved, features.BLOCK_ROWS = features.BLOCK_ROWS, block_rows
+    try:
+        yield
+    finally:
+        features.BLOCK_ROWS = saved
+
+
+class TestProperties:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(mention_lists(), st.sampled_from((1, 2, 64)))
+    def test_gather_of_every_ordered_pair_equals_extract(self, drawn, block_rows):
+        ex, ms, res = drawn
+        a, b = all_ordered_pairs(len(ms))
+        with block_rows_set(block_rows):
+            got = PairFeatures(ex, ms, res).gather(a, b)
+        want = np.array([ex.extract(ms[i], ms[j], res) for i, j in zip(a, b)])
+        assert np.array_equal(got, want)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        st.lists(st.dictionaries(st.sampled_from(TOKENS), st.integers(1, 4)), max_size=7),
+        st.sampled_from((1, 2, 64)),
+    )
+    @example([], 2)
+    @example([{}, {}, {}], 2)
+    def test_cosine_matrix_equals_count_cosine(self, maps, block_rows):
+        with block_rows_set(block_rows):
+            got = cosine_matrix(maps)
+        assert got.shape == (len(maps), len(maps))
+        assert got.tolist() == [[count_cosine(a, b) for b in maps] for a in maps]

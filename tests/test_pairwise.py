@@ -353,13 +353,14 @@ def long_and_empty_corpus(replicated_corpus):
 @pytest.fixture(scope="module")
 def long_and_empty_similarities(long_and_empty_corpus, resources, trained_model):
     """pair_similarity of every pair of long_and_empty_corpus, and the same
-    matrix as one unblocked similarity_block."""
+    matrix from one similarity_block of every ordered pair."""
     order = long_and_empty_corpus.mentions_in_order()
     want = np.array([
         [trained_model.pair_similarity(a, b, resources) for b in order] for a in order
     ])
     pf = PairFeatures(trained_model.extractor, order, resources)
-    return want, similarity_block(trained_model, pf, slice(None), slice(None))
+    i, j = np.divmod(np.arange(len(order) ** 2), len(order))
+    return want, similarity_block(trained_model, pf, i, j).reshape(want.shape)
 
 
 class TestBlockScoring:
@@ -368,7 +369,8 @@ class TestBlockScoring:
     ):
         order = synthetic_corpus.mentions_in_order()
         pf = PairFeatures(trained_model.extractor, order, resources)
-        got = similarity_block(trained_model, pf, slice(None), slice(None))
+        i, j = np.divmod(np.arange(len(order) ** 2), len(order))
+        got = similarity_block(trained_model, pf, i, j).reshape(len(order), len(order))
         want = [[trained_model.pair_similarity(a, b, resources) for b in order] for a in order]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -389,7 +391,7 @@ class TestBlockScoring:
             assert (i < j).all()
             seen += zip(i.tolist(), j.tolist())
             np.testing.assert_allclose(sim, want[i, j], rtol=0, atol=1e-12)
-            # a block's columns do not change its values
+            # a candidate's similarity is the one of scoring every pair
             assert (sim == unblocked[i, j]).all()
         doc_of = corpus.doc_of()
         n = len(corpus.mention_ids)
