@@ -7,12 +7,12 @@ with Shape(n // 40, 4, 10): 4 documents of 10 mentions per topic, seed 1.
 load_s is the median of 5 loads of the written inputs, each load_corpus
 plus LexicalResources.load, the fixed cost of a command.  features_s is
 the median of 3 builds of the training pairs' feature matrix, each a
-PairFeatures construction plus its gather of the pairs.  A pairwise
-distance model is trained on the corpus once (train_s), and one call of the
-agglomerative baseline with it is timed (agglomerative_s).  Then, for each
-model, the script times build_priors (priors_s).  For the models with
-trained priors it builds them once more, untimed, and counts the pairs that
-the candidate walk scored and kept (pairs_scored, pairs_kept; null for
+PairFeatures construction plus its gather of the pairs.  train_s is the
+median of 3 fits of a pairwise distance model on the corpus, each a train
+call, and one call of the agglomerative baseline with the model is timed
+(agglomerative_s).  Then, for each model, the script times build_priors
+(priors_s).  For the models with trained priors it builds them once more,
+untimed, and counts the pairs that the candidate walk scored and kept (pairs_scored, pairs_kept; null for
 hdp_lex, whose priors are uniform).  It draws a chain state with
 init_state, runs one warm-up sweep and times the next 20 sweeps of the
 chain; it reports their median and quartiles in ms.  It also reports
@@ -59,6 +59,7 @@ from hddcrp.sampling import MODELS, SamplerConfig, build_priors, init_state  # n
 SEED = 1
 LOADS = 5
 FEATURES = 3
+FITS = 3
 WARMUP = 1
 REPEATS = 20
 
@@ -126,14 +127,17 @@ def bench_size(n):
             start = clock.now()
             pair_features(corpus, resources, extractor, pairs)
             features_s.append(reference_s(start))
-        start = clock.now()
-        pairwise = train(corpus, resources)
-        train_s = reference_s(start)
+        fits_s = []
+        for _ in range(FITS):
+            start = clock.now()
+            pairwise = train(corpus, resources)
+            fits_s.append(reference_s(start))
         start = clock.now()
         agglomerative(corpus, pairwise, resources)
         out = {"n": shape.n_mentions, "topics": shape.topics,
                "load_s": statistics.median(loads_s),
-               "features_s": statistics.median(features_s), "train_s": train_s,
+               "features_s": statistics.median(features_s),
+               "train_s": statistics.median(fits_s),
                "agglomerative_s": reference_s(start), "models": {}}
         print(f"n={shape.n_mentions}: load {out['load_s']:.4f} s, "
               f"features {out['features_s']:.4f} s, "

@@ -11,15 +11,17 @@ companion both-present indicator because a 0 cosine is ambiguous between
 `PairFeatures` computes the same values for a list of pairs (i[p], j[p]),
 one way for every consumer: `pair_values`.  Lemma and tag ids are compared
 as arrays, and the embedding cosine and synonym Jaccard are computed once
-per distinct head lemma pair (`lemma_values`).  The token lists are kept as
-CSR arrays of integer counts and as one inverted index (postings) of
-tokens.  A pair's tf-cosine dot products sum a product of counts per token
-that it shares: `dots` looks each token of i[p] up in the postings of
-j[p], and `candidates` joins a block of rows against the postings of the
-later mentions, which also finds the pairs that share a token.  Every
-product and partial sum of a dot product is a small integer, so the dots
-are exact in any order of summation, and the divide, the clamp and the
-norms are `count_cosine`'s.  Each value therefore equals `extract`'s bit
+per distinct head lemma pair (`lemma_values`).  The eight bags (span,
+context and the six roles) are one table of integer counts over (bag,
+lemma) tokens, kept as CSR arrays and as one inverted index (postings) of
+those tokens: a lemma in two bags is two tokens, so no token of one bag
+matches one of another.  A pair's tf-cosine dot products sum a product of
+counts per token that it shares, into the bag of that token: `dots` looks
+each token of i[p] up in the postings of j[p], and `candidates` joins a
+block of rows against the postings of the later mentions, which also finds
+the pairs that share a token.  Every product and partial sum of a dot
+product is a small integer, so the dots are exact in any order of
+summation, and the divide, the clamp and the norms are `count_cosine`'s.  Each value therefore equals `extract`'s bit
 for bit, so a model trained on these features is the model trained on
 `extract`'s.  `gather` scores the training pairs BLOCK_ROWS rows at a time;
 the walk of trained priors and the agglomerative baseline
@@ -32,7 +34,6 @@ which `batched` gathers over blocks.  `pair_blocks` walks every pair of
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 
 import numpy as np
 
@@ -183,11 +184,11 @@ class FeatureExtractor:
 
 
 def _count_matrix(bags, counts=None):
-    """Integer count vectors of the bags as CSR arrays (indptr, token ids,
-    counts, number of distinct tokens), and the Euclidean norm of each,
-    computed as count_cosine computes it.  A bag is a token sequence in which
-    each occurrence counts 1, unless counts gives each bag's counts in the
-    order of its tokens."""
+    """Integer count vectors of the bags as CSR arrays: the row pointer, and
+    the row (bag index), token id and summed count of each entry, bag by bag
+    with token ids ascending; and the distinct tokens in id order.  A bag is
+    a token sequence in which each occurrence counts 1, unless counts gives
+    each bag's counts in the order of its tokens."""
     lengths = np.fromiter(map(len, bags), np.intp, len(bags))
     vocab = {}
     tokens = np.fromiter(
@@ -201,10 +202,7 @@ def _count_matrix(bags, counts=None):
     )
     values = np.bincount(entry, counts, len(keys))
     rows, tokens = np.divmod(keys, max(len(vocab), 1))
-    indptr = np.searchsorted(rows, np.arange(len(bags) + 1))
-    # the squares and their sums are small integers, exact in any order
-    norms = np.sqrt(np.bincount(rows, values * values, len(bags)))
-    return (indptr, tokens, values, len(vocab)), norms
+    return np.searchsorted(rows, np.arange(len(bags) + 1)), rows, tokens, values, list(vocab)
 
 
 def _ranges(lo, hi):
@@ -243,9 +241,11 @@ def cosine_matrix(count_maps):
     computed BLOCK_ROWS rows at a time.  A block's dot products sum a product
     of counts per token that a pair shares, read off the postings: small
     integers, exact in any order."""
-    (indptr, tokens, counts, _), norms = _count_matrix(count_maps, [m.values() for m in count_maps])
+    indptr, owner, tokens, counts, _ = _count_matrix(count_maps, [m.values() for m in count_maps])
     n = len(count_maps)
-    postings = _Postings(tokens, np.repeat(np.arange(n), np.diff(indptr)), n, counts)
+    # the squares and their sums are small integers, exact in any order
+    norms = np.sqrt(np.bincount(owner, counts * counts, n))
+    postings = _Postings(tokens, owner, n, counts)
     out = np.empty((n, n))
     for start in range(0, n, BLOCK_ROWS):
         rows = np.arange(start, min(start + BLOCK_ROWS, n))
@@ -263,11 +263,17 @@ def cosine_matrix(count_maps):
 class PairFeatures:
     """The features of pairs of a fixed list of mentions, for lists of pairs.
 
-    Per-mention tables are built once; `pair_values` then gives the features
-    of the pairs (i[p], j[p]) (indexes into the mention list) as arrays equal
-    to `FeatureExtractor.extract`, pair by pair, and `gather` as a feature
-    matrix.  `candidates` lists the pairs of a row block that an index join
-    finds.
+    Every table is built in the constructor, and none changes later.  The
+    eight bags (span, context and the six roles, `bag_features` in that
+    order) are one CSR count table of (bag, lemma) tokens, so that no token
+    of one bag matches one of another; token_bag gives each token's bag,
+    norms the norm of each (mention, bag) count vector, present whether
+    each mention holds each role (`present_features`), and postings the
+    mentions that hold each token.  `pair_values` then gives the features
+    of the pairs (i[p], j[p]) (indexes into the mention list) as arrays
+    equal to `FeatureExtractor.extract`, pair by pair, and `gather` as a
+    feature matrix.  `candidates` lists the pairs of a row block that an
+    index join finds.
     """
 
     def __init__(self, extractor, mentions, resources):
@@ -280,11 +286,15 @@ class PairFeatures:
         lemmas = sorted({m.head_lemma for m in mentions})
         lemma_id = {lemma: k for k, lemma in enumerate(lemmas)}
         self.lemma = np.array([lemma_id[m.head_lemma] for m in mentions], dtype=np.intp)
+        self.lemma_postings = _Postings(self.lemma, np.arange(self.n), self.n, np.ones(self.n))
         self.vectors = np.array([resources.vector(lemma) for lemma in lemmas], dtype=np.float64)
         self.vector_norms = np.array([np.linalg.norm(v) for v in self.vectors])
         synonyms = [resources.synonym_set(lemma) for lemma in lemmas]
-        self.synonyms, _ = _count_matrix(synonyms)
-        self.synonym_sizes = np.array([len(s) for s in synonyms], dtype=np.int64)
+        indptr, owner, token, count, _ = _count_matrix(synonyms)
+        self.synonyms = indptr, token
+        # a synonym set holds each lemma once: its size is its number of entries
+        self.synonym_sizes = np.diff(indptr)
+        self.synonym_postings = _Postings(token, owner, len(lemmas), count)
         self.embedding_k = idx["head_embedding_cosine"]
         self.jaccard_k = idx["synonym_jaccard"]
 
@@ -297,18 +307,23 @@ class PairFeatures:
             dtype=np.intp,
         ).reshape(len(tags), len(tags))
 
-        bags = [
-            (idx["span_tf_cosine"], [m.span_lemmas for m in mentions]),
-            (idx["context_tf_cosine"], [m.context_lemmas for m in mentions]),
-        ]
-        self.present = []
-        for role in ARGUMENT_ROLES:
-            tokens = [m.argument_lemmas(role) for m in mentions]
-            bags.append((idx[f"{role}_tf_cosine"], tokens))
-            self.present.append(
-                (idx[f"{role}_both_present"], np.array([bool(t) for t in tokens], dtype=bool))
-            )
-        self.bags = [(k, *_count_matrix(tokens)) for k, tokens in bags]
+        self.bag_features = [idx["span_tf_cosine"], idx["context_tf_cosine"]]
+        self.bag_features += [idx[f"{role}_tf_cosine"] for role in ARGUMENT_ROLES]
+        self.present_features = [idx[f"{role}_both_present"] for role in ARGUMENT_ROLES]
+        n_bags = len(self.bag_features)
+        role_bag = {role: b for b, role in enumerate(ARGUMENT_ROLES, 2)}
+        self.indptr, mention, self.token, self.count, tokens = _count_matrix([
+            [(0, t) for t in m.span_lemmas] + [(1, t) for t in m.context_lemmas]
+            + [(role_bag[r], t) for r, spans in m.arguments.items() for s in spans for t in s]
+            for m in mentions
+        ])
+        self.token_bag = np.array([b for b, _ in tokens], dtype=np.intp)
+        # the squares and their sums are small integers, exact in any order
+        squares = np.bincount(mention * n_bags + self.token_bag[self.token],
+                              self.count * self.count, self.n * n_bags)
+        self.norms = np.sqrt(squares).reshape(self.n, n_bags)
+        self.present = self.norms[:, 2:] > 0  # bags 2 on are the roles
+        self.postings = _Postings(self.token, mention, self.n, self.count)
 
     def lemma_values(self, a, b):
         """Yield (feature index, values) of the head match, the embedding
@@ -323,71 +338,43 @@ class PairFeatures:
         cosine = np.zeros(len(a))
         np.divide(dots, scale, out=cosine, where=scale > 0)
         yield self.embedding_k, np.clip(cosine, 0.0, 1.0, out=cosine)
-        indptr, tokens, _, _ = self.synonyms
+        indptr, tokens = self.synonyms
         at, entry = _ranges(indptr[a], indptr[a + 1])
-        shared = np.bincount(at, self._synonym_postings.count(tokens[entry], b[at]), len(a))
+        shared = np.bincount(at, self.synonym_postings.count(tokens[entry], b[at]), len(a))
         yield self.jaccard_k, shared / (self.synonym_sizes[a] + self.synonym_sizes[b] - shared)
-
-    @cached_property
-    def _synonym_postings(self):
-        indptr, tokens, counts, _ = self.synonyms
-        n_lemmas = len(self.vectors)
-        return _Postings(tokens, np.repeat(np.arange(n_lemmas), np.diff(indptr)), n_lemmas, counts)
-
-    @cached_property
-    def _lemma_postings(self):
-        return _Postings(self.lemma, np.arange(self.n), self.n, np.ones(self.n))
-
-    @cached_property
-    def _bag_index(self):
-        """The bags as one index: token ids offset bag by bag, so that no
-        token of one bag matches one of another; the CSR pointer, tokens and
-        counts of the mentions' entries; each token's bag; and the postings."""
-        offset = np.cumsum([0] + [matrix[3] for _, matrix, _ in self.bags])
-        token_bag = np.repeat(np.arange(len(self.bags)), np.diff(offset))
-        entries = [
-            (np.repeat(np.arange(self.n), np.diff(indptr)), tokens + start, counts)
-            for (_, (indptr, tokens, counts, _), _), start in zip(self.bags, offset)
-        ]
-        mention, token, count = (np.concatenate(x) for x in zip(*entries))
-        by_mention = np.argsort(mention, kind="stable")
-        mention, token, count = mention[by_mention], token[by_mention], count[by_mention]
-        indptr = np.searchsorted(mention, np.arange(self.n + 1))
-        return indptr, token, count, token_bag, _Postings(token, mention, self.n, count)
 
     def candidates(self, rows, hi, reach, joined):
         """The candidate pairs of a block of rows and their bag dot products:
         sorted canonical pairs (i, j), with i < j < hi[i - rows.start], that
         share a token in a bag marked in joined (a boolean per bag of
-        self.bags) or, unless reach is None, whose head lemma pair is marked
-        in reach, a triple (ra, rb, boolean table over head lemma ids ra x
-        rb) with ra holding every row's lemma and rb every lemma of the
+        bag_features) or, unless reach is None, whose head lemma pair is
+        marked in reach, a triple (ra, rb, boolean table over head lemma ids
+        ra x rb) with ra holding every row's lemma and rb every lemma of the
         columns; and the pairs x bags dot products of their count vectors.
         The dots sum a product of counts per token the pair shares, read
         off the postings: small integers, exact in any order."""
         rows = np.arange(self.n)[rows]
         lo = rows + 1
-        indptr, token, count, token_bag, postings = self._bag_index
-        q, entry = _ranges(indptr[rows], indptr[rows + 1])
-        at, post = postings.within(token[entry], lo[q], hi[q])
-        shared = rows[q[at]] * self.n + postings.mentions[post]
-        bag = token_bag[token[entry[at]]]
-        products = count[entry[at]] * postings.counts[post]
+        q, entry = _ranges(self.indptr[rows], self.indptr[rows + 1])
+        at, post = self.postings.within(self.token[entry], lo[q], hi[q])
+        shared = rows[q[at]] * self.n + self.postings.mentions[post]
+        bag = self.token_bag[self.token[entry[at]]]
+        products = self.count[entry[at]] * self.postings.counts[post]
         found = [shared[joined[bag]]]
         if reach is not None:
             ra, rb, table = reach
             a, b = np.nonzero(table)
             ia = np.searchsorted(ra, self.lemma[rows])
             q, p = _ranges(np.searchsorted(a, ia), np.searchsorted(a, ia, "right"))
-            at, post = self._lemma_postings.within(rb[b[p]], lo[q], hi[q])
-            found.append(rows[q[at]] * self.n + self._lemma_postings.mentions[post])
+            at, post = self.lemma_postings.within(rb[b[p]], lo[q], hi[q])
+            found.append(rows[q[at]] * self.n + self.lemma_postings.mentions[post])
         # distinct pairs, sorted: np.unique costs more on arrays this small
         pairs = np.sort(np.concatenate(found))
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]
         at = np.searchsorted(pairs, shared)
         hit = at < len(pairs)
         hit[hit] = pairs[at[hit]] == shared[hit]
-        n_bags = len(self.bags)
+        n_bags = len(self.bag_features)
         dots = np.bincount(at[hit] * n_bags + bag[hit], products[hit], len(pairs) * n_bags)
         # float even when there is nothing to count, where bincount gives ints
         dots = dots.astype(np.float64, copy=False).reshape(len(pairs), n_bags)
@@ -407,33 +394,25 @@ class PairFeatures:
         for k, values in self.lemma_values(*np.divmod(lemma_pairs, n_lemmas)):
             yield k, values[inverse]
         # the cosines overwrite the dots, which are 0 where they stay 0
-        scale = self._bag_norms[i]
-        scale *= self._bag_norms[j]
+        scale = self.norms[i]
+        scale *= self.norms[j]
         cosine = np.divide(dots, scale, out=dots, where=dots > 0)
         np.minimum(cosine, 1.0, out=cosine)
-        for b, (k, _, _) in enumerate(self.bags):
+        for b, k in enumerate(self.bag_features):
             yield k, cosine[:, b]
-        both = (self._present[i] & self._present[j]).astype(np.float64)
-        for r, (k, _) in enumerate(self.present):
+        both = (self.present[i] & self.present[j]).astype(np.float64)
+        for r, k in enumerate(self.present_features):
             yield k, both[:, r]
-
-    @cached_property
-    def _bag_norms(self):
-        return np.column_stack([norms for _, _, norms in self.bags])
-
-    @cached_property
-    def _present(self):
-        return np.column_stack([present for _, present in self.present])
 
     def dots(self, i, j):
         """The pairs x bags dot products of the count vectors of the pairs
         (i[p], j[p]): a product of counts per token of i[p] that j[p] also
         holds, read off the postings; small integers, exact in any order."""
-        indptr, token, count, token_bag, postings = self._bag_index
-        at, entry = _ranges(indptr[i], indptr[i + 1])
-        products = count[entry] * postings.count(token[entry], j[at])
-        n_bags = len(self.bags)
-        dots = np.bincount(at * n_bags + token_bag[token[entry]], products, len(i) * n_bags)
+        at, entry = _ranges(self.indptr[i], self.indptr[i + 1])
+        token = self.token[entry]
+        products = self.count[entry] * self.postings.count(token, j[at])
+        n_bags = len(self.bag_features)
+        dots = np.bincount(at * n_bags + self.token_bag[token], products, len(i) * n_bags)
         # float even when there is nothing to count, where bincount gives ints
         return dots.astype(np.float64, copy=False).reshape(len(i), n_bags)
 

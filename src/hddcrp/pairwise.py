@@ -179,14 +179,14 @@ class PairwiseModel:
         theta = self.theta
         floor = within if across is None else min(within, across)
         top = theta[features.pos_table].max(initial=-np.inf) + theta[features.bias]
-        top += sum(max(theta[k], 0.0) for k, _ in features.present)
+        top += sum(max(theta[k], 0.0) for k in features.present_features)
         # every feature lies in [0, 1], so a logit and its bound each round
         # off by less than len(theta) half-ulps of the sum of |theta|
         slack = 2 * len(theta) * np.finfo(float).eps * np.abs(theta).sum()
         lemma_terms = (features.head_match, features.embedding_k, features.jaccard_k)
         # no head lemma pair reaches the floor if its terms at their largest do not
         reachable = expit(top + sum(max(theta[k], 0.0) for k in lemma_terms) + slack) >= floor
-        joined = np.array([theta[k] > 0 for k, _, _ in features.bags])
+        joined = theta[features.bag_features] > 0
 
         def found():
             for rows, hi in row_blocks(corpus.bounds, across is not None):

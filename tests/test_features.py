@@ -229,6 +229,23 @@ class TestBlockFeatures:
         zzz = got.reshape(len(ms), len(ms), -1)[2]
         assert not zzz[:, idx["head_embedding_cosine"]].any()
 
+    def test_calls_add_no_state(self, synthetic_corpus, resources):
+        # every table is built in the constructor: no call adds or replaces one
+        ms = synthetic_corpus.mentions_in_order()
+        pf = PairFeatures(FeatureExtractor.from_corpus(synthetic_corpus), ms, resources)
+        before = dict(vars(pf))
+        pf.gather(*all_ordered_pairs(len(ms)))
+        rows, hi = next(features.row_blocks(synthetic_corpus.bounds, True))
+        joined = np.ones(2 + len(ARGUMENT_ROLES), dtype=bool)
+        lemmas = np.unique(pf.lemma)
+        reach = lemmas, lemmas, np.ones((len(lemmas), len(lemmas)), dtype=bool)
+        for r in (None, reach):
+            i, j, dots = pf.candidates(rows, hi, r, joined)
+            assert len(i)
+            list(pf.pair_values(i, j, dots))
+        assert vars(pf).keys() == before.keys()
+        assert all(vars(pf)[k] is v for k, v in before.items())
+
     @pytest.mark.parametrize("block_rows", [1, 7, 64])
     def test_cosine_matrix_equals_doc_similarity(self, synthetic_corpus, block_rows, monkeypatch):
         monkeypatch.setattr(features, "BLOCK_ROWS", block_rows)

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from hddcrp import features, pairwise
@@ -564,3 +567,70 @@ class TestCandidateWalk:
             assert_walks_agree(model, corpus, resources, low, high)
             assert_walks_agree(model, corpus, resources, high, low)
             assert_walks_agree(model, corpus, resources, high, None)
+
+
+LEMMAS = ("a", "b", "c")
+HEADS = ("h0", "h1", "h2")
+
+
+@st.composite
+def walk_cases(draw):
+    """A model, a corpus of one to three documents and lexical resources.
+    Every bag draws its lemmas from one small pool that holds the heads too,
+    so mentions share lemmas within a bag and across bags (a lemma of one
+    span in another mention's context or role); the weights take either
+    sign, on the tf-cosines and both-present indicators as on the rest."""
+    bag = st.lists(st.sampled_from(LEMMAS + HEADS), max_size=3).map(tuple)
+    roles = st.dictionaries(
+        st.sampled_from(ARGUMENT_ROLES), st.lists(bag, min_size=1, max_size=2).map(tuple),
+        max_size=3,
+    )
+    documents = []
+    for d in range(draw(st.integers(1, 3))):
+        mentions = []
+        for k in range(draw(st.integers(1, 4))):
+            head = draw(st.sampled_from(HEADS))
+            mentions.append(Mention(
+                f"d{d}-m{k}", f"d{d}", k, head, draw(st.sampled_from(("NN", "VB"))),
+                (head, *draw(bag)), draw(bag), draw(roles),
+            ))
+        documents.append(Document(f"d{d}", "ev", mentions))
+    vector = st.lists(st.integers(-3, 3).map(float), min_size=3, max_size=3).map(np.array)
+    resources = LexicalResources(
+        embeddings=draw(st.dictionaries(st.sampled_from(HEADS), vector)),
+        synonyms=draw(st.dictionaries(
+            st.sampled_from(HEADS), st.frozensets(st.sampled_from(HEADS + LEMMAS), max_size=2)
+        )),
+    )
+    extractor = FeatureExtractor(draw(st.lists(st.sampled_from(("NN|NN", "NN|VB", "VB|VB")))))
+    weight = st.integers(-6, 6).map(lambda v: v / 2)
+    theta = np.array(draw(st.lists(weight, min_size=len(extractor), max_size=len(extractor))))
+    return PairwiseModel(theta, extractor), Corpus(tuple(documents)), resources
+
+
+# a floor, or "pair" for the similarity of one pair that the floor applies to
+FLOORS = (0.0, 0.5, 1.0, "pair")
+
+
+class TestCandidateWalkProperties:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        walk_cases(), st.sampled_from(FLOORS), st.sampled_from((None, *FLOORS)),
+        st.integers(0, 99), st.sampled_from((1, 2, 64)),
+    )
+    def test_candidate_walk_keeps_what_the_full_walk_keeps(
+        self, case, within, across, pick, block_rows
+    ):
+        model, corpus, resources = case
+        i, j, sims = walked(scored_pairs_reference(model, corpus, resources, 0.0, 0.0))
+        doc_of = corpus.doc_of()
+        same = doc_of[i] == doc_of[j]
+
+        def floor(value, pool):
+            if value != "pair":
+                return value
+            return float(pool[pick % len(pool)]) if len(pool) else 0.5
+
+        within, across = floor(within, sims[same]), floor(across, sims[~same])
+        with mock.patch.object(features, "BLOCK_ROWS", block_rows):
+            assert_walks_agree(model, corpus, resources, within, across)
