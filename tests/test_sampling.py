@@ -10,13 +10,12 @@ from hddcrp.corpus import Corpus, Document, Mention
 from hddcrp.errors import InputError
 from hddcrp import features, likelihood, pairwise, sampling
 from hddcrp.likelihood import LikelihoodParams, lemma_bags
-from hddcrp.links import ClusterAssignment
+from hddcrp.links import ClusterAssignment, LinkGraph
 from hddcrp.sampling import (
     DEFAULT_ALPHA_0,
     MAX_CHAINS,
     MODELS,
     Labels,
-    LinkGraph,
     SamplerConfig,
     TableCrpState,
     build_priors,
