@@ -102,8 +102,14 @@ def corpus_log_likelihood(assignment, corpus, params: LikelihoodParams) -> float
     parts = {}
     for m, k in enumerate(assignment.labels):
         parts.setdefault(k, []).append(m)
+    return partition_loglik(parts.values(), bag_of, params)
+
+
+def partition_loglik(parts, bag_of, params):
+    """Sum of the log marginals of the clusters parts, bag_of giving each
+    one's (counts, total) bag, added left to right."""
     total = 0.0
-    for part in parts.values():
+    for part in parts:
         total += log_marginal_raw(*bag_of(part), params)
     return total
 

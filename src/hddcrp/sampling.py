@@ -21,17 +21,17 @@ containing the moving mention against each candidate's cluster in the base
 graph with the mention's outgoing edges removed.
 
 Each state holds every mention's active outgoing edge (_edge) and keeps the
-graph in a LinkGraph: each mention's inbound edges and the components with
-their member sets and lemma bags.  One link move serves all four models.  It
-proposes first, reading the graph only: the moving mention's part is the side
-that dropping its edge would split off, or else its whole component, and the
-model weighs every candidate against that virtual split.  It then draws and
-commits the edge, and the components change only if the partition does: the
-side splits off, joins another component, or the whole component merges with
-another.  Most moves touch no member set or bag.  A move costs
-O(|component| + |candidates|), and no bag is rebuilt: a split or join adds
-and subtracts the side's lemma counts, a merge adds the smaller bag into the
-larger.
+graph in a links.LinkGraph: each mention's inbound edges and the components
+with their member sets and lemma bags.  One link move serves all four
+models.  It proposes first, reading the graph only: the moving mention's
+part is the side that dropping its edge would split off, or else its whole
+component, and the model weighs every candidate against that virtual split.
+It then draws and commits the edge, and the components change only if the
+partition does: the side splits off, joins another component, or the whole
+component merges with another.  Most moves touch no member set or bag.  A
+move costs O(|component| + |candidates|), and no bag is rebuilt: a split or
+join adds and subtracts the side's lemma counts, a merge adds the smaller
+bag into the larger.
 
 For hddcrp and ddcrp_flat a candidate weighs the merge ratio with its
 target's component: nothing for a target on the side, the split ratio, read
@@ -48,13 +48,14 @@ A label draw takes one exponential per key and per label sharing a lemma
 A move over a lone self candidate spends the uniform a draw would and
 proposes nothing; in the table models only the label move is left.  An
 inactive hddcrp table link draws from its prior's partial sums.  `Priors`
-builds those, with the log candidates and log-prior maps, once for every
-chain state built from it.  Both short paths keep the floats and the
-uniform stream of the full move.
+builds those, with the log candidates and log-prior maps, when it is built,
+once for every chain state built from it.  Both short paths keep the floats
+and the uniform stream of the full move.
 
-Each scan loop takes the uniforms of the draws it is sure to make, one per
-move, from one batched call of the generator and any further ones singly:
-the same stream as scalar draws, so seeded chains do not change.
+One scan loop (_scan) runs the customer-link, table-link and label sweeps.
+It takes the uniforms of the draws it is sure to make, one per move, from
+one batched call of the generator and any further ones singly: the same
+stream as scalar draws, so seeded chains do not change.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add
 
 import numpy as np
@@ -74,10 +75,10 @@ from .features import pair_blocks
 from .likelihood import (
     LikelihoodParams,
     lemma_bags,
-    log_marginal_raw,
     merge_normaliser_raw,
     merge_ratio_from,
     merge_ratio_raw,
+    partition_loglik,
     split_ratio_raw,
 )
 from .links import ClusterAssignment, LinkGraph, _components, _shift_bag
@@ -143,24 +144,23 @@ class Priors:
 
     customer[i] is the support of mention i's customer link (or its only link
     for ddcrp_flat); table[i] is the support of its table link for hddcrp.
-    The log forms the chain states read are built on first use, once for
-    every chain that shares these priors.
+    The log forms the chain states read are built with the priors, once for
+    every chain that shares them: customer_logs, the _with_logs of the
+    customer supports, and table_logs, the _with_logs of the table supports
+    and the partial sums of each prior-only table link draw, as _draw builds
+    them (None without table supports).
     """
 
     customer: tuple
     table: tuple | None = None
 
-    @cached_property
-    def customer_logs(self):
-        """_with_logs of the customer supports."""
-        return _with_logs(self.customer)
-
-    @cached_property
-    def table_logs(self):
-        """_with_logs of the table supports, and the partial sums of each
-        prior-only table link draw, as _draw builds them."""
-        cands, log_priors = _with_logs(self.table)
-        return cands, log_priors, [_partial_sums([lw for _, lw in c]) for c in cands]
+    def __post_init__(self):
+        object.__setattr__(self, "customer_logs", _with_logs(self.customer))
+        table_logs = None
+        if self.table is not None:
+            cands, log_priors = _with_logs(self.table)
+            table_logs = cands, log_priors, [_partial_sums([lw for _, lw in c]) for c in cands]
+        object.__setattr__(self, "table_logs", table_logs)
 
 
 def _support(n, self_weight, rows, targets, weights):
@@ -324,25 +324,14 @@ class _StateBase:
         of hddcrp and ddcrp_flat, the tables of the table models."""
         return _components(self.n, enumerate(self._edges()))
 
-    def _merge_delta(self, a, b):
-        return merge_ratio_raw(*a, *b, self.params)
-
-    def _partition_loglik(self, parts):
-        total = 0.0
-        for part in parts:
-            total += log_marginal_raw(*self._bag(part), self.params)
-        return total
-
     def _scratch_loglik(self):
-        return self._partition_loglik(self._parts())
+        return partition_loglik(self._parts(), self._bag, self.params)
 
     def _groups_loglik(self, bags, key_of):
         """_scratch_loglik from the maintained cluster bags, key_of[m] being
         the key of mention m's cluster: summed in the order of their first
         mentions, which is the order _parts() gives."""
-        total = 0.0
-        for key in dict.fromkeys(key_of):
-            total += log_marginal_raw(*bags[key], self.params)
+        total = partition_loglik(dict.fromkeys(key_of), bags.__getitem__, self.params)
         if self.debug and total != self._scratch_loglik():
             raise AssertionError("joint score from the maintained bags differs from a rebuild")
         return total
@@ -351,6 +340,13 @@ class _StateBase:
         if self.config.randomized_scan:
             return [int(i) for i in rng.permutation(self.n)]
         return range(self.n)
+
+    def _scan(self, rng, order, move):
+        """Run move(i, draws) for each i of order, an order drawn before the
+        batch: every move draws at least one uniform."""
+        draws = _Uniforms(rng, len(order))
+        for i in order:
+            move(i, draws)
 
     def _link_move(self, i, cands, links, rng):
         """Resample links[i] over cands: the one move of every model.  With
@@ -411,7 +407,7 @@ class _StateBase:
                 if c == home:  # reached only when i's edge splits a side off
                     d = 0.0 if t in side else rest
                 else:
-                    d = delta_by_comp[c] = self._merge_delta(bag, bags[c])
+                    d = delta_by_comp[c] = merge_ratio_raw(*bag, *bags[c], self.params)
             deltas.append(d)
             log_weights.append(lw + d)
         if self.debug:
@@ -467,10 +463,7 @@ class _StateBase:
         return self._link_move(i, self.cand_c[i], self.cl, rng)
 
     def sweep(self, rng):
-        order = self._scan_order(rng)
-        draws = _Uniforms(rng, self.n)  # every move draws at least its link
-        for i in order:
-            self.sample_customer_link(i, draws)
+        self._scan(rng, self._scan_order(rng), self.sample_customer_link)
 
 
 class HddcrpState(_StateBase):
@@ -502,10 +495,7 @@ class HddcrpState(_StateBase):
 
     def sweep(self, rng):
         super().sweep(rng)
-        order = self._scan_order(rng)
-        draws = _Uniforms(rng, self.n)
-        for i in order:
-            self.sample_table_link(i, draws)
+        self._scan(rng, self._scan_order(rng), self.sample_table_link)
 
 
 class Labels:
@@ -774,10 +764,7 @@ class TableCrpState(_StateBase):
 
     def sweep(self, rng):
         super().sweep(rng)
-        heads = self._heads()
-        draws = _Uniforms(rng, len(heads))
-        for head in heads:
-            self.sample_table_label(head, draws)
+        self._scan(rng, self._heads(), self.sample_table_label)
 
     def _label_parts(self):
         """Mentions of each label, from the tables rebuilt from scratch."""
@@ -813,7 +800,7 @@ class TableCrpState(_StateBase):
         labels = self.labels
         deltas = {k: labels.delta(k, stats[1], shared) for k in labels.key_of}
         for k, d in deltas.items():
-            full = self._merge_delta(stats, labels.bags[k])
+            full = merge_ratio_raw(*stats, *labels.bags[k], self.params)
             if d != full:
                 raise AssertionError(f"label {k}: delta {d} != merge ratio {full} of the full bags")
         labels.of[i] = labels.next_label
@@ -929,7 +916,7 @@ def enumerate_exact_posterior(corpus, config, priors):
     def loglik(key, parts):
         got = loglik_memo.get(key)
         if got is None:
-            got = loglik_memo[key] = state._partition_loglik(parts)
+            got = loglik_memo[key] = partition_loglik(parts, state._bag, params)
         return got
 
     log_mass = {}

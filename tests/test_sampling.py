@@ -1217,15 +1217,18 @@ class TestChains:
     @pytest.mark.parametrize("model", MODELS)
     def test_chains_share_the_log_priors_built_once(self, tiny_corpus, model, monkeypatch):
         config = SamplerConfig(model=model, iterations=5, chains=3, seed=8)
-        # parallel chains first, while the priors hold no log forms yet
         par = run_chains(tiny_corpus, config, priors=build_priors(tiny_corpus, config, **UNIFORM),
                          jobs=3)
-        priors = build_priors(tiny_corpus, config, **UNIFORM)
         built = []
         with_logs = sampling._with_logs
         monkeypatch.setattr(sampling, "_with_logs", lambda s: built.append(s) or with_logs(s))
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        # the log forms are built with the priors, once per link level
+        levels = [priors.customer] + ([priors.table] if model == "hddcrp" else [])
+        assert len(built) == len(levels)
+        assert all(a is b for a, b in zip(built, levels))
         seq = run_chains(tiny_corpus, config, priors=priors, jobs=1)
-        assert len(built) == (2 if model == "hddcrp" else 1)
+        assert len(built) == len(levels)
         assert [r.loglik_trace for r in seq] == [r.loglik_trace for r in par]
         assert [r.estimate for r in seq] == [r.estimate for r in par]
         params = LikelihoodParams.for_corpus(tiny_corpus, config.concentration)
@@ -1234,6 +1237,15 @@ class TestChains:
         assert a.log_prior_c is b.log_prior_c and a.cand_c is b.cand_c
         if model == "hddcrp":
             assert a._prior_sums_t is b._prior_sums_t and a.log_prior_t is b.log_prior_t
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_chains_leave_the_priors_as_built(self, tiny_corpus, model):
+        config = SamplerConfig(model=model, iterations=5, chains=2, seed=8)
+        priors = build_priors(tiny_corpus, config, **UNIFORM)
+        before = dict(vars(priors))
+        run_chains(tiny_corpus, config, priors=priors, jobs=1)
+        assert vars(priors).keys() == before.keys()
+        assert all(vars(priors)[k] is v for k, v in before.items())
 
     @pytest.mark.parametrize("jobs, chains, workers", [(1000, 2, 2), (2, 3, 2)])
     def test_jobs_start_no_more_workers_than_chains(
