@@ -9,8 +9,8 @@ plus LexicalResources.load, the fixed cost of a command.  features_s is
 the median of 3 builds of the training pairs' feature matrix, each a
 PairFeatures construction plus its gather of the pairs.  train_s is the
 median of 3 fits of a pairwise distance model on the corpus, each a train
-call, and one call of the agglomerative baseline with the model is timed
-(agglomerative_s).  Then, for each model, the script times build_priors
+call, and agglomerative_s the median of 3 calls of the agglomerative
+baseline with the model.  Then, for each model, the script times build_priors
 (priors_s).  For the models with trained priors it builds them once more,
 untimed, and counts the pairs that the candidate walk scored and kept (pairs_scored, pairs_kept; null for
 hdp_lex, whose priors are uniform).  It draws a chain state with
@@ -22,8 +22,9 @@ a support proposes nothing.  For hddcrp_star and hdp_lex it then runs one
 more, untimed sweep and reports the median number of live labels and of
 keys at its label draws (draw_labels, draw_keys; null for the link models),
 the L and K that a draw's pass runs over.  The speed of a shared CPU drifts
-too much for wall or CPU time to compare two runs, so the process pins
-itself to one CPU and times loads, training, the agglomerative call and
+too much for wall or CPU time to compare two runs, so the process, run as
+a script, pins itself to one CPU and to one BLAS thread before numpy and
+scipy load (an import of the module pins nothing), and times loads, training, the agglomerative call and
 prior builds in reference seconds, and sweeps in reference ms, of
 perfbench's calibrated clock (perfbench/clock.py).  Figures are comparable only between runs on the same
 machine.
@@ -42,13 +43,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from clock import CalibratedClock, pin_to_one_cpu  # noqa: E402
+
+if __name__ == "__main__":
+    # OpenBLAS reads its thread count and starts its threads, on the CPUs the
+    # process may use, when numpy loads
+    pin_to_one_cpu()
+
 import numpy as np  # noqa: E402
 # the program imports these on first use; importing them here keeps that
 # import out of the first size's train_s
 import scipy.optimize  # noqa: E402, F401
 import scipy.special  # noqa: E402, F401
 
-from clock import CalibratedClock, pin_to_one_cpu  # noqa: E402
 from gen import Shape, write_inputs  # noqa: E402
 from hddcrp.baselines import agglomerative  # noqa: E402
 from hddcrp.corpus import LexicalResources, load_corpus  # noqa: E402
@@ -59,7 +66,7 @@ from hddcrp.sampling import MODELS, SamplerConfig, build_priors, init_state  # n
 SEED = 1
 LOADS = 5
 FEATURES = 3
-FITS = 3
+CALLS = 3  # train and agglomerative calls
 WARMUP = 1
 REPEATS = 20
 
@@ -79,6 +86,22 @@ def draw_sizes(state, rng):
     state.sweep(rng)
     del labels.draw
     return [statistics.median(column) for column in zip(*sizes)]
+
+
+def timed(clock, calls, fn, *args):
+    """The last of calls calls of fn(*args), and the median of their
+    reference seconds."""
+    times = []
+    for _ in range(calls):
+        start = clock.now()
+        result = fn(*args)
+        times.append(clock.reference_seconds(start, clock.now())[0])
+    return result, statistics.median(times)
+
+
+def load(inputs):
+    """The fixed cost of a command: its corpus and lexical resources."""
+    return load_corpus(inputs.corpus), LexicalResources.load(inputs.embeddings, inputs.synonyms)
 
 
 def walk_counts(corpus, config, pairwise, resources):
@@ -110,43 +133,21 @@ def bench_size(n):
     with tempfile.TemporaryDirectory() as tmp, CalibratedClock() as clock:
         inputs = write_inputs(shape, SEED, tmp)
         time.sleep(0.05)  # a few probe slices before the first span
-
-        def reference_s(start):
-            return clock.reference_seconds(start, clock.now())[0]
-
-        loads_s = []
-        for _ in range(LOADS):
-            start = clock.now()
-            corpus = load_corpus(inputs.corpus)
-            resources = LexicalResources.load(inputs.embeddings, inputs.synonyms)
-            loads_s.append(reference_s(start))
+        (corpus, resources), load_s = timed(clock, LOADS, load, inputs)
         extractor = FeatureExtractor.from_corpus(corpus)
         pairs = build_training_pairs(corpus)
-        features_s = []
-        for _ in range(FEATURES):
-            start = clock.now()
-            pair_features(corpus, resources, extractor, pairs)
-            features_s.append(reference_s(start))
-        fits_s = []
-        for _ in range(FITS):
-            start = clock.now()
-            pairwise = train(corpus, resources)
-            fits_s.append(reference_s(start))
-        start = clock.now()
-        agglomerative(corpus, pairwise, resources)
-        out = {"n": shape.n_mentions, "topics": shape.topics,
-               "load_s": statistics.median(loads_s),
-               "features_s": statistics.median(features_s),
-               "train_s": statistics.median(fits_s),
-               "agglomerative_s": reference_s(start), "models": {}}
+        _, features_s = timed(clock, FEATURES, pair_features, corpus, resources, extractor, pairs)
+        pairwise, train_s = timed(clock, CALLS, train, corpus, resources)
+        _, agglomerative_s = timed(clock, CALLS, agglomerative, corpus, pairwise, resources)
+        out = {"n": shape.n_mentions, "topics": shape.topics, "load_s": load_s,
+               "features_s": features_s, "train_s": train_s,
+               "agglomerative_s": agglomerative_s, "models": {}}
         print(f"n={shape.n_mentions}: load {out['load_s']:.4f} s, "
               f"features {out['features_s']:.4f} s, "
               f"agglomerative {out['agglomerative_s']:.3f} s", flush=True)
         for model in MODELS:
             config = SamplerConfig(model=model, seed=SEED)
-            start = clock.now()
-            priors = build_priors(corpus, config, pairwise, resources)
-            priors_s = reference_s(start)
+            priors, priors_s = timed(clock, 1, build_priors, corpus, config, pairwise, resources)
             lone_share = {
                 level: None if supports is None
                 else sum(len(c) == 1 for c in supports) / len(supports)
@@ -159,11 +160,7 @@ def bench_size(n):
             state = init_state(corpus, config, rng, priors=priors)
             for _ in range(WARMUP):
                 state.sweep(rng)
-            sweeps_ms = []
-            for _ in range(REPEATS):
-                start = clock.now()
-                state.sweep(rng)
-                sweeps_ms.append(1000 * reference_s(start))
+            sweeps_ms = [1000 * timed(clock, 1, state.sweep, rng)[1] for _ in range(REPEATS)]
             q1, median, q3 = statistics.quantiles(sweeps_ms, n=4)
             draw_labels = draw_keys = None
             if hasattr(state, "labels"):
@@ -188,7 +185,6 @@ def main(argv=None):
     parser.add_argument("--sizes", type=int, nargs="+", default=[1000, 2000])
     parser.add_argument("-o", "--output", default="BENCH_sweeps.json")
     args = parser.parse_args(argv)
-    pin_to_one_cpu()
     result = {
         "shape": "Shape(n // 40, 4, 10)",
         "seed": SEED,
