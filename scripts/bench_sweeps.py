@@ -10,24 +10,33 @@ the median of 3 builds of the training pairs' feature matrix, each a
 PairFeatures construction plus its gather of the pairs.  train_s is the
 median of 3 fits of a pairwise distance model on the corpus, each a train
 call, and agglomerative_s the median of 3 calls of the agglomerative
-baseline with the model.  Then, for each model, the script times build_priors
-(priors_s).  For the models with trained priors it builds them once more,
-untimed, and counts the pairs that the candidate walk scored and kept (pairs_scored, pairs_kept; null for
-hdp_lex, whose priors are uniform).  It draws a chain state with
-init_state, runs one warm-up sweep and times the next 20 sweeps of the
-chain; it reports their median and quartiles in ms.  It also reports
-lone_share, the share of customer and of table-link supports that hold only
-the self candidate (null for a model without table links): a move over such
-a support proposes nothing.  For hddcrp_star and hdp_lex it then runs one
-more, untimed sweep and reports the median number of live labels and of
-keys at its label draws (draw_labels, draw_keys; null for the link models),
-the L and K that a draw's pass runs over.  The speed of a shared CPU drifts
-too much for wall or CPU time to compare two runs, so the process, run as
-a script, pins itself to one CPU and to one BLAS thread before numpy and
-scipy load (an import of the module pins nothing), and times loads, training, the agglomerative call and
-prior builds in reference seconds, and sweeps in reference ms, of
-perfbench's calibrated clock (perfbench/clock.py).  Figures are comparable only between runs on the same
-machine.
+baseline with the model.  Then, for each model, the script times
+build_priors (priors_s), which includes the log forms Priors builds.  For
+the models with trained priors it builds them once more, untimed, and
+counts the pairs that the candidate walk scored and kept (pairs_scored,
+pairs_kept; null for hdp_lex, whose priors are uniform).  It draws a chain
+state with init_state, runs one warm-up sweep and times the next 20 sweeps
+of the chain; it reports their median and quartiles in ms.  It also
+reports lone_share, the share of customer and of table-link supports that
+hold only the self candidate (null for a model without table links): a
+move over such a support proposes nothing.  For hddcrp_star and hdp_lex it
+then runs one more, untimed sweep and reports the median number of live
+labels and of keys at its label draws (draw_labels, draw_keys; null for
+the link models), the L and K that a draw's pass runs over.
+
+Last, it writes a copy of the corpus with one shared lemma, "say",
+appended to every mention's context_lemmas, as news text shares common
+words, and records overlap on that copy with the model trained on the
+plain corpus: the hddcrp priors_s, agglomerative_s (median of 3 calls) and
+the hddcrp walk's pairs_scored and pairs_kept.
+
+The speed of a shared CPU drifts too much for wall or CPU time to compare
+two runs.  So the script, when run, pins itself to one CPU and one BLAS
+thread before numpy and scipy load (importing it pins nothing), and times
+loads, features, training, agglomerative calls and prior builds in
+reference seconds, and sweeps in reference ms, of perfbench's calibrated
+clock (perfbench/clock.py).  Figures are comparable only between runs on
+the same machine.
 """
 
 from __future__ import annotations
@@ -68,6 +77,7 @@ LOADS = 5
 FEATURES = 3
 CALLS = 3  # train and agglomerative calls
 WARMUP = 1
+SHARED_LEMMA = "say"
 REPEATS = 20
 
 
@@ -102,6 +112,19 @@ def timed(clock, calls, fn, *args):
 def load(inputs):
     """The fixed cost of a command: its corpus and lexical resources."""
     return load_corpus(inputs.corpus), LexicalResources.load(inputs.embeddings, inputs.synonyms)
+
+
+def overlap_copy(path, out):
+    """Write to out a copy of the corpus file path with SHARED_LEMMA
+    appended to every mention's context_lemmas."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        doc = json.loads(line)
+        for mention in doc.get("mentions", ()):
+            mention["context_lemmas"].append(SHARED_LEMMA)
+        lines.append(json.dumps(doc) + "\n")
+    out.write_text("".join(lines), encoding="utf-8")
+    return out
 
 
 def walk_counts(corpus, config, pairwise, resources):
@@ -177,6 +200,15 @@ def bench_size(n):
             }
             print(f"n={shape.n_mentions} {model}: priors {priors_s:.3f} s, "
                   f"sweep {median:.1f} ms [{q1:.1f}, {q3:.1f}]", flush=True)
+        overlap = load_corpus(overlap_copy(inputs.corpus, Path(tmp) / "overlap.jsonl"))
+        config = SamplerConfig(model="hddcrp", seed=SEED)
+        _, priors_s = timed(clock, 1, build_priors, overlap, config, pairwise, resources)
+        _, agglomerative_s = timed(clock, CALLS, agglomerative, overlap, pairwise, resources)
+        out["overlap"] = {"priors_s": priors_s, "agglomerative_s": agglomerative_s,
+                          **walk_counts(overlap, config, pairwise, resources)}
+        print(f"n={shape.n_mentions} overlap: priors {priors_s:.3f} s, "
+              f"agglomerative {agglomerative_s:.3f} s, {out['overlap']['pairs_kept']} of "
+              f"{out['overlap']['pairs_scored']} pairs kept", flush=True)
     return out
 
 

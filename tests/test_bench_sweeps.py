@@ -21,7 +21,9 @@ def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
     got = json.loads(out.read_text(encoding="utf-8"))
     assert set(got) == {"shape", "seed", "loads", "features", "warmup", "repeats", "clock", "python", "sizes"}
     (size,) = got["sizes"]
-    assert set(size) == {"n", "topics", "load_s", "features_s", "train_s", "agglomerative_s", "models"}
+    assert set(size) == {
+        "n", "topics", "load_s", "features_s", "train_s", "agglomerative_s", "models", "overlap",
+    }
     assert size["n"] == 40
     assert size["load_s"] > 0 and size["features_s"] > 0 and size["agglomerative_s"] > 0
     assert set(size["models"]) == set(MODELS)
@@ -44,3 +46,9 @@ def test_sweep_bench_writes_priors_and_sweep_times_per_model(tmp_path):
             assert 1 <= timing["draw_keys"] <= timing["draw_labels"]
         else:
             assert timing["draw_labels"] is None and timing["draw_keys"] is None
+    overlap = size["overlap"]
+    assert set(overlap) == {"priors_s", "agglomerative_s", "pairs_scored", "pairs_kept"}
+    assert overlap["priors_s"] > 0 and overlap["agglomerative_s"] > 0
+    # the shared lemma makes every one of the 40 * 39 / 2 pairs a candidate
+    assert overlap["pairs_scored"] == 780
+    assert 0 < overlap["pairs_kept"] <= overlap["pairs_scored"]
