@@ -4,11 +4,11 @@ This module owns how links become a partition.  _components rebuilds it
 from scratch: the samplers and the agglomerative baseline call it.
 LinkGraph keeps it current one edge at a time for the samplers' link moves,
 with each component's members and lemma bag, and checks itself against
-_components.  A ClusterAssignment is a partition whose labels are canonical by
-construction: the one clustering type, in which the gold partition, every
-sampler and baseline, and the scorer hand clusterings on.  Which links are
-active and what their components stand for is defined by the samplers in
-sampling.py.
+_components.  A ClusterAssignment is a partition whose labels are
+canonical by construction: the one clustering type, in which the gold
+partition, every sampler and baseline, and the scorer hand clusterings on.
+Which links are active and what their components stand for is defined by
+the samplers in sampling.py.
 """
 
 from __future__ import annotations
